@@ -97,16 +97,13 @@ def _finish(args, t0: float, outputs: list[Path], summary: dict) -> int:
     return 0
 
 
-def _workers(n_tasks: int) -> int:
+def _pool_map(fn, jobs):
+    """list(map(fn, jobs)) on up to NEL_THREADS worker processes."""
     try:
         cap = int(os.environ.get("NEL_THREADS", "1"))
     except ValueError:
         raise UsageError("NEL_THREADS must be an integer")
-    return max(1, min(cap, n_tasks))
-
-
-def _pool_map(fn, jobs):
-    w = _workers(len(jobs))
+    w = max(1, min(cap, len(jobs)))
     if w <= 1:
         return [fn(j) for j in jobs]
     with Pool(processes=w) as pool:
@@ -126,11 +123,21 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"bad index range {text!r}") from exc
 
 
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    """'1,2.5,4' -> [1.0, 2.5, 4.0] (or ints with kind=int)."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}, expected comma-separated numbers") from exc
+
+
 def _parse_grid(text: str) -> tuple[float, float, float]:
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}, expected start:end:step") from exc
+    if not step > 0:
+        raise UsageError(f"bad grid {text!r}, step must be positive")
     return lo, hi, step
 
 
@@ -278,7 +285,7 @@ def _cmd_figures(args) -> int:
         from .pseries import tau_scan
 
         n = args.n if args.n is not None else 50
-        sr = tau_scan(0.0, 1.0, args.step, n, workers=_workers(2001))
+        sr = tau_scan(0.0, 1.0, args.step, n, mapper=_pool_map)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         summary["n"] = n
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
@@ -313,13 +320,15 @@ def _cmd_extrapolate(args) -> int:
 
     t0 = time.perf_counter()
     if args.values:
-        values = [float(v) for v in args.values.split(",")]
-        indices = [float(v) for v in args.indices.split(",")]
+        if not args.indices:
+            raise UsageError("--values requires --indices")
+        values = _parse_list(args.values, "--values")
+        indices = _parse_list(args.indices, "--indices")
         target = "raw"
     elif args.target == "a-constant":
         from .separatrix import trace_separatrix_backward
 
-        indices = [int(v) for v in args.indices.split(",")] if args.indices \
+        indices = _parse_list(args.indices, "--indices", int) if args.indices \
             else [125, 250, 500, 1000, 2000]
         values = []
         for n in indices:
@@ -393,14 +402,13 @@ def _cmd_painleve(args) -> int:
 def _cmd_pseries(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out) if args.out else None
+    if out is None and args.task in ("scan", "roots"):
+        raise UsageError(f"{args.task} requires --out")
     if args.task == "scan":
         from .pseries import tau_scan
 
         lo, hi, step = _parse_grid(args.tau)
-        sr = tau_scan(lo, hi, step, args.n,
-                      workers=_workers(int((hi - lo) / step) + 1))
-        if out is None:
-            raise UsageError("scan requires --out")
+        sr = tau_scan(lo, hi, step, args.n, mapper=_pool_map)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         return _finish(args, t0, [out],
                        {"maxima": [list(m) for m in sr.maxima[:4]],
@@ -427,8 +435,6 @@ def _cmd_pseries(args) -> int:
             "roots": [{"re": z.real, "im": z.imag, "abs": abs(z), "residual": float(r)}
                       for z, r in sorted(zip(roots, residuals), key=lambda p: -abs(p[0]))],
         }
-        if out is None:
-            raise UsageError("roots requires --out")
         _write_json(out, payload)
         return _finish(args, t0, [out], {"rho": max(abs(z) for z in roots)})
     raise UsageError(f"unknown pseries task {args.task!r}")

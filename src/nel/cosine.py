@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .extrapolate import _ls_slope
 from .ode import IntegratorConfig, integrate
 
 __all__ = [
@@ -256,9 +257,4 @@ def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float],
         logd.append(math.log(d))
     if len(xsq) < 6:
         raise Underflow("fewer than 6 samples above the noise floor")
-    n = len(xsq)
-    mx = sum(xsq) / n
-    my = sum(logd) / n
-    sxx = sum((u - mx) ** 2 for u in xsq)
-    sxy = sum((u - mx) * (v - my) for u, v in zip(xsq, logd))
-    return sxy / sxx
+    return _ls_slope(xsq, logd)

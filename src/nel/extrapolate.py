@@ -124,8 +124,14 @@ def fit_correction_exponent(values: Sequence[float], indices: Sequence[float],
             ys.append(math.log(d))
     if len(xs) < 2:
         raise ValueError("not enough distinct points to fit")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
+    return -_ls_slope(xs, ys)
+
+
+def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs (centred sums, in this order)."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
     sxx = sum((u - mx) ** 2 for u in xs)
     sxy = sum((u - mx) * (v - my) for u, v in zip(xs, ys))
-    return -sxy / sxx
+    return sxy / sxx

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrapolate import richardson
+from .extrapolate import _ls_slope, richardson
 from .ode import IntegratorConfig, Trajectory, integrate
 
 __all__ = [
@@ -224,6 +224,49 @@ def _approaching_pole(y: float, v: float) -> bool:
     return v * v >= y ** 3 / 3.0
 
 
+def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
+                       y0: float, dense: bool):
+    """Integrate from (0, y0) with slope a toward x_end, through poles.
+
+    Yields (segment, pole) in integration order, where pole is the
+    PoleEvent that ended the segment, or None when the segment ended at a
+    turnaround (the match height is raised and integration resumes) or at
+    x_end.  Poles are strictly ordered along the integration direction.
+    """
+    delta = math.sqrt(6.0 / cfg.y_restart)
+    x, state = 0.0, (float(y0), float(a))
+    threshold = cfg.y_match
+    last_x0 = math.inf
+    while True:
+        def hit(xx, yy, _t=threshold):
+            return yy[0] >= _t and yy[1] < 0.0
+
+        traj = integrate(painleve_rhs, x, state, x_end, cfg.ode,
+                         dense=dense, stop_when=hit)
+        if not traj.stopped:
+            yield traj, None
+            return
+        yv = traj.y_end
+        if not _approaching_pole(yv[0], yv[1]):
+            # turnaround near the match height: raise the bar and continue
+            if threshold > 1e7:
+                raise MatchDiverged("turnaround above 1e7 without pole signature")
+            yield traj, None
+            threshold *= 4.0
+            x, state = traj.x_end, yv
+            continue
+        ev = laurent_match(traj.x_end, yv[0], yv[1], cfg)
+        if ev.x0 >= last_x0:
+            raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
+        yield traj, ev
+        last_x0 = ev.x0
+        threshold = cfg.y_match
+        x = ev.x0 - delta
+        if x <= x_end:
+            return
+        state = pole_series_eval(ev.x0, ev.h, x, cfg.series_terms)
+
+
 def integrate_with_poles(a: float, x_end: float,
                          cfg: PainleveConfig | None = None, *,
                          y0: float = 1.0,
@@ -237,40 +280,8 @@ def integrate_with_poles(a: float, x_end: float,
         cfg = PainleveConfig()
     if x_end >= 0:
         raise ValueError("x_end must be negative")
-    delta = math.sqrt(6.0 / cfg.y_restart)
-    segments: list[Trajectory] = []
-    poles: list[PoleEvent] = []
-    x, state = 0.0, (float(y0), float(a))
-    threshold = cfg.y_match
-    while True:
-        thr = threshold
-
-        def hit(xx, yy, _t=thr):
-            return yy[0] >= _t and yy[1] < 0.0
-
-        traj = integrate(painleve_rhs, x, state, x_end, cfg.ode,
-                         dense=dense, stop_when=hit)
-        segments.append(traj)
-        if not traj.stopped:
-            break
-        yv = traj.y_end
-        if not _approaching_pole(yv[0], yv[1]):
-            # turnaround near the match height: raise the bar and continue
-            if threshold > 1e7:
-                raise MatchDiverged("turnaround above 1e7 without pole signature")
-            threshold *= 4.0
-            x, state = traj.x_end, yv
-            continue
-        ev = laurent_match(traj.x_end, yv[0], yv[1], cfg)
-        if poles and ev.x0 >= poles[-1].x0:
-            raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
-        poles.append(ev)
-        threshold = cfg.y_match
-        x = ev.x0 - delta
-        if x <= x_end:
-            break
-        state = pole_series_eval(ev.x0, ev.h, x, cfg.series_terms)
-    return segments, poles
+    steps = list(_pole_continuation(a, x_end, cfg, y0, dense))
+    return [traj for traj, _ in steps], [ev for _, ev in steps if ev is not None]
 
 
 # -- fate classification ------------------------------------------------------
@@ -334,42 +345,17 @@ def _lock_run(extrema, needed: int):
 
 
 def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> FateReport:
-    delta = math.sqrt(6.0 / cfg.y_restart)
-    x, state = 0.0, (float(y0), float(a))
-    threshold = cfg.y_match
     poles: list[PoleEvent] = []
     last_extrema: list = []
-    reached_end = False
-    while True:
-        thr = threshold
-
-        def hit(xx, yy, _t=thr):
-            return yy[0] >= _t and yy[1] < 0.0
-
-        traj = integrate(painleve_rhs, x, state, x_min, cfg.ode,
-                         dense=False, stop_when=hit)
-        if not traj.stopped:
+    for traj, ev in _pole_continuation(a, x_min, cfg, y0, dense=False):
+        if ev is not None:
+            poles.append(ev)
+            if len(poles) >= cfg.chain_poles:
+                return FateReport(len(poles), "pole_chain", None, ())
+        elif not traj.stopped:
             last_extrema = _segment_extrema(traj, cfg.track_from)
-            reached_end = True
-            break
-        yv = traj.y_end
-        if not _approaching_pole(yv[0], yv[1]):
-            if threshold > 1e7:
-                raise MatchDiverged("turnaround above 1e7 without pole signature")
-            threshold *= 4.0
-            x, state = traj.x_end, yv
-            continue
-        ev = laurent_match(traj.x_end, yv[0], yv[1], cfg)
-        poles.append(ev)
-        if len(poles) >= cfg.chain_poles:
-            return FateReport(len(poles), "pole_chain", None, ())
-        threshold = cfg.y_match
-        x = ev.x0 - delta
-        if x <= x_min:
-            break
-        state = pole_series_eval(ev.x0, ev.h, x, cfg.series_terms)
 
-    onset = _lock_run(last_extrema, cfg.lock_extrema) if reached_end else None
+    onset = _lock_run(last_extrema, cfg.lock_extrema)
     if onset is not None:
         return FateReport(len(poles), "oscillatory", onset, tuple(last_extrema))
     if poles and poles[-1].x0 <= x_min + 10.0:
@@ -499,19 +485,12 @@ def fit_oscillation_envelope(traj: Trajectory, *,
     ext = _dense_extrema(traj, x_hi, max(x_lo, traj.x_end))
     if len(ext) < min_extrema:
         raise InsufficientExtrema(f"{len(ext)} extrema in {fit_window}")
-    lx = [math.log(-x) for x, _ in ext]
-    lr = [math.log(abs(r)) for _, r in ext]
-    n = len(lx)
-    mx, my = sum(lx) / n, sum(lr) / n
-    amp = (sum((u - mx) * (w - my) for u, w in zip(lx, lr))
-           / sum((u - mx) ** 2 for u in lx))
-    ph_x = [(-x) ** 1.25 for x, _ in ext]
-    ph_y = [k * math.pi for k in range(n)]
+    amp = _ls_slope([math.log(-x) for x, _ in ext],
+                    [math.log(abs(r)) for _, r in ext])
     # extrema run toward -infinity: phase grows as x decreases
-    mpx, mpy = sum(ph_x) / n, sum(ph_y) / n
-    slope = (sum((u - mpx) * (w - mpy) for u, w in zip(ph_x, ph_y))
-             / sum((u - mpx) ** 2 for u in ph_x))
-    return EnvelopeFit(amp, abs(slope), n)
+    slope = _ls_slope([(-x) ** 1.25 for x, _ in ext],
+                      [k * math.pi for k in range(len(ext))])
+    return EnvelopeFit(amp, abs(slope), len(ext))
 
 
 def approach_decay_slope(a: float, cfg: PainleveConfig | None = None, *,
@@ -547,11 +526,7 @@ def approach_decay_slope(a: float, cfg: PainleveConfig | None = None, *,
             continue
         xs.append((-x) ** 1.25)
         ys.append(math.log(d) + 0.125 * math.log(-x))
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    slope = (sum((u - mx) * (w - my) for u, w in zip(xs, ys))
-             / sum((u - mx) ** 2 for u in xs))
-    return -slope
+    return -_ls_slope(xs, ys)
 
 
 def estimate_C(eigs, *, start: int = 4) -> float:

@@ -13,10 +13,9 @@ a_k(tau) (k^2 + k is even) and a_k(1 - tau) = conj(a_k(tau)), so rho_n is
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +76,14 @@ def ftau_partial_sum(tau: float, n: int) -> ComplexPolynomial:
     return ComplexPolynomial(tuple(coeffs))
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k elementwise over z; coeffs ascending."""
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def _aberth(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
     """Aberth-Ehrlich iteration; coeffs ascending, leading nonzero."""
     d = len(coeffs) - 1
@@ -91,12 +98,8 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
         radius = bound * (1.0 + 0.2 * attempt)
         z = radius * np.exp(1j * ang)
         for _ in range(max_iter):
-            p = np.zeros_like(z)
-            for c in coeffs[::-1]:
-                p = p * z + c
-            dp = np.zeros_like(z)
-            for c in dcoeffs[::-1]:
-                dp = dp * z + c
+            p = _horner(coeffs, z)
+            dp = _horner(dcoeffs, z)
             w = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1 + 0.1j)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
@@ -107,9 +110,7 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
             # at the evaluation roundoff floor (multiple roots never push the
             # correction below ~sqrt(eps), but |p| flushes to the floor)
             az = np.abs(z)
-            floor = np.zeros_like(az)
-            for ac in abs_coeffs[::-1]:
-                floor = floor * az + ac
+            floor = _horner(abs_coeffs, az)
             done = (np.abs(corr) <= 1e-13 * (1.0 + az)) | (np.abs(p) <= 64 * 2.2e-16 * floor)
             if np.all(done):
                 return z
@@ -127,18 +128,11 @@ def all_roots(poly: ComplexPolynomial) -> tuple[np.ndarray, np.ndarray]:
     z = _aberth(coeffs)
     dcoeffs = coeffs[1:] * np.arange(1, poly.degree + 1)
     for _ in range(2):
-        p = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            p = p * z + c
-        dp = np.zeros_like(z)
-        for c in dcoeffs[::-1]:
-            dp = dp * z + c
+        p = _horner(coeffs, z)
+        dp = _horner(dcoeffs, z)
         step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0)
         z = z - step
-    p = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        p = p * z + c
-    return z, np.abs(p)
+    return z, np.abs(_horner(coeffs, z))
 
 
 def rho_n(tau: float, n: int) -> float:
@@ -165,29 +159,22 @@ def _scan_point(args):
         return tau, None
 
 
-def tau_scan(tau_start: float, tau_end: float, step: float, n: int,
-             workers: int | None = None) -> ScanResult:
+def tau_scan(tau_start: float, tau_end: float, step: float, n: int, *,
+             mapper: Callable = map) -> ScanResult:
     """rho_n over a tau grid, with local maxima and symmetry gaps reported.
 
-    Per-point failures are recorded and skipped.  Worker count comes from
-    the argument or the NEL_THREADS environment variable (default serial);
-    results are assembled in grid order either way.
+    Per-point failures are recorded and skipped.  ``mapper(fn, jobs)``
+    evaluates the grid points and must return results in job order; the
+    default builtin map runs serially, and the CLI passes its worker pool.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     count = int(round((tau_end - tau_start) / step)) + 1
     grid = [tau_start + i * step for i in range(count) if tau_start + i * step <= tau_end + 1e-12]
-    if workers is None:
-        workers = int(os.environ.get("NEL_THREADS", "1"))
     jobs = [(t, n) for t in grid]
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            raw = pool.map(_scan_point, jobs, chunksize=32)
-    else:
-        raw = [_scan_point(j) for j in jobs]
 
     taus, rhos, failures = [], [], []
-    for t, r in raw:
+    for t, r in mapper(_scan_point, jobs):
         if r is None:
             failures.append(t)
         else:

@@ -125,6 +125,33 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert payload["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["extrapolate", "--values", "1,2,3"],
+    ["extrapolate", "--values", "1,x,3", "--indices", "1,2,3"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,two,3"],
+    ["extrapolate", "--target", "a-constant", "--indices", "125,x"],
+    ["pseries", "scan", "--tau", "0:0.1:0"],
+])
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("task", ["scan", "roots"])
+def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys):
+    import nel.pseries
+
+    calls = []
+    for name in ("tau_scan", "all_roots", "ftau_partial_sum"):
+        monkeypatch.setattr(nel.pseries, name,
+                            lambda *a, _n=name, **k: calls.append(_n))
+    code, _, err = run_cli(["pseries", task], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "UsageError"
+    assert calls == []
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2

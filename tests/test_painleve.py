@@ -167,6 +167,13 @@ def test_fate_flips_at_first_eigenvalue():
     assert {below.lock, above.lock} == {"pole_chain", "oscillatory"}
 
 
+@pytest.mark.parametrize("a", [7.0, 10.0])
+def test_fate_and_integration_cross_the_same_poles(a):
+    cfg = PainleveConfig()
+    _, poles = integrate_with_poles(a, cfg.x_min, cfg, dense=False)
+    assert classify_fate(a, cfg).pole_count == len(poles)
+
+
 def test_pole_count_robust_to_tolerance():
     for a in (1.0, 7.0, 10.0):
         counts = set()

@@ -96,6 +96,14 @@ def test_tau_scan_rejects_bad_step():
         tau_scan(0.0, 1.0, -0.1, 10)
 
 
+def test_tau_scan_ignores_worker_environment(monkeypatch):
+    # the worker count is the CLI's policy; the library call stays serial
+    monkeypatch.setenv("NEL_THREADS", "abc")
+    sr = tau_scan(0.0, 0.1, 0.05, 5)
+    assert sr.taus == (0.0, 0.05, 0.1)
+    assert sr.rhos == tuple(rho_n(t, 5) for t in sr.taus)
+
+
 @st.composite
 def unit_coeff_polys(draw):
     n = draw(st.integers(min_value=2, max_value=24))
