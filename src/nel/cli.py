@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 __all__ = ["main", "UsageError", "RunManifest"]
@@ -138,7 +140,23 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"bad grid {text!r}, expected start:end:step") from exc
     if not step > 0:
         raise UsageError(f"bad grid {text!r}, step must be positive")
+    if not hi >= lo:
+        raise UsageError(f"bad grid {text!r}, end must not precede start")
     return lo, hi, step
+
+
+def _grid_read(traj, x0: float, x1: float, h: float):
+    """(x, y[0]) at x = x0 + i*h (h signed toward x1) up to x1, the last
+    abscissa clipped to x1; abscissae carry no accumulated drift."""
+    n = math.floor(abs(x1 - x0) / h + 1e-9)
+    xs = np.clip(x0 + math.copysign(h, x1 - x0) * np.arange(n + 1), min(x0, x1), max(x0, x1))
+    return zip(xs.tolist(), traj.sample(xs).reshape(n + 1, -1)[:, 0].tolist())
+
+
+def _segment_rows(label, a, segs) -> list:
+    """(label, a, segment, x, y) on a 0.01 grid down each Painleve segment."""
+    return [(label, a, si, x, y) for si, seg in enumerate(segs)
+            for x, y in _grid_read(seg, seg.x_start, seg.x_end, 0.01)]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -177,12 +195,7 @@ def _fig1_task(k: int):
 
     a = 0.2 * k
     traj = integrate(rhs_unscaled, 0.0, a, 24.0)
-    rows = []
-    x = 0.0
-    while x <= 24.0 + 1e-9:
-        rows.append((k, a, min(x, 24.0), traj(min(x, 24.0))))
-        x += 0.02
-    return rows
+    return [(k, a, x, y) for x, y in _grid_read(traj, 0.0, traj.x_end, 0.02)]
 
 
 def _cmd_figures(args) -> int:
@@ -190,6 +203,8 @@ def _cmd_figures(args) -> int:
     out = Path(args.out)
     name = args.figure
     summary: dict = {"figure": name}
+    if not args.step > 0:
+        raise UsageError(f"bad --step {args.step!r}, must be positive")
 
     if name == "fig1":
         rows = []
@@ -203,24 +218,17 @@ def _cmd_figures(args) -> int:
         rows = []
         for n in range(-3, 7):
             rec, traj = trace_separatrix_backward(n)
-            x = 0.0
-            while x <= traj.x_start + 1e-9:
-                xq = min(x, traj.x_start)
-                rows.append((n, rec.a_n, xq, traj(xq)))
-                x += 0.02
+            rows.extend((n, rec.a_n, x, y) for x, y in _grid_read(traj, 0.0, traj.x_start, 0.02))
         _write_csv(out, ["n", "a_n", "x", "y"], rows)
 
     elif name == "fig3":
         from .limitcurve import implicit_Z
-        from .separatrix import scaled_separatrix_evaluator
+        from .separatrix import scaled_separatrix
 
         rows = []
+        ts = [2.2 * i / 1100 for i in range(1101)]   # inside t_max > 7 for n <= 4
         for n in range(1, 5):
-            z, t_max, _ = scaled_separatrix_evaluator(n)
-            hi = min(2.2, t_max)
-            for i in range(1101):
-                t = hi * i / 1100
-                rows.append((f"z_{n}", t, z(t)))
+            rows.extend((f"z_{n}", t, z) for t, z in zip(ts, scaled_separatrix(n, ts)))
         for i in range(1001):
             t = i / 1000
             rows.append(("Z", t, implicit_Z(t)))
@@ -228,15 +236,13 @@ def _cmd_figures(args) -> int:
 
     elif name == "fig4":
         from .limitcurve import implicit_Z
-        from .separatrix import scaled_separatrix_evaluator
+        from .separatrix import scaled_separatrix
 
         n = args.n if args.n is not None else 10000
-        z, _, _ = scaled_separatrix_evaluator(n)
+        ts = [i / 2000 for i in range(2001)]
         rows = []
-        for i in range(2001):
-            t = i / 2000
+        for t, zz in zip(ts, scaled_separatrix(n, ts)):
             big = implicit_Z(t)
-            zz = z(t)
             rows.append((t, zz, big, zz - big))
         _write_csv(out, ["t", "z", "Z", "diff"], rows)
         summary["n"] = n
@@ -258,12 +264,7 @@ def _cmd_figures(args) -> int:
         eigs = painleve_eigenvalues(4, cfg)
         rows = []
         for k, a in enumerate(eigs, start=1):
-            segs, poles = integrate_with_poles(a, -12.0, cfg)
-            for si, seg in enumerate(segs):
-                x = seg.x_start
-                while x >= seg.x_end:
-                    rows.append((k, a, si, x, seg(x)[0]))
-                    x -= 0.01
+            rows.extend(_segment_rows(k, a, integrate_with_poles(a, -12.0, cfg)[0]))
         _write_csv(out, ["k", "a", "segment", "x", "y"], rows)
         summary["eigenvalues"] = eigs
 
@@ -273,12 +274,7 @@ def _cmd_figures(args) -> int:
         cfg = PainleveConfig()
         rows = []
         for label, a in (("oscillatory", 1.0), ("pole_chain", 5.0)):
-            segs, _ = integrate_with_poles(a, -40.0, cfg)
-            for si, seg in enumerate(segs):
-                x = seg.x_start
-                while x >= seg.x_end:
-                    rows.append((label, a, si, x, seg(x)[0]))
-                    x -= 0.01
+            rows.extend(_segment_rows(label, a, integrate_with_poles(a, -40.0, cfg)[0]))
         _write_csv(out, ["fate", "a", "segment", "x", "y"], rows)
 
     elif name == "fig8":

@@ -245,10 +245,9 @@ def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float],
     if m1 != m2 or m1 % 2 != 0:
         raise BundleMismatch(f"bundle indices {m1} and {m2}")
 
+    xs = [x_lo + (x_hi - x_lo) * i / (n_samples - 1) for i in range(n_samples)]
     xsq, logd = [], []
-    for i in range(n_samples):
-        x = x_lo + (x_hi - x_lo) * i / (n_samples - 1)
-        d = abs(t1(x) - t2(x))
+    for x, d in zip(xs, abs(t1.sample(xs) - t2.sample(xs)).tolist()):
         if d < 1e-300:
             raise Underflow(f"difference underflowed at x={x}")
         if d < noise_floor:

@@ -119,14 +119,10 @@ def solve_limit_ode(grid_size: int = 1001,
         traj = _ode_curve_cached(1e-12, 1e-14)
     else:
         traj = integrate(_limit_rhs_v, 0.0, 0.0, 1.0, cfg)
-    ts, zs = [], []
-    for i in range(grid_size):
-        t = i / (grid_size - 1)
-        v = math.sqrt(1.0 - t)
-        w = traj(v) if v > 0 else 0.0
-        ts.append(t)
-        zs.append(w + t)
-    return LimitCurve(tuple(ts), tuple(zs), "ode")
+    ts = [i / (grid_size - 1) for i in range(grid_size)]
+    # v = 0 (t = 1) reads the initial value W = 0 exactly
+    ws = traj.sample([math.sqrt(1.0 - t) for t in ts])
+    return LimitCurve(tuple(ts), tuple((ws + ts).tolist()), "ode")
 
 
 def _implicit_lhs(g: float) -> float:

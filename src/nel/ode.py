@@ -20,6 +20,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
@@ -152,40 +154,50 @@ class Trajectory:
     def _dense_record(self, i: int):
         if self._dense is None:
             raise ValueError("trajectory was integrated without dense output")
-        d = self.dim
-        stride = 1 + 5 * d
-        base = i * stride
-        rec = self._dense[base:base + stride]
-        return rec, d
+        stride = 1 + 5 * self.dim
+        return self._dense[i * stride:(i + 1) * stride]
 
     def __call__(self, x: float):
+        if self.dim != 1:
+            return tuple(self.sample([x])[0].tolist())
         i = self._step_index(x)
-        rec, d = self._dense_record(i)
+        rec = self._dense_record(i)
         h = rec[0]
         th = (x - self.xs[i]) / h
-        if d == 1:
-            y0, q1, q2, q3, q4 = rec[1], rec[2], rec[3], rec[4], rec[5]
-            return y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
-        out = []
-        for c in range(d):
-            y0 = rec[1 + c]
-            q1, q2, q3, q4 = rec[1 + d + c], rec[1 + 2 * d + c], rec[1 + 3 * d + c], rec[1 + 4 * d + c]
-            out.append(y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4))))
-        return tuple(out)
+        y0, q1, q2, q3, q4 = rec[1], rec[2], rec[3], rec[4], rec[5]
+        return y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
 
     def derivative(self, x: float):
+        if self.dim != 1:
+            raise ValueError("derivative requires a scalar trajectory")
         i = self._step_index(x)
-        rec, d = self._dense_record(i)
+        rec = self._dense_record(i)
         h = rec[0]
         th = (x - self.xs[i]) / h
-        if d == 1:
-            q1, q2, q3, q4 = rec[2], rec[3], rec[4], rec[5]
-            return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
-        out = []
-        for c in range(d):
-            q1, q2, q3, q4 = rec[1 + d + c], rec[1 + 2 * d + c], rec[1 + 3 * d + c], rec[1 + 4 * d + c]
-            out.append(q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4)))
-        return tuple(out)
+        q1, q2, q3, q4 = rec[2], rec[3], rec[4], rec[5]
+        return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
+
+    def sample(self, xs) -> np.ndarray:
+        """Dense output at each abscissa in ``xs``: shape (len(xs),) when
+        scalar, else (len(xs), dim); bit-for-bit the point reads self(x)
+        (same step, same Horner expression).  Raises ValueError for an
+        abscissa outside the trajectory (NaN included) or without dense output.
+        """
+        if self._dense is None:
+            raise ValueError("trajectory was integrated without dense output")
+        x = np.asarray(xs, dtype=float)
+        nodes = np.frombuffer(self.xs, dtype=float)
+        d, dim = self.direction, self.dim
+        if not (((x - nodes[0]) * d >= 0) & ((x - nodes[-1]) * d <= 0)).all():
+            raise ValueError(f"abscissa outside trajectory range [{nodes[0]}, {nodes[-1]}]")
+        # the step a node starts; the end node closes the last step
+        i = np.minimum(np.searchsorted(nodes * d, x * d, side="right") - 1, len(nodes) - 2)
+        rec = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * dim)[i]
+        h = rec[:, :1]
+        th = (x[:, None] - nodes[i][:, None]) / h
+        y0, q1, q2, q3, q4 = (rec[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(5))
+        y = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
+        return y[:, 0] if dim == 1 else y
 
 
 def integrate(rhs: Callable, x0: float, y0, x1: float,

@@ -435,38 +435,29 @@ class EnvelopeFit:
 
 
 def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
-    """Bisection-refined extrema of r = y + sqrt(-x) on [x_lo, x_hi], x<0."""
-    out = []
-    xs = traj.xs
+    """Bisection-refined extrema of r = y + sqrt(-x) on [x_lo, x_hi], x<0.
 
-    def g(x: float) -> float:
-        v = traj(x)[1]
-        return v - 1.0 / (2.0 * math.sqrt(-x))
+    All sign changes of r' between window nodes are bisected in lockstep,
+    60 halvings; a bracket that hits r' = 0 collapses onto that point.
+    """
+    def g(x):
+        return traj.sample(x)[:, 1] - 1.0 / (2.0 * np.sqrt(-x))
 
-    prev_x = None
-    prev_g = None
-    for i in range(len(xs)):
-        x = xs[i]
-        if x > x_hi or x < x_lo:
-            prev_x, prev_g = None, None
-            continue
-        cur = g(x)
-        if prev_g is not None and prev_g * cur < 0:
-            lo_x, hi_x, flo = prev_x, x, prev_g
-            for _ in range(60):
-                mid = 0.5 * (lo_x + hi_x)
-                fm = g(mid)
-                if fm == 0.0:
-                    lo_x = hi_x = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo_x, flo = mid, fm
-                else:
-                    hi_x = mid
-            x_e = 0.5 * (lo_x + hi_x)
-            out.append((x_e, traj(x_e)[0] + math.sqrt(-x_e)))
-        prev_x, prev_g = x, cur
-    return out
+    xs = np.frombuffer(traj.xs, dtype=float)
+    xs = xs[(xs <= x_hi) & (xs >= x_lo)]
+    gs = g(xs)
+    flip = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
+    lo, hi, flo = xs[flip], xs[flip + 1], gs[flip]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = g(mid)
+        zero = fm == 0.0
+        left = (fm > 0) == (flo > 0)
+        lo = np.where(left | zero, mid, lo)
+        hi = np.where(left & ~zero, hi, mid)
+        flo = np.where(left, fm, flo)
+    x_e = 0.5 * (lo + hi)
+    return list(zip(x_e.tolist(), (traj.sample(x_e)[:, 0] + np.sqrt(-x_e)).tolist()))
 
 
 def fit_oscillation_envelope(traj: Trajectory, *,
@@ -518,10 +509,10 @@ def approach_decay_slope(a: float, cfg: PainleveConfig | None = None, *,
     t_lo, t_hi = lo_segs[0], hi_segs[0]
     if (t_lo.x_end > x_lo - 0.4) or (t_hi.x_end > x_lo - 0.4):
         raise InsufficientExtrema("bracketing trajectories left the window early")
+    grid = [x_hi + (x_lo - x_hi) * i / (n_samples - 1) for i in range(n_samples)]
+    gaps = np.abs(t_hi.sample(grid)[:, 0] - t_lo.sample(grid)[:, 0]).tolist()
     xs, ys = [], []
-    for i in range(n_samples):
-        x = x_hi + (x_lo - x_hi) * i / (n_samples - 1)
-        d = abs(t_hi(x)[0] - t_lo(x)[0])
+    for x, d in zip(grid, gaps):
         if d <= 0:
             continue
         xs.append((-x) ** 1.25)

@@ -169,6 +169,8 @@ def tau_scan(tau_start: float, tau_end: float, step: float, n: int, *,
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if tau_end < tau_start:
+        raise ValueError("tau_end must not precede tau_start")
     count = int(round((tau_end - tau_start) / step)) + 1
     grid = [tau_start + i * step for i in range(count) if tau_start + i * step <= tau_end + 1e-12]
     jobs = [(t, n) for t in grid]

@@ -75,13 +75,18 @@ def _forward_span(a: float) -> float:
     return max(12.0, 2.5 * abs(a))
 
 
-def maxima_count(a: float, cfg: SeparatrixConfig | None = None) -> tuple[int, float | None]:
-    """Number of maxima of the forward solution and the location of the last."""
+def _forward_maxima(a: float, cfg: SeparatrixConfig | None):
+    """Forward solution over the span and the abscissae of its maxima."""
     if cfg is None:
         cfg = SeparatrixConfig()
     traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), cfg.ode)
-    maxima = [(x, y) for x, y, kind in find_extrema(traj) if kind == "max"]
-    return len(maxima), (maxima[-1][0] if maxima else None)
+    return traj, [x for x, _, kind in find_extrema(traj) if kind == "max"]
+
+
+def maxima_count(a: float, cfg: SeparatrixConfig | None = None) -> tuple[int, float | None]:
+    """Number of maxima of the forward solution and the location of the last."""
+    _, maxima = _forward_maxima(a, cfg)
+    return len(maxima), (maxima[-1] if maxima else None)
 
 
 def classify_initial_condition(a: float, cfg: SeparatrixConfig | None = None) -> SolutionClass:
@@ -91,19 +96,16 @@ def classify_initial_condition(a: float, cfg: SeparatrixConfig | None = None) ->
     the forward span; if the samples disagree or come out odd the input is
     too close to a separatrix and Undecidable is raised.
     """
-    if cfg is None:
-        cfg = SeparatrixConfig()
-    x_max = _forward_span(a)
-    traj = integrate(rhs_unscaled, 0.0, a, x_max, cfg.ode)
-    maxima = [(x, y) for x, y, kind in find_extrema(traj) if kind == "max"]
-    ms = {bundle_index(x, traj(x))
-          for x in (0.90 * x_max, 0.93 * x_max, 0.96 * x_max, x_max)}
+    traj, maxima = _forward_maxima(a, cfg)
+    x_max = traj.x_end
+    probes = [0.90 * x_max, 0.93 * x_max, 0.96 * x_max, x_max]
+    ms = {bundle_index(x, y) for x, y in zip(probes, traj.sample(probes).tolist())}
     if len(ms) != 1:
         raise Undecidable(f"bundle estimate did not settle for a={a}: {sorted(ms)}")
     m = ms.pop()
     if m % 2 != 0:
         raise Undecidable(f"odd bundle index {m} for a={a}: near-separatrix input")
-    return SolutionClass(len(maxima), m, maxima[-1][0] if maxima else None)
+    return SolutionClass(len(maxima), m, maxima[-1] if maxima else None)
 
 
 def find_eigenvalue_bisect(n: int, cfg: SeparatrixConfig | None = None) -> EigenvalueRecord:
@@ -175,16 +177,20 @@ def trace_separatrix_backward(n: int, cfg: SeparatrixConfig | None = None, *,
     return EigenvalueRecord(n, traj.y_end, "backward", None, m), traj
 
 
+def _scaled_trace(n: int, cfg: SeparatrixConfig | None):
+    if n < 1:
+        raise ValueError("scaled separatrices are defined for n >= 1")
+    record, traj = trace_separatrix_backward(n, cfg)
+    return record, traj, scaling_factor(n)
+
+
 def scaled_separatrix_evaluator(n: int, cfg: SeparatrixConfig | None = None):
     """(z(t) callable, t_max, record) for the n-th scaled separatrix.
 
     z(t) = y(s t)/s with s = sqrt(2n - 1/2); z(0) is the scaled intercept
     and the turning point sits near t = 1.
     """
-    if n < 1:
-        raise ValueError("scaled separatrices are defined for n >= 1")
-    record, traj = trace_separatrix_backward(n, cfg)
-    s = scaling_factor(n)
+    record, traj, s = _scaled_trace(n, cfg)
 
     def z(t: float) -> float:
         return traj(s * t) / s
@@ -193,14 +199,9 @@ def scaled_separatrix_evaluator(n: int, cfg: SeparatrixConfig | None = None):
 
 
 def scaled_separatrix(n: int, grid, cfg: SeparatrixConfig | None = None) -> list[float]:
-    """Sample z(t) on the given t grid (each t in [0, t_max])."""
-    z, t_max, _ = scaled_separatrix_evaluator(n, cfg)
-    out = []
-    for t in grid:
-        if not 0 <= t <= t_max:
-            raise ValueError(f"t={t} outside [0, {t_max}]")
-        out.append(z(t))
-    return out
+    """Sample z(t) on the given t grid (each t in [0, t_max], else ValueError)."""
+    _, traj, s = _scaled_trace(n, cfg)
+    return (traj.sample([s * t for t in grid]) / s).tolist()
 
 
 def eigenvalue_table(n_min: int, n_max: int,

@@ -131,6 +131,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["extrapolate", "--values", "1,2,3", "--indices", "1,two,3"],
     ["extrapolate", "--target", "a-constant", "--indices", "125,x"],
     ["pseries", "scan", "--tau", "0:0.1:0"],
+    ["pseries", "scan", "--tau", "0.5:0.1:0.01"],
+    ["figures", "fig8", "--step", "0"],
+    ["figures", "fig8", "--step", "-0.01"],
+    ["figures", "fig8", "--step", "nan"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
@@ -175,6 +179,17 @@ def test_fig1_task_rows():
     assert rows[0] == (3, 0.6000000000000001, 0.0, 0.6000000000000001)
     assert len(rows) == 1201
     assert abs(rows[-1][2] - 24.0) < 1e-9
+
+
+def test_fig7_oscillatory_segment_reaches_window_end(tmp_path, capsys):
+    # index grid x0 - i*0.01: no drift, so the x = -40 endpoint is written
+    out = tmp_path / "fig7.csv"
+    code, _, _ = run_cli(["figures", "fig7", "--out", str(out)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    osc = [r for r in rows if r[0] == "oscillatory"]
+    assert osc[0][3] == "0"
+    assert float(osc[-1][3]) == -40.0
 
 
 def test_fig3_dataset(tmp_path, capsys):

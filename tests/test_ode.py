@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,3 +160,64 @@ def test_determinism(y0, x1):
     a = integrate(f, 0.0, y0, x1)
     b = integrate(f, 0.0, y0, x1)
     assert a.y_end == b.y_end and len(a) == len(b)
+
+
+# -- grid reads: Trajectory.sample ------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=0.5, max_value=4.0),
+       st.booleans(),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40))
+def test_sample_equals_point_reads_bitwise(y0, span, backward, fracs):
+    x0, x1 = (span, 0.0) if backward else (0.0, span)
+    traj = integrate(lambda x, y: math.cos(math.pi * x * y), x0, y0, x1)
+    xs = list(traj.xs) + [x0 + (x1 - x0) * f for f in fracs] + [x1, x0]
+    got = traj.sample(xs)
+    assert got.shape == (len(xs),)
+    assert (_bits(got) == _bits([traj(x) for x in xs])).all()
+
+
+def _layout_read(traj, x):
+    """Point read written from the documented _dense layout
+    [h, y_left..., q1..., q2..., q3..., q4...] per step."""
+    d, nodes = traj.dim, traj.xs
+    i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
+            len(nodes) - 2)
+    rec = traj._dense[i * (1 + 5 * d):(i + 1) * (1 + 5 * d)]
+    h = rec[0]
+    th = (x - nodes[i]) / h
+    return [rec[1 + c] + h * th * (rec[1 + d + c] + th * (rec[1 + 2 * d + c]
+            + th * (rec[1 + 3 * d + c] + th * rec[1 + 4 * d + c])))
+            for c in range(d)]
+
+
+def test_sample_vector_trajectory_matches_layout_and_nodes():
+    traj = integrate(lambda x, y: (y[1], -y[0]), 3.0, (1.0, 0.0), -5.0)
+    xs = list(traj.xs) + [3.0 - 8.0 * k / 97 for k in range(98)]
+    got = traj.sample(xs)
+    assert got.shape == (len(xs), 2)
+    assert (_bits(got) == _bits([_layout_read(traj, x) for x in xs])).all()
+    for i in range(1, len(traj) - 1):
+        assert tuple(got[i]) == traj.state(i)
+    assert traj(xs[5]) == tuple(got[5])
+    with pytest.raises(ValueError):
+        traj.derivative(0.0)
+
+
+@pytest.mark.parametrize("x", [-0.1, 2.0000001, math.nan])
+def test_sample_rejects_abscissae_outside_the_trajectory(x):
+    traj = integrate(lambda x, y: -y, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        traj.sample([1.0, x])
+
+
+def test_sample_requires_dense_output():
+    traj = integrate(lambda x, y: -y, 0.0, 1.0, 2.0, dense=False)
+    with pytest.raises(ValueError):
+        traj.sample([1.0])

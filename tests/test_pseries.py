@@ -96,6 +96,11 @@ def test_tau_scan_rejects_bad_step():
         tau_scan(0.0, 1.0, -0.1, 10)
 
 
+def test_tau_scan_rejects_reversed_grid():
+    with pytest.raises(ValueError):
+        tau_scan(0.5, 0.1, 0.01, 10)
+
+
 def test_tau_scan_ignores_worker_environment(monkeypatch):
     # the worker count is the CLI's policy; the library call stays serial
     monkeypatch.setenv("NEL_THREADS", "abc")
