@@ -205,6 +205,8 @@ def _cmd_figures(args) -> int:
     summary: dict = {"figure": name}
     if not args.step > 0:
         raise UsageError(f"bad --step {args.step!r}, must be positive")
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"bad --n {args.n}, must be >= 1")
 
     if name == "fig1":
         rows = []
@@ -364,6 +366,12 @@ def _cmd_painleve(args) -> int:
                            painleve_eigenvalues)
 
     t0 = time.perf_counter()
+    if not (math.isfinite(args.a) and math.isfinite(args.y0)):
+        raise UsageError("--a and --y0 must be finite")
+    if args.task == "eigen" and not 1 <= args.count <= 20:
+        raise UsageError(f"bad --count {args.count}, must be in 1..20")
+    if args.task == "envelope" and not -math.inf < args.x_min < 0:
+        raise UsageError(f"bad --x-min {args.x_min!r}, must be negative and finite")
     cfg = PainleveConfig()
     out = Path(args.out)
     if args.task == "eigen":

@@ -141,7 +141,7 @@ class Trajectory:
         xs = self.xs
         lo, hi = 0, len(xs) - 1
         d = self.direction
-        if (x - xs[0]) * d < 0 or (x - xs[hi]) * d > 0:
+        if not ((x - xs[0]) * d >= 0 and (x - xs[hi]) * d <= 0):   # NaN fails too
             raise ValueError(f"x={x} outside trajectory range [{xs[0]}, {xs[hi]}]")
         while hi - lo > 1:
             mid = (lo + hi) // 2

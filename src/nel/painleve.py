@@ -104,6 +104,11 @@ class PoleEvent:
 
 @dataclass(frozen=True)
 class FateReport:
+    """Verdict of classify_fate.  For an oscillatory lock, `extrema` ends at
+    the extremum that completed the lock run, where integration stopped; it
+    is a prefix of the full-window list.  Otherwise it holds the extrema of
+    the final segment (empty when the chain was declared by pole count)."""
+
     pole_count: int
     lock: str                      # "oscillatory" | "pole_chain" | "undecided"
     lock_onset: float | None       # x of the first extremum of the lock run
@@ -225,13 +230,17 @@ def _approaching_pole(y: float, v: float) -> bool:
 
 
 def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
-                       y0: float, dense: bool):
+                       y0: float, dense: bool, watch=None):
     """Integrate from (0, y0) with slope a toward x_end, through poles.
 
     Yields (segment, pole) in integration order, where pole is the
     PoleEvent that ended the segment, or None when the segment ended at a
     turnaround (the match height is raised and integration resumes) or at
     x_end.  Poles are strictly ordered along the integration direction.
+
+    ``watch(x, state)``, called at the start of each segment, returns a
+    per-step predicate that is ORed into the pole test; a segment it ends
+    is yielded with None and is the last one.
     """
     delta = math.sqrt(6.0 / cfg.y_restart)
     x, state = 0.0, (float(y0), float(a))
@@ -241,9 +250,14 @@ def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
         def hit(xx, yy, _t=threshold):
             return yy[0] >= _t and yy[1] < 0.0
 
+        stop = hit
+        if watch is not None:
+            def stop(xx, yy, _t=threshold, _w=watch(x, state)):
+                return (yy[0] >= _t and yy[1] < 0.0) or _w(xx, yy)
+
         traj = integrate(painleve_rhs, x, state, x_end, cfg.ode,
-                         dense=dense, stop_when=hit)
-        if not traj.stopped:
+                         dense=dense, stop_when=stop)
+        if not traj.stopped or not hit(traj.x_end, traj.y_end):
             yield traj, None
             return
         yv = traj.y_end
@@ -287,8 +301,24 @@ def integrate_with_poles(a: float, x_end: float,
 # -- fate classification ------------------------------------------------------
 
 
+def _vertex(x3, r3) -> tuple[float, float]:
+    """Vertex of the quadratic through three samples (x3, r3), in Newton form."""
+    d21 = (r3[1] - r3[0]) / (x3[1] - x3[0])
+    d32 = (r3[2] - r3[1]) / (x3[2] - x3[1])
+    curv = (d32 - d21) / (x3[2] - x3[0])
+    if curv == 0.0:
+        return float(x3[1]), float(r3[1])
+    x_e = 0.5 * (x3[0] + x3[1]) - 0.5 * d21 / curv
+    r_e = r3[0] + d21 * (x_e - x3[0]) + curv * (x_e - x3[0]) * (x_e - x3[1])
+    return float(x_e), float(r_e)
+
+
 def _segment_extrema(traj: Trajectory, track_from: float):
-    """Parabola-refined extrema of r = y + sqrt(-x) from the raw samples."""
+    """Parabola-refined extrema of r = y + sqrt(-x) from the raw samples.
+
+    Each sign change of r' between samples i and i+1 is refined on samples
+    max(i-1, 0) .. +2.  This is the full-window reference for _LockWatch.
+    """
     xs = np.frombuffer(traj.xs, dtype=float)
     ys = np.frombuffer(traj._ys, dtype=float)
     y = ys[0::2]
@@ -306,18 +336,7 @@ def _segment_extrema(traj: Trajectory, track_from: float):
         lo = max(i - 1, 0)
         if lo + 2 >= len(xs):
             continue
-        x3 = xs[lo:lo + 3]
-        r3 = r[lo:lo + 3]
-        # quadratic through the three samples, in Newton form
-        d21 = (r3[1] - r3[0]) / (x3[1] - x3[0])
-        d32 = (r3[2] - r3[1]) / (x3[2] - x3[1])
-        curv = (d32 - d21) / (x3[2] - x3[0])
-        if curv == 0.0:
-            out.append((float(x3[1]), float(r3[1])))
-            continue
-        x_e = 0.5 * (x3[0] + x3[1]) - 0.5 * d21 / curv
-        r_e = r3[0] + d21 * (x_e - x3[0]) + curv * (x_e - x3[0]) * (x_e - x3[1])
-        out.append((float(x_e), float(r_e)))
+        out.append(_vertex(xs[lo:lo + 3], r[lo:lo + 3]))
     return out
 
 
@@ -344,10 +363,64 @@ def _lock_run(extrema, needed: int):
     return None
 
 
+class _LockWatch:
+    """_segment_extrema + _lock_run, one accepted step at a time.
+
+    Called at a segment start with (x, state), it returns the per-step
+    stop predicate for _pole_continuation: a sign test of r' and a
+    three-sample ring per step; refinement (on _segment_extrema's samples)
+    and _lock_run only at a sign change.  It turns true at the step that
+    completes the first lock run and leaves `onset` and `extrema` here.
+    """
+
+    __slots__ = ("cfg", "onset", "extrema")
+
+    def __init__(self, cfg: PainleveConfig):
+        self.cfg = cfg
+        self.onset: float | None = None
+        self.extrema: list = []
+
+    def __call__(self, x: float, state):
+        track_from, needed = self.cfg.track_from, self.cfg.lock_extrema
+        extrema: list = []
+        x1 = y1 = x2 = y2 = None      # the two tracked samples before this one
+        g2 = 0.0                      # r' at x2; 0 before the first sample
+        pending = False               # flip between the first two samples
+
+        def refine(xx, yy) -> bool:
+            extrema.append(_vertex(xx, [yi + math.sqrt(-xi) for xi, yi in zip(xx, yy)]))
+            onset = _lock_run(extrema, needed)
+            if onset is None:
+                return False
+            self.onset, self.extrema = onset, extrema
+            return True
+
+        def step(x, y, _sqrt=math.sqrt):
+            nonlocal x1, y1, x2, y2, g2, pending
+            if x > track_from:
+                return False
+            g = y[1] - 1.0 / (2.0 * _sqrt(-x))
+            if pending:
+                pending = False
+                if refine((x1, x2, x), (y1, y2, y[0])):
+                    return True
+            if g * g2 < 0.0:
+                if x1 is None:
+                    pending = True
+                elif refine((x1, x2, x), (y1, y2, y[0])):
+                    return True
+            x1, y1, x2, y2, g2 = x2, y2, x, y[0], g
+            return False
+
+        step(x, state)
+        return step
+
+
 def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> FateReport:
     poles: list[PoleEvent] = []
     last_extrema: list = []
-    for traj, ev in _pole_continuation(a, x_min, cfg, y0, dense=False):
+    watch = _LockWatch(cfg)
+    for traj, ev in _pole_continuation(a, x_min, cfg, y0, dense=False, watch=watch):
         if ev is not None:
             poles.append(ev)
             if len(poles) >= cfg.chain_poles:
@@ -355,9 +428,8 @@ def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> Fa
         elif not traj.stopped:
             last_extrema = _segment_extrema(traj, cfg.track_from)
 
-    onset = _lock_run(last_extrema, cfg.lock_extrema)
-    if onset is not None:
-        return FateReport(len(poles), "oscillatory", onset, tuple(last_extrema))
+    if watch.onset is not None:
+        return FateReport(len(poles), "oscillatory", watch.onset, tuple(watch.extrema))
     if poles and poles[-1].x0 <= x_min + 10.0:
         return FateReport(len(poles), "pole_chain", None, tuple(last_extrema))
     return FateReport(len(poles), "undecided", None, tuple(last_extrema))
@@ -371,6 +443,10 @@ def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
     straddle -sqrt(-x) with shrinking deviation; a chain is declared after
     cfg.chain_poles poles, or when poles persist into the last 10 units of
     the window.  The window is widened twice before giving up (Undecided).
+
+    Integration stops at whichever is established first: the lock (found
+    step by step, so `extrema` ends there) or the chain_poles-th pole.
+    Verdict, pole_count and lock_onset equal those of the full window.
     """
     if cfg is None:
         cfg = PainleveConfig()

@@ -135,6 +135,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["figures", "fig8", "--step", "0"],
     ["figures", "fig8", "--step", "-0.01"],
     ["figures", "fig8", "--step", "nan"],
+    ["figures", "fig4", "--n", "0"],
+    ["figures", "fig8", "--n", "0"],
+    ["painleve", "eigen", "--count", "0"],
+    ["painleve", "eigen", "--count", "25"],
+    ["painleve", "envelope", "--x-min", "5"],
+    ["painleve", "envelope", "--x-min", "nan"],
+    ["painleve", "envelope", "--x-min=-inf"],
+    ["painleve", "fate", "--a", "nan"],
+    ["painleve", "fate", "--a", "inf"],
+    ["painleve", "fate", "--y0", "nan"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)

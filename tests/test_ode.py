@@ -217,6 +217,16 @@ def test_sample_rejects_abscissae_outside_the_trajectory(x):
         traj.sample([1.0, x])
 
 
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("x", [-0.1, 2.0000001, math.nan])
+def test_point_reads_reject_abscissae_outside_the_trajectory(x, backward):
+    traj = integrate(lambda x, y: -y, *((2.0, 0.1, 0.0) if backward else (0.0, 1.0, 2.0)))
+    with pytest.raises(ValueError):
+        traj(x)
+    with pytest.raises(ValueError):
+        traj.derivative(x)
+
+
 def test_sample_requires_dense_output():
     traj = integrate(lambda x, y: -y, 0.0, 1.0, 2.0, dense=False)
     with pytest.raises(ValueError):

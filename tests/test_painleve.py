@@ -4,7 +4,8 @@ import pytest
 
 from nel.ode import IntegratorConfig
 from nel.painleve import (InsufficientExtrema, MatchDiverged,
-                          PainleveConfig, PoleEvent, approach_decay_slope,
+                          PainleveConfig, PoleEvent, Undecided, _lock_run,
+                          _segment_extrema, approach_decay_slope,
                           classify_fate, estimate_C, fit_oscillation_envelope,
                           integrate_with_poles, laurent_match, painleve_rhs,
                           pole_series_eval)
@@ -172,6 +173,42 @@ def test_fate_and_integration_cross_the_same_poles(a):
     cfg = PainleveConfig()
     _, poles = integrate_with_poles(a, cfg.x_min, cfg, dense=False)
     assert classify_fate(a, cfg).pole_count == len(poles)
+
+
+def _full_window_fate(a, cfg, y0):
+    """Fate by the full-window route: integrate every segment to the window
+    end, take the extrema of the last one, then the lock and chain rules."""
+    x_min = cfg.x_min
+    for _ in range(3):
+        segs, poles = integrate_with_poles(a, x_min, cfg, y0=y0, dense=False)
+        if len(poles) >= cfg.chain_poles:
+            return "pole_chain", cfg.chain_poles, None, []
+        extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
+        onset = _lock_run(extrema, cfg.lock_extrema)
+        if onset is not None:
+            return "oscillatory", len(poles), onset, extrema
+        if poles and poles[-1].x0 <= x_min + 10.0:
+            return "pole_chain", len(poles), None, extrema
+        x_min *= 1.5
+    raise Undecided(a)
+
+
+@pytest.mark.parametrize("a, y0", [
+    *((-15.0 + k, 1.0) for k in range(35)),
+    (0.3, 1.0),                         # r' flips between the first two tracked samples
+    *((e + d, 1.0) for e in PAINLEVE_EIGS[:4] for d in (-1e-5, 1e-5)),
+    *((a, y0) for y0 in (0.0, 2.0) for a in (-6.0, 1.0, 5.0, 9.5)),
+])
+def test_fate_stopped_at_lock_equals_full_window(a, y0):
+    # classify_fate stops integrating at the lock; the verdict, pole count
+    # and onset must be those of the full window, its extrema a prefix
+    cfg = PainleveConfig()
+    lock, poles, onset, extrema = _full_window_fate(a, cfg, y0)
+    rep = classify_fate(a, cfg, y0=y0)
+    assert (rep.lock, rep.pole_count, rep.lock_onset) == (lock, poles, onset)
+    assert list(rep.extrema) == extrema[:len(rep.extrema)]
+    if lock == "oscillatory":
+        assert len(rep.extrema) >= cfg.lock_extrema
 
 
 def test_pole_count_robust_to_tolerance():
