@@ -140,8 +140,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"bad grid {text!r}, expected start:end:step") from exc
     if not step > 0:
         raise UsageError(f"bad grid {text!r}, step must be positive")
-    if not hi >= lo:
-        raise UsageError(f"bad grid {text!r}, end must not precede start")
+    if not -math.inf < lo <= hi < math.inf:
+        raise UsageError(f"bad grid {text!r}, need finite start <= end")
     return lo, hi, step
 
 
@@ -203,10 +203,6 @@ def _cmd_figures(args) -> int:
     out = Path(args.out)
     name = args.figure
     summary: dict = {"figure": name}
-    if not args.step > 0:
-        raise UsageError(f"bad --step {args.step!r}, must be positive")
-    if args.n is not None and args.n < 1:
-        raise UsageError(f"bad --n {args.n}, must be >= 1")
 
     if name == "fig1":
         rows = []
@@ -283,7 +279,7 @@ def _cmd_figures(args) -> int:
         from .pseries import tau_scan
 
         n = args.n if args.n is not None else 50
-        sr = tau_scan(0.0, 1.0, args.step, n, mapper=_pool_map)
+        sr = tau_scan(0.0, 1.0, args.step, n)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         summary["n"] = n
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
@@ -366,12 +362,6 @@ def _cmd_painleve(args) -> int:
                            painleve_eigenvalues)
 
     t0 = time.perf_counter()
-    if not (math.isfinite(args.a) and math.isfinite(args.y0)):
-        raise UsageError("--a and --y0 must be finite")
-    if args.task == "eigen" and not 1 <= args.count <= 20:
-        raise UsageError(f"bad --count {args.count}, must be in 1..20")
-    if args.task == "envelope" and not -math.inf < args.x_min < 0:
-        raise UsageError(f"bad --x-min {args.x_min!r}, must be negative and finite")
     cfg = PainleveConfig()
     out = Path(args.out)
     if args.task == "eigen":
@@ -412,7 +402,7 @@ def _cmd_pseries(args) -> int:
         from .pseries import tau_scan
 
         lo, hi, step = _parse_grid(args.tau)
-        sr = tau_scan(lo, hi, step, args.n, mapper=_pool_map)
+        sr = tau_scan(lo, hi, step, args.n)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         return _finish(args, t0, [out],
                        {"maxima": [list(m) for m in sr.maxima[:4]],
@@ -499,6 +489,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, ok, want: str):
+    """argparse type: kind(text), refused unless finite and ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {want}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0, "positive and finite")
+_FINITE = _checked(float, lambda v: True, "finite")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="nel", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -507,21 +513,21 @@ def _build_parser() -> _Parser:
     q = subs.add_parser("eigen", help="separatrix intercepts a_n")
     q.add_argument("--n", required=True, help="index range, e.g. 1:6 or -3:6")
     q.add_argument("--method", choices=("both", "bisect", "backward"), default="both")
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=_POSITIVE, default=1e-10)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_eigen)
 
     q = subs.add_parser("figures", help="figure datasets fig1..fig8")
     q.add_argument("figure")
     q.add_argument("--out", required=True)
-    q.add_argument("--n", type=int, default=None,
+    q.add_argument("--n", type=_POSITIVE_INT, default=None,
                    help="scaled-curve index for fig4 (default 10000); "
                         "partial-sum degree for fig8 (default 50)")
-    q.add_argument("--step", type=float, default=0.0005, help="tau step for fig8")
+    q.add_argument("--step", type=_POSITIVE, default=0.0005, help="tau step for fig8")
     q.set_defaults(func=_cmd_figures)
 
     q = subs.add_parser("limiting-curve", help="limit curve by both routes")
-    q.add_argument("--grid", type=int, default=1001)
+    q.add_argument("--grid", type=_checked(int, lambda v: v >= 2, ">= 2"), default=1001)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_limiting_curve)
 
@@ -530,29 +536,32 @@ def _build_parser() -> _Parser:
     q.add_argument("--values", help="comma-separated raw sequence")
     q.add_argument("--indices", help="comma-separated indices")
     q.add_argument("--stages", type=int)
-    q.add_argument("--count", type=int, default=12, help="eigenvalues for painleve-c")
+    q.add_argument("--count", type=_checked(int, lambda v: 5 <= v <= 20, "in 5..20"),
+                   default=12, help="eigenvalues for painleve-c; the fit uses a_4 onward")
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_extrapolate)
 
     q = subs.add_parser("painleve", help="first Painleve transcendent")
     q.add_argument("task", choices=("eigen", "fate", "envelope"))
-    q.add_argument("--count", type=int, default=12)
-    q.add_argument("--a", type=float, default=0.0)
-    q.add_argument("--y0", type=float, default=1.0)
-    q.add_argument("--x-min", type=float, default=-80.0, dest="x_min")
+    q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"), default=12)
+    q.add_argument("--a", type=_FINITE, default=0.0)
+    q.add_argument("--y0", type=_FINITE, default=1.0)
+    q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
+                   default=-80.0, dest="x_min")
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_painleve)
 
     q = subs.add_parser("pseries", help="partial-sum root moduli")
     q.add_argument("task", choices=("scan", "rho", "roots"))
-    q.add_argument("--n", type=int, default=50)
+    q.add_argument("--n", type=_POSITIVE_INT, default=50)
     q.add_argument("--tau", default="0:1:0.0005", help="scan grid start:end:step")
-    q.add_argument("--tau-value", type=float, default=0.25, dest="tau_value")
+    q.add_argument("--tau-value", type=_FINITE, default=0.25, dest="tau_value")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_pseries)
 
     q = subs.add_parser("fourier", help="square-wave sine sections")
-    q.add_argument("--n-terms", type=int, default=80, dest="n_terms")
+    q.add_argument("--n-terms", type=_checked(int, lambda v: v >= 0, ">= 0"), default=80,
+                   dest="n_terms")
     q.add_argument("--grid", type=int, default=1001)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_fourier)

@@ -3,7 +3,9 @@
 The coefficient family a_k = exp(i pi tau (k^2 + k)) has unit modulus, so
 every partial sum S_n is a degree-n polynomial whose largest root modulus
 rho_n probes how far outside the unit disk the section zeros reach.  Roots
-are found by Aberth-Ehrlich simultaneous iteration with Newton polish.
+are found by one batched Aberth-Ehrlich simultaneous iteration with Newton
+polish: a single polynomial is a batch of one, and a tau scan solves its
+grid a chunk of rows at a time, serially.
 
 Useful structure, exact in the phase arithmetic used here: a_k(tau + 1) =
 a_k(tau) (k^2 + k is even) and a_k(1 - tau) = conj(a_k(tau)), so rho_n is
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -29,6 +29,10 @@ __all__ = [
     "ScanResult",
     "liminf_window",
 ]
+
+
+# A tau scan solves this many (rows x degree^2) root differences at a time.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 class NoConvergence(RuntimeError):
@@ -51,71 +55,93 @@ class ComplexPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
 
 def ftau_partial_sum(tau: float, n: int) -> ComplexPolynomial:
     """S_n with coefficients exp(i pi tau (k^2 + k)), k = 0..n.
 
-    The phase tau (k^2 + k) is reduced mod 2 in exact rational arithmetic
-    before multiplying by pi, which keeps the coefficients accurate at
-    k ~ 200 where the raw phase is ~1e5.
+    The phase tau (k^2 + k) is reduced mod 2 exactly, in integers over the
+    binary denominator of tau, before multiplying by pi, which keeps the
+    coefficients accurate at k ~ 200 where the raw phase is ~1e5.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = Fraction(tau)          # exact binary value of the float
-    coeffs = []
-    for k in range(n + 1):
-        ph = t * (k * k + k) % 2
-        coeffs.append(complex(math.cos(math.pi * float(ph)),
-                              math.sin(math.pi * float(ph))))
-    return ComplexPolynomial(tuple(coeffs))
+    num, den = tau.as_integer_ratio()    # exact binary value of the float
+    phases = [math.pi * (num * (k * k + k) % (2 * den) / den) for k in range(n + 1)]
+    return ComplexPolynomial(tuple(complex(math.cos(p), math.sin(p)) for p in phases))
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] z^k elementwise over z; coeffs ascending."""
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _aberth(coeffs: np.ndarray, max_iter: int = 500):
+    """(roots, residuals |p(z_i)|, converged) for each row of a (rows, d + 1)
+    array of ascending coefficients with nonzero leading entries.
 
+    Aberth-Ehrlich from a circle of radius min(max(1, B), 1 + M), B and M
+    the sum and max of |a_k / a_d| over k < d, with four perturbed starts of
+    max_iter iterations each, then two Newton steps.  The live roots form one
+    flat vector and each coefficient is a column repeated once per root, so
+    a row gets the same bits in any batch; a row leaves once its roots
+    settle.  Rows that never settle stay NaN.
+    """
+    rows, d = coeffs.shape[0], coeffs.shape[1] - 1
+    series = (coeffs, coeffs[:, 1:] * np.arange(1, d + 1), np.abs(coeffs))
+    # per-row sums keep a single row's pairwise summation order, and the
+    # scalar abs of the leading coefficient its last bit
+    bound = np.array([min(max(1.0, float(np.sum(a[:-1]) / abs(c))),
+                          1.0 + float(np.max(a[:-1]) / abs(c)))
+                      for a, c in zip(series[2], coeffs[:, -1])])
 
-def _aberth(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """Aberth-Ehrlich iteration; coeffs ascending, leading nonzero."""
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
-    bound = max(1.0, float(np.sum(np.abs(coeffs[:-1])) / abs(lead)))
-    bound = min(bound, 1.0 + float(np.max(np.abs(coeffs[:-1])) / abs(lead)))
-    dcoeffs = coeffs[1:] * np.arange(1, d + 1)
+    def columns(live):
+        return [np.repeat(s[live], d, axis=0).T.copy() for s in series]
 
-    abs_coeffs = np.abs(coeffs)
+    def horner(cols, x):
+        acc = np.zeros_like(x)
+        for c in cols[::-1]:
+            acc = acc * x + c
+        return acc
+
+    def newton(cols, dcols, x, fallback):
+        """p(x) and the Newton step p/p', or fallback where p' = 0."""
+        p, dp = horner(cols, x), horner(dcols, x)
+        return p, np.where(dp != 0, p / np.where(dp == 0, 1, dp), fallback)
+
+    roots = np.full((rows, d), np.nan, dtype=complex)
+    ok = np.zeros(rows, dtype=bool)
+    diag = np.arange(d)
     for attempt in range(4):
+        live = np.flatnonzero(~ok)
+        if not live.size:
+            break
         ang = 2.0 * np.pi * np.arange(d) / d + 0.4 + attempt / 7.0
-        radius = bound * (1.0 + 0.2 * attempt)
-        z = radius * np.exp(1j * ang)
+        z = ((bound[live] * (1.0 + 0.2 * attempt))[:, None] * np.exp(1j * ang)).ravel()
+        cols, dcols, acols = columns(live)
         for _ in range(max_iter):
-            p = _horner(coeffs, z)
-            dp = _horner(dcoeffs, z)
-            w = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1 + 0.1j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            corr = w / (1.0 - w * s)
+            p, w = newton(cols, dcols, z, 0.1 + 0.1j)
+            zr = z.reshape(-1, d)
+            diff = zr[:, :, None] - zr[:, None, :]
+            diff[:, diag, diag] = np.inf
+            corr = w / (1.0 - w * np.sum(1.0 / diff, axis=2).ravel())
             z = z - corr
             # a root is settled when its correction is tiny or its value sits
             # at the evaluation roundoff floor (multiple roots never push the
             # correction below ~sqrt(eps), but |p| flushes to the floor)
             az = np.abs(z)
-            floor = _horner(abs_coeffs, az)
-            done = (np.abs(corr) <= 1e-13 * (1.0 + az)) | (np.abs(p) <= 64 * 2.2e-16 * floor)
-            if np.all(done):
-                return z
-        # perturbed restart
-    raise NoConvergence(f"Aberth iteration failed for degree {d}")
+            done = (np.abs(corr) <= 1e-13 * (1.0 + az)) | (np.abs(p) <= 64 * 2.2e-16 * horner(acols, az))
+            settled = done.reshape(-1, d).all(axis=1)
+            if settled.any():
+                roots[live[settled]] = z.reshape(-1, d)[settled]
+                ok[live[settled]] = True
+                live, z = live[~settled], z.reshape(-1, d)[~settled].ravel()
+                if not live.size:
+                    break
+                cols, dcols, acols = columns(live)
+
+    live = np.flatnonzero(ok)
+    z, (cols, dcols, _) = roots[live].ravel(), columns(live)
+    for _ in range(2):
+        z = z - newton(cols, dcols, z, 0)[1]
+    roots[live] = z.reshape(-1, d)
+    residuals = np.full((rows, d), np.nan)
+    residuals[live] = np.abs(horner(cols, z)).reshape(-1, d)
+    return roots, residuals, ok
 
 
 def all_roots(poly: ComplexPolynomial) -> tuple[np.ndarray, np.ndarray]:
@@ -124,15 +150,10 @@ def all_roots(poly: ComplexPolynomial) -> tuple[np.ndarray, np.ndarray]:
     Newton-polished after the simultaneous iteration; residuals are small
     against the coefficient scale sum|a_k| max(1,|z|)^n.
     """
-    coeffs = np.asarray(poly.coefficients, dtype=complex)
-    z = _aberth(coeffs)
-    dcoeffs = coeffs[1:] * np.arange(1, poly.degree + 1)
-    for _ in range(2):
-        p = _horner(coeffs, z)
-        dp = _horner(dcoeffs, z)
-        step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0)
-        z = z - step
-    return z, np.abs(_horner(coeffs, z))
+    roots, residuals, ok = _aberth(np.asarray([poly.coefficients], dtype=complex))
+    if not ok[0]:
+        raise NoConvergence(f"Aberth iteration failed for degree {poly.degree}")
+    return roots[0], residuals[0]
 
 
 def rho_n(tau: float, n: int) -> float:
@@ -151,21 +172,13 @@ class ScanResult:
     reflection_gap: float                     # sup |rho(tau) - rho(1 - tau)|
 
 
-def _scan_point(args):
-    tau, n = args
-    try:
-        return tau, rho_n(tau, n)
-    except NoConvergence:
-        return tau, None
-
-
-def tau_scan(tau_start: float, tau_end: float, step: float, n: int, *,
-             mapper: Callable = map) -> ScanResult:
+def tau_scan(tau_start: float, tau_end: float, step: float, n: int) -> ScanResult:
     """rho_n over a tau grid, with local maxima and symmetry gaps reported.
 
-    Per-point failures are recorded and skipped.  ``mapper(fn, jobs)``
-    evaluates the grid points and must return results in job order; the
-    default builtin map runs serially, and the CLI passes its worker pool.
+    Serial, one batched root-finder call per chunk of grid points, sized so
+    the (points, n, n) root-difference array holds about _CHUNK_ELEMENTS;
+    each rho equals rho_n at its tau, bit for bit.  Points that fail to
+    converge are listed in ``failures`` and skipped.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -173,15 +186,17 @@ def tau_scan(tau_start: float, tau_end: float, step: float, n: int, *,
         raise ValueError("tau_end must not precede tau_start")
     count = int(round((tau_end - tau_start) / step)) + 1
     grid = [tau_start + i * step for i in range(count) if tau_start + i * step <= tau_end + 1e-12]
-    jobs = [(t, n) for t in grid]
 
-    taus, rhos, failures = [], [], []
-    for t, r in mapper(_scan_point, jobs):
-        if r is None:
-            failures.append(t)
-        else:
-            taus.append(t)
-            rhos.append(r)
+    coeffs = np.array([ftau_partial_sum(t, n).coefficients for t in grid])
+    chunk = max(1, _CHUNK_ELEMENTS // n ** 2)
+    rho, ok = [], []
+    for i in range(0, len(grid), chunk):
+        roots, _, settled = _aberth(coeffs[i:i + chunk])
+        rho += np.max(np.abs(roots), axis=1).tolist()
+        ok += settled.tolist()
+    taus = [t for t, good in zip(grid, ok) if good]
+    rhos = [r for r, good in zip(rho, ok) if good]
+    failures = [t for t, good in zip(grid, ok) if not good]
     maxima = []
     for i in range(1, len(rhos) - 1):
         if rhos[i] >= rhos[i - 1] and rhos[i] > rhos[i + 1]:

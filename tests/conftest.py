@@ -61,3 +61,11 @@ def painleve_eigs12():
     t0 = time.perf_counter()
     eigs = painleve_eigenvalues(12, PainleveConfig())
     return eigs, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def fig8_scan():
+    """rho_50 on the fig8 grid tau = 0, 0.0005, ..., 1."""
+    from nel.pseries import tau_scan
+
+    return tau_scan(0.0, 1.0, 0.0005, 50)

@@ -140,6 +140,23 @@ def test_criterion_03_growth_constant_extrapolation(geometric_intercepts):
     assert ok
 
 
+def test_growth_constant_correction_exponent(geometric_intercepts):
+    # The scaled intercepts approach 2^(5/6) like n^(-1.309); fitted against
+    # the exact constant and against their own Richardson limit, the
+    # exponent agrees to 1e-3.
+    from nel.extrapolate import fit_correction_exponent, richardson
+
+    idx = sorted(geometric_intercepts)
+    seq = [math.sqrt(2.0) * geometric_intercepts[n] / math.sqrt(2 * n - 0.5)
+           for n in idx]
+    exact = fit_correction_exponent(seq, idx, A_CONSTANT)
+    own = fit_correction_exponent(seq, idx, richardson(seq, idx, stages=4).limit)
+    report("3[exponent]", True, f"correction exponent {exact:.4f} against 2^(5/6), "
+                                f"{own:.4f} against the Richardson limit")
+    assert abs(exact - 1.309) <= 5e-4
+    assert abs(exact - own) <= 1e-3
+
+
 def test_criterion_04_limit_curve():
     from nel.limitcurve import implicit_Z, solve_limit_ode
 
@@ -280,8 +297,8 @@ def test_criterion_11_oscillation_law():
     assert ok
 
 
-def test_criterion_12_partial_sum_root_moduli():
-    from nel.pseries import ComplexPolynomial, all_roots, tau_scan
+def test_criterion_12_partial_sum_root_moduli(fig8_scan):
+    from nel.pseries import ComplexPolynomial, all_roots
 
     roots, _ = all_roots(ComplexPolynomial((1, 1j, -1j, -1)))
     cubic = max(abs(roots))
@@ -293,8 +310,7 @@ def test_criterion_12_partial_sum_root_moduli():
     deg7 = max(abs(r7))
     ok_deg7 = abs(deg7 - 1.7804) <= 5e-4
 
-    sr = tau_scan(0.0, 1.0, 0.0005, 50)
-    top = sr.maxima[:2]
+    top = fig8_scan.maxima[:2]
     vals_ok = all(abs(v - 1.7818) <= 5e-4 for _, v in top)
     locs = sorted(t for t, _ in top)
     loc_3780 = any(abs(t - 0.3780) <= 5e-4 for t in locs)
@@ -323,6 +339,27 @@ def test_criterion_12_reflection_by_companion_matrix():
     ok = abs(lo - hi) <= 1e-12 and abs(lo - 1.7818) <= 5e-4 and far < 1.7
     report("12[roots]", ok, f"rho_50 at 0.3780 {lo:.6f}, at 0.6220 "
                             f"{hi:.6f}, at 0.8780 {far:.5f}")
+    assert ok
+
+
+def test_criterion_12_scan_by_companion_matrix(fig8_scan):
+    # Every rho of the fig8 scan against numpy's eigenvalues of the companion
+    # matrices, with the coefficients built here (phases reduced mod 2 in
+    # Fraction arithmetic), in blocks of 200 stacked matrices.
+    n, taus = 50, fig8_scan.taus
+    worst = 0.0
+    for i in range(0, len(taus), 200):
+        block = taus[i:i + 200]
+        ph = [[float(Fraction(t) * (k * k + k) % 2) for k in range(n + 1)] for t in block]
+        desc = np.exp(1j * np.pi * np.array(ph))[:, ::-1]
+        comp = np.zeros((len(block), n, n), dtype=complex)
+        comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        rho = np.abs(np.linalg.eigvals(comp)).max(axis=1)
+        worst = max(worst, float(np.max(np.abs(rho - fig8_scan.rhos[i:i + 200]))))
+    ok = len(taus) == 2001 and not fig8_scan.failures and worst <= 1e-12
+    report("12[companion]", ok, f"max |rho - companion rho| {worst:.2e} over "
+                                f"{len(taus)} points, {len(fig8_scan.failures)} failures")
     assert ok
 
 

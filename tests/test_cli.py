@@ -62,16 +62,18 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_pool_does_not_change_output(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["pseries", "scan", "--n", "12", "--tau", "0:0.2:0.01"],
+    ["figures", "fig1"],     # the trajectory fan, the pool's one user
+], ids=["pseries-scan", "fig1"])
+def test_worker_pool_does_not_change_output(argv, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     old = os.environ.get("NEL_THREADS")
     try:
         os.environ["NEL_THREADS"] = "1"
-        run_cli(["pseries", "scan", "--n", "12", "--tau", "0:0.2:0.01",
-                 "--out", str(a)], capsys)
+        assert run_cli([*argv, "--out", str(a)], capsys)[0] == 0
         os.environ["NEL_THREADS"] = "2"
-        run_cli(["pseries", "scan", "--n", "12", "--tau", "0:0.2:0.01",
-                 "--out", str(b)], capsys)
+        assert run_cli([*argv, "--out", str(b)], capsys)[0] == 0
     finally:
         if old is None:
             os.environ.pop("NEL_THREADS", None)
@@ -145,6 +147,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["painleve", "fate", "--a", "nan"],
     ["painleve", "fate", "--a", "inf"],
     ["painleve", "fate", "--y0", "nan"],
+    ["extrapolate", "--target", "painleve-c", "--count", "0"],
+    ["extrapolate", "--target", "painleve-c", "--count", "25"],
+    ["pseries", "scan", "--tau", "0:inf:0.1"],
+    ["pseries", "scan", "--tau", "0:nan:0.1"],
+    ["pseries", "scan", "--n", "0"],
+    ["pseries", "rho", "--n", "0"],
+    ["pseries", "roots", "--n", "0"],
+    ["pseries", "rho", "--tau-value", "nan"],
+    ["pseries", "rho", "--tau-value", "inf"],
+    ["pseries", "roots", "--tau-value", "nan"],
+    ["pseries", "roots", "--tau-value", "inf"],
+    ["eigen", "--n", "1:2", "--tol", "0"],
+    ["eigen", "--n", "1:2", "--tol", "nan"],
+    ["limiting-curve", "--grid", "1"],
+    ["fourier", "--n-terms", "-5"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
@@ -163,6 +180,28 @@ def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys
     code, _, err = run_cli(["pseries", task], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UsageError"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["scan", "--n", "0"], "--n: '0' must be >= 1"),
+    (["scan", "--tau", "0:nan:0.1"], "need finite start <= end"),
+    (["scan", "--tau", "0:inf:0.1"], "need finite start <= end"),
+    (["rho", "--n", "0"], "--n: '0' must be >= 1"),
+    (["rho", "--tau-value", "nan"], "--tau-value: 'nan' must be finite"),
+    (["roots", "--tau-value", "inf"], "--tau-value: 'inf' must be finite"),
+])
+def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monkeypatch,
+                                                     capsys):
+    import nel.pseries
+
+    calls = []
+    for name in ("tau_scan", "rho_n", "all_roots", "ftau_partial_sum"):
+        monkeypatch.setattr(nel.pseries, name,
+                            lambda *a, _n=name, **k: calls.append(_n))
+    code, _, err = run_cli(["pseries", *argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert code == 2
+    assert says in json.loads(err)["error"]["message"]
     assert calls == []
 
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.pseries import (ComplexPolynomial, all_roots, ftau_partial_sum,
+import nel.pseries
+from nel.pseries import (ComplexPolynomial, NoConvergence, all_roots, ftau_partial_sum,
                          liminf_window, rho_n, tau_scan)
 
 CUBIC_RHO = 1.7000157758867895        # largest root modulus of 1+iz-iz^2-z^3
@@ -107,6 +109,44 @@ def test_tau_scan_ignores_worker_environment(monkeypatch):
     sr = tau_scan(0.0, 0.1, 0.05, 5)
     assert sr.taus == (0.0, 0.05, 0.1)
     assert sr.rhos == tuple(rho_n(t, 5) for t in sr.taus)
+
+
+def test_batch_rows_equal_rows_solved_alone():
+    taus = (0.0, 0.25, 0.378, 0.5, 0.61, 0.8574042765875693)
+    coeffs = np.array([ftau_partial_sum(t, 20).coefficients for t in taus])
+    roots, residuals, ok = nel.pseries._aberth(coeffs)
+    assert ok.all()
+    for t, r, res in zip(taus, roots, residuals):
+        alone, alone_res = all_roots(ftau_partial_sum(t, 20))
+        assert r.tobytes() == alone.tobytes() and res.tobytes() == alone_res.tobytes()
+
+
+def test_tau_scan_across_chunks_equals_points_alone():
+    # 31 points at degree 50 span three chunks of the batched solver
+    sr = tau_scan(0.37, 0.385, 0.0005, 50)
+    assert len(sr.taus) == 31 > nel.pseries._CHUNK_ELEMENTS // 50 ** 2
+    assert sr.rhos == tuple(rho_n(t, 50) for t in sr.taus)
+
+
+def test_unconverged_row_fails_alone_and_spares_its_neighbours(monkeypatch):
+    # seven iterations per start settle every degree-5 row of this grid
+    # except tau = 1/2, so that row fails while its neighbours keep the
+    # exact rho of the default solver
+    grid = tuple(0.05 * i for i in range(11))
+    full = {t: rho_n(t, 5) for t in grid}
+    monkeypatch.setattr(nel.pseries, "_aberth",
+                        functools.partial(nel.pseries._aberth, max_iter=7))
+    with pytest.raises(NoConvergence):
+        rho_n(0.5, 5)
+    sr = tau_scan(0.0, 0.5, 0.05, 5)
+    assert sr.failures == (0.5,)
+    assert sr.taus == grid[:-1]
+    assert sr.rhos == tuple(full[t] for t in sr.taus)
+
+
+def test_tau_scan_rejects_bad_degree():
+    with pytest.raises(ValueError):
+        tau_scan(0.0, 1.0, 0.1, 0)
 
 
 @st.composite
