@@ -227,9 +227,8 @@ def _cmd_figures(args) -> int:
         ts = [2.2 * i / 1100 for i in range(1101)]   # inside t_max > 7 for n <= 4
         for n in range(1, 5):
             rows.extend((f"z_{n}", t, z) for t, z in zip(ts, scaled_separatrix(n, ts)))
-        for i in range(1001):
-            t = i / 1000
-            rows.append(("Z", t, implicit_Z(t)))
+        ts = [i / 1000 for i in range(1001)]
+        rows.extend(("Z", t, z) for t, z in zip(ts, implicit_Z(ts).tolist()))
         _write_csv(out, ["series", "t", "value"], rows)
 
     elif name == "fig4":
@@ -238,10 +237,8 @@ def _cmd_figures(args) -> int:
 
         n = args.n if args.n is not None else 10000
         ts = [i / 2000 for i in range(2001)]
-        rows = []
-        for t, zz in zip(ts, scaled_separatrix(n, ts)):
-            big = implicit_Z(t)
-            rows.append((t, zz, big, zz - big))
+        rows = [(t, zz, big, zz - big)
+                for t, zz, big in zip(ts, scaled_separatrix(n, ts), implicit_Z(ts).tolist())]
         _write_csv(out, ["t", "z", "Z", "diff"], rows)
         summary["n"] = n
 
@@ -299,8 +296,7 @@ def _cmd_limiting_curve(args) -> int:
     lc = solve_limit_ode(args.grid)
     rows = []
     sup = 0.0
-    for t, z in zip(lc.ts, lc.zs):
-        zi = implicit_Z(t)
+    for t, z, zi in zip(lc.ts, lc.zs, implicit_Z(lc.ts).tolist()):
         sup = max(sup, abs(z - zi))
         rows.append((t, z, zi, z - zi))
     out = Path(args.out)
@@ -339,7 +335,9 @@ def _cmd_extrapolate(args) -> int:
     else:
         raise UsageError("need --values or --target {a-constant,painleve-c}")
 
-    stages = args.stages if args.stages else min(4, len(values) - 1)
+    stages = min(4, len(values) - 1) if args.stages is None else args.stages
+    if not 1 <= stages <= len(values) - 1:
+        raise UsageError(f"--stages must be in 1..{len(values) - 1} for {len(values)} values")
     result = richardson(values, indices, stages=stages)
     payload = {
         "target": target,
@@ -562,7 +560,7 @@ def _build_parser() -> _Parser:
     q = subs.add_parser("fourier", help="square-wave sine sections")
     q.add_argument("--n-terms", type=_checked(int, lambda v: v >= 0, ">= 0"), default=80,
                    dest="n_terms")
-    q.add_argument("--grid", type=int, default=1001)
+    q.add_argument("--grid", type=_POSITIVE_INT, default=1001)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_fourier)
 

@@ -37,8 +37,8 @@ from math import factorial
 import numpy as np
 
 from .cosine import scaling_lambda
-from .ode import IntegratorConfig, integrate
-from .separatrix import SeparatrixConfig, scaled_separatrix_evaluator
+from .ode import IntegratorConfig, _bisect, integrate
+from .separatrix import SeparatrixConfig, _scaled_trace
 
 __all__ = [
     "CUBE_ROOT_2",
@@ -125,48 +125,39 @@ def solve_limit_ode(grid_size: int = 1001,
     return LimitCurve(tuple(ts), tuple((ws + ts).tolist()), "ode")
 
 
-def _implicit_lhs(g: float) -> float:
-    s = math.sqrt(max(g * g - 1.0, 0.0))
+def _implicit_lhs(g):
+    s = np.sqrt(np.maximum(g * g - 1.0, 0.0))
     return (1.0 + 3.0 * g * g) * (g + s) * (s - 2.0 * g) / (s + 2.0 * g)
 
 
-def implicit_Z(t: float) -> float:
+def implicit_Z(t):
     """Z(t) from the first integral, solved for G = Z/t on [1, inf).
 
-    At t = 0 the analytic limit 2^(1/3) is returned (G grows like
-    2^(1/3)/t, forced by the -4/t^3 right side).
+    ``t`` is a float (returns a float) or a 1-D grid (returns an ndarray);
+    interior points are bisected in lockstep on [1, 1 + 4/t], 90 halvings.
+    Z(0) is the analytic limit 2^(1/3) (G grows like 2^(1/3)/t, forced by
+    the -4/t^3 right side) and Z(1) = 1.  ValueError outside [0, 1] or NaN.
     """
-    if t < 0 or t > 1:
+    grid = np.atleast_1d(np.asarray(t, dtype=float))
+    if not ((grid >= 0) & (grid <= 1)).all():
         raise ValueError("t must lie in [0, 1]")
-    if t == 0.0:
-        return CUBE_ROOT_2
-    if t == 1.0:
-        return 1.0
-    target = _K_CONST / t ** 3
-    lo, hi = 1.0, 1.0 + 4.0 / t
+    z = np.where(grid == 0.0, CUBE_ROOT_2, 1.0)
+    inner = (grid > 0.0) & (grid < 1.0)
+    ts = grid[inner]
+    # per point in Python: numpy's power may round t**3 differently
+    target = np.array([_K_CONST / v ** 3 for v in ts.tolist()])
+    lo, hi = np.ones_like(ts), 1.0 + 4.0 / ts
     flo = _implicit_lhs(lo) - target
-    fhi = _implicit_lhs(hi) - target
-    if flo * fhi > 0:
-        raise RootNotBracketed(f"no sign change for t={t}")
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        fm = _implicit_lhs(mid) - target
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    g = 0.5 * (lo + hi)
-    return t * g
+    bad = flo * (_implicit_lhs(hi) - target) > 0
+    if bad.any():
+        raise RootNotBracketed(f"no sign change for t={ts[bad][0]}")
+    z[inner] = ts * _bisect(lambda g: _implicit_lhs(g) - target, lo, hi, flo, 90)
+    return z.tolist()[0] if np.ndim(t) == 0 else z
 
 
 def implicit_curve(grid_size: int = 1001) -> LimitCurve:
     ts = tuple(i / (grid_size - 1) for i in range(grid_size))
-    return LimitCurve(ts, tuple(implicit_Z(t) for t in ts), "implicit")
+    return LimitCurve(ts, tuple(implicit_Z(ts).tolist()), "implicit")
 
 
 def compute_A() -> float:
@@ -260,23 +251,24 @@ def alpha_closed_form(n: int, k: int) -> Fraction:
 # -- oscillatory consistency check -----------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# math.cos per item: numpy's cos may round differently
+_cos = np.vectorize(math.cos, otypes=[float])
 
 
 def _oscillatory_quad(fn, a: float, b: float, panel: float) -> float:
-    """Composite 16-point Gauss quadrature with the given panel width."""
-    if b <= a:
-        return 0.0
+    """Composite 16-point Gauss quadrature with the given panel width; ``fn``
+    takes the (panels, 16) node array.  Sums nodes, then panels, in order."""
     n_panels = max(1, math.ceil((b - a) / panel))
     if n_panels > 2_000_000:
         raise QuadratureFailure(f"{n_panels} panels requested")
     edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * sum(w * fn(mid + half * x)
-                            for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = fn(mid[:, None] + half[:, None] * _GL_NODES)
+    per_panel = 0.0
+    for w, col in zip(_GL_WEIGHTS, vals.T):
+        per_panel = per_panel + w * col
+    return float(np.cumsum(half * per_panel)[-1])   # cumsum adds in order
 
 
 @dataclass(frozen=True)
@@ -285,6 +277,33 @@ class EtaCheck:
     mismatch_closed: float     # |eta_direct - eta_closed|
     eta_direct: float
     eta_closed: float
+
+
+def _eta_at(traj, scale: float, lam: float, t: float) -> EtaCheck:
+    """Both eta routes at t on the traced curve z(s) = traj(scale*s)/scale
+    of frequency lam."""
+    def z(s):
+        return (traj.sample((scale * s).ravel()) / scale).reshape(s.shape)
+
+    z_max = z(t * np.arange(33) / 32).max()
+    panel = math.pi / (lam * (z_max + t))   # >= 16 points per oscillation
+
+    eta_direct = _oscillatory_quad(
+        lambda s: s * _cos(2.0 * lam * s * z(s)), 0.0, t, panel)
+
+    def closed_integrand(s):
+        zs = z(s)
+        zp = _cos(lam * s * zs)
+        arg = zs * zs - s * s
+        if (arg < 0).any():
+            raise QuadratureFailure(f"z(s) < s at s={s[arg < 0][0]}")
+        return zp * (np.sqrt(arg) - zs)
+
+    eta_closed = _oscillatory_quad(closed_integrand, 0.0, t, panel)
+
+    z_t, z_0 = z(np.array([t, 0.0])).tolist()
+    residual = abs(z_t ** 2 - z_0 ** 2 + 0.5 * t * t + eta_direct)
+    return EtaCheck(residual, abs(eta_direct - eta_closed), eta_direct, eta_closed)
 
 
 def eta_consistency_check(n_index: int, t: float,
@@ -298,26 +317,8 @@ def eta_consistency_check(n_index: int, t: float,
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    z, t_max, _ = scaled_separatrix_evaluator(n_index, cfg)
-    lam = scaling_lambda(n_index)
-    z_max = max(z(t * k / 32) for k in range(33))
-    panel = math.pi / (lam * (z_max + t))   # >= 16 points per oscillation
-
-    eta_direct = _oscillatory_quad(
-        lambda s: s * math.cos(2.0 * lam * s * z(s)), 0.0, t, panel)
-
-    def closed_integrand(s: float) -> float:
-        zs = z(s)
-        zp = math.cos(lam * s * zs)
-        arg = zs * zs - s * s
-        if arg < 0:
-            raise QuadratureFailure(f"z(s) < s at s={s}")
-        return zp * (math.sqrt(arg) - zs)
-
-    eta_closed = _oscillatory_quad(closed_integrand, 0.0, t, panel)
-
-    residual = abs(z(t) ** 2 - z(0.0) ** 2 + 0.5 * t * t + eta_direct)
-    return EtaCheck(residual, abs(eta_direct - eta_closed), eta_direct, eta_closed)
+    _, traj, scale = _scaled_trace(n_index, cfg)
+    return _eta_at(traj, scale, scaling_lambda(n_index), t)
 
 
 def eta_balance_envelope(n_index: int, t: float,
@@ -329,10 +330,16 @@ def eta_balance_envelope(n_index: int, t: float,
     single t samples an arbitrary phase (it can even pass through zero).
     The max over a window a few oscillation periods wide measures the
     O(1/lambda) envelope instead, which halves cleanly when n doubles.
+    The separatrix is traced once; each sample equals
+    ``eta_consistency_check`` at its t.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
     lo = max(1e-6, t - half_width)
     hi = min(1.0, t + half_width)
-    return max(eta_consistency_check(n_index, lo + (hi - lo) * k / (samples - 1), cfg)
-               .residual_balance for k in range(samples))
+    ts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    if not all(0 < s <= 1 for s in ts):
+        raise ValueError("t must lie in (0, 1]")
+    _, traj, scale = _scaled_trace(n_index, cfg)
+    lam = scaling_lambda(n_index)
+    return max(_eta_at(traj, scale, lam, s).residual_balance for s in ts)

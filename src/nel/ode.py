@@ -4,9 +4,12 @@ Explicit embedded Runge-Kutta pair for scalar and small-vector first-order
 systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Every
 accepted step stores the coefficients of the standard quartic interpolant,
-so trajectories can be evaluated (and differentiated) anywhere on the
-covered interval.  An optional ``stop_when`` hook is checked after each
-accepted step, which is how callers handle blow-up (pole) detection.
+which ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives)
+read at a whole array of abscissae in the covered interval; the point reads
+``traj(x)`` and ``traj.derivative(x)`` are reads of one.  ``find_extrema``
+and the package's other cheap root searches run one lockstep bisection,
+``_bisect``.  An optional ``stop_when`` hook is checked after each accepted
+step, which is how callers handle blow-up (pole) detection.
 
 Scalar problems run on a specialised float-only loop; it is several times
 faster than the generic tuple path and the oscillatory model equation needs
@@ -137,67 +140,50 @@ class Trajectory:
 
     # -- dense output ----------------------------------------------------
 
-    def _step_index(self, x: float) -> int:
-        xs = self.xs
-        lo, hi = 0, len(xs) - 1
-        d = self.direction
-        if not ((x - xs[0]) * d >= 0 and (x - xs[hi]) * d <= 0):   # NaN fails too
-            raise ValueError(f"x={x} outside trajectory range [{xs[0]}, {xs[hi]}]")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (x - xs[mid]) * d >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def _dense_record(self, i: int):
-        if self._dense is None:
-            raise ValueError("trajectory was integrated without dense output")
-        stride = 1 + 5 * self.dim
-        return self._dense[i * stride:(i + 1) * stride]
-
-    def __call__(self, x: float):
-        if self.dim != 1:
-            return tuple(self.sample([x])[0].tolist())
-        i = self._step_index(x)
-        rec = self._dense_record(i)
-        h = rec[0]
-        th = (x - self.xs[i]) / h
-        y0, q1, q2, q3, q4 = rec[1], rec[2], rec[3], rec[4], rec[5]
-        return y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
-
-    def derivative(self, x: float):
-        if self.dim != 1:
-            raise ValueError("derivative requires a scalar trajectory")
-        i = self._step_index(x)
-        rec = self._dense_record(i)
-        h = rec[0]
-        th = (x - self.xs[i]) / h
-        q1, q2, q3, q4 = rec[2], rec[3], rec[4], rec[5]
-        return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
-
-    def sample(self, xs) -> np.ndarray:
-        """Dense output at each abscissa in ``xs``: shape (len(xs),) when
-        scalar, else (len(xs), dim); bit-for-bit the point reads self(x)
-        (same step, same Horner expression).  Raises ValueError for an
-        abscissa outside the trajectory (NaN included) or without dense output.
-        """
+    def _steps(self, xs):
+        """(th, rec): each abscissa's offset th = (x - x_i)/h into its step i,
+        as a column, and step i's dense record.  ValueError outside the
+        trajectory (NaN included) or without dense output."""
         if self._dense is None:
             raise ValueError("trajectory was integrated without dense output")
         x = np.asarray(xs, dtype=float)
         nodes = np.frombuffer(self.xs, dtype=float)
-        d, dim = self.direction, self.dim
+        d = self.direction
         if not (((x - nodes[0]) * d >= 0) & ((x - nodes[-1]) * d <= 0)).all():
             raise ValueError(f"abscissa outside trajectory range [{nodes[0]}, {nodes[-1]}]")
         # the step a node starts; the end node closes the last step
         i = np.minimum(np.searchsorted(nodes * d, x * d, side="right") - 1, len(nodes) - 2)
-        rec = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * dim)[i]
+        rec = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * self.dim)[i]
+        return (x[:, None] - nodes[i][:, None]) / rec[:, :1], rec
+
+    def __call__(self, x: float):
+        return (float if self.dim == 1 else tuple)(self.sample([x])[0].tolist())
+
+    def derivative(self, x: float) -> float:
+        return self.slope([x]).tolist()[0]
+
+    def sample(self, xs) -> np.ndarray:
+        """Dense output at each abscissa in ``xs``: shape (len(xs),) when
+        scalar, else (len(xs), dim).  Raises ValueError for an abscissa
+        outside the trajectory (NaN included) or without dense output.
+        """
+        th, rec = self._steps(xs)
+        dim = self.dim
         h = rec[:, :1]
-        th = (x[:, None] - nodes[i][:, None]) / h
         y0, q1, q2, q3, q4 = (rec[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(5))
         y = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
         return y[:, 0] if dim == 1 else y
+
+    def slope(self, xs) -> np.ndarray:
+        """Derivative of the dense output at each abscissa in ``xs`` of a
+        scalar trajectory, shape (len(xs),); the same step lookup and checks
+        as ``sample``."""
+        if self.dim != 1:
+            raise ValueError("slope requires a scalar trajectory")
+        th, rec = self._steps(xs)
+        th = th[:, 0]
+        q1, q2, q3, q4 = rec[:, 2], rec[:, 3], rec[:, 4], rec[:, 5]
+        return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
 
 
 def integrate(rhs: Callable, x0: float, y0, x1: float,
@@ -448,52 +434,60 @@ def _integrate_vector(f, x0, y0, x1, cfg, dense, stop_when):
     return traj
 
 
+def _bisect(g, lo, hi, flo, iters) -> np.ndarray:
+    """Lockstep bisection of g (array in, array out) on the brackets
+    [lo, hi], either order, with g(lo) of the sign of ``flo``.  Bracket j is
+    halved ``iters[j]`` times (or ``iters`` times); one whose midpoint hits
+    g = 0 collapses onto it and stays.  Returns the final midpoints."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    pos = np.asarray(flo) > 0
+    iters = np.broadcast_to(iters, lo.shape)
+    for k in range(int(iters.max(initial=0))):
+        mid = 0.5 * (lo + hi)
+        fm = g(mid)
+        run = iters > k
+        zero = fm == 0.0
+        left = (fm > 0) == pos
+        lo = np.where(run & (left | zero), mid, lo)
+        hi = np.where(run & (zero | ~left), mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def find_extrema(traj: Trajectory, xtol: float = 1e-10) -> list[tuple[float, float, str]]:
     """Locate interior extrema of a scalar trajectory.
 
     Sign changes of y' are bracketed on the stored derivative samples plus
-    three interior probes of the dense interpolant per step, then refined
-    by bisection on the interpolant derivative down to ``xtol``.  A
-    plus-to-minus crossing is a maximum.  Returns (x, y, kind) tuples in
-    trajectory order; constant stretches contribute nothing.
+    three interior probes of the dense interpolant per step, then bisected
+    in lockstep on the interpolant derivative, a bracket of width w
+    min(80, max(20, ceil(log2(w/xtol)))) times.  A plus-to-minus crossing
+    is a maximum.  Returns (x, y, kind) tuples in trajectory order; constant
+    stretches contribute nothing.
     """
     if traj.dim != 1:
         raise ValueError("find_extrema requires a scalar trajectory")
     if traj._fs is None or traj._dense is None:
         raise ValueError("trajectory lacks dense output")
 
+    nodes = np.frombuffer(traj.xs, dtype=float)
+    fs = np.frombuffer(traj._fs, dtype=float)
+    a, b = nodes[:-1, None], nodes[1:, None]
+    inner = a + (b - a) * np.array([0.25, 0.5, 0.75])
+    # per step: the five probes a, a + w/4, a + w/2, a + 3w/4, b
+    px = np.hstack([a, inner, b])
+    pf = np.column_stack([fs[:-1], traj.slope(inner.ravel()).reshape(-1, 3), fs[1:]])
+    fl, fr = pf[:, :-1].ravel(), pf[:, 1:].ravel()
+    k = np.nonzero((fl != 0.0) & ~(fl * fr >= 0.0))[0]
+    xl, xr, fl = px[:, :-1].ravel()[k], px[:, 1:].ravel()[k], fl[k]
+    iters = [min(80, max(20, math.ceil(math.log2(max(abs(r - l) / xtol, 2.0)))))
+             for l, r in zip(xl.tolist(), xr.tolist())]
+    x_star = _bisect(traj.slope, xl, xr, fl, iters)
+
     out = []
-    xs, fs = traj.xs, traj._fs
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        probes = [(a, fs[i])]
-        for frac in (0.25, 0.5, 0.75):
-            xm = a + (b - a) * frac
-            probes.append((xm, traj.derivative(xm)))
-        probes.append((b, fs[i + 1]))
-        for (xl, fl), (xr, fr) in zip(probes, probes[1:]):
-            if fl == 0.0 or fl * fr >= 0.0:
-                continue
-            lo, hi, flo = xl, xr, fl
-            it = max(20, math.ceil(math.log2(max(abs(hi - lo) / xtol, 2.0))))
-            for _ in range(min(it, 80)):
-                mid = 0.5 * (lo + hi)
-                fm = traj.derivative(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            x_star = 0.5 * (lo + hi)
-            # In +x order a maximum is a +(left) to -(right) crossing of y';
-            # backward trajectories visit the right side first.
-            if traj.direction > 0:
-                kind = "max" if fl > 0 else "min"
-            else:
-                kind = "max" if fl < 0 else "min"
-            if out and abs(out[-1][0] - x_star) < 10 * xtol:
-                continue
-            out.append((x_star, traj(x_star), kind))
+    for x, y, f in zip(x_star.tolist(), traj.sample(x_star).tolist(), fl.tolist()):
+        if out and abs(out[-1][0] - x) < 10 * xtol:
+            continue
+        # In +x order a maximum is a +(left) to -(right) crossing of y';
+        # backward trajectories visit the right side first.
+        rising = f > 0 if traj.direction > 0 else f < 0
+        out.append((x, y, "max" if rising else "min"))
     return out

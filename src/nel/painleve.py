@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extrapolate import _ls_slope, richardson
-from .ode import IntegratorConfig, Trajectory, integrate
+from .ode import IntegratorConfig, Trajectory, _bisect, integrate
 
 __all__ = [
     "PainleveConfig",
@@ -513,8 +513,9 @@ class EnvelopeFit:
 def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
     """Bisection-refined extrema of r = y + sqrt(-x) on [x_lo, x_hi], x<0.
 
-    All sign changes of r' between window nodes are bisected in lockstep,
-    60 halvings; a bracket that hits r' = 0 collapses onto that point.
+    All sign changes of r' between window nodes are bisected in lockstep
+    (``ode._bisect``), 60 halvings; a bracket that hits r' = 0 collapses
+    onto that point.
     """
     def g(x):
         return traj.sample(x)[:, 1] - 1.0 / (2.0 * np.sqrt(-x))
@@ -523,16 +524,7 @@ def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
     xs = xs[(xs <= x_hi) & (xs >= x_lo)]
     gs = g(xs)
     flip = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
-    lo, hi, flo = xs[flip], xs[flip + 1], gs[flip]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = g(mid)
-        zero = fm == 0.0
-        left = (fm > 0) == (flo > 0)
-        lo = np.where(left | zero, mid, lo)
-        hi = np.where(left & ~zero, hi, mid)
-        flo = np.where(left, fm, flo)
-    x_e = 0.5 * (lo + hi)
+    x_e = _bisect(g, xs[flip], xs[flip + 1], gs[flip], 60)
     return list(zip(x_e.tolist(), (traj.sample(x_e)[:, 0] + np.sqrt(-x_e)).tolist()))
 
 

@@ -51,7 +51,10 @@ class BracketFailure(RuntimeError):
 class SeparatrixConfig:
     ode: IntegratorConfig = field(default_factory=IntegratorConfig)
     tol: float = 1e-10        # bisection width on a
-    sep_guard: float = 1e-9   # classification refused this close to an intercept
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:     # NaN fails too
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,10 @@ def test_csv_round_trip_floats(tmp_path, capsys):
     assert len(lines) == 22
     from nel.limitcurve import implicit_Z
 
-    for line in lines[1:]:
-        t, _, zi, _ = line.split(",")
-        # 17 significant digits reparse to the exact double
-        assert float(zi) == implicit_Z(float(t))
+    ts, zis = zip(*((float(t), float(zi)) for t, _, zi, _ in
+                    (line.split(",") for line in lines[1:])))
+    # 17 significant digits reparse to the exact double
+    assert list(zis) == implicit_Z(ts).tolist()
 
 
 def test_identical_invocations_byte_identical(tmp_path, capsys):
@@ -162,6 +162,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["eigen", "--n", "1:2", "--tol", "nan"],
     ["limiting-curve", "--grid", "1"],
     ["fourier", "--n-terms", "-5"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--stages", "9"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--stages", "0"],
+    ["fourier", "--grid", "0"],
+    ["fourier", "--grid", "-3"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)

@@ -21,6 +21,8 @@ def test_gibbs_limit_constant_against_quadrature():
 def test_single_term_at_midpoint():
     val = fourier_partial_sum(0, [math.pi / 2])[0]
     assert val == pytest.approx(4.0 / math.pi, abs=1e-14)
+    # S_1 = (4/pi) sin x peaks at pi/2: the overshoot of one term is 4/pi
+    assert gibbs_overshoot(0) == pytest.approx(4.0 / math.pi, abs=1e-14)
 
 
 def test_converges_to_one_inside_interval():

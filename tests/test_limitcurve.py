@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +32,74 @@ def test_implicit_endpoints():
     assert implicit_Z(1.0) == 1.0
     assert implicit_Z(0.0) == CUBE_ROOT_2
     assert abs(implicit_Z(1e-6) - CUBE_ROOT_2) < 1e-10
+    assert all(type(implicit_Z(t)) is float for t in (0.0, 0.5, 1.0))
 
 
 def test_implicit_matches_ode_supnorm():
     lc = solve_limit_ode(1001)
-    sup = max(abs(z - implicit_Z(t)) for t, z in zip(lc.ts, lc.zs))
+    sup = max(abs(z - zi) for z, zi in zip(lc.zs, implicit_Z(lc.ts).tolist()))
     assert sup <= 1e-8
+
+
+def _scalar_implicit_Z(t):
+    """implicit_Z as a per-point scalar bisection in math arithmetic: the
+    route the lockstep version replaced, kept as its reference."""
+    def lhs(g):
+        s = math.sqrt(max(g * g - 1.0, 0.0))
+        return (1.0 + 3.0 * g * g) * (g + s) * (s - 2.0 * g) / (s + 2.0 * g)
+
+    if t == 0.0:
+        return CUBE_ROOT_2
+    if t == 1.0:
+        return 1.0
+    target = -4.0 / t ** 3
+    lo, hi = 1.0, 1.0 + 4.0 / t
+    flo = lhs(lo) - target
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        fm = lhs(mid) - target
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * hi:
+            break
+    return t * (0.5 * (lo + hi))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 21, 1001, 4001])
+def test_implicit_grid_equals_scalar_bisection_bitwise(n):
+    ts = [i / (n - 1) for i in range(n)]
+    got = implicit_Z(ts)
+    assert isinstance(got, np.ndarray) and got.shape == (n,)
+    assert (_bits(got) == _bits([_scalar_implicit_Z(t) for t in ts])).all()
+
+
+def _outcome(fn, arg):
+    try:
+        return _bits(fn(arg)).tolist()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# Below t ~ 1e-77 the bracket 1 + 4/t overflows the first integral, and
+# below t ~ 1e-108 t**3 underflows to 0: both routes then fail alike.
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=50))
+def test_implicit_any_grid_equals_scalar_bisection_bitwise(ts):
+    assert (_outcome(implicit_Z, ts)
+            == _outcome(lambda ts: [_scalar_implicit_Z(t) for t in ts], ts))
+    for t in ts[:3]:
+        assert _outcome(implicit_Z, t) == _outcome(_scalar_implicit_Z, t)
 
 
 def test_implicit_first_integral_identity():
@@ -57,6 +120,10 @@ def test_implicit_domain_validation():
         implicit_Z(1.5)
     with pytest.raises(ValueError):
         implicit_Z(-0.1)
+    with pytest.raises(ValueError):
+        implicit_Z(math.nan)
+    with pytest.raises(ValueError):
+        implicit_Z([0.0, 0.5, 1.0000001])
 
 
 def test_implicit_curve_source_tag():
@@ -176,3 +243,21 @@ def test_eta_rejects_bad_t():
         eta_consistency_check(50, 0.0)
     with pytest.raises(ValueError):
         eta_consistency_check(50, 1.5)
+
+
+def test_envelope_traces_once_and_samples_equal_pointwise_checks(monkeypatch):
+    import nel.limitcurve as lcm
+
+    traces, seen = [], []
+    trace, check = lcm._scaled_trace, lcm._eta_at
+    monkeypatch.setattr(lcm, "_scaled_trace",
+                        lambda *a: traces.append(a) or trace(*a))
+    monkeypatch.setattr(lcm, "_eta_at",
+                        lambda *a: seen.append((a[-1], check(*a))) or seen[-1][1])
+    env = lcm.eta_balance_envelope(50, 0.5, samples=7)
+    monkeypatch.undo()
+    assert len(traces) == 1 and len(seen) == 7
+    for t, ec in seen:
+        want = eta_consistency_check(50, t)
+        assert (_bits(list(ec.__dict__.values())) == _bits(list(want.__dict__.values()))).all()
+    assert env == max(ec.residual_balance for _, ec in seen)

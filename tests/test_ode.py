@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nel.cosine import rhs_unscaled
 from nel.ode import (IntegratorConfig, NonFiniteState, StepLimitExceeded,
                      find_extrema, integrate)
+from nel.separatrix import _forward_span
 
 
 def test_constant_field_is_exact():
@@ -180,7 +182,8 @@ def test_sample_equals_point_reads_bitwise(y0, span, backward, fracs):
     xs = list(traj.xs) + [x0 + (x1 - x0) * f for f in fracs] + [x1, x0]
     got = traj.sample(xs)
     assert got.shape == (len(xs),)
-    assert (_bits(got) == _bits([traj(x) for x in xs])).all()
+    assert (_bits(got) == _bits([_layout_read(traj, x)[0] for x in xs])).all()
+    assert (_bits(traj.slope(xs)) == _bits([_layout_slope(traj, x) for x in xs])).all()
 
 
 def _layout_read(traj, x):
@@ -195,6 +198,81 @@ def _layout_read(traj, x):
     return [rec[1 + c] + h * th * (rec[1 + d + c] + th * (rec[1 + 2 * d + c]
             + th * (rec[1 + 3 * d + c] + th * rec[1 + 4 * d + c])))
             for c in range(d)]
+
+
+def _layout_slope(traj, x):
+    """Derivative read of a scalar trajectory written from the same layout:
+    y'(x) = q1 + 2 q2 th + 3 q3 th^2 + 4 q4 th^3."""
+    nodes = traj.xs
+    i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
+            len(nodes) - 2)
+    h, _, q1, q2, q3, q4 = traj._dense[6 * i:6 * i + 6]
+    th = (x - nodes[i]) / h
+    return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
+
+
+def _scalar_find_extrema(traj, xtol=1e-10):
+    """find_extrema as a scalar loop, one bracket and one point read at a
+    time, on the layout reads above: the route the lockstep version
+    replaced, kept as its reference."""
+    out = []
+    xs, fs = traj.xs, traj._fs
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        probes = [(a, fs[i])]
+        for frac in (0.25, 0.5, 0.75):
+            xm = a + (b - a) * frac
+            probes.append((xm, _layout_slope(traj, xm)))
+        probes.append((b, fs[i + 1]))
+        for (xl, fl), (xr, fr) in zip(probes, probes[1:]):
+            if fl == 0.0 or fl * fr >= 0.0:
+                continue
+            lo, hi = xl, xr
+            it = max(20, math.ceil(math.log2(max(abs(hi - lo) / xtol, 2.0))))
+            for _ in range(min(it, 80)):
+                mid = 0.5 * (lo + hi)
+                fm = _layout_slope(traj, mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (fl > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            x_star = 0.5 * (lo + hi)
+            if traj.direction > 0:
+                kind = "max" if fl > 0 else "min"
+            else:
+                kind = "max" if fl < 0 else "min"
+            if out and abs(out[-1][0] - x_star) < 10 * xtol:
+                continue
+            out.append((x_star, _layout_read(traj, x_star)[0], kind))
+    return out
+
+
+def _same_extrema(got, want):
+    assert [k for _, _, k in got] == [k for _, _, k in want]
+    assert (_bits([(x, y) for x, y, _ in got]).reshape(-1, 2)
+            == _bits([(x, y) for x, y, _ in want]).reshape(-1, 2)).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=0.5, max_value=6.0),
+       st.booleans())
+def test_find_extrema_equals_scalar_loop_bitwise(y0, span, backward):
+    x0, x1 = (span, 0.0) if backward else (0.0, span)
+    traj = integrate(rhs_unscaled, x0, y0, x1)
+    _same_extrema(find_extrema(traj), _scalar_find_extrema(traj))
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 1.7, 2.4, 3.0, 4.1])
+def test_find_extrema_equals_scalar_loop_on_maxima_count_spans(a):
+    # the forward span that maxima_count reads, on both sides of a_1..a_4
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
+    got = find_extrema(traj)
+    assert got
+    _same_extrema(got, _scalar_find_extrema(traj))
 
 
 def test_sample_vector_trajectory_matches_layout_and_nodes():
@@ -231,3 +309,21 @@ def test_sample_requires_dense_output():
     traj = integrate(lambda x, y: -y, 0.0, 1.0, 2.0, dense=False)
     with pytest.raises(ValueError):
         traj.sample([1.0])
+
+
+@pytest.mark.parametrize("x0, y0, x1, dense, xs", [
+    (0.0, 1.0, 2.0, True, [1.0, -0.1]),
+    (0.0, 1.0, 2.0, True, [2.0000001]),
+    (0.0, 1.0, 2.0, True, [math.nan]),
+    (2.0, 0.1, 0.0, True, [-0.1]),
+    (2.0, 0.1, 0.0, True, [1.0, 2.0000001]),
+    (2.0, 0.1, 0.0, True, [math.nan]),
+    (0.0, 1.0, 2.0, False, [1.0]),
+    (0.0, (0.0, 1.0), 1.0, True, [0.5]),
+], ids=["below", "above", "nan", "backward-below", "backward-above", "backward-nan",
+        "no-dense", "vector"])
+def test_slope_rejects_bad_reads(x0, y0, x1, dense, xs):
+    rhs = (lambda x, y: -y) if isinstance(y0, float) else (lambda x, y: (y[1], -y[0]))
+    traj = integrate(rhs, x0, y0, x1, dense=dense)
+    with pytest.raises(ValueError):
+        traj.slope(xs)

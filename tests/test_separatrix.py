@@ -160,13 +160,19 @@ def test_oscillation_amplitude_halves_when_n_doubles():
     # The scaled eigencurves oscillate about their smooth limit with
     # amplitude O(1/lambda); compare peak deviations from the far-larger-n
     # curve, which is a stand-in for the limit on [0, 0.9].
-    z_ref, _, _ = scaled_separatrix_evaluator(3200)
     grid = [0.9 * k / 400 for k in range(401)]
-    ref = [z_ref(t) for t in grid]
+    ref = scaled_separatrix(3200, grid)
 
     def sup_dev(n):
-        z, _, _ = scaled_separatrix_evaluator(n)
-        return max(abs(z(t) - r) for t, r in zip(grid, ref))
+        return max(abs(z - r) for z, r in zip(scaled_separatrix(n, grid), ref))
 
     ratio = sup_dev(100) / sup_dev(200)
     assert 1.4 < ratio < 2.6
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_tol_not_positive_and_finite(tol):
+    # tol = 0 would never end the bisection; nan or inf would end it at once
+    # on the seed bracket's midpoint
+    with pytest.raises(ValueError):
+        SeparatrixConfig(tol=tol)
