@@ -130,17 +130,25 @@ def _implicit_lhs(g):
     return (1.0 + 3.0 * g * g) * (g + s) * (s - 2.0 * g) / (s + 2.0 * g)
 
 
+# Smallest t at which _implicit_lhs(1 + 4/t) and _K_CONST / t**3 are finite.
+_T_FLOOR = 5.406533694596847e-77
+
+
 def implicit_Z(t):
     """Z(t) from the first integral, solved for G = Z/t on [1, inf).
 
     ``t`` is a float (returns a float) or a 1-D grid (returns an ndarray);
     interior points are bisected in lockstep on [1, 1 + 4/t], 90 halvings.
     Z(0) is the analytic limit 2^(1/3) (G grows like 2^(1/3)/t, forced by
-    the -4/t^3 right side) and Z(1) = 1.  ValueError outside [0, 1] or NaN.
+    the -4/t^3 right side) and Z(1) = 1.  ValueError outside [0, 1], for
+    NaN, and for 0 < t < 5.406533694596847e-77, where the first integral
+    overflows on the bracket end 1 + 4/t.
     """
     grid = np.atleast_1d(np.asarray(t, dtype=float))
     if not ((grid >= 0) & (grid <= 1)).all():
         raise ValueError("t must lie in [0, 1]")
+    if ((grid > 0) & (grid < _T_FLOOR)).any():
+        raise ValueError(f"t must be 0 or at least {_T_FLOOR!r}")
     z = np.where(grid == 0.0, CUBE_ROOT_2, 1.0)
     inner = (grid > 0.0) & (grid < 1.0)
     ts = grid[inner]
@@ -148,7 +156,7 @@ def implicit_Z(t):
     target = np.array([_K_CONST / v ** 3 for v in ts.tolist()])
     lo, hi = np.ones_like(ts), 1.0 + 4.0 / ts
     flo = _implicit_lhs(lo) - target
-    bad = flo * (_implicit_lhs(hi) - target) > 0
+    bad = np.sign(flo) * np.sign(_implicit_lhs(hi) - target) > 0
     if bad.any():
         raise RootNotBracketed(f"no sign change for t={ts[bad][0]}")
     z[inner] = ts * _bisect(lambda g: _implicit_lhs(g) - target, lo, hi, flo, 90)

@@ -85,6 +85,18 @@ class PainleveConfig:
     scan_step: float = 0.05
     bisect_tol: float = 1e-7
 
+    def __post_init__(self):
+        for name in ("scan_step", "bisect_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("chain_poles", "lock_extrema"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if not (self.x_min < 0 and math.isfinite(self.x_min)):
+            raise ValueError(f"x_min must be negative and finite, got {self.x_min!r}")
+
 
 def painleve_rhs(x: float, y: tuple[float, float]) -> tuple[float, float]:
     """First-order form of y'' = y^2 + x; state (y, y')."""
@@ -104,15 +116,23 @@ class PoleEvent:
 
 @dataclass(frozen=True)
 class FateReport:
-    """Verdict of classify_fate.  For an oscillatory lock, `extrema` ends at
-    the extremum that completed the lock run, where integration stopped; it
-    is a prefix of the full-window list.  Otherwise it holds the extrema of
-    the final segment (empty when the chain was declared by pole count)."""
+    """Verdict of classify_fate and the rule that reached it.
+
+    `pole_count` counts the poles crossed before the verdict.  For an
+    oscillatory lock (rule "lock") `extrema` ends at the extremum that
+    completed the lock run, where integration stopped; it is a prefix of
+    the full-window list.  A chain stops at the first pole whose segment
+    turned right of the saddle (rule "energy") or at the cfg.chain_poles-th
+    pole (rule "poles"), so its `pole_count` is the pole at which it was
+    declared and `extrema` is empty.  A chain whose poles persist into the
+    last 10 units of the window (rule "window") holds the extrema of its
+    final segment."""
 
     pole_count: int
     lock: str                      # "oscillatory" | "pole_chain" | "undecided"
     lock_onset: float | None       # x of the first extremum of the lock run
     extrema: tuple[tuple[float, float], ...]   # (x_e, y_e + sqrt(-x_e))
+    rule: str | None               # "lock" | "energy" | "poles" | "window"; None if undecided
 
 
 # -- Laurent series at a double pole ----------------------------------------
@@ -416,6 +436,31 @@ class _LockWatch:
         return step
 
 
+_CHAIN_MARGIN = -0.05     # energy margin below which a pole segment declares a chain
+
+
+def _past_saddle(traj: Trajectory) -> bool:
+    """Energy rule on a segment that ended in a pole.
+
+    With x frozen at X = -x, H = v^2/2 - y^3/3 + X y has a saddle at
+    y = +sqrt(X) of height (2/3) X^(3/2) and the oscillation well at
+    y = -sqrt(X).  At the segment's lowest stored sample (x, y, v), y >
+    sqrt(X) and a margin m = (H - (2/3) X^(3/2)) / X^(3/2) below
+    _CHAIN_MARGIN say the solution turned right of the saddle, so it
+    cannot reach the well.  Solutions near an eigenvalue ride the saddle
+    (m -> 0) and are left to the later poles.
+    """
+    ys = np.frombuffer(traj._ys, dtype=float)
+    i = int(np.argmin(ys[0::2]))
+    X = -traj.xs[i]
+    if X <= 0.0:
+        return False
+    y, v = traj.state(i)
+    e = X ** 1.5
+    margin = (0.5 * v * v - y ** 3 / 3.0 + X * y - 2.0 / 3.0 * e) / e
+    return y > math.sqrt(X) and margin < _CHAIN_MARGIN
+
+
 def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> FateReport:
     poles: list[PoleEvent] = []
     last_extrema: list = []
@@ -423,16 +468,18 @@ def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> Fa
     for traj, ev in _pole_continuation(a, x_min, cfg, y0, dense=False, watch=watch):
         if ev is not None:
             poles.append(ev)
+            if _past_saddle(traj):
+                return FateReport(len(poles), "pole_chain", None, (), "energy")
             if len(poles) >= cfg.chain_poles:
-                return FateReport(len(poles), "pole_chain", None, ())
+                return FateReport(len(poles), "pole_chain", None, (), "poles")
         elif not traj.stopped:
             last_extrema = _segment_extrema(traj, cfg.track_from)
 
     if watch.onset is not None:
-        return FateReport(len(poles), "oscillatory", watch.onset, tuple(watch.extrema))
+        return FateReport(len(poles), "oscillatory", watch.onset, tuple(watch.extrema), "lock")
     if poles and poles[-1].x0 <= x_min + 10.0:
-        return FateReport(len(poles), "pole_chain", None, tuple(last_extrema))
-    return FateReport(len(poles), "undecided", None, tuple(last_extrema))
+        return FateReport(len(poles), "pole_chain", None, tuple(last_extrema), "window")
+    return FateReport(len(poles), "undecided", None, tuple(last_extrema), None)
 
 
 def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
@@ -440,13 +487,18 @@ def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
     """Fate of the solution with initial slope a: oscillatory lock or pole chain.
 
     An oscillatory lock needs cfg.lock_extrema consecutive extrema that
-    straddle -sqrt(-x) with shrinking deviation; a chain is declared after
-    cfg.chain_poles poles, or when poles persist into the last 10 units of
-    the window.  The window is widened twice before giving up (Undecided).
+    straddle -sqrt(-x) with shrinking deviation.  A chain is declared at
+    the first pole whose segment turned right of the frozen-x saddle with
+    energy margin below -0.05 (see _past_saddle), else at the
+    cfg.chain_poles-th pole, else when poles persist into the last 10
+    units of the window.  The window is widened twice before giving up
+    (Undecided).
 
     Integration stops at whichever is established first: the lock (found
-    step by step, so `extrema` ends there) or the chain_poles-th pole.
-    Verdict, pole_count and lock_onset equal those of the full window.
+    step by step, so `extrema` ends there) or the pole that declares the
+    chain, whose index is `pole_count`.  Verdict, pole_count and
+    lock_onset equal those of the full window under the same rules; the
+    verdicts equal those of the 16-pole rule alone on every case tested.
     """
     if cfg is None:
         cfg = PainleveConfig()

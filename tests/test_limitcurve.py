@@ -52,8 +52,11 @@ def _scalar_implicit_Z(t):
         return CUBE_ROOT_2
     if t == 1.0:
         return 1.0
-    target = -4.0 / t ** 3
     lo, hi = 1.0, 1.0 + 4.0 / t
+    # the first integral must be finite on the bracket end, -4/t^3 finite
+    if t ** 3 == 0.0 or not (math.isfinite(lhs(hi)) and math.isfinite(-4.0 / t ** 3)):
+        raise ValueError(t)
+    target = -4.0 / t ** 3
     flo = lhs(lo) - target
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -85,14 +88,12 @@ def test_implicit_grid_equals_scalar_bisection_bitwise(n):
 def _outcome(fn, arg):
     try:
         return _bits(fn(arg)).tolist()
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return type(exc)
 
 
-# Below t ~ 1e-77 the bracket 1 + 4/t overflows the first integral, and
-# below t ~ 1e-108 t**3 underflows to 0: both routes then fail alike.
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# Below t ~ 5.4e-77 the bracket 1 + 4/t overflows the first integral:
+# both routes must refuse such t alike.
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=50))
 def test_implicit_any_grid_equals_scalar_bisection_bitwise(ts):
@@ -124,6 +125,22 @@ def test_implicit_domain_validation():
         implicit_Z(math.nan)
     with pytest.raises(ValueError):
         implicit_Z([0.0, 0.5, 1.0000001])
+
+
+def test_implicit_rejects_t_below_the_overflow_floor():
+    # the floor is the smallest t whose bracket end keeps the first integral
+    # finite; the reference finds it by evaluating there, in math arithmetic
+    from nel.limitcurve import _T_FLOOR
+
+    below = math.nextafter(_T_FLOOR, 0.0)
+    assert _outcome(implicit_Z, _T_FLOOR) == _outcome(_scalar_implicit_Z, _T_FLOOR)
+    assert abs(implicit_Z(_T_FLOOR) - CUBE_ROOT_2) < 1e-15
+    for t in (below, 1e-80, 1e-100, 1e-200, 5e-324):
+        assert _outcome(_scalar_implicit_Z, t) is ValueError
+        with pytest.raises(ValueError):
+            implicit_Z(t)
+    with pytest.raises(ValueError):
+        implicit_Z([0.0, 0.5, 1e-80])
 
 
 def test_implicit_curve_source_tag():

@@ -175,20 +175,43 @@ def test_fate_and_integration_cross_the_same_poles(a):
     assert classify_fate(a, cfg).pole_count == len(poles)
 
 
-def _full_window_fate(a, cfg, y0):
+def _turned_past_saddle(seg):
+    """Energy rule, written out: at the segment's lowest sample (x, y, v),
+    X = -x, the margin (v^2/2 - y^3/3 + X y - (2/3) X^(3/2)) / X^(3/2) is
+    below -0.05 with y > sqrt(X)."""
+    i = min(range(len(seg)), key=lambda j: seg.state(j)[0])
+    x, (y, v) = seg.xs[i], seg.state(i)
+    if x >= 0.0:
+        return False
+    big_x = -x
+    e = big_x ** 1.5
+    return y > math.sqrt(big_x) and (v * v / 2 - y ** 3 / 3 + big_x * y - 2 * e / 3) / e < -0.05
+
+
+def _full_window_fate(a, cfg, y0, energy=True):
     """Fate by the full-window route: integrate every segment to the window
-    end, take the extrema of the last one, then the lock and chain rules."""
+    end, take the extrema of the last one, then the lock and chain rules.
+    The chain is declared at the first pole whose segment meets the energy
+    rule (unless ``energy`` is false, the 16-pole route) or at the
+    cfg.chain_poles-th pole.  Returns (lock, poles, onset, extrema, rule)."""
     x_min = cfg.x_min
     for _ in range(3):
         segs, poles = integrate_with_poles(a, x_min, cfg, y0=y0, dense=False)
+        # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
+        # a turnaround ends one below it
+        ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
+        assert len(ends) == len(poles)
+        by_energy = [k for k, s in enumerate(ends, 1) if energy and _turned_past_saddle(s)]
+        if by_energy and by_energy[0] <= cfg.chain_poles:
+            return "pole_chain", by_energy[0], None, [], "energy"
         if len(poles) >= cfg.chain_poles:
-            return "pole_chain", cfg.chain_poles, None, []
+            return "pole_chain", cfg.chain_poles, None, [], "poles"
         extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
         onset = _lock_run(extrema, cfg.lock_extrema)
         if onset is not None:
-            return "oscillatory", len(poles), onset, extrema
+            return "oscillatory", len(poles), onset, extrema, "lock"
         if poles and poles[-1].x0 <= x_min + 10.0:
-            return "pole_chain", len(poles), None, extrema
+            return "pole_chain", len(poles), None, extrema, "window"
         x_min *= 1.5
     raise Undecided(a)
 
@@ -198,17 +221,50 @@ def _full_window_fate(a, cfg, y0):
     (0.3, 1.0),                         # r' flips between the first two tracked samples
     *((e + d, 1.0) for e in PAINLEVE_EIGS[:4] for d in (-1e-5, 1e-5)),
     *((a, y0) for y0 in (0.0, 2.0) for a in (-6.0, 1.0, 5.0, 9.5)),
+    *((e + d, 1.0) for e in PAINLEVE_EIGS for d in (-1e-7, 1e-7)),
+    (33.0, 1.0),                        # poles persist to the window end
+    (40.0, 1.0),                        # the 16th pole comes before the energy rule
 ])
 def test_fate_stopped_at_lock_equals_full_window(a, y0):
-    # classify_fate stops integrating at the lock; the verdict, pole count
-    # and onset must be those of the full window, its extrema a prefix
+    # classify_fate stops integrating at the lock or at the pole that
+    # declares the chain; the verdict, rule, pole count and onset must be
+    # those of the full window, its extrema a prefix; the 16-pole route
+    # must reach the same verdict, and for a lock the same count and onset
     cfg = PainleveConfig()
-    lock, poles, onset, extrema = _full_window_fate(a, cfg, y0)
+    lock, poles, onset, extrema, rule = _full_window_fate(a, cfg, y0)
     rep = classify_fate(a, cfg, y0=y0)
-    assert (rep.lock, rep.pole_count, rep.lock_onset) == (lock, poles, onset)
+    assert (rep.lock, rep.rule, rep.pole_count, rep.lock_onset) == (lock, rule, poles, onset)
     assert list(rep.extrema) == extrema[:len(rep.extrema)]
     if lock == "oscillatory":
         assert len(rep.extrema) >= cfg.lock_extrema
+    old = _full_window_fate(a, cfg, y0, energy=False)
+    assert old[0] == lock
+    if lock == "oscillatory":
+        assert old[1:3] == (poles, onset)
+
+
+def test_eigenvalues_unchanged_without_the_energy_rule(painleve_eigs12, monkeypatch):
+    # the energy rule only ends chains sooner: with it switched off the
+    # scan bisects to the same bits (the fixture's scan finds a_1..a_4
+    # exactly as a count-4 scan does)
+    import nel.painleve as pl
+
+    eigs, _ = painleve_eigs12
+    monkeypatch.setattr(pl, "_past_saddle", lambda traj: False)
+    assert [e.hex() for e in pl.painleve_eigenvalues(4)] == [e.hex() for e in eigs[:4]]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scan_step", 0.0), ("scan_step", -0.05), ("scan_step", math.nan), ("scan_step", math.inf),
+    ("bisect_tol", 0.0), ("bisect_tol", -1e-7), ("bisect_tol", math.nan), ("bisect_tol", math.inf),
+    ("chain_poles", 0), ("lock_extrema", 0),
+    ("x_min", 0.0), ("x_min", 5.0), ("x_min", math.nan), ("x_min", -math.inf),
+])
+def test_config_rejects_values_that_stall_or_misread_the_scan(field, value):
+    # a zero scan step never advances, a zero tolerance never ends the
+    # bisection: both are refused when the configuration is built
+    with pytest.raises(ValueError, match=field):
+        PainleveConfig(**{field: value})
 
 
 def test_pole_count_robust_to_tolerance():
