@@ -103,7 +103,7 @@ class Trajectory:
     """
 
     __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "_dense",
-                 "_fs", "stopped")
+                 "_f_end", "stopped")
 
     def __init__(self, dim: int, direction: int):
         self.xs = array("d")
@@ -112,7 +112,7 @@ class Trajectory:
         self.direction = direction
         self.step_count = 0
         self._dense: array | None = None
-        self._fs: array | None = None
+        self._f_end: float | None = None     # y' at the last sample, scalar only
         self.stopped = False
 
     # -- samples -------------------------------------------------------
@@ -232,7 +232,6 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     span = abs(x1 - x0)
     traj = Trajectory(1, direction)
     xs, ys = traj.xs, traj._ys
-    fs = array("d")
     dn = array("d") if dense else None
 
     x, y = x0, y0
@@ -241,7 +240,6 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
         raise NonFiniteState(f"non-finite initial data at x={x}")
     xs.append(x)
     ys.append(y)
-    fs.append(k1)
 
     if cfg.initial_step > 0:
         h = min(cfg.initial_step, cfg.max_step, span)
@@ -290,7 +288,6 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             x, y, k1 = x_new, y_new, k7
             xs.append(x)
             ys.append(y)
-            fs.append(k1)
             traj.step_count += 1
             if stop_when is not None and stop_when(x, y):
                 traj.stopped = True
@@ -309,7 +306,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
             fac_max = 1.0
 
-    traj._fs = fs
+    traj._f_end = k1
     traj._dense = dn
     return traj
 
@@ -465,11 +462,12 @@ def find_extrema(traj: Trajectory, xtol: float = 1e-10) -> list[tuple[float, flo
     """
     if traj.dim != 1:
         raise ValueError("find_extrema requires a scalar trajectory")
-    if traj._fs is None or traj._dense is None:
+    if traj._dense is None:
         raise ValueError("trajectory lacks dense output")
 
     nodes = np.frombuffer(traj.xs, dtype=float)
-    fs = np.frombuffer(traj._fs, dtype=float)
+    # y' at every node: each step's k1 column, then the final derivative
+    fs = np.append(np.frombuffer(traj._dense, dtype=float)[2::6], traj._f_end)
     a, b = nodes[:-1, None], nodes[1:, None]
     inner = a + (b - a) * np.array([0.25, 0.5, 0.75])
     # per step: the five probes a, a + w/4, a + w/2, a + 3w/4, b

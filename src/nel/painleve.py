@@ -78,8 +78,7 @@ class PainleveConfig:
     y_match: float = 150.0        # |y| at which the Laurent fit starts
     y_restart: float = 150.0      # |y| on the far side after a pole
     series_terms: int = 24
-    x_min: float = -60.0          # fate window
-    chain_poles: int = 16         # this many poles => declared a chain
+    x_min: float = -135.0         # fate window
     lock_extrema: int = 4         # straddling extrema needed for a lock
     track_from: float = -2.0      # extrema counted left of this point
     scan_step: float = 0.05
@@ -90,10 +89,8 @@ class PainleveConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("chain_poles", "lock_extrema"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.lock_extrema < 1:
+            raise ValueError(f"lock_extrema must be >= 1, got {self.lock_extrema!r}")
         if not (self.x_min < 0 and math.isfinite(self.x_min)):
             raise ValueError(f"x_min must be negative and finite, got {self.x_min!r}")
 
@@ -116,23 +113,19 @@ class PoleEvent:
 
 @dataclass(frozen=True)
 class FateReport:
-    """Verdict of classify_fate and the rule that reached it.
+    """Verdict of classify_fate.
 
     `pole_count` counts the poles crossed before the verdict.  For an
-    oscillatory lock (rule "lock") `extrema` ends at the extremum that
-    completed the lock run, where integration stopped; it is a prefix of
-    the full-window list.  A chain stops at the first pole whose segment
-    turned right of the saddle (rule "energy") or at the cfg.chain_poles-th
-    pole (rule "poles"), so its `pole_count` is the pole at which it was
-    declared and `extrema` is empty.  A chain whose poles persist into the
-    last 10 units of the window (rule "window") holds the extrema of its
-    final segment."""
+    oscillatory lock `extrema` ends at the extremum that completed the lock
+    run, where integration stopped; it is a prefix of the full-window list.
+    A chain stops at the first pole whose segment turned right of the
+    saddle, so its `pole_count` is the pole at which it was declared and
+    `extrema` is empty."""
 
     pole_count: int
-    lock: str                      # "oscillatory" | "pole_chain" | "undecided"
+    lock: str                      # "oscillatory" | "pole_chain"
     lock_onset: float | None       # x of the first extremum of the lock run
     extrema: tuple[tuple[float, float], ...]   # (x_e, y_e + sqrt(-x_e))
-    rule: str | None               # "lock" | "energy" | "poles" | "window"; None if undecided
 
 
 # -- Laurent series at a double pole ----------------------------------------
@@ -461,27 +454,6 @@ def _past_saddle(traj: Trajectory) -> bool:
     return y > math.sqrt(X) and margin < _CHAIN_MARGIN
 
 
-def _classify_once(a: float, cfg: PainleveConfig, y0: float, x_min: float) -> FateReport:
-    poles: list[PoleEvent] = []
-    last_extrema: list = []
-    watch = _LockWatch(cfg)
-    for traj, ev in _pole_continuation(a, x_min, cfg, y0, dense=False, watch=watch):
-        if ev is not None:
-            poles.append(ev)
-            if _past_saddle(traj):
-                return FateReport(len(poles), "pole_chain", None, (), "energy")
-            if len(poles) >= cfg.chain_poles:
-                return FateReport(len(poles), "pole_chain", None, (), "poles")
-        elif not traj.stopped:
-            last_extrema = _segment_extrema(traj, cfg.track_from)
-
-    if watch.onset is not None:
-        return FateReport(len(poles), "oscillatory", watch.onset, tuple(watch.extrema), "lock")
-    if poles and poles[-1].x0 <= x_min + 10.0:
-        return FateReport(len(poles), "pole_chain", None, tuple(last_extrema), "window")
-    return FateReport(len(poles), "undecided", None, tuple(last_extrema), None)
-
-
 def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
                   y0: float = 1.0) -> FateReport:
     """Fate of the solution with initial slope a: oscillatory lock or pole chain.
@@ -489,26 +461,28 @@ def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
     An oscillatory lock needs cfg.lock_extrema consecutive extrema that
     straddle -sqrt(-x) with shrinking deviation.  A chain is declared at
     the first pole whose segment turned right of the frozen-x saddle with
-    energy margin below -0.05 (see _past_saddle), else at the
-    cfg.chain_poles-th pole, else when poles persist into the last 10
-    units of the window.  The window is widened twice before giving up
-    (Undecided).
+    energy margin below -0.05 (see _past_saddle).  A fate with neither by
+    cfg.x_min raises Undecided.
 
     Integration stops at whichever is established first: the lock (found
     step by step, so `extrema` ends there) or the pole that declares the
     chain, whose index is `pole_count`.  Verdict, pole_count and
-    lock_onset equal those of the full window under the same rules; the
-    verdicts equal those of the 16-pole rule alone on every case tested.
+    lock_onset equal those of the full window under the same rules; below
+    |a| = 30 the verdicts equal those of the 16-pole rule on every case
+    tested.
     """
     if cfg is None:
         cfg = PainleveConfig()
-    x_min = cfg.x_min
-    for _ in range(3):
-        report = _classify_once(a, cfg, y0, x_min)
-        if report.lock != "undecided":
-            return report
-        x_min *= 1.5
-    raise Undecided(f"fate of a={a} undecided by x={x_min:.1f}")
+    poles = 0
+    watch = _LockWatch(cfg)
+    for traj, ev in _pole_continuation(a, cfg.x_min, cfg, y0, dense=False, watch=watch):
+        if ev is not None:
+            poles += 1
+            if _past_saddle(traj):
+                return FateReport(poles, "pole_chain", None, ())
+    if watch.onset is None:
+        raise Undecided(f"fate of a={a} undecided by x={cfg.x_min:.1f}")
+    return FateReport(poles, "oscillatory", watch.onset, tuple(watch.extrema))
 
 
 def painleve_eigenvalues(count: int, cfg: PainleveConfig | None = None, *,

@@ -119,6 +119,18 @@ def test_painleve_fate_subcommand(tmp_path, capsys):
     assert payload["pole_count"] == 0
 
 
+def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
+    # at a = 100 neither the lock nor the energy rule decides by the window
+    # end; the run fails with a typed error and writes no data file
+    out = tmp_path / "f.json"
+    code, _, err = run_cli(["painleve", "fate", "--a", "100", "--out", str(out)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert (error["type"], error["module"]) == ("Undecided", "nel.painleve")
+    assert "x=-135.0" in error["message"]
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["figures", "fig99", "--out", str(tmp_path / "x.csv")],
                            capsys)

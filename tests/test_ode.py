@@ -216,7 +216,7 @@ def _scalar_find_extrema(traj, xtol=1e-10):
     time, on the layout reads above: the route the lockstep version
     replaced, kept as its reference."""
     out = []
-    xs, fs = traj.xs, traj._fs
+    xs, fs = traj.xs, [*traj._dense[2::6], traj._f_end]
     for i in range(len(xs) - 1):
         a, b = xs[i], xs[i + 1]
         probes = [(a, fs[i])]

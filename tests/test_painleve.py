@@ -188,32 +188,55 @@ def _turned_past_saddle(seg):
     return y > math.sqrt(big_x) and (v * v / 2 - y ** 3 / 3 + big_x * y - 2 * e / 3) / e < -0.05
 
 
-def _full_window_fate(a, cfg, y0, energy=True):
-    """Fate by the full-window route: integrate every segment to the window
-    end, take the extrema of the last one, then the lock and chain rules.
-    The chain is declared at the first pole whose segment meets the energy
-    rule (unless ``energy`` is false, the 16-pole route) or at the
-    cfg.chain_poles-th pole.  Returns (lock, poles, onset, extrema, rule)."""
-    x_min = cfg.x_min
-    for _ in range(3):
-        segs, poles = integrate_with_poles(a, x_min, cfg, y0=y0, dense=False)
-        # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
-        # a turnaround ends one below it
-        ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
-        assert len(ends) == len(poles)
-        by_energy = [k for k, s in enumerate(ends, 1) if energy and _turned_past_saddle(s)]
-        if by_energy and by_energy[0] <= cfg.chain_poles:
-            return "pole_chain", by_energy[0], None, [], "energy"
-        if len(poles) >= cfg.chain_poles:
-            return "pole_chain", cfg.chain_poles, None, [], "poles"
-        extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
-        onset = _lock_run(extrema, cfg.lock_extrema)
-        if onset is not None:
-            return "oscillatory", len(poles), onset, extrema, "lock"
-        if poles and poles[-1].x0 <= x_min + 10.0:
-            return "pole_chain", len(poles), None, extrema, "window"
-        x_min *= 1.5
+def _full_window_fate(a, cfg, y0):
+    """Fate by the full-window route: integrate every segment to cfg.x_min;
+    a chain at the first pole whose segment meets the energy rule, else the
+    lock of the last segment's extrema.  Returns (lock, poles, onset,
+    extrema)."""
+    segs, poles = integrate_with_poles(a, cfg.x_min, cfg, y0=y0, dense=False)
+    # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
+    # a turnaround ends one below it
+    ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
+    assert len(ends) == len(poles)
+    by_energy = [k for k, s in enumerate(ends, 1) if _turned_past_saddle(s)]
+    if by_energy:
+        return "pole_chain", by_energy[0], None, []
+    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
+    onset = _lock_run(extrema, cfg.lock_extrema)
+    if onset is None:
+        raise Undecided(a)
+    return "oscillatory", len(poles), onset, extrema
+
+
+def _sixteen_pole_fate(a, cfg, y0):
+    """Fate by the 16-pole route, the reference of the energy rule: a chain
+    at the 16th pole or when poles persist into the last 10 units of a
+    window to x = -60, else the lock of the last segment.  Returns (lock,
+    poles, onset)."""
+    segs, poles = integrate_with_poles(a, -60.0, cfg, y0=y0, dense=False)
+    if len(poles) >= 16:
+        return "pole_chain", 16, None
+    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
+    onset = _lock_run(extrema, cfg.lock_extrema)
+    if onset is not None:
+        return "oscillatory", len(poles), onset
+    if poles and poles[-1].x0 <= -50.0:
+        return "pole_chain", len(poles), None
     raise Undecided(a)
+
+
+# Beyond |a| = 30 the 16-pole route misjudges: its 16th pole, or a pole in
+# its window's last 10 units, comes before the lock or the energy rule and
+# calls every one of these a chain.  (lock, poles, onset to 0.01) at y0 = 1:
+_BEYOND_16_POLES = {
+    33.0: ("oscillatory", 15, -69.02),   # the window rule called it a chain
+    36.0: ("oscillatory", 17, -77.92),
+    40.0: ("pole_chain", 23, None),      # a chain, but by energy at pole 23, not 16
+    45.0: ("oscillatory", 25, -103.77),
+    50.0: ("oscillatory", 30, -121.24),
+    -50.0: ("oscillatory", 30, -120.22),
+    60.0: ("pole_chain", 44, None),
+}
 
 
 @pytest.mark.parametrize("a, y0", [
@@ -222,42 +245,65 @@ def _full_window_fate(a, cfg, y0, energy=True):
     *((e + d, 1.0) for e in PAINLEVE_EIGS[:4] for d in (-1e-5, 1e-5)),
     *((a, y0) for y0 in (0.0, 2.0) for a in (-6.0, 1.0, 5.0, 9.5)),
     *((e + d, 1.0) for e in PAINLEVE_EIGS for d in (-1e-7, 1e-7)),
-    (33.0, 1.0),                        # poles persist to the window end
-    (40.0, 1.0),                        # the 16th pole comes before the energy rule
+    *((a, 1.0) for a in _BEYOND_16_POLES),
 ])
 def test_fate_stopped_at_lock_equals_full_window(a, y0):
     # classify_fate stops integrating at the lock or at the pole that
-    # declares the chain; the verdict, rule, pole count and onset must be
-    # those of the full window, its extrema a prefix; the 16-pole route
-    # must reach the same verdict, and for a lock the same count and onset
+    # declares the chain; the verdict, pole count and onset must be those
+    # of the full window, its extrema a prefix; below |a| = 30 the 16-pole
+    # route must reach the same verdict, and for a lock the same count and
+    # onset
     cfg = PainleveConfig()
-    lock, poles, onset, extrema, rule = _full_window_fate(a, cfg, y0)
+    lock, poles, onset, extrema = _full_window_fate(a, cfg, y0)
     rep = classify_fate(a, cfg, y0=y0)
-    assert (rep.lock, rep.rule, rep.pole_count, rep.lock_onset) == (lock, rule, poles, onset)
+    assert (rep.lock, rep.pole_count, rep.lock_onset) == (lock, poles, onset)
     assert list(rep.extrema) == extrema[:len(rep.extrema)]
     if lock == "oscillatory":
         assert len(rep.extrema) >= cfg.lock_extrema
-    old = _full_window_fate(a, cfg, y0, energy=False)
+    if abs(a) >= 30.0:
+        assert (lock, poles, onset and round(onset, 2)) == _BEYOND_16_POLES[a]
+        assert _sixteen_pole_fate(a, cfg, y0)[0] == "pole_chain"
+        return
+    old = _sixteen_pole_fate(a, cfg, y0)
     assert old[0] == lock
     if lock == "oscillatory":
-        assert old[1:3] == (poles, onset)
+        assert old[1:] == (poles, onset)
+
+
+@pytest.mark.parametrize("a", [55.0, 100.0, -100.0])
+def test_fate_with_neither_rule_by_the_window_end_is_undecided(a):
+    with pytest.raises(Undecided, match=r"by x=-135\.0"):
+        classify_fate(a)
 
 
 def test_eigenvalues_unchanged_without_the_energy_rule(painleve_eigs12, monkeypatch):
-    # the energy rule only ends chains sooner: with it switched off the
-    # scan bisects to the same bits (the fixture's scan finds a_1..a_4
-    # exactly as a count-4 scan does)
+    # the energy rule only ends chains sooner: with it replaced by a rule
+    # that fires at each fate's 16th pole (the 16-pole route) the scan
+    # bisects to the same bits (the fixture's scan finds a_1..a_4 exactly
+    # as a count-4 scan does)
     import nel.painleve as pl
 
     eigs, _ = painleve_eigs12
-    monkeypatch.setattr(pl, "_past_saddle", lambda traj: False)
+    poles = [0]
+    classify = pl.classify_fate
+
+    def at_sixteenth_pole(traj):
+        poles[0] += 1
+        return poles[0] >= 16
+
+    def counted_from_zero(*args, **kwargs):
+        poles[0] = 0
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "_past_saddle", at_sixteenth_pole)
+    monkeypatch.setattr(pl, "classify_fate", counted_from_zero)
     assert [e.hex() for e in pl.painleve_eigenvalues(4)] == [e.hex() for e in eigs[:4]]
 
 
 @pytest.mark.parametrize("field, value", [
     ("scan_step", 0.0), ("scan_step", -0.05), ("scan_step", math.nan), ("scan_step", math.inf),
     ("bisect_tol", 0.0), ("bisect_tol", -1e-7), ("bisect_tol", math.nan), ("bisect_tol", math.inf),
-    ("chain_poles", 0), ("lock_extrema", 0),
+    ("lock_extrema", 0),
     ("x_min", 0.0), ("x_min", 5.0), ("x_min", math.nan), ("x_min", -math.inf),
 ])
 def test_config_rejects_values_that_stall_or_misread_the_scan(field, value):
