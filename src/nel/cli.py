@@ -2,9 +2,10 @@
 and table, plus direct access to the solvers.
 
 All numeric payloads are serialized with 17 significant digits so a reparse
-reproduces bit-identical values, and sweep results are assembled in grid
-order regardless of the worker count (NEL_THREADS), so identical
-invocations produce byte-identical files.  Every output file X gets a
+reproduces bit-identical values, and identical invocations produce
+byte-identical files.  Grids are capped at 1,000,001 points.  The Painleve
+commands use the fixed fate window x >= -135, scan step 0.05 and bisection
+width 1e-7.  Every output file X gets a
 sidecar X.manifest.json recording the subcommand, parameters, tool version
 and wall time that produced it.
 """
@@ -14,11 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,9 @@ import numpy as np
 from . import __version__
 
 __all__ = ["main", "UsageError", "RunManifest"]
+
+_MAX_GRID = 1_000_001     # points in any grid a command builds
+_FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
 class UsageError(Exception):
@@ -99,19 +101,6 @@ def _finish(args, t0: float, outputs: list[Path], summary: dict) -> int:
     return 0
 
 
-def _pool_map(fn, jobs):
-    """list(map(fn, jobs)) on up to NEL_THREADS worker processes."""
-    try:
-        cap = int(os.environ.get("NEL_THREADS", "1"))
-    except ValueError:
-        raise UsageError("NEL_THREADS must be an integer")
-    w = max(1, min(cap, len(jobs)))
-    if w <= 1:
-        return [fn(j) for j in jobs]
-    with Pool(processes=w) as pool:
-        return pool.map(fn, jobs, chunksize=max(1, len(jobs) // (8 * w)))
-
-
 def _parse_range(text: str) -> list[int]:
     """'1:6' -> [1..6]; '3' -> [3]; '1,4,9' -> [1, 4, 9]."""
     try:
@@ -142,6 +131,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"bad grid {text!r}, step must be positive")
     if not -math.inf < lo <= hi < math.inf:
         raise UsageError(f"bad grid {text!r}, need finite start <= end")
+    if (hi - lo) / step + 1 > _MAX_GRID + 0.5:     # tau_scan rounds the count
+        raise UsageError(f"bad grid {text!r}, more than {_MAX_GRID} points")
     return lo, hi, step
 
 
@@ -163,23 +154,22 @@ def _segment_rows(label, a, segs) -> list:
 
 
 def _cmd_eigen(args) -> int:
-    from .separatrix import (SeparatrixConfig, eigenvalue_table,
-                             find_eigenvalue_bisect, trace_separatrix_backward)
+    from .separatrix import (eigenvalue_table, find_eigenvalue_bisect,
+                             trace_separatrix_backward)
 
     t0 = time.perf_counter()
     ns = _parse_range(args.n)
-    cfg = SeparatrixConfig(tol=args.tol)
     records = []
     if args.method == "both":
-        for rec in eigenvalue_table(min(ns), max(ns), cfg):
+        for rec in eigenvalue_table(min(ns), max(ns), args.tol):
             if rec.n in ns:
                 records.append(rec)
     else:
         for n in ns:
             if args.method == "bisect":
-                records.append(find_eigenvalue_bisect(n, cfg))
+                records.append(find_eigenvalue_bisect(n, args.tol))
             else:
-                records.append(trace_separatrix_backward(n, cfg, dense=False)[0])
+                records.append(trace_separatrix_backward(n, dense=False)[0])
     payload = [{"n": r.n, "a_n": r.a_n, "method": r.method,
                 "residual": r.residual, "tail_m": r.tail_m} for r in records]
     out = Path(args.out)
@@ -205,9 +195,7 @@ def _cmd_figures(args) -> int:
     summary: dict = {"figure": name}
 
     if name == "fig1":
-        rows = []
-        for chunk in _pool_map(_fig1_task, list(range(1, 51))):
-            rows.extend(chunk)
+        rows = [row for k in range(1, 51) for row in _fig1_task(k)]
         _write_csv(out, ["k", "a", "x", "y"], rows)
 
     elif name == "fig2":
@@ -253,23 +241,21 @@ def _cmd_figures(args) -> int:
         _write_csv(out, ["N", "x", "s"], rows)
 
     elif name == "fig6":
-        from .painleve import PainleveConfig, painleve_eigenvalues, integrate_with_poles
+        from .painleve import painleve_eigenvalues, integrate_with_poles
 
-        cfg = PainleveConfig()
-        eigs = painleve_eigenvalues(4, cfg)
+        eigs = painleve_eigenvalues(4)
         rows = []
         for k, a in enumerate(eigs, start=1):
-            rows.extend(_segment_rows(k, a, integrate_with_poles(a, -12.0, cfg)[0]))
+            rows.extend(_segment_rows(k, a, integrate_with_poles(a, -12.0)[0]))
         _write_csv(out, ["k", "a", "segment", "x", "y"], rows)
         summary["eigenvalues"] = eigs
 
     elif name == "fig7":
-        from .painleve import PainleveConfig, integrate_with_poles
+        from .painleve import integrate_with_poles
 
-        cfg = PainleveConfig()
         rows = []
         for label, a in (("oscillatory", 1.0), ("pole_chain", 5.0)):
-            rows.extend(_segment_rows(label, a, integrate_with_poles(a, -40.0, cfg)[0]))
+            rows.extend(_segment_rows(label, a, integrate_with_poles(a, -40.0)[0]))
         _write_csv(out, ["fate", "a", "segment", "x", "y"], rows)
 
     elif name == "fig8":
@@ -282,9 +268,6 @@ def _cmd_figures(args) -> int:
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
         summary["reflection_gap"] = sr.reflection_gap
         summary["half_shift_gap"] = sr.half_shift_gap
-
-    else:
-        raise UsageError(f"unknown figure {name!r} (expected fig1..fig8)")
 
     return _finish(args, t0, [out], summary)
 
@@ -355,40 +338,37 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_painleve(args) -> int:
-    from .painleve import (PainleveConfig, classify_fate, estimate_C,
+    from .painleve import (REPORTED_GROWTH_CONSTANT, classify_fate, estimate_C,
                            fit_oscillation_envelope, integrate_with_poles,
                            painleve_eigenvalues)
 
     t0 = time.perf_counter()
-    cfg = PainleveConfig()
     out = Path(args.out)
     if args.task == "eigen":
-        eigs = painleve_eigenvalues(args.count, cfg, y0=args.y0)
+        eigs = painleve_eigenvalues(args.count, y0=args.y0)
         payload = {
             "y0": args.y0,
             "eigenvalues": eigs,
             "growth_constant_estimate": estimate_C(eigs) if len(eigs) >= 8 else None,
-            "reported_growth_constant": 4.28373,
+            "reported_growth_constant": REPORTED_GROWTH_CONSTANT,
             "nearby_closed_form": 3.4 * 2 ** (1 / 3),
         }
         _write_json(out, payload)
         return _finish(args, t0, [out], {"count": len(eigs)})
     if args.task == "fate":
-        rep = classify_fate(args.a, cfg, y0=args.y0)
+        rep = classify_fate(args.a, y0=args.y0)
         payload = {"a": args.a, "y0": args.y0, "lock": rep.lock,
                    "pole_count": rep.pole_count, "lock_onset": rep.lock_onset}
         _write_json(out, payload)
         return _finish(args, t0, [out], {"lock": rep.lock})
-    if args.task == "envelope":
-        segs, poles = integrate_with_poles(args.a, args.x_min, cfg, y0=args.y0)
-        fit = fit_oscillation_envelope(segs[-1],
-                                       fit_window=(args.x_min, args.x_min / 3.2))
-        payload = {"a": args.a, "amplitude_exponent": fit.amplitude_exponent,
-                   "phase_coefficient": fit.phase_coefficient,
-                   "n_extrema": fit.n_extrema, "poles": len(poles)}
-        _write_json(out, payload)
-        return _finish(args, t0, [out], {"n_extrema": fit.n_extrema})
-    raise UsageError(f"unknown painleve task {args.task!r}")
+    # envelope, the last choice
+    segs, poles = integrate_with_poles(args.a, args.x_min, y0=args.y0)
+    fit = fit_oscillation_envelope(segs[-1], fit_window=(args.x_min, args.x_min / 3.2))
+    payload = {"a": args.a, "amplitude_exponent": fit.amplitude_exponent,
+               "phase_coefficient": fit.phase_coefficient,
+               "n_extrema": fit.n_extrema, "poles": len(poles)}
+    _write_json(out, payload)
+    return _finish(args, t0, [out], {"n_extrema": fit.n_extrema})
 
 
 def _cmd_pseries(args) -> int:
@@ -417,19 +397,18 @@ def _cmd_pseries(args) -> int:
             _write_json(out, payload)
             outputs.append(out)
         return _finish(args, t0, outputs, payload)
-    if args.task == "roots":
-        from .pseries import all_roots, ftau_partial_sum
+    # roots, the last choice
+    from .pseries import all_roots, ftau_partial_sum
 
-        poly = ftau_partial_sum(args.tau_value, args.n)
-        roots, residuals = all_roots(poly)
-        payload = {
-            "tau": args.tau_value, "n": args.n,
-            "roots": [{"re": z.real, "im": z.imag, "abs": abs(z), "residual": float(r)}
-                      for z, r in sorted(zip(roots, residuals), key=lambda p: -abs(p[0]))],
-        }
-        _write_json(out, payload)
-        return _finish(args, t0, [out], {"rho": max(abs(z) for z in roots)})
-    raise UsageError(f"unknown pseries task {args.task!r}")
+    poly = ftau_partial_sum(args.tau_value, args.n)
+    roots, residuals = all_roots(poly)
+    payload = {
+        "tau": args.tau_value, "n": args.n,
+        "roots": [{"re": z.real, "im": z.imag, "abs": abs(z), "residual": float(r)}
+                  for z, r in sorted(zip(roots, residuals), key=lambda p: -abs(p[0]))],
+    }
+    _write_json(out, payload)
+    return _finish(args, t0, [out], {"rho": max(abs(z) for z in roots)})
 
 
 def _cmd_fourier(args) -> int:
@@ -466,12 +445,10 @@ def _cmd_run(args) -> int:
              "--out", str(out_dir / "fourier.csv")])
         outputs = [out_dir / "eigenvalues.json", out_dir / "limit_curve.csv",
                    out_dir / "fourier.csv"]
-    elif args.preset == "figures":
-        for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
+    else:
+        for name in _FIGURES:
             sub(["figures", name, "--out", str(out_dir / f"{name}.csv")])
             outputs.append(out_dir / f"{name}.csv")
-    else:
-        raise UsageError(f"unknown preset {args.preset!r}")
     manifest = RunManifest("run", {"preset": args.preset}, __version__,
                            time.perf_counter() - t0, [str(p) for p in outputs])
     _write_json(out_dir / "run.manifest.json", asdict(manifest))
@@ -516,16 +493,18 @@ def _build_parser() -> _Parser:
     q.set_defaults(func=_cmd_eigen)
 
     q = subs.add_parser("figures", help="figure datasets fig1..fig8")
-    q.add_argument("figure")
+    q.add_argument("figure", choices=_FIGURES)
     q.add_argument("--out", required=True)
     q.add_argument("--n", type=_POSITIVE_INT, default=None,
                    help="scaled-curve index for fig4 (default 10000); "
                         "partial-sum degree for fig8 (default 50)")
-    q.add_argument("--step", type=_POSITIVE, default=0.0005, help="tau step for fig8")
+    q.add_argument("--step", type=_checked(float, lambda v: v >= 1e-6, ">= 1e-6"),
+                   default=0.0005, help="tau step for fig8")
     q.set_defaults(func=_cmd_figures)
 
     q = subs.add_parser("limiting-curve", help="limit curve by both routes")
-    q.add_argument("--grid", type=_checked(int, lambda v: v >= 2, ">= 2"), default=1001)
+    q.add_argument("--grid", type=_checked(int, lambda v: 2 <= v <= _MAX_GRID,
+                                           f"in 2..{_MAX_GRID}"), default=1001)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_limiting_curve)
 
@@ -560,7 +539,8 @@ def _build_parser() -> _Parser:
     q = subs.add_parser("fourier", help="square-wave sine sections")
     q.add_argument("--n-terms", type=_checked(int, lambda v: v >= 0, ">= 0"), default=80,
                    dest="n_terms")
-    q.add_argument("--grid", type=_POSITIVE_INT, default=1001)
+    q.add_argument("--grid", type=_checked(int, lambda v: 1 <= v <= _MAX_GRID,
+                                           f"in 1..{_MAX_GRID}"), default=1001)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_fourier)
 

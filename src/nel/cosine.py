@@ -212,8 +212,7 @@ def bundle_index(x: float, y: float) -> int:
 
 # -- hyperasymptotic splitting -------------------------------------------
 
-def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float],
-                     cfg: IntegratorConfig | None = None, *,
+def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float], *,
                      n_samples: int = 41,
                      noise_floor: float = 1e-12) -> float:
     """Least-squares slope of ln|y1 - y2| against x^2 over the window.
@@ -224,8 +223,9 @@ def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float],
     to pi (m + 1/2), where the sine is 1; so |y1 - y2| ~ K exp(-pi x^2 / 2)
     and the fitted slope is -pi/2.  Samples whose difference falls below
     ``noise_floor`` carry integration noise rather than signal and are
-    excluded; with the default tolerances the floor is reached around
-    |y1 - y2| ~ 1e-12, well before the exact difference underflows.
+    excluded; at the tolerances used (1e-12 relative, 1e-14 absolute) the
+    floor is reached around |y1 - y2| ~ 1e-12, well before the exact
+    difference underflows.
 
     Raises BundleMismatch for identical inputs or when the two solutions
     settle on different (or odd) bundles, and Underflow when the window
@@ -233,8 +233,7 @@ def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float],
     """
     if a1 == a2:
         raise BundleMismatch("identical initial values give zero difference")
-    if cfg is None:
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     x_lo, x_hi = x_window
     if not 0 < x_lo < x_hi:
         raise ValueError("window must satisfy 0 < x_lo < x_hi")

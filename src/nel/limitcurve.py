@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 import numpy as np
 
 from .cosine import scaling_lambda
 from .ode import IntegratorConfig, _bisect, integrate
-from .separatrix import SeparatrixConfig, _scaled_trace
+from .separatrix import _scaled_trace
 
 __all__ = [
     "CUBE_ROOT_2",
@@ -100,14 +100,13 @@ def _limit_rhs_v(v: float, w: float) -> float:
     return 2.0 * v * (1.0 + t / (z + math.sqrt(arg)))
 
 
-@lru_cache(maxsize=8)
-def _ode_curve_cached(rel_tol: float, abs_tol: float):
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=200_000)
+@cache
+def _ode_curve():
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, max_steps=200_000)
     return integrate(_limit_rhs_v, 0.0, 0.0, 1.0, cfg)
 
 
-def solve_limit_ode(grid_size: int = 1001,
-                    cfg: IntegratorConfig | None = None) -> LimitCurve:
+def solve_limit_ode(grid_size: int = 1001) -> LimitCurve:
     """Integrate the limit-curve equation from t = 1 back to t = 0.
 
     Returns Z sampled on a uniform t grid; Z(1) = 1 is exact, Z'(1) = -1,
@@ -115,13 +114,9 @@ def solve_limit_ode(grid_size: int = 1001,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if cfg is None:
-        traj = _ode_curve_cached(1e-12, 1e-14)
-    else:
-        traj = integrate(_limit_rhs_v, 0.0, 0.0, 1.0, cfg)
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     # v = 0 (t = 1) reads the initial value W = 0 exactly
-    ws = traj.sample([math.sqrt(1.0 - t) for t in ts])
+    ws = _ode_curve().sample([math.sqrt(1.0 - t) for t in ts])
     return LimitCurve(tuple(ts), tuple((ws + ts).tolist()), "ode")
 
 
@@ -314,8 +309,7 @@ def _eta_at(traj, scale: float, lam: float, t: float) -> EtaCheck:
     return EtaCheck(residual, abs(eta_direct - eta_closed), eta_direct, eta_closed)
 
 
-def eta_consistency_check(n_index: int, t: float,
-                          cfg: SeparatrixConfig | None = None) -> EtaCheck:
+def eta_consistency_check(n_index: int, t: float) -> EtaCheck:
     """Evaluate both eta routes on the n-th scaled separatrix at time t.
 
     The direct route integrates s*cos(2 lambda s z(s)) with panels sized to
@@ -325,12 +319,11 @@ def eta_consistency_check(n_index: int, t: float,
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    _, traj, scale = _scaled_trace(n_index, cfg)
+    _, traj, scale = _scaled_trace(n_index)
     return _eta_at(traj, scale, scaling_lambda(n_index), t)
 
 
-def eta_balance_envelope(n_index: int, t: float,
-                         cfg: SeparatrixConfig | None = None, *,
+def eta_balance_envelope(n_index: int, t: float, *,
                          half_width: float = 0.02, samples: int = 13) -> float:
     """Phase-robust size of the energy-balance residual near t.
 
@@ -348,6 +341,6 @@ def eta_balance_envelope(n_index: int, t: float,
     ts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
     if not all(0 < s <= 1 for s in ts):
         raise ValueError("t must lie in (0, 1]")
-    _, traj, scale = _scaled_trace(n_index, cfg)
+    _, traj, scale = _scaled_trace(n_index)
     lam = scaling_lambda(n_index)
     return max(_eta_at(traj, scale, lam, s).residual_balance for s in ts)

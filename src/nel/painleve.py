@@ -18,7 +18,7 @@ restarting on the far side from the same series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .extrapolate import _ls_slope, richardson
 from .ode import IntegratorConfig, Trajectory, _bisect, integrate
 
 __all__ = [
-    "PainleveConfig",
     "PoleEvent",
     "FateReport",
     "EnvelopeFit",
@@ -67,32 +66,19 @@ class ScanExhausted(RuntimeError):
     """Fate scan ended before the requested number of eigenvalues."""
 
 
-@dataclass(frozen=True)
-class PainleveConfig:
-    ode: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(
-        rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000))
-    # Matching at moderate height: the free quartic coefficient h enters the
-    # observed state like h*s^4 against the 6/s^2 divergence, so its fit
-    # error scales like Y^3; y ~ 150 (s ~ 0.2) extracts h ~300x better than
-    # y ~ 1000 while the series still converges fast (ratio ~ s/spacing).
-    y_match: float = 150.0        # |y| at which the Laurent fit starts
-    y_restart: float = 150.0      # |y| on the far side after a pole
-    series_terms: int = 24
-    x_min: float = -135.0         # fate window
-    lock_extrema: int = 4         # straddling extrema needed for a lock
-    track_from: float = -2.0      # extrema counted left of this point
-    scan_step: float = 0.05
-    bisect_tol: float = 1e-7
-
-    def __post_init__(self):
-        for name in ("scan_step", "bisect_tol"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.lock_extrema < 1:
-            raise ValueError(f"lock_extrema must be >= 1, got {self.lock_extrema!r}")
-        if not (self.x_min < 0 and math.isfinite(self.x_min)):
-            raise ValueError(f"x_min must be negative and finite, got {self.x_min!r}")
+_ODE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000)
+# Matching at moderate height: the free quartic coefficient h enters the
+# observed state like h*s^4 against the 6/s^2 divergence, so its fit error
+# scales like Y^3; y ~ 150 (s ~ 0.2) extracts h ~300x better than y ~ 1000
+# while the series still converges fast (ratio ~ s/spacing).
+_Y_MATCH = 150.0         # |y| at which the Laurent fit starts
+_Y_RESTART = 150.0       # |y| on the far side after a pole
+_SERIES_TERMS = 24
+_X_MIN = -135.0          # fate window
+_LOCK_EXTREMA = 4        # straddling extrema needed for a lock
+_TRACK_FROM = -2.0       # extrema counted left of this point
+_SCAN_STEP = 0.05        # eigenvalue scan increment in a
+_BISECT_TOL = 1e-7       # bisection width on a
 
 
 def painleve_rhs(x: float, y: tuple[float, float]) -> tuple[float, float]:
@@ -117,10 +103,10 @@ class FateReport:
 
     `pole_count` counts the poles crossed before the verdict.  For an
     oscillatory lock `extrema` ends at the extremum that completed the lock
-    run, where integration stopped; it is a prefix of the full-window list.
-    A chain stops at the first pole whose segment turned right of the
-    saddle, so its `pole_count` is the pole at which it was declared and
-    `extrema` is empty."""
+    run, where integration stopped; it is a prefix of the list over the
+    full window to x = -135.  A chain stops at the first pole whose segment
+    turned right of the saddle, so its `pole_count` is the pole at which it
+    was declared and `extrema` is empty."""
 
     pole_count: int
     lock: str                      # "oscillatory" | "pole_chain"
@@ -167,9 +153,9 @@ def _poly_and_deriv(c, s):
     return p, dp
 
 
-def pole_series_eval(x0: float, h: float, x: float, terms: int = 20) -> tuple[float, float]:
+def pole_series_eval(x0: float, h: float, x: float) -> tuple[float, float]:
     """(y, y') of the Laurent solution with data (x0, h), at x != x0."""
-    c, _, _ = _pole_series(x0, h, terms)
+    c, _, _ = _pole_series(x0, h, _SERIES_TERMS)
     s = x - x0
     p, dp = _poly_and_deriv(c, s)
     y = p / (s * s)
@@ -177,25 +163,21 @@ def pole_series_eval(x0: float, h: float, x: float, terms: int = 20) -> tuple[fl
     return y, v
 
 
-def laurent_match(x: float, y: float, v: float,
-                  cfg: PainleveConfig | None = None) -> PoleEvent:
+def laurent_match(x: float, y: float, v: float) -> PoleEvent:
     """Fit (x0, h) so the Laurent series matches the observed (y, v) at x.
 
     The initial guess comes from the leading order y = 6/s^2: x0 = x + 2y/v.
     Newton converges in a few steps this close to the pole; the relative
     residual of the converged fit is reported on the event.
     """
-    if cfg is None:
-        cfg = PainleveConfig()
-    if y < 0.5 * cfg.y_match:
+    if y < 0.5 * _Y_MATCH:
         raise MatchDiverged(f"matching requested at y={y:.3g}, below the match height")
     if v == 0.0:
         raise MatchDiverged("v = 0: turning point, not a pole approach")
-    terms = cfg.series_terms
     x0 = x + 2.0 * y / v
     h = 0.0
     for _ in range(60):
-        c, dxc, dhc = _pole_series(x0, h, terms)
+        c, dxc, dhc = _pole_series(x0, h, _SERIES_TERMS)
         s = x - x0
         p, dp = _poly_and_deriv(c, s)
         s2 = s * s
@@ -227,7 +209,7 @@ def laurent_match(x: float, y: float, v: float,
     else:
         raise MatchDiverged(f"Newton did not converge near x={x}")
     # truncation sanity: the last kept term must be negligible
-    tail = abs(c[terms] * s ** (terms - 2))
+    tail = abs(c[-1] * s ** (_SERIES_TERMS - 2))
     if tail > 1e-9 * abs(y):
         raise MatchDiverged(f"series truncation too coarse: tail={tail:.2e}")
     res = math.hypot(f1 / y, f2 / v if v != 0 else 0.0)
@@ -242,7 +224,7 @@ def _approaching_pole(y: float, v: float) -> bool:
     return v * v >= y ** 3 / 3.0
 
 
-def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
+def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
                        y0: float, dense: bool, watch=None):
     """Integrate from (0, y0) with slope a toward x_end, through poles.
 
@@ -255,9 +237,9 @@ def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
     per-step predicate that is ORed into the pole test; a segment it ends
     is yielded with None and is the last one.
     """
-    delta = math.sqrt(6.0 / cfg.y_restart)
+    delta = math.sqrt(6.0 / _Y_RESTART)
     x, state = 0.0, (float(y0), float(a))
-    threshold = cfg.y_match
+    threshold = _Y_MATCH
     last_x0 = math.inf
     while True:
         def hit(xx, yy, _t=threshold):
@@ -268,7 +250,7 @@ def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
             def stop(xx, yy, _t=threshold, _w=watch(x, state)):
                 return (yy[0] >= _t and yy[1] < 0.0) or _w(xx, yy)
 
-        traj = integrate(painleve_rhs, x, state, x_end, cfg.ode,
+        traj = integrate(painleve_rhs, x, state, x_end, ode,
                          dense=dense, stop_when=stop)
         if not traj.stopped or not hit(traj.x_end, traj.y_end):
             yield traj, None
@@ -282,20 +264,20 @@ def _pole_continuation(a: float, x_end: float, cfg: PainleveConfig,
             threshold *= 4.0
             x, state = traj.x_end, yv
             continue
-        ev = laurent_match(traj.x_end, yv[0], yv[1], cfg)
+        ev = laurent_match(traj.x_end, yv[0], yv[1])
         if ev.x0 >= last_x0:
             raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
         yield traj, ev
         last_x0 = ev.x0
-        threshold = cfg.y_match
+        threshold = _Y_MATCH
         x = ev.x0 - delta
         if x <= x_end:
             return
-        state = pole_series_eval(ev.x0, ev.h, x, cfg.series_terms)
+        state = pole_series_eval(ev.x0, ev.h, x)
 
 
 def integrate_with_poles(a: float, x_end: float,
-                         cfg: PainleveConfig | None = None, *,
+                         ode: IntegratorConfig = _ODE, *,
                          y0: float = 1.0,
                          dense: bool = True) -> tuple[list[Trajectory], list[PoleEvent]]:
     """Integrate from (0, y0) with slope a down to x_end < 0, through poles.
@@ -303,11 +285,9 @@ def integrate_with_poles(a: float, x_end: float,
     Returns the trajectory segments between poles and the fitted pole
     events, strictly ordered along the integration direction.
     """
-    if cfg is None:
-        cfg = PainleveConfig()
     if x_end >= 0:
         raise ValueError("x_end must be negative")
-    steps = list(_pole_continuation(a, x_end, cfg, y0, dense))
+    steps = list(_pole_continuation(a, x_end, ode, y0, dense))
     return [traj for traj, _ in steps], [ev for _, ev in steps if ev is not None]
 
 
@@ -386,15 +366,13 @@ class _LockWatch:
     completes the first lock run and leaves `onset` and `extrema` here.
     """
 
-    __slots__ = ("cfg", "onset", "extrema")
+    __slots__ = ("onset", "extrema")
 
-    def __init__(self, cfg: PainleveConfig):
-        self.cfg = cfg
+    def __init__(self):
         self.onset: float | None = None
         self.extrema: list = []
 
     def __call__(self, x: float, state):
-        track_from, needed = self.cfg.track_from, self.cfg.lock_extrema
         extrema: list = []
         x1 = y1 = x2 = y2 = None      # the two tracked samples before this one
         g2 = 0.0                      # r' at x2; 0 before the first sample
@@ -402,7 +380,7 @@ class _LockWatch:
 
         def refine(xx, yy) -> bool:
             extrema.append(_vertex(xx, [yi + math.sqrt(-xi) for xi, yi in zip(xx, yy)]))
-            onset = _lock_run(extrema, needed)
+            onset = _lock_run(extrema, _LOCK_EXTREMA)
             if onset is None:
                 return False
             self.onset, self.extrema = onset, extrema
@@ -410,7 +388,7 @@ class _LockWatch:
 
         def step(x, y, _sqrt=math.sqrt):
             nonlocal x1, y1, x2, y2, g2, pending
-            if x > track_from:
+            if x > _TRACK_FROM:
                 return False
             g = y[1] - 1.0 / (2.0 * _sqrt(-x))
             if pending:
@@ -454,15 +432,15 @@ def _past_saddle(traj: Trajectory) -> bool:
     return y > math.sqrt(X) and margin < _CHAIN_MARGIN
 
 
-def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
+def classify_fate(a: float, ode: IntegratorConfig = _ODE, *,
                   y0: float = 1.0) -> FateReport:
     """Fate of the solution with initial slope a: oscillatory lock or pole chain.
 
-    An oscillatory lock needs cfg.lock_extrema consecutive extrema that
+    An oscillatory lock needs 4 consecutive extrema, left of x = -2, that
     straddle -sqrt(-x) with shrinking deviation.  A chain is declared at
     the first pole whose segment turned right of the frozen-x saddle with
     energy margin below -0.05 (see _past_saddle).  A fate with neither by
-    cfg.x_min raises Undecided.
+    x = -135 raises Undecided.
 
     Integration stops at whichever is established first: the lock (found
     step by step, so `extrema` ends there) or the pole that declares the
@@ -471,42 +449,38 @@ def classify_fate(a: float, cfg: PainleveConfig | None = None, *,
     |a| = 30 the verdicts equal those of the 16-pole rule on every case
     tested.
     """
-    if cfg is None:
-        cfg = PainleveConfig()
     poles = 0
-    watch = _LockWatch(cfg)
-    for traj, ev in _pole_continuation(a, cfg.x_min, cfg, y0, dense=False, watch=watch):
+    watch = _LockWatch()
+    for traj, ev in _pole_continuation(a, _X_MIN, ode, y0, dense=False, watch=watch):
         if ev is not None:
             poles += 1
             if _past_saddle(traj):
                 return FateReport(poles, "pole_chain", None, ())
     if watch.onset is None:
-        raise Undecided(f"fate of a={a} undecided by x={cfg.x_min:.1f}")
+        raise Undecided(f"fate of a={a} undecided by x={_X_MIN:.1f}")
     return FateReport(poles, "oscillatory", watch.onset, tuple(watch.extrema))
 
 
-def painleve_eigenvalues(count: int, cfg: PainleveConfig | None = None, *,
+def painleve_eigenvalues(count: int, ode: IntegratorConfig = _ODE, *,
                          y0: float = 1.0) -> list[float]:
     """First `count` positive initial slopes at which the fate flips.
 
-    Scans upward from a = 0 in cfg.scan_step increments and bisects each
-    oscillatory/pole-chain flip down to cfg.bisect_tol.
+    Scans upward from a = 0 in steps of 0.05 and bisects each
+    oscillatory/pole-chain flip down to a width of 1e-7.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > 20:
         raise ValueError("count > 20 is beyond the intended scale")
-    if cfg is None:
-        cfg = PainleveConfig()
     cap = REPORTED_GROWTH_CONSTANT * (count + 1.5) ** GROWTH_EXPONENT + 2.0
 
     def lock_of(a: float) -> str:
-        return classify_fate(a, cfg, y0=y0).lock
+        return classify_fate(a, ode, y0=y0).lock
 
     eigs: list[float] = []
     a_prev = 0.0
     f_prev = lock_of(a_prev)
-    a = cfg.scan_step
+    a = _SCAN_STEP
     while len(eigs) < count:
         if a > cap:
             raise ScanExhausted(f"only {len(eigs)} fate flips below a={cap:.2f}")
@@ -514,7 +488,7 @@ def painleve_eigenvalues(count: int, cfg: PainleveConfig | None = None, *,
         if f != f_prev:
             lo, hi = a_prev, a
             flo = f_prev
-            while hi - lo > cfg.bisect_tol:
+            while hi - lo > _BISECT_TOL:
                 mid = 0.5 * (lo + hi)
                 if lock_of(mid) == flo:
                     lo = mid
@@ -522,7 +496,7 @@ def painleve_eigenvalues(count: int, cfg: PainleveConfig | None = None, *,
                     hi = mid
             eigs.append(0.5 * (lo + hi))
         a_prev, f_prev = a, f
-        a += cfg.scan_step
+        a += _SCAN_STEP
     return eigs
 
 
@@ -578,7 +552,7 @@ def fit_oscillation_envelope(traj: Trajectory, *,
     return EnvelopeFit(amp, abs(slope), len(ext))
 
 
-def approach_decay_slope(a: float, cfg: PainleveConfig | None = None, *,
+def approach_decay_slope(a: float, ode: IntegratorConfig = _ODE, *,
                          y0: float = 1.0,
                          window: tuple[float, float] = (-9.5, -2.5),
                          split: float = 1e-9,
@@ -595,11 +569,9 @@ def approach_decay_slope(a: float, cfg: PainleveConfig | None = None, *,
     directly would not work: the branch's own power corrections (-1/8)(-x)^-2
     swamp the exponential term beyond -x ~ 4.
     """
-    if cfg is None:
-        cfg = PainleveConfig()
     x_lo, x_hi = window
-    lo_segs, _ = integrate_with_poles(a - split, x_lo - 0.5, cfg, y0=y0)
-    hi_segs, _ = integrate_with_poles(a + split, x_lo - 0.5, cfg, y0=y0)
+    lo_segs, _ = integrate_with_poles(a - split, x_lo - 0.5, ode, y0=y0)
+    hi_segs, _ = integrate_with_poles(a + split, x_lo - 0.5, ode, y0=y0)
     t_lo, t_hi = lo_segs[0], hi_segs[0]
     if (t_lo.x_end > x_lo - 0.4) or (t_hi.x_end > x_lo - 0.4):
         raise InsufficientExtrema("bracketing trajectories left the window early")

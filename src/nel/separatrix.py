@@ -14,14 +14,13 @@ independent computations of a_n are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cosine import (AsymptoticTail, asymptotic_tail_eval, bundle_index,
                      rhs_unscaled, scaling_factor)
-from .ode import IntegratorConfig, Trajectory, find_extrema, integrate
+from .ode import Trajectory, find_extrema, integrate
 
 __all__ = [
-    "SeparatrixConfig",
     "SolutionClass",
     "EigenvalueRecord",
     "Undecidable",
@@ -48,16 +47,6 @@ class BracketFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SeparatrixConfig:
-    ode: IntegratorConfig = field(default_factory=IntegratorConfig)
-    tol: float = 1e-10        # bisection width on a
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:     # NaN fails too
-            raise ValueError("tol must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SolutionClass:
     n_maxima: int
     bundle_m: int
@@ -78,28 +67,31 @@ def _forward_span(a: float) -> float:
     return max(12.0, 2.5 * abs(a))
 
 
-def _forward_maxima(a: float, cfg: SeparatrixConfig | None):
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:     # NaN fails too
+        raise ValueError("tol must be positive and finite")
+
+
+def _forward_maxima(a: float):
     """Forward solution over the span and the abscissae of its maxima."""
-    if cfg is None:
-        cfg = SeparatrixConfig()
-    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), cfg.ode)
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
     return traj, [x for x, _, kind in find_extrema(traj) if kind == "max"]
 
 
-def maxima_count(a: float, cfg: SeparatrixConfig | None = None) -> tuple[int, float | None]:
+def maxima_count(a: float) -> tuple[int, float | None]:
     """Number of maxima of the forward solution and the location of the last."""
-    _, maxima = _forward_maxima(a, cfg)
+    _, maxima = _forward_maxima(a)
     return len(maxima), (maxima[-1] if maxima else None)
 
 
-def classify_initial_condition(a: float, cfg: SeparatrixConfig | None = None) -> SolutionClass:
+def classify_initial_condition(a: float) -> SolutionClass:
     """Class of the initial condition: maxima count plus landing bundle.
 
     The bundle index round(x*y - 1/2) is sampled over the last stretch of
     the forward span; if the samples disagree or come out odd the input is
     too close to a separatrix and Undecidable is raised.
     """
-    traj, maxima = _forward_maxima(a, cfg)
+    traj, maxima = _forward_maxima(a)
     x_max = traj.x_end
     probes = [0.90 * x_max, 0.93 * x_max, 0.96 * x_max, x_max]
     ms = {bundle_index(x, y) for x, y in zip(probes, traj.sample(probes).tolist())}
@@ -111,19 +103,18 @@ def classify_initial_condition(a: float, cfg: SeparatrixConfig | None = None) ->
     return SolutionClass(len(maxima), m, maxima[-1] if maxima else None)
 
 
-def find_eigenvalue_bisect(n: int, cfg: SeparatrixConfig | None = None) -> EigenvalueRecord:
-    """Intercept a_n located by bisection on the maxima count.
+def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
+    """Intercept a_n located by bisection on the maxima count, to width tol.
 
     The count jumps from n to n+1 across a_n; the bracket is seeded from
     the growth law 2^(5/6) sqrt(n) +- 1 and widened in 0.5 steps if needed.
     """
     if n < 1:
         raise ValueError("bisection requires n >= 1")
-    if cfg is None:
-        cfg = SeparatrixConfig()
+    _check_tol(tol)
 
     def above(a: float) -> bool:
-        return maxima_count(a, cfg)[0] >= n + 1
+        return maxima_count(a)[0] >= n + 1
 
     center = _A_LAW * math.sqrt(n)
     lo, hi = center - 1.0, center + 1.0
@@ -140,7 +131,7 @@ def find_eigenvalue_bisect(n: int, cfg: SeparatrixConfig | None = None) -> Eigen
         tries += 1
         if tries > 12:
             raise BracketFailure(f"no upper bracket for n={n}")
-    while hi - lo > cfg.tol:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if above(mid):
             hi = mid
@@ -154,8 +145,7 @@ def backward_start(n: int) -> float:
     return max(20.0, 3.0 * math.sqrt(max(abs(n), 1)))
 
 
-def trace_separatrix_backward(n: int, cfg: SeparatrixConfig | None = None, *,
-                              x_start: float | None = None,
+def trace_separatrix_backward(n: int, *, x_start: float | None = None,
                               dense: bool = True) -> tuple[EigenvalueRecord, Trajectory]:
     """Trace the n-th separatrix from its odd tail m = 2n-1 down to x = 0.
 
@@ -163,8 +153,6 @@ def trace_separatrix_backward(n: int, cfg: SeparatrixConfig | None = None, *,
     insensitive to the tail truncation and to x_start.  Works for n <= 0
     as well (tails m = -1, -3, ...), which yields the negative intercepts.
     """
-    if cfg is None:
-        cfg = SeparatrixConfig()
     m = 2 * n - 1
     if x_start is None:
         x_start = backward_start(n)
@@ -176,24 +164,24 @@ def trace_separatrix_backward(n: int, cfg: SeparatrixConfig | None = None, *,
     # attraction contracts the seed error to nothing).
     if abs(yp0 - rhs_unscaled(x_start, y0)) > 1e-4 * max(abs(yp0), 1e-3):
         raise Undecidable(f"tail m={m} inconsistent at x_start={x_start}")
-    traj = integrate(rhs_unscaled, x_start, y0, 0.0, cfg.ode, dense=dense)
+    traj = integrate(rhs_unscaled, x_start, y0, 0.0, dense=dense)
     return EigenvalueRecord(n, traj.y_end, "backward", None, m), traj
 
 
-def _scaled_trace(n: int, cfg: SeparatrixConfig | None):
+def _scaled_trace(n: int):
     if n < 1:
         raise ValueError("scaled separatrices are defined for n >= 1")
-    record, traj = trace_separatrix_backward(n, cfg)
+    record, traj = trace_separatrix_backward(n)
     return record, traj, scaling_factor(n)
 
 
-def scaled_separatrix_evaluator(n: int, cfg: SeparatrixConfig | None = None):
+def scaled_separatrix_evaluator(n: int):
     """(z(t) callable, t_max, record) for the n-th scaled separatrix.
 
     z(t) = y(s t)/s with s = sqrt(2n - 1/2); z(0) is the scaled intercept
     and the turning point sits near t = 1.
     """
-    record, traj, s = _scaled_trace(n, cfg)
+    record, traj, s = _scaled_trace(n)
 
     def z(t: float) -> float:
         return traj(s * t) / s
@@ -201,28 +189,26 @@ def scaled_separatrix_evaluator(n: int, cfg: SeparatrixConfig | None = None):
     return z, traj.x_start / s, record
 
 
-def scaled_separatrix(n: int, grid, cfg: SeparatrixConfig | None = None) -> list[float]:
+def scaled_separatrix(n: int, grid) -> list[float]:
     """Sample z(t) on the given t grid (each t in [0, t_max], else ValueError)."""
-    _, traj, s = _scaled_trace(n, cfg)
+    _, traj, s = _scaled_trace(n)
     return (traj.sample([s * t for t in grid]) / s).tolist()
 
 
-def eigenvalue_table(n_min: int, n_max: int,
-                     cfg: SeparatrixConfig | None = None) -> list[EigenvalueRecord]:
+def eigenvalue_table(n_min: int, n_max: int, tol: float = 1e-10) -> list[EigenvalueRecord]:
     """Records for n_min..n_max; a_n from the backward trace.
 
-    For n >= 1 the bisection value is also computed and the cross-method
-    discrepancy stored as the residual.
+    For n >= 1 the bisection value (to width tol) is also computed and the
+    cross-method discrepancy stored as the residual.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    if cfg is None:
-        cfg = SeparatrixConfig()
+    _check_tol(tol)
     out = []
     for n in range(n_min, n_max + 1):
-        rec, _ = trace_separatrix_backward(n, cfg, dense=False)
+        rec, _ = trace_separatrix_backward(n, dense=False)
         if n >= 1:
-            bis = find_eigenvalue_bisect(n, cfg)
+            bis = find_eigenvalue_bisect(n, tol)
             rec = EigenvalueRecord(n, rec.a_n, "backward",
                                    abs(bis.a_n - rec.a_n), rec.tail_m)
         out.append(rec)

@@ -56,10 +56,10 @@ def geometric_intercepts():
 @pytest.fixture(scope="session")
 def painleve_eigs12():
     """First twelve Painleve eigenvalues plus elapsed wall time."""
-    from nel.painleve import PainleveConfig, painleve_eigenvalues
+    from nel.painleve import painleve_eigenvalues
 
     t0 = time.perf_counter()
-    eigs = painleve_eigenvalues(12, PainleveConfig())
+    eigs = painleve_eigenvalues(12)
     return eigs, time.perf_counter() - t0
 
 

@@ -379,7 +379,7 @@ def test_criterion_13_gibbs_overshoot():
 def test_criterion_14_property_suites(scale):
     from nel.cosine import AsymptoticTail, asymptotic_tail_eval, rhs_unscaled
     from nel.ode import IntegratorConfig, integrate
-    from nel.painleve import PainleveConfig, laurent_match, painleve_rhs, pole_series_eval
+    from nel.painleve import _Y_MATCH, _Y_RESTART, laurent_match, painleve_rhs, pole_series_eval
     from nel.pseries import all_roots, ftau_partial_sum
 
     cfg = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale)
@@ -416,20 +416,18 @@ def test_criterion_14_property_suites(scale):
         for k in range(4))
 
     # pole-continuation round trip
-    pcfg = PainleveConfig(ode=IntegratorConfig(rel_tol=1e-10 * scale,
-                                               abs_tol=1e-12 * scale,
-                                               max_steps=2_000_000))
+    pode = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale,
+                            max_steps=2_000_000)
     x0, h = -7.3, 4.2
     s_far = 0.6
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far, pcfg.series_terms)
-    thr = pcfg.y_match
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, pcfg.ode,
-                   dense=False, stop_when=lambda x, y: y[0] >= thr and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], pcfg)
-    xr = ev.x0 - math.sqrt(6.0 / pcfg.y_restart)
-    st = pole_series_eval(ev.x0, ev.h, xr, pcfg.series_terms)
-    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, pcfg.ode, dense=False)
-    y_ref, _ = pole_series_eval(x0, h, x0 - s_far, pcfg.series_terms)
+    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
+    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, pode,
+                   dense=False, stop_when=lambda x, y: y[0] >= _Y_MATCH and y[1] < 0)
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
+    xr = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    st = pole_series_eval(ev.x0, ev.h, xr)
+    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, pode, dense=False)
+    y_ref, _ = pole_series_eval(x0, h, x0 - s_far)
     pole_ok = abs(tr2.y_end[0] - y_ref) < 1e-7
 
     ok = order_ok and rev_ok and vieta_ok and tail_ok and pole_ok

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -59,26 +60,6 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
         code, _, _ = run_cli(["pseries", "scan", "--n", "12",
                               "--tau", "0:0.2:0.01", "--out", str(out)], capsys)
         assert code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("argv", [
-    ["pseries", "scan", "--n", "12", "--tau", "0:0.2:0.01"],
-    ["figures", "fig1"],     # the trajectory fan, the pool's one user
-], ids=["pseries-scan", "fig1"])
-def test_worker_pool_does_not_change_output(argv, tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    old = os.environ.get("NEL_THREADS")
-    try:
-        os.environ["NEL_THREADS"] = "1"
-        assert run_cli([*argv, "--out", str(a)], capsys)[0] == 0
-        os.environ["NEL_THREADS"] = "2"
-        assert run_cli([*argv, "--out", str(b)], capsys)[0] == 0
-    finally:
-        if old is None:
-            os.environ.pop("NEL_THREADS", None)
-        else:
-            os.environ["NEL_THREADS"] = old
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -219,6 +200,62 @@ def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monke
     assert code == 2
     assert says in json.loads(err)["error"]["message"]
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["limiting-curve", "--grid", "1000002"], "--grid: '1000002' must be in 2..1000001"),
+    (["fourier", "--grid", "1000002"], "--grid: '1000002' must be in 1..1000001"),
+    (["pseries", "scan", "--tau", "0:1:1e-9"], "more than 1000001 points"),
+    (["pseries", "scan", "--tau", "0:1e300:1e-300"], "more than 1000001 points"),
+    (["figures", "fig8", "--step", "1e-9"], "--step: '1e-9' must be >= 1e-6"),
+])
+def test_oversized_grid_rejected_before_computing(argv, says, tmp_path, monkeypatch,
+                                                  capsys):
+    # each grid is capped at 1,000,001 points, refused before it is built
+    import nel.fourier
+    import nel.limitcurve
+    import nel.pseries
+
+    calls = []
+    for mod, name in ((nel.pseries, "tau_scan"), (nel.pseries, "ftau_partial_sum"),
+                      (nel.limitcurve, "solve_limit_ode"),
+                      (nel.fourier, "fourier_partial_sum")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert says in error["message"]
+    assert calls == []
+
+
+def test_grid_caps_admit_the_largest_grid():
+    from nel.cli import _build_parser, _parse_grid
+
+    parser = _build_parser()
+    assert parser.parse_args(["limiting-curve", "--grid", "1000001", "--out", "x"]).grid \
+        == 1000001
+    assert parser.parse_args(["fourier", "--grid", "1000001", "--out", "x"]).grid == 1000001
+    assert parser.parse_args(["figures", "fig8", "--step", "1e-6", "--out", "x"]).step == 1e-6
+    assert _parse_grid("0:1:1e-6") == (0.0, 1.0, 1e-6)
+
+
+def test_fig6_dataset(painleve_eigs12, tmp_path, capsys):
+    # fig6 scans for a_1..a_4 and traces each eigencurve to x = -12
+    eigs, _ = painleve_eigs12
+    out = tmp_path / "fig6.csv"
+    code, stdout, _ = run_cli(["figures", "fig6", "--out", str(out)], capsys)
+    assert code == 0
+    assert [e.hex() for e in json.loads(stdout)["eigenvalues"]] == \
+        [e.hex() for e in eigs[:4]]
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,a,segment,x,y"
+    segments = {}
+    for k, _, seg, _, y in (line.split(",") for line in lines[1:]):
+        segments.setdefault(int(k), set()).add(int(seg))
+        assert math.isfinite(float(y))
+    # a_1 and a_2 cross no pole, a_3 and a_4 one each
+    assert segments == {1: {0}, 2: {0}, 3: {0, 1}, 4: {0, 1}}
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

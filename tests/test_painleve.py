@@ -3,12 +3,12 @@ import math
 import pytest
 
 from nel.ode import IntegratorConfig
-from nel.painleve import (InsufficientExtrema, MatchDiverged,
-                          PainleveConfig, PoleEvent, Undecided, _lock_run,
-                          _segment_extrema, approach_decay_slope,
-                          classify_fate, estimate_C, fit_oscillation_envelope,
-                          integrate_with_poles, laurent_match, painleve_rhs,
-                          pole_series_eval)
+from nel.painleve import (_LOCK_EXTREMA, _ODE, _TRACK_FROM, _X_MIN, _Y_MATCH,
+                          _Y_RESTART, InsufficientExtrema, MatchDiverged,
+                          PoleEvent, Undecided, _lock_run, _segment_extrema,
+                          approach_decay_slope, classify_fate, estimate_C,
+                          fit_oscillation_envelope, integrate_with_poles,
+                          laurent_match, painleve_rhs, pole_series_eval)
 
 # Published eigenvalue list (initial slopes for y(0) = 1), 6-7 digits.
 PAINLEVE_EIGS = [0.231955, 3.980669, 6.257998, 8.075911, 9.654843, 11.078201,
@@ -54,10 +54,9 @@ def test_laurent_series_satisfies_equation():
 
 def test_laurent_match_recovers_synthetic_pole():
     x0, h = -7.3, 4.2
-    cfg = PainleveConfig()
-    s = -math.sqrt(6.0 / cfg.y_match) * 1.01
-    y, v = pole_series_eval(x0, h, x0 + s, cfg.series_terms)
-    ev = laurent_match(x0 + s, y, v, cfg)
+    s = -math.sqrt(6.0 / _Y_MATCH) * 1.01
+    y, v = pole_series_eval(x0, h, x0 + s)
+    ev = laurent_match(x0 + s, y, v)
     assert abs(ev.x0 - x0) < 1e-6
     assert abs(ev.h - h) < 1e-6
     # the leading-order guess x + 2y/v already lands close
@@ -68,21 +67,19 @@ def test_leading_order_guess_close_to_newton_at_great_height():
     # deep on the pole approach (y ~ 6e4) the one-term inversion
     # x0 = x + 2 y / v is already microns from the converged fit
     x0, h = -4.2, 2.7
-    cfg = PainleveConfig()
     s = -math.sqrt(6.0 / 6e4)
-    y, v = pole_series_eval(x0, h, x0 + s, cfg.series_terms)
+    y, v = pole_series_eval(x0, h, x0 + s)
     guess = (x0 + s) + 2.0 * y / v
-    ev = laurent_match(x0 + s, y, v, cfg)
+    ev = laurent_match(x0 + s, y, v)
     assert abs(guess - ev.x0) < 1e-6
     assert abs(ev.x0 - x0) < 1e-9
 
 
 def test_laurent_match_guards():
-    cfg = PainleveConfig()
     with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 10.0, -100.0, cfg)      # far below match height
+        laurent_match(-5.0, 10.0, -100.0)      # far below match height
     with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 500.0, 0.0, cfg)        # turning point
+        laurent_match(-5.0, 500.0, 0.0)        # turning point
     with pytest.raises(MatchDiverged):
         PoleEvent(-1.0, 0.0, 1e-3)                  # residual bound enforced
 
@@ -91,19 +88,17 @@ def test_pole_round_trip():
     # from series data on one side, cross the pole numerically and compare
     # with the series on the other side
     x0, h = -7.3, 4.2
-    cfg = PainleveConfig()
     from nel.ode import integrate
 
     s_far = 0.6
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far, cfg.series_terms)
-    thr = cfg.y_match
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, cfg.ode,
-                   dense=False, stop_when=lambda x, y: y[0] >= thr and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], cfg)
-    xr = ev.x0 - math.sqrt(6.0 / cfg.y_restart)
-    st = pole_series_eval(ev.x0, ev.h, xr, cfg.series_terms)
-    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, cfg.ode, dense=False)
-    y_ref, v_ref = pole_series_eval(x0, h, x0 - s_far, cfg.series_terms)
+    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
+    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, _ODE,
+                   dense=False, stop_when=lambda x, y: y[0] >= _Y_MATCH and y[1] < 0)
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
+    xr = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    st = pole_series_eval(ev.x0, ev.h, xr)
+    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, _ODE, dense=False)
+    y_ref, v_ref = pole_series_eval(x0, h, x0 - s_far)
     assert abs(tr2.y_end[0] - y_ref) < 1e-7
     assert abs(tr2.y_end[1] - v_ref) < 1e-6
 
@@ -111,21 +106,18 @@ def test_pole_round_trip():
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_pole_round_trip_tolerance_scaling(scale):
     x0, h = -5.1, 2.3
-    cfg = PainleveConfig(ode=IntegratorConfig(rel_tol=1e-10 * scale,
-                                              abs_tol=1e-12 * scale,
-                                              max_steps=2_000_000))
+    ode = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale, max_steps=2_000_000)
     from nel.ode import integrate
 
     s_far = 0.5
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far, cfg.series_terms)
-    thr = cfg.y_match
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, cfg.ode,
-                   dense=False, stop_when=lambda x, y: y[0] >= thr and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], cfg)
-    xr = ev.x0 - math.sqrt(6.0 / cfg.y_restart)
-    st = pole_series_eval(ev.x0, ev.h, xr, cfg.series_terms)
-    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, cfg.ode, dense=False)
-    y_ref, _ = pole_series_eval(x0, h, x0 - s_far, cfg.series_terms)
+    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
+    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, ode,
+                   dense=False, stop_when=lambda x, y: y[0] >= _Y_MATCH and y[1] < 0)
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
+    xr = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    st = pole_series_eval(ev.x0, ev.h, xr)
+    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, ode, dense=False)
+    y_ref, _ = pole_series_eval(x0, h, x0 - s_far)
     assert abs(tr2.y_end[0] - y_ref) < 1e-7
 
 
@@ -170,9 +162,8 @@ def test_fate_flips_at_first_eigenvalue():
 
 @pytest.mark.parametrize("a", [7.0, 10.0])
 def test_fate_and_integration_cross_the_same_poles(a):
-    cfg = PainleveConfig()
-    _, poles = integrate_with_poles(a, cfg.x_min, cfg, dense=False)
-    assert classify_fate(a, cfg).pole_count == len(poles)
+    _, poles = integrate_with_poles(a, _X_MIN, dense=False)
+    assert classify_fate(a).pole_count == len(poles)
 
 
 def _turned_past_saddle(seg):
@@ -188,12 +179,12 @@ def _turned_past_saddle(seg):
     return y > math.sqrt(big_x) and (v * v / 2 - y ** 3 / 3 + big_x * y - 2 * e / 3) / e < -0.05
 
 
-def _full_window_fate(a, cfg, y0):
-    """Fate by the full-window route: integrate every segment to cfg.x_min;
+def _full_window_fate(a, y0):
+    """Fate by the full-window route: integrate every segment to x = -135;
     a chain at the first pole whose segment meets the energy rule, else the
     lock of the last segment's extrema.  Returns (lock, poles, onset,
     extrema)."""
-    segs, poles = integrate_with_poles(a, cfg.x_min, cfg, y0=y0, dense=False)
+    segs, poles = integrate_with_poles(a, _X_MIN, y0=y0, dense=False)
     # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
     # a turnaround ends one below it
     ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
@@ -201,23 +192,23 @@ def _full_window_fate(a, cfg, y0):
     by_energy = [k for k, s in enumerate(ends, 1) if _turned_past_saddle(s)]
     if by_energy:
         return "pole_chain", by_energy[0], None, []
-    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
-    onset = _lock_run(extrema, cfg.lock_extrema)
+    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], _TRACK_FROM)
+    onset = _lock_run(extrema, _LOCK_EXTREMA)
     if onset is None:
         raise Undecided(a)
     return "oscillatory", len(poles), onset, extrema
 
 
-def _sixteen_pole_fate(a, cfg, y0):
+def _sixteen_pole_fate(a, y0):
     """Fate by the 16-pole route, the reference of the energy rule: a chain
     at the 16th pole or when poles persist into the last 10 units of a
     window to x = -60, else the lock of the last segment.  Returns (lock,
     poles, onset)."""
-    segs, poles = integrate_with_poles(a, -60.0, cfg, y0=y0, dense=False)
+    segs, poles = integrate_with_poles(a, -60.0, y0=y0, dense=False)
     if len(poles) >= 16:
         return "pole_chain", 16, None
-    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], cfg.track_from)
-    onset = _lock_run(extrema, cfg.lock_extrema)
+    extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], _TRACK_FROM)
+    onset = _lock_run(extrema, _LOCK_EXTREMA)
     if onset is not None:
         return "oscillatory", len(poles), onset
     if poles and poles[-1].x0 <= -50.0:
@@ -253,18 +244,17 @@ def test_fate_stopped_at_lock_equals_full_window(a, y0):
     # of the full window, its extrema a prefix; below |a| = 30 the 16-pole
     # route must reach the same verdict, and for a lock the same count and
     # onset
-    cfg = PainleveConfig()
-    lock, poles, onset, extrema = _full_window_fate(a, cfg, y0)
-    rep = classify_fate(a, cfg, y0=y0)
+    lock, poles, onset, extrema = _full_window_fate(a, y0)
+    rep = classify_fate(a, y0=y0)
     assert (rep.lock, rep.pole_count, rep.lock_onset) == (lock, poles, onset)
     assert list(rep.extrema) == extrema[:len(rep.extrema)]
     if lock == "oscillatory":
-        assert len(rep.extrema) >= cfg.lock_extrema
+        assert len(rep.extrema) >= _LOCK_EXTREMA
     if abs(a) >= 30.0:
         assert (lock, poles, onset and round(onset, 2)) == _BEYOND_16_POLES[a]
-        assert _sixteen_pole_fate(a, cfg, y0)[0] == "pole_chain"
+        assert _sixteen_pole_fate(a, y0)[0] == "pole_chain"
         return
-    old = _sixteen_pole_fate(a, cfg, y0)
+    old = _sixteen_pole_fate(a, y0)
     assert old[0] == lock
     if lock == "oscillatory":
         assert old[1:] == (poles, onset)
@@ -300,27 +290,13 @@ def test_eigenvalues_unchanged_without_the_energy_rule(painleve_eigs12, monkeypa
     assert [e.hex() for e in pl.painleve_eigenvalues(4)] == [e.hex() for e in eigs[:4]]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("scan_step", 0.0), ("scan_step", -0.05), ("scan_step", math.nan), ("scan_step", math.inf),
-    ("bisect_tol", 0.0), ("bisect_tol", -1e-7), ("bisect_tol", math.nan), ("bisect_tol", math.inf),
-    ("lock_extrema", 0),
-    ("x_min", 0.0), ("x_min", 5.0), ("x_min", math.nan), ("x_min", -math.inf),
-])
-def test_config_rejects_values_that_stall_or_misread_the_scan(field, value):
-    # a zero scan step never advances, a zero tolerance never ends the
-    # bisection: both are refused when the configuration is built
-    with pytest.raises(ValueError, match=field):
-        PainleveConfig(**{field: value})
-
-
 def test_pole_count_robust_to_tolerance():
     for a in (1.0, 7.0, 10.0):
         counts = set()
         for scale in (0.5, 2.0):
-            cfg = PainleveConfig(ode=IntegratorConfig(rel_tol=1e-10 * scale,
-                                                      abs_tol=1e-12 * scale,
-                                                      max_steps=2_000_000))
-            counts.add(classify_fate(a, cfg).pole_count)
+            ode = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale,
+                                   max_steps=2_000_000)
+            counts.add(classify_fate(a, ode).pole_count)
         assert len(counts) == 1
 
 
@@ -397,10 +373,9 @@ def test_growth_constant_appears_universal_in_y0():
     # soft check: the growth constant of the eigenvalue sequence comes out
     # the same for other starting values (reported, tolerance deliberately
     # loose; eight eigenvalues per starting value)
-    from nel.painleve import PainleveConfig, painleve_eigenvalues
+    from nel.painleve import painleve_eigenvalues
 
-    cfg = PainleveConfig()
     for y0 in (0.0, 2.0):
-        eigs = painleve_eigenvalues(8, cfg, y0=y0)
+        eigs = painleve_eigenvalues(8, y0=y0)
         c = estimate_C(eigs)
         assert c == pytest.approx(4.28373, rel=0.01), f"y0={y0}"

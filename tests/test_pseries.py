@@ -104,7 +104,7 @@ def test_tau_scan_rejects_reversed_grid():
 
 
 def test_tau_scan_ignores_worker_environment(monkeypatch):
-    # the worker count is the CLI's policy; the library call stays serial
+    # no environment variable changes the library call
     monkeypatch.setenv("NEL_THREADS", "abc")
     sr = tau_scan(0.0, 0.1, 0.05, 5)
     assert sr.taus == (0.0, 0.05, 0.1)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from nel.separatrix import (SeparatrixConfig,
-                            backward_start, classify_initial_condition,
+from nel.separatrix import (backward_start, classify_initial_condition,
                             eigenvalue_table, find_eigenvalue_bisect,
                             maxima_count, scaled_separatrix,
                             scaled_separatrix_evaluator,
@@ -87,11 +86,10 @@ def test_backward_trace_stable_under_seed_perturbation():
     from nel.cosine import AsymptoticTail, asymptotic_tail_eval, rhs_unscaled
     from nel.ode import integrate
 
-    cfg = SeparatrixConfig()
     xs = backward_start(2)
     y0, _ = asymptotic_tail_eval(AsymptoticTail(3), xs)
-    base = integrate(rhs_unscaled, xs, y0, 0.0, cfg.ode, dense=False).y_end
-    pert = integrate(rhs_unscaled, xs, y0 + 1e-8, 0.0, cfg.ode, dense=False).y_end
+    base = integrate(rhs_unscaled, xs, y0, 0.0, dense=False).y_end
+    pert = integrate(rhs_unscaled, xs, y0 + 1e-8, 0.0, dense=False).y_end
     assert abs(base - pert) < 1e-6
 
 
@@ -171,8 +169,16 @@ def test_oscillation_amplitude_halves_when_n_doubles():
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_config_rejects_tol_not_positive_and_finite(tol):
+def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
     # tol = 0 would never end the bisection; nan or inf would end it at once
-    # on the seed bracket's midpoint
-    with pytest.raises(ValueError):
-        SeparatrixConfig(tol=tol)
+    # on the seed bracket's midpoint; both readers of tol refuse it before
+    # any integration
+    import nel.separatrix
+
+    calls = []
+    monkeypatch.setattr(nel.separatrix, "integrate", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="tol"):
+        find_eigenvalue_bisect(1, tol)
+    with pytest.raises(ValueError, match="tol"):
+        eigenvalue_table(-1, 2, tol)
+    assert calls == []
