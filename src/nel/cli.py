@@ -27,6 +27,7 @@ from . import __version__
 __all__ = ["main", "UsageError", "RunManifest"]
 
 _MAX_GRID = 1_000_001     # points in any grid a command builds
+_MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
@@ -261,7 +262,7 @@ def _cmd_figures(args) -> int:
     elif name == "fig8":
         from .pseries import tau_scan
 
-        n = args.n if args.n is not None else 50
+        n = _degree(args.n) if args.n is not None else 50
         sr = tau_scan(0.0, 1.0, args.step, n)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         summary["n"] = n
@@ -371,8 +372,15 @@ def _cmd_painleve(args) -> int:
     return _finish(args, t0, [out], {"n_extrema": fit.n_extrema})
 
 
+def _degree(n: int) -> int:
+    if n > _MAX_DEGREE:
+        raise UsageError(f"--n {n} is above the partial-sum degree cap {_MAX_DEGREE}")
+    return n
+
+
 def _cmd_pseries(args) -> int:
     t0 = time.perf_counter()
+    _degree(args.n)
     out = Path(args.out) if args.out else None
     if out is None and args.task in ("scan", "roots"):
         raise UsageError(f"{args.task} requires --out")

@@ -1,6 +1,6 @@
 """Adaptive Dormand-Prince 5(4) integration with dense output.
 
-Explicit embedded Runge-Kutta pair for scalar and small-vector first-order
+Explicit embedded Runge-Kutta pair for scalar and (y, y') pair first-order
 systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Every
 accepted step stores the coefficients of the standard quartic interpolant,
@@ -11,9 +11,9 @@ and the package's other cheap root searches run one lockstep bisection,
 ``_bisect``.  An optional ``stop_when`` hook is checked after each accepted
 step, which is how callers handle blow-up (pole) detection.
 
-Scalar problems run on a specialised float-only loop; it is several times
-faster than the generic tuple path and the oscillatory model equation needs
-millions of steps at tight tolerances.
+Each kind of state runs on its own specialised float-only loop: the
+oscillatory model equation needs millions of scalar steps at tight
+tolerances, and every Painleve-I fate is a run of the pair loop.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
               stop_when: Callable | None = None) -> Trajectory:
     """Integrate y' = rhs(x, y) from x0 to x1 (either direction).
 
-    ``y0`` may be a float (scalar problem) or a sequence of floats.  The
+    ``y0`` is a float (scalar problem) or a pair (y, y'); a sequence of
+    any other length raises ValueError before ``rhs`` is called.  The
     local error per step is kept below abs_tol + rel_tol*|y| in a scaled
     RMS norm.  Deterministic for a fixed configuration.
 
@@ -207,7 +208,10 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
         raise ValueError("x1 must differ from x0")
     if isinstance(y0, (int, float)):
         return _integrate_scalar(rhs, x0, float(y0), x1, cfg, dense, stop_when)
-    return _integrate_vector(rhs, x0, tuple(float(v) for v in y0), x1, cfg, dense, stop_when)
+    y0 = tuple(float(v) for v in y0)
+    if len(y0) != 2:
+        raise ValueError(f"y0 must be a float or a pair, got {len(y0)} components")
+    return _integrate_pair(rhs, x0, y0, x1, cfg, dense, stop_when)
 
 
 def _initial_step_scalar(f, x0, y0, f0, direction, rtol, atol, span):
@@ -279,12 +283,10 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             if not (math.isfinite(y_new) and math.isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn.append(hs)
-                dn.append(y)
-                dn.append(k1)
-                dn.append(_P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7)
-                dn.append(_P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7)
-                dn.append(_P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7)
+                dn.fromlist([hs, y, k1,
+                             _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
+                             _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
+                             _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7])
             x, y, k1 = x_new, y_new, k7
             xs.append(x)
             ys.append(y)
@@ -311,16 +313,15 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     return traj
 
 
-def _initial_step_vector(f, x0, y0, f0, direction, rtol, atol, span):
-    n = len(y0)
-    sc = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc)) / n)
-    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc)) / n)
+def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
+    (y, v), (k, l) = y0, f0
+    scu, scw = atol + rtol * abs(y), atol + rtol * abs(v)
+    d0 = math.sqrt(((y / scu) ** 2 + (v / scw) ** 2) / 2)
+    d1 = math.sqrt(((k / scu) ** 2 + (l / scw) ** 2) / 2)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = tuple(v + h0 * direction * g for v, g in zip(y0, f0))
-    f1 = f(x0 + h0 * direction, y1)
-    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / n) / h0
+    k1, l1 = f(x0 + h0 * direction, (y + h0 * direction * k, v + h0 * direction * l))
+    d2 = math.sqrt((((k1 - k) / scu) ** 2 + ((l1 - l) / scw) ** 2) / 2) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -328,27 +329,26 @@ def _initial_step_vector(f, x0, y0, f0, direction, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
-def _integrate_vector(f, x0, y0, x1, cfg, dense, stop_when):
+def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
+    # _integrate_scalar on the pair (y, v); k_s and l_s are the stage slopes of y and v.
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
     span = abs(x1 - x0)
-    dim = len(y0)
-    rng = range(dim)
-    traj = Trajectory(dim, direction)
+    traj = Trajectory(2, direction)
     xs, ys = traj.xs, traj._ys
     dn = array("d") if dense else None
 
-    x, y = x0, y0
-    k1 = tuple(f(x, y))
-    if not all(map(math.isfinite, y)) or not all(map(math.isfinite, k1)):
+    x, (y, v) = x0, y0
+    k1, l1 = f(x, y0)
+    if not (math.isfinite(y) and math.isfinite(v) and math.isfinite(k1) and math.isfinite(l1)):
         raise NonFiniteState(f"non-finite initial data at x={x}")
     xs.append(x)
-    ys.extend(y)
+    ys.extend(y0)
 
     if cfg.initial_step > 0:
         h = min(cfg.initial_step, cfg.max_step, span)
     else:
-        h = min(_initial_step_vector(f, x0, y0, k1, direction, rtol, atol, span),
+        h = min(_initial_step_pair(f, x0, y0, (k1, l1), direction, rtol, atol, span),
                 cfg.max_step)
     err_prev = 1.0
     fac_max = _FAC_MAX
@@ -366,51 +366,43 @@ def _integrate_vector(f, x0, y0, x1, cfg, dense, stop_when):
             h = abs(x1 - x)
         hs = h * direction
 
-        k2 = f(x + _C2 * hs, tuple(y[i] + hs * (_A21 * k1[i]) for i in rng))
-        k3 = f(x + _C3 * hs, tuple(y[i] + hs * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-        k4 = f(x + _C4 * hs, tuple(y[i] + hs * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                                   for i in rng))
-        k5 = f(x + _C5 * hs, tuple(y[i] + hs * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                                                + _A54 * k4[i]) for i in rng))
-        k6 = f(x + hs, tuple(y[i] + hs * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                          + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
-        y_new = tuple(y[i] + hs * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                                   + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
+        k2, l2 = f(x + _C2 * hs, (y + hs * (_A21 * k1), v + hs * (_A21 * l1)))
+        k3, l3 = f(x + _C3 * hs, (y + hs * (_A31 * k1 + _A32 * k2),
+                                  v + hs * (_A31 * l1 + _A32 * l2)))
+        k4, l4 = f(x + _C4 * hs, (y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3),
+                                  v + hs * (_A41 * l1 + _A42 * l2 + _A43 * l3)))
+        k5, l5 = f(x + _C5 * hs, (y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                                  v + hs * (_A51 * l1 + _A52 * l2 + _A53 * l3 + _A54 * l4)))
+        k6, l6 = f(x + hs, (y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+                            v + hs * (_A61 * l1 + _A62 * l2 + _A63 * l3 + _A64 * l4 + _A65 * l5)))
+        y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        v_new = v + hs * (_B1 * l1 + _B3 * l3 + _B4 * l4 + _B5 * l5 + _B6 * l6)
         x_new = x1 if last else x + hs
-        k7 = f(x_new, y_new)
+        k7, l7 = f(x_new, (y_new, v_new))
 
-        err = 0.0
-        for i in rng:
-            e = hs * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                      + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / dim)
+        eu = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        ew = hs * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6 + _E7 * l7)
+        scu = atol + rtol * max(abs(y), abs(y_new))
+        scw = atol + rtol * max(abs(v), abs(v_new))
+        err = math.sqrt(((eu / scu) ** 2 + (ew / scw) ** 2) / 2)
 
         if err <= 1.0:
-            ok = True
-            for v in y_new:
-                if not math.isfinite(v):
-                    ok = False
-            for v in k7:
-                if not math.isfinite(v):
-                    ok = False
-            if not ok:
+            if not (math.isfinite(y_new) and math.isfinite(v_new)
+                    and math.isfinite(k7) and math.isfinite(l7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn.append(hs)
-                dn.extend(y)
-                dn.extend(k1)
-                for pa, pb, pc, pd, pe, pf in ((_P12, _P32, _P42, _P52, _P62, _P72),
-                                               (_P13, _P33, _P43, _P53, _P63, _P73),
-                                               (_P14, _P34, _P44, _P54, _P64, _P74)):
-                    dn.extend(pa * k1[i] + pb * k3[i] + pc * k4[i]
-                              + pd * k5[i] + pe * k6[i] + pf * k7[i] for i in rng)
-            x, y, k1 = x_new, y_new, tuple(k7)
+                dn.fromlist([hs, y, v, k1, l1,
+                             _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
+                             _P12 * l1 + _P32 * l3 + _P42 * l4 + _P52 * l5 + _P62 * l6 + _P72 * l7,
+                             _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
+                             _P13 * l1 + _P33 * l3 + _P43 * l4 + _P53 * l5 + _P63 * l6 + _P73 * l7,
+                             _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7,
+                             _P14 * l1 + _P34 * l3 + _P44 * l4 + _P54 * l5 + _P64 * l6 + _P74 * l7])
+            x, y, v, k1, l1 = x_new, y_new, v_new, k7, l7
             xs.append(x)
-            ys.extend(y)
+            ys.fromlist([y, v])
             traj.step_count += 1
-            if stop_when is not None and stop_when(x, y):
+            if stop_when is not None and stop_when(x, (y, v)):
                 traj.stopped = True
                 break
             if last:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,6 +160,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--stages", "0"],
     ["fourier", "--grid", "0"],
     ["fourier", "--grid", "-3"],
+    ["pseries", "scan", "--n", "501"],
+    ["pseries", "rho", "--n", "501"],
+    ["pseries", "roots", "--n", "10000"],
+    ["figures", "fig8", "--n", "501"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
@@ -187,6 +192,9 @@ def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys
     (["rho", "--n", "0"], "--n: '0' must be >= 1"),
     (["rho", "--tau-value", "nan"], "--tau-value: 'nan' must be finite"),
     (["roots", "--tau-value", "inf"], "--tau-value: 'inf' must be finite"),
+    (["scan", "--n", "501"], "above the partial-sum degree cap 500"),
+    (["rho", "--n", "2000"], "above the partial-sum degree cap 500"),
+    (["roots", "--n", "501"], "above the partial-sum degree cap 500"),
 ])
 def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monkeypatch,
                                                      capsys):
@@ -238,6 +246,31 @@ def test_grid_caps_admit_the_largest_grid():
     assert parser.parse_args(["fourier", "--grid", "1000001", "--out", "x"]).grid == 1000001
     assert parser.parse_args(["figures", "fig8", "--step", "1e-6", "--out", "x"]).step == 1e-6
     assert _parse_grid("0:1:1e-6") == (0.0, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("argv, stub", [
+    (["pseries", "rho", "--n", "500"], "rho_n"),
+    (["figures", "fig8", "--n", "500"], "tau_scan"),
+    (["figures", "fig4", "--n", "10000"], "scaled_separatrix"),
+])
+def test_degree_cap_admits_degree_500_and_spares_fig4(argv, stub, tmp_path, monkeypatch,
+                                                      capsys):
+    # the cap is on the partial-sum degree; fig4's --n is a curve index
+    import nel.pseries
+    import nel.separatrix
+
+    seen = []
+    scan = SimpleNamespace(taus=[0.0], rhos=[1.0], maxima=[], reflection_gap=0.0,
+                           half_shift_gap=0.0)
+    fakes = {"rho_n": (nel.pseries, lambda tau, n: seen.append(n) or 1.0),
+             "tau_scan": (nel.pseries, lambda lo, hi, step, n: seen.append(n) or scan),
+             "scaled_separatrix": (nel.separatrix,
+                                   lambda n, ts: seen.append(n) or [0.0] * len(ts))}
+    mod, fake = fakes[stub]
+    monkeypatch.setattr(mod, stub, fake)
+    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert code == 0
+    assert seen == [int(argv[-1])]
 
 
 def test_fig6_dataset(painleve_eigs12, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nel.cosine import rhs_unscaled
-from nel.ode import (IntegratorConfig, NonFiniteState, StepLimitExceeded,
-                     find_extrema, integrate)
+from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61,
+                     _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3,
+                     _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1, _FAC_MAX, _FAC_MIN,
+                     _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
+                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, IntegratorConfig,
+                     NonFiniteState, StepLimitExceeded, Trajectory, find_extrema,
+                     integrate)
+from nel.painleve import painleve_rhs
 from nel.separatrix import _forward_span
 
 
@@ -327,3 +334,189 @@ def test_slope_rejects_bad_reads(x0, y0, x1, dense, xs):
     traj = integrate(rhs, x0, y0, x1, dense=dense)
     with pytest.raises(ValueError):
         traj.slope(xs)
+
+
+# -- the pair stepper against the generic tuple loop it replaced --------------
+
+def _tuple_initial_step(f, x0, y0, f0, direction, rtol, atol, span):
+    n = len(y0)
+    sc = [atol + rtol * abs(v) for v in y0]
+    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc)) / n)
+    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc)) / n)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    y1 = tuple(v + h0 * direction * g for v, g in zip(y0, f0))
+    f1 = f(x0 + h0 * direction, y1)
+    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / n) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
+def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
+    """The Dormand-Prince loop over the components of a tuple state, for any
+    dimension; the pair stepper must reproduce it bit for bit."""
+    cfg = cfg or IntegratorConfig()
+    y0 = tuple(float(v) for v in y0)
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    direction = 1 if x1 > x0 else -1
+    span = abs(x1 - x0)
+    dim = len(y0)
+    rng = range(dim)
+    traj = Trajectory(dim, direction)
+    xs, ys = traj.xs, traj._ys
+    dn = array("d") if dense else None
+
+    x, y = x0, y0
+    k1 = tuple(f(x, y))
+    if not all(map(math.isfinite, y)) or not all(map(math.isfinite, k1)):
+        raise NonFiniteState(f"non-finite initial data at x={x}")
+    xs.append(x)
+    ys.extend(y)
+
+    if cfg.initial_step > 0:
+        h = min(cfg.initial_step, cfg.max_step, span)
+    else:
+        h = min(_tuple_initial_step(f, x0, y0, k1, direction, rtol, atol, span),
+                cfg.max_step)
+    err_prev = 1.0
+    fac_max = _FAC_MAX
+    attempts = 0
+    max_steps = cfg.max_steps
+
+    while True:
+        attempts += 1
+        if attempts > max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
+        if h > cfg.max_step:
+            h = cfg.max_step
+        last = (abs(x1 - x) <= h)
+        if last:
+            h = abs(x1 - x)
+        hs = h * direction
+
+        k2 = f(x + _C2 * hs, tuple(y[i] + hs * (_A21 * k1[i]) for i in rng))
+        k3 = f(x + _C3 * hs, tuple(y[i] + hs * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
+        k4 = f(x + _C4 * hs, tuple(y[i] + hs * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
+                                   for i in rng))
+        k5 = f(x + _C5 * hs, tuple(y[i] + hs * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
+                                                + _A54 * k4[i]) for i in rng))
+        k6 = f(x + hs, tuple(y[i] + hs * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
+                                          + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
+        y_new = tuple(y[i] + hs * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
+                                   + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
+        x_new = x1 if last else x + hs
+        k7 = f(x_new, y_new)
+
+        err = 0.0
+        for i in rng:
+            e = hs * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
+                      + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
+            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
+            err += (e / sc) ** 2
+        err = math.sqrt(err / dim)
+
+        if err <= 1.0:
+            if not all(map(math.isfinite, y_new)) or not all(map(math.isfinite, k7)):
+                raise NonFiniteState(f"non-finite state at x={x_new}")
+            if dense:
+                dn.append(hs)
+                dn.extend(y)
+                dn.extend(k1)
+                for pa, pb, pc, pd, pe, pf in ((_P12, _P32, _P42, _P52, _P62, _P72),
+                                               (_P13, _P33, _P43, _P53, _P63, _P73),
+                                               (_P14, _P34, _P44, _P54, _P64, _P74)):
+                    dn.extend(pa * k1[i] + pb * k3[i] + pc * k4[i]
+                              + pd * k5[i] + pe * k6[i] + pf * k7[i] for i in rng)
+            x, y, k1 = x_new, y_new, tuple(k7)
+            xs.append(x)
+            ys.extend(y)
+            traj.step_count += 1
+            if stop_when is not None and stop_when(x, y):
+                traj.stopped = True
+                break
+            if last:
+                break
+            if err == 0.0:
+                fac = fac_max
+            else:
+                fac = _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
+                fac = min(fac_max, max(_FAC_MIN, fac))
+            h *= fac
+            err_prev = max(err, 1e-4)
+            fac_max = _FAC_MAX
+        else:
+            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac_max = 1.0
+
+    traj._dense = dn
+    return traj
+
+
+def _oscillator(x, y):
+    return (y[1], -y[0])
+
+
+def _counted(f):
+    calls = []
+
+    def rhs(x, y):
+        calls.append(x)
+        return f(x, y)
+    return rhs, calls
+
+
+_PAIR_RUNS = {
+    "oscillator-forward": (_oscillator, 0.0, (1.0, 0.0), 20.0, None, True, None),
+    "oscillator-backward": (_oscillator, 3.0, (0.3, -1.2), -17.0, None, True, None),
+    "painleve-to-pole": (painleve_rhs, 0.0, (1.0, 5.0), -30.0, None, True,
+                         lambda x, y: abs(y[0]) > 1e3),
+    "no-dense": (_oscillator, 0.0, (1.0, 0.0), 20.0, None, False, None),
+    "tight-rejecting": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
+                        IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15), True,
+                        lambda x, y: abs(y[0]) > 1e6),
+}
+
+
+@pytest.mark.parametrize("run", list(_PAIR_RUNS))
+def test_pair_stepper_equals_tuple_reference_bitwise(run):
+    f, x0, y0, x1, cfg, dense, stop_when = _PAIR_RUNS[run]
+    rhs, calls = _counted(f)
+    got = integrate(rhs, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
+    ref = _tuple_reference(f, x0, y0, x1, cfg, dense, stop_when)
+    assert bytes(got.xs) == bytes(ref.xs)
+    assert bytes(got._ys) == bytes(ref._ys)
+    if dense:
+        assert bytes(got._dense) == bytes(ref._dense)
+    else:
+        assert got._dense is None and ref._dense is None
+    assert (got.dim, got.direction) == (ref.dim, ref.direction)
+    assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
+    assert got.stopped == (stop_when is not None)
+    # every run also rejects steps (k1, one initial-step probe, then six
+    # evaluations per attempt), so the reject branch is compared too
+    assert (len(calls) - 2) // 6 > got.step_count
+
+
+@pytest.mark.parametrize("error, f, y0, cfg", [
+    (NonFiniteState, _oscillator, (math.nan, 0.0), None),
+    # a step of 2 overflows y while every derivative and the error stay finite
+    (NonFiniteState, lambda x, y: (1e308, 0.0), (1.0, 1.0), IntegratorConfig(initial_step=2.0)),
+    (StepLimitExceeded, _oscillator, (1.0, 0.0), IntegratorConfig(max_steps=10)),
+], ids=["initial", "overflow", "budget"])
+def test_pair_stepper_raises_as_tuple_reference(error, f, y0, cfg):
+    with pytest.raises(error) as got:
+        integrate(f, 0.0, y0, 50.0, cfg)
+    with pytest.raises(error) as ref:
+        _tuple_reference(f, 0.0, y0, 50.0, cfg)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("y0", [(), (1.0,), (1.0, 2.0, 3.0)])
+def test_state_neither_scalar_nor_pair_rejected(y0):
+    rhs, calls = _counted(lambda x, y: y)
+    with pytest.raises(ValueError, match="float or a pair"):
+        integrate(rhs, 0.0, y0, 1.0)
+    assert calls == []
