@@ -103,11 +103,14 @@ def _finish(args, t0: float, outputs: list[Path], summary: dict) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'1:6' -> [1..6]; '3' -> [3]; '1,4,9' -> [1, 4, 9]."""
+    """'1:6' -> [1..6]; '3' -> [3]; '1,4,9' -> [1, 4, 9]; '6:1' is a UsageError."""
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
+            ns = list(range(int(lo), int(hi) + 1))
+            if not ns:
+                raise UsageError(f"empty index range {text!r}")
+            return ns
         if "," in text:
             return [int(v) for v in text.split(",")]
         return [int(text)]

@@ -210,6 +210,23 @@ def bundle_index(x: float, y: float) -> int:
     return round(x * y - 0.5)
 
 
+# Not in __all__: it runs once per accepted step, and perfbench/tracer.py
+# opens a span for every exported function.
+def trapped_in_even_bundle(x: float, y: float) -> bool:
+    """True inside the strip m = floor(x*y - 1/2) >= 0 even,
+    0 < w = x*y - (m + 1/2) < 1/2, x^2 > m + 1, which no forward solution
+    leaves and in which no maximum can follow.  Proof:
+    - for even m the equation gives w' = y - x sin(pi w), y' = -sin(pi w);
+    - at w = 0, w' = (m + 1/2)/x > 0; at w = 1/2, w' = (m + 1)/x - x < 0
+      once x^2 > m + 1, which stays true as x grows;
+    - so the strip is forward-invariant, and y' < 0 inside it.
+    """
+    u = x * y - 0.5
+    m = math.floor(u)
+    w = u - m
+    return m >= 0 and m % 2 == 0 and 0.0 < w < 0.5 and x * x > m + 1
+
+
 # -- hyperasymptotic splitting -------------------------------------------
 
 def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float], *,

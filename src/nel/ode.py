@@ -214,12 +214,20 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     return _integrate_pair(rhs, x0, y0, x1, cfg, dense, stop_when)
 
 
+def _checked_step(h: float, x0: float) -> float:
+    """h when positive and finite; a scaled slope that overflows drives the
+    automatic first step to 0, which would divide by zero or never advance."""
+    if not 0 < h < math.inf:
+        raise NonFiniteState(f"no positive finite initial step at x={x0}")
+    return h
+
+
 def _initial_step_scalar(f, x0, y0, f0, direction, rtol, atol, span):
     sc = atol + rtol * abs(y0)
     d0 = abs(y0) / sc
     d1 = abs(f0) / sc
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    h0 = _checked_step(min(h0, span), x0)
     y1 = y0 + h0 * direction * f0
     f1 = f(x0 + h0 * direction, y1)
     d2 = abs(f1 - f0) / sc / h0
@@ -227,7 +235,7 @@ def _initial_step_scalar(f, x0, y0, f0, direction, rtol, atol, span):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    return _checked_step(min(100 * h0, h1, span), x0)
 
 
 def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
@@ -319,14 +327,14 @@ def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
     d0 = math.sqrt(((y / scu) ** 2 + (v / scw) ** 2) / 2)
     d1 = math.sqrt(((k / scu) ** 2 + (l / scw) ** 2) / 2)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    h0 = _checked_step(min(h0, span), x0)
     k1, l1 = f(x0 + h0 * direction, (y + h0 * direction * k, v + h0 * direction * l))
     d2 = math.sqrt((((k1 - k) / scu) ** 2 + ((l1 - l) / scw) ** 2) / 2) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    return _checked_step(min(100 * h0, h1, span), x0)
 
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cosine import (AsymptoticTail, asymptotic_tail_eval, bundle_index,
-                     rhs_unscaled, scaling_factor)
+                     rhs_unscaled, scaling_factor, trapped_in_even_bundle)
 from .ode import Trajectory, find_extrema, integrate
 
 __all__ = [
@@ -72,15 +72,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def _forward_maxima(a: float):
+def _forward_maxima(a: float, stop_when=None):
     """Forward solution over the span and the abscissae of its maxima."""
-    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), stop_when=stop_when)
     return traj, [x for x, _, kind in find_extrema(traj) if kind == "max"]
 
 
 def maxima_count(a: float) -> tuple[int, float | None]:
-    """Number of maxima of the forward solution and the location of the last."""
-    _, maxima = _forward_maxima(a)
+    """Number of maxima of the forward solution and the location of the last.
+
+    Integration stops once m = floor(x*y - 1/2) >= 0 is even,
+    0 < w = x*y - (m + 1/2) < 1/2 and x^2 > m + 1.  For even m,
+    w' = y - x sin(pi w) and y' = -sin(pi w); w' > 0 at w = 0, and w' < 0 at
+    w = 1/2 once x^2 > m + 1; so the strip is forward-invariant, y' < 0 in
+    it, and no maximum follows.  The steps before the stop are those of the
+    full span, so both results are the same to the bit.
+    """
+    _, maxima = _forward_maxima(a, trapped_in_even_bundle)
     return len(maxima), (maxima[-1] if maxima else None)
 
 

@@ -164,11 +164,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["pseries", "rho", "--n", "501"],
     ["pseries", "roots", "--n", "10000"],
     ["figures", "fig8", "--n", "501"],
+    ["eigen", "--n", "6:1", "--method", "backward"],
+    ["eigen", "--n", "6:1", "--method", "both"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UsageError"
+    assert not (tmp_path / "x.out").exists()
 
 
 @pytest.mark.parametrize("task", ["scan", "roots"])

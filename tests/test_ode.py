@@ -275,7 +275,8 @@ def test_find_extrema_equals_scalar_loop_bitwise(y0, span, backward):
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 1.7, 2.4, 3.0, 4.1])
 def test_find_extrema_equals_scalar_loop_on_maxima_count_spans(a):
-    # the forward span that maxima_count reads, on both sides of a_1..a_4
+    # the full forward span that classify_initial_condition reads, on both
+    # sides of a_1..a_4
     traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
     got = find_extrema(traj)
     assert got
@@ -520,3 +521,17 @@ def test_state_neither_scalar_nor_pair_rejected(y0):
     with pytest.raises(ValueError, match="float or a pair"):
         integrate(rhs, 0.0, y0, 1.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("f, y0", [
+    (lambda x, y: 1e308, 1.0),
+    (lambda x, y: 1e308, 0.0),
+    (lambda x, y: (1e308, 0.0), (1.0, 1.0)),
+    (lambda x, y: (1e308, 0.0), (0.0, 0.0)),
+], ids=["scalar", "scalar-zero", "pair", "pair-zero"])
+def test_overflowing_initial_slope_raises_non_finite(f, y0):
+    # |f0| / (atol + rtol |y0|) overflows and drives the automatic first step
+    # to 0: from y0 != 0 that divided by zero, from y0 = 0 it attempted h = 0
+    # steps until the budget ran out
+    with pytest.raises(NonFiniteState, match="initial step at x=0.0"):
+        integrate(f, 0.0, y0, 1.0)

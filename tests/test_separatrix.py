@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nel.separatrix import (backward_start, classify_initial_condition,
-                            eigenvalue_table, find_eigenvalue_bisect,
-                            maxima_count, scaled_separatrix,
-                            scaled_separatrix_evaluator,
+from nel.cosine import rhs_unscaled, trapped_in_even_bundle
+from nel.ode import find_extrema, integrate
+from nel.separatrix import (_forward_span, backward_start,
+                            classify_initial_condition, eigenvalue_table,
+                            find_eigenvalue_bisect, maxima_count,
+                            scaled_separatrix, scaled_separatrix_evaluator,
                             trace_separatrix_backward)
 
 # Reference intercepts, 7 significant digits (independently tabulated; the
@@ -182,3 +186,86 @@ def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
     with pytest.raises(ValueError, match="tol"):
         eigenvalue_table(-1, 2, tol)
     assert calls == []
+
+
+# -- the even-bundle trap that ends each maxima count ------------------------
+
+def _full_span_count(a):
+    """Reference: the whole forward span, then find_extrema (no stop)."""
+    traj = integrate(rhs_unscaled, 0.0, a, max(12.0, 2.5 * abs(a)))
+    maxima = [x for x, _, kind in find_extrema(traj) if kind == "max"]
+    return len(maxima), (maxima[-1] if maxima else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-6.0, max_value=12.0))
+def test_stopped_count_equals_full_span_count(a):
+    assert maxima_count(a) == _full_span_count(a)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("k", range(2, 12))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stopped_count_equals_full_span_count_near_intercepts(n, k, side, cross_method_10):
+    # a_n from the backward trace, the route independent of the count
+    a = cross_method_10[n][1] + side * 10.0 ** -k
+    assert maxima_count(a) == _full_span_count(a)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 5.0])
+def test_maxima_count_stops_before_the_span(a, monkeypatch):
+    import nel.separatrix
+
+    trajs = []
+
+    def recorded(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(nel.separatrix, "integrate", recorded)
+    maxima_count(a)
+    (traj,) = trajs
+    assert traj.stopped
+    assert traj.x_end < _forward_span(a)
+
+
+@pytest.mark.parametrize("x, y, trapped", [
+    (2.0, 0.375, True),     # m = 0, w = 1/4
+    (2.0, 0.25, False),     # w = 0: a maximum may sit on this node
+    (2.0, 0.5, False),      # w = 1/2
+    (1.0, 0.75, False),     # x^2 = m + 1
+    (2.0, 0.875, False),    # m = 1, odd
+    (2.0, -0.125, False),   # m = -1
+    (4.0, 0.6875, True),    # m = 2, w = 1/4, x^2 = 16 > 3
+])
+def test_trap_predicate_boundaries(x, y, trapped):
+    assert trapped_in_even_bundle(x, y) is trapped
+
+
+def _rk4_trajectory(x, y, x_end, h):
+    def f(x, y):
+        return math.cos(math.pi * x * y)
+
+    out = [(x, y)]
+    while x < x_end:
+        k1 = f(x, y)
+        k2 = f(x + h / 2, y + h / 2 * k1)
+        k3 = f(x + h / 2, y + h / 2 * k2)
+        k4 = f(x + h, y + h * k3)
+        x, y = x + h, y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 2, 10, 20])
+@pytest.mark.parametrize("w", [0.02, 0.15, 0.25, 0.35, 0.48])
+def test_trap_holds_under_an_independent_rk4(m, w):
+    # Outside the code under test: a fixed-step RK4 from inside the strip,
+    # just past x^2 = m + 1, to 3 sqrt(m + 1); w must stay in (0, 1/2) and
+    # y' = cos(pi x y) must stay negative at every step.
+    x0 = math.sqrt(m + 1) * 1.001
+    y0 = (m + 0.5 + w) / x0
+    assert trapped_in_even_bundle(x0, y0)
+    for x, y in _rk4_trajectory(x0, y0, 3 * math.sqrt(m + 1), 1e-3):
+        assert 0 < x * y - (m + 0.5) < 0.5
+        assert math.cos(math.pi * x * y) < 0
