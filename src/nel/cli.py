@@ -4,10 +4,10 @@ and table, plus direct access to the solvers.
 All numeric payloads are serialized with 17 significant digits so a reparse
 reproduces bit-identical values, and identical invocations produce
 byte-identical files.  Grids are capped at 1,000,001 points.  The Painleve
-commands use the fixed fate window x >= -135, scan step 0.05 and bisection
-width 1e-7.  Every output file X gets a
-sidecar X.manifest.json recording the subcommand, parameters, tool version
-and wall time that produced it.
+commands use the fixed fate window x >= -135; the eigenvalue scan steps by
+0.3 of the growth law's spacing and closes each flip to width 1e-7.  Every
+output file X gets a sidecar X.manifest.json recording the subcommand,
+parameters, tool version and wall time that produced it.
 """
 
 from __future__ import annotations
@@ -165,9 +165,7 @@ def _cmd_eigen(args) -> int:
     ns = _parse_range(args.n)
     records = []
     if args.method == "both":
-        for rec in eigenvalue_table(min(ns), max(ns), args.tol):
-            if rec.n in ns:
-                records.append(rec)
+        records = eigenvalue_table(ns, args.tol)
     else:
         for n in ns:
             if args.method == "bisect":
@@ -533,7 +531,9 @@ def _build_parser() -> _Parser:
     q.add_argument("task", choices=("eigen", "fate", "envelope"))
     q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"), default=12)
     q.add_argument("--a", type=_FINITE, default=0.0)
-    q.add_argument("--y0", type=_FINITE, default=1.0)
+    q.add_argument("--y0", type=_FINITE, default=1.0,
+                   help="y(0); the eigen scan cap follows the y0 = 1 law and was "
+                        "checked for y0 in -3..5")
     q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
                    default=-80.0, dest="x_min")
     q.add_argument("--out", required=True)

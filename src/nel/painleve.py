@@ -77,8 +77,18 @@ _SERIES_TERMS = 24
 _X_MIN = -135.0          # fate window
 _LOCK_EXTREMA = 4        # straddling extrema needed for a lock
 _TRACK_FROM = -2.0       # extrema counted left of this point
-_SCAN_STEP = 0.05        # eigenvalue scan increment in a
-_BISECT_TOL = 1e-7       # bisection width on a
+_BISECT_TOL = 1e-7       # final bracket width on a
+# Scan step in a while seeking a_n: a fraction of the local spacing
+# 0.6 C n^(-2/5) (the derivative of C n^(3/5)).  A step longer than
+# a_(n+1) - a_n could span both flips unseen.  The smallest measured
+# (a_(n+1) - a_n) / (0.6 C n^(-2/5)) over y0 in -3..5 is 0.40 (y0 = 5, n = 1:
+# a_2 - a_1 = 1.03); 0.3 = (3/4) 0.40 keeps a quarter of it spare.
+_SCAN_FRACTION = 0.3
+_SECANT_WIDTH = 1e-2     # the flip finder halves wider brackets
+# Secant overshoot, see _secant_probe.  Over y0 in -3..5 the secant estimate
+# misses the flip by a median 5-12 % and a 90th percentile 11-24 % of its
+# distance from the nearer end; a step a quarter past it covers nine in ten.
+_PAST = 0.25
 
 
 def painleve_rhs(x: float, y: tuple[float, float]) -> tuple[float, float]:
@@ -106,12 +116,21 @@ class FateReport:
     run, where integration stopped; it is a prefix of the list over the
     full window to x = -135.  A chain stops at the first pole whose segment
     turned right of the saddle, so its `pole_count` is the pole at which it
-    was declared and `extrema` is empty."""
+    was declared and `extrema` is empty.
+
+    `departure` is the left end x* of the longest run of stored samples with
+    |y - sqrt(-x)| < sqrt(-x)/2, x < 0, over the segments up to the verdict
+    (None when no sample is that close): where the solution left the
+    unstable branch.  Near an eigenvalue a_n the departing mode grows like
+    exp((4/5) sqrt(2) (-x)^(5/4)), so (4/5) sqrt(2) (-x*)^(5/4) + ln|a - a_n|
+    stays nearly constant: the tests require a spread below 1 at a_2 and a_3
+    over |a - a_n| = 1e-2 ... 1e-6."""
 
     pole_count: int
     lock: str                      # "oscillatory" | "pole_chain"
     lock_onset: float | None       # x of the first extremum of the lock run
     extrema: tuple[tuple[float, float], ...]   # (x_e, y_e + sqrt(-x_e))
+    departure: float | None        # x* where the solution left +sqrt(-x)
 
 
 # -- Laurent series at a double pole ----------------------------------------
@@ -432,6 +451,22 @@ def _past_saddle(traj: Trajectory) -> bool:
     return y > math.sqrt(X) and margin < _CHAIN_MARGIN
 
 
+def _departure(segments) -> float | None:
+    """Left end of the longest run of stored samples with |y - sqrt(-x)| <
+    sqrt(-x)/2, x < 0, over the segments; None without one.  No run spans
+    two segments: they meet at a pole or a turnaround, at |y| >= 150."""
+    xs = np.concatenate([np.frombuffer(t.xs, dtype=float) for t in segments])
+    y = np.concatenate([np.frombuffer(t._ys, dtype=float)[0::2] for t in segments])
+    root = np.sqrt(-xs)
+    near = np.abs(y - root) < 0.5 * root
+    if not near.any():
+        return None
+    near = np.concatenate(([False], near, [False]))
+    edge = np.flatnonzero(near[1:] != near[:-1])
+    first, last = edge[0::2], edge[1::2] - 1
+    return float(xs[last[np.argmax(xs[first] - xs[last])]])
+
+
 def classify_fate(a: float, ode: IntegratorConfig = _ODE, *,
                   y0: float = 1.0) -> FateReport:
     """Fate of the solution with initial slope a: oscillatory lock or pole chain.
@@ -447,26 +482,98 @@ def classify_fate(a: float, ode: IntegratorConfig = _ODE, *,
     chain, whose index is `pole_count`.  Verdict, pole_count and
     lock_onset equal those of the full window under the same rules; below
     |a| = 30 the verdicts equal those of the 16-pole rule on every case
-    tested.
+    tested.  `departure` is read from the samples already stored, with no
+    extra integration; with the 16-pole rule in place of the energy rule the
+    eigenvalue scan still finds a_1..a_4 to the bit.
     """
     poles = 0
+    segments = []
     watch = _LockWatch()
     for traj, ev in _pole_continuation(a, _X_MIN, ode, y0, dense=False, watch=watch):
+        segments.append(traj)
         if ev is not None:
             poles += 1
             if _past_saddle(traj):
-                return FateReport(poles, "pole_chain", None, ())
+                return FateReport(poles, "pole_chain", None, (), _departure(segments))
     if watch.onset is None:
         raise Undecided(f"fate of a={a} undecided by x={_X_MIN:.1f}")
-    return FateReport(poles, "oscillatory", watch.onset, tuple(watch.extrema))
+    return FateReport(poles, "oscillatory", watch.onset, tuple(watch.extrema),
+                      _departure(segments))
+
+
+def _halvings(width: float) -> int:
+    """Halvings that take a bracket of this width to width <= _BISECT_TOL."""
+    return max(0, math.ceil(math.log2(width / _BISECT_TOL)))
+
+
+def _secant_probe(lo, f_lo, back_lo, hi, f_hi, back_hi):
+    """Next probe strictly inside (lo, hi), or None.
+
+    The secant estimate t of the flip comes from the nearer end (smaller
+    |score|) and the previous end on its side, or, when that lands outside,
+    from the two ends.  The probe is t stepped _PAST of its distance from
+    the nearer end further on, so that it lands across the flip and the
+    bracket closes from both sides.
+    """
+    if f_lo == f_hi:
+        return None
+    if abs(f_lo) <= abs(f_hi):
+        near, f_near, back, toward = lo, f_lo, back_lo, 1.0
+    else:
+        near, f_near, back, toward = hi, f_hi, back_hi, -1.0
+    t = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    if back is not None and back[1] != f_near:
+        u = near - f_near * (near - back[0]) / (f_near - back[1])
+        if lo < u < hi:
+            t = u
+    a = near + toward * max((1.0 + _PAST) * abs(t - near), 0.5 * _BISECT_TOL)
+    return a if lo < a < hi else None
+
+
+def _find_flip(probe, lo: float, hi: float, at_lo, at_hi) -> float:
+    """Midpoint of a bracket of width <= _BISECT_TOL inside [lo, hi] whose
+    ends have opposite verdicts.
+
+    ``probe(a)`` returns (verdict, score), and at_lo and at_hi are its
+    values at lo and hi.  The score has the verdict's sign and should be
+    near-linear in a on each side of the flip.  Brackets wider than
+    _SECANT_WIDTH are halved, narrower ones take _secant_probe steps.  A
+    halving replaces any step after which halving could no longer finish
+    within _halvings(hi - lo) + 2 probes; so no score costs more probes
+    than that.
+    """
+    (v_lo, f_lo), (_, f_hi) = at_lo, at_hi
+    back_lo = back_hi = None          # the previous end on each side
+    budget = _halvings(hi - lo) + 2
+    spent = 0
+    while hi - lo > _BISECT_TOL:
+        a = 0.5 * (lo + hi)
+        if hi - lo <= _SECANT_WIDTH:
+            s = _secant_probe(lo, f_lo, back_lo, hi, f_hi, back_hi)
+            if s is not None and spent + 1 + _halvings(max(s - lo, hi - s)) <= budget:
+                a = s
+        v, f = probe(a)
+        spent += 1
+        if v == v_lo:
+            back_lo, lo, f_lo = (lo, f_lo), a, f
+        else:
+            back_hi, hi, f_hi = (hi, f_hi), a, f
+    return 0.5 * (lo + hi)
 
 
 def painleve_eigenvalues(count: int, ode: IntegratorConfig = _ODE, *,
                          y0: float = 1.0) -> list[float]:
     """First `count` positive initial slopes at which the fate flips.
 
-    Scans upward from a = 0 in steps of 0.05 and bisects each
-    oscillatory/pole-chain flip down to a width of 1e-7.
+    Scans upward from a = 0; while seeking a_n the step is 0.3 of the
+    growth law's local spacing 0.6 C n^(-2/5) (see _SCAN_FRACTION).  Each
+    flip is closed by _find_flip to a bracket of width 1e-7, whose midpoint
+    is returned, on the departure score exp(-(4/5) sqrt(2) (-x*)^(5/4)) of
+    classify_fate, signed + for a lock and - for a chain.  The tests require
+    each value inside the final bracket of a 0.05-step scan with halving,
+    widened by 1e-7, and at most 2 fates more per flip than halving from
+    the same bracket.  Past C (count + 1.5)^(3/5) + 2, the y0 = 1 law,
+    the scan ends in ScanExhausted; that cap was checked for y0 in -3..5.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -474,29 +581,27 @@ def painleve_eigenvalues(count: int, ode: IntegratorConfig = _ODE, *,
         raise ValueError("count > 20 is beyond the intended scale")
     cap = REPORTED_GROWTH_CONSTANT * (count + 1.5) ** GROWTH_EXPONENT + 2.0
 
-    def lock_of(a: float) -> str:
-        return classify_fate(a, ode, y0=y0).lock
+    def probe(a: float):
+        # the departure score, +-1 without a departure
+        rep = classify_fate(a, ode, y0=y0)
+        score = 1.0 if rep.departure is None else \
+            math.exp(-0.8 * math.sqrt(2.0) * (-rep.departure) ** 1.25)
+        return rep.lock, score if rep.lock == "oscillatory" else -score
 
     eigs: list[float] = []
-    a_prev = 0.0
-    f_prev = lock_of(a_prev)
-    a = _SCAN_STEP
+    a_prev, at_prev = 0.0, probe(0.0)
     while len(eigs) < count:
+        n = len(eigs) + 1
+        a = a_prev + (_SCAN_FRACTION * GROWTH_EXPONENT * REPORTED_GROWTH_CONSTANT
+                      * n ** (GROWTH_EXPONENT - 1.0))
         if a > cap:
-            raise ScanExhausted(f"only {len(eigs)} fate flips below a={cap:.2f}")
-        f = lock_of(a)
-        if f != f_prev:
-            lo, hi = a_prev, a
-            flo = f_prev
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if lock_of(mid) == flo:
-                    lo = mid
-                else:
-                    hi = mid
-            eigs.append(0.5 * (lo + hi))
-        a_prev, f_prev = a, f
-        a += _SCAN_STEP
+            raise ScanExhausted(
+                f"only {len(eigs)} fate flips below a={cap:.2f} at y0={y0}; the scan cap "
+                f"C (count + 1.5)^(3/5) + 2 follows the y0 = 1 law")
+        at = probe(a)
+        if at[0] != at_prev[0]:
+            eigs.append(_find_flip(probe, a_prev, a, at_prev, at))
+        a_prev, at_prev = a, at
     return eigs
 
 

@@ -203,17 +203,19 @@ def scaled_separatrix(n: int, grid) -> list[float]:
     return (traj.sample([s * t for t in grid]) / s).tolist()
 
 
-def eigenvalue_table(n_min: int, n_max: int, tol: float = 1e-10) -> list[EigenvalueRecord]:
-    """Records for n_min..n_max; a_n from the backward trace.
+def eigenvalue_table(indices, tol: float = 1e-10) -> list[EigenvalueRecord]:
+    """Records for the sorted distinct `indices`; a_n from the backward trace.
 
     For n >= 1 the bisection value (to width tol) is also computed and the
-    cross-method discrepancy stored as the residual.
+    cross-method discrepancy stored as the residual.  Only the listed n are
+    computed; the intercepts must increase over them.
     """
-    if n_min > n_max:
-        raise ValueError("n_min must not exceed n_max")
+    ns = sorted(set(indices))
+    if not ns:
+        raise ValueError("no indices given")
     _check_tol(tol)
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in ns:
         rec, _ = trace_separatrix_backward(n, dense=False)
         if n >= 1:
             bis = find_eigenvalue_bisect(n, tol)

@@ -23,7 +23,7 @@ def reference_table():
     from nel.separatrix import eigenvalue_table
 
     t0 = time.perf_counter()
-    table = eigenvalue_table(-3, 6)
+    table = eigenvalue_table(range(-3, 7))
     return table, time.perf_counter() - t0
 
 

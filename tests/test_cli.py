@@ -113,6 +113,43 @@ def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_painleve_scan_past_the_y0_1_cap_names_y0(tmp_path, capsys):
+    # the scan cap C (count + 1.5)^(3/5) + 2 = 9.42 follows the y0 = 1 law;
+    # at y0 = 6 the first flip lies above it (at y0 = 5 it is a_1 = 8.854)
+    out = tmp_path / "e.json"
+    code, _, err = run_cli(["painleve", "eigen", "--count", "1", "--y0", "6",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert (error["type"], error["module"]) == ("ScanExhausted", "nel.painleve")
+    assert "only 0 fate flips below a=9.42" in error["message"]
+    assert "y0=6.0" in error["message"] and "y0 = 1 law" in error["message"]
+    assert not out.exists()
+
+
+def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypatch):
+    # `--n 7,2,7 --method both` bisects n = 2 and 7 only, once each, and
+    # writes their records in increasing n
+    import nel.separatrix
+
+    calls = []
+    bisect = nel.separatrix.find_eigenvalue_bisect
+
+    def recorded(n, tol=1e-10):
+        calls.append(n)
+        return bisect(n, tol)
+
+    monkeypatch.setattr(nel.separatrix, "find_eigenvalue_bisect", recorded)
+    out = tmp_path / "eig.json"
+    code, _, _ = run_cli(["eigen", "--n", "7,2,7", "--method", "both",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(calls) == [2, 7]
+    payload = json.loads(out.read_text())
+    assert [r["n"] for r in payload] == [2, 7]
+    assert all(r["residual"] <= 1e-7 for r in payload)
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["figures", "fig99", "--out", str(tmp_path / "x.csv")],
                            capsys)

@@ -379,3 +379,191 @@ def test_growth_constant_appears_universal_in_y0():
         eigs = painleve_eigenvalues(8, y0=y0)
         c = estimate_C(eigs)
         assert c == pytest.approx(4.28373, rel=0.01), f"y0={y0}"
+
+
+# -- the flip finder on a synthetic ladder (no ODE) ---------------------------
+
+# flips shaped like the growth law C (n - 0.9)^(3/5)
+_LADDER = [4.28373 * (n - 0.9) ** 0.6 for n in range(1, 13)]
+
+
+def _ladder_fate(flips, a, score):
+    """(verdict, score) at a: the verdict is the parity of the flips below
+    a; the score carries its sign and is the distance to the nearest flip
+    ("linear"), that distance times 3 on the oscillatory side ("kinked", as
+    the departure score has a different prefactor on either side), or 1
+    ("sign", which tells the secant nothing)."""
+    below = sum(1 for r in flips if r < a)
+    verdict, sign = ("oscillatory", 1.0) if below % 2 else ("pole_chain", -1.0)
+    if score == "sign":
+        return verdict, sign
+    if score == "kinked" and below % 2:
+        sign = 3.0
+    return verdict, sign * min((abs(a - r) for r in flips), default=1.0)
+
+
+@pytest.mark.parametrize("score", ["linear", "kinked", "sign"])
+@pytest.mark.parametrize("left, right", [(0.5, 0.5), (0.01, 0.7), (0.7, 3e-7),
+                                         (4e-3, 5e-3), (1e-6, 2e-6)])
+def test_flip_finder_on_a_synthetic_ladder(left, right, score):
+    # every flip of the ladder, from brackets placed around it at either
+    # side: found within 1e-7, at most 2 probes more than halving would take
+    from nel.painleve import _BISECT_TOL, _find_flip, _halvings
+
+    for r in _LADDER:
+        calls = []
+
+        def probe(a):
+            calls.append(a)
+            return _ladder_fate(_LADDER, a, score)
+
+        lo, hi = r - left, r + right
+        found = _find_flip(probe, lo, hi, probe(lo), probe(hi))
+        assert abs(found - r) <= _BISECT_TOL
+        assert len(calls) - 2 <= _halvings(hi - lo) + 2
+
+
+def _ladder_classify(flips, score, calls):
+    """A classify_fate stand-in whose departure gives _ladder_fate's score."""
+    import nel.painleve as pl
+
+    def classify(a, ode=None, *, y0=1.0):
+        calls.append(a)
+        if len(calls) > 10_000:
+            raise RuntimeError("runaway scan")
+        lock, value = _ladder_fate(flips, a, score)
+        mag = abs(value)
+        # exp(-(4/5) sqrt(2) (-x*)^(5/4)) = |score|; none at |score| >= 1
+        departure = None if mag >= 1.0 or mag == 0.0 else \
+            -(-math.log(mag) / (0.8 * math.sqrt(2.0))) ** 0.8
+        return pl.FateReport(0, lock, None, (), departure)
+    return classify
+
+
+@pytest.mark.parametrize("score", ["linear", "kinked", "sign"])
+def test_scan_on_a_synthetic_ladder(score, monkeypatch):
+    # the whole scan with classify_fate stubbed: every flip within 1e-7,
+    # each closed within halving from its scan bracket + 2
+    import nel.painleve as pl
+
+    calls, closing = [], []
+    find_flip = pl._find_flip
+
+    def counted(probe, lo, hi, at_lo, at_hi):
+        n0 = len(calls)
+        found = find_flip(probe, lo, hi, at_lo, at_hi)
+        closing.append((len(calls) - n0, pl._halvings(hi - lo)))
+        return found
+
+    monkeypatch.setattr(pl, "classify_fate", _ladder_classify(_LADDER, score, calls))
+    monkeypatch.setattr(pl, "_find_flip", counted)
+    eigs = pl.painleve_eigenvalues(12)
+    assert all(abs(e - r) <= pl._BISECT_TOL for e, r in zip(eigs, _LADDER))
+    assert all(spent <= halvings + 2 for spent, halvings in closing)
+
+
+def test_scan_that_never_flips_ends_in_scan_exhausted(monkeypatch):
+    # no flip below the cap C (21.5)^(3/5) + 2 = 29.0, so every step is the
+    # n = 1 step 0.3 * 0.6 C = 0.771: the scan stops after 1 + 37 fates
+    import nel.painleve as pl
+
+    calls = []
+    monkeypatch.setattr(pl, "classify_fate", _ladder_classify([], "linear", calls))
+    with pytest.raises(pl.ScanExhausted, match=r"only 0 fate flips below a=29\.0\d at y0=1\.0"):
+        pl.painleve_eigenvalues(20)
+    assert len(calls) == 38
+
+
+# -- the growth-law scan against the 0.05-step halving route ------------------
+
+
+def _halving_route(count, y0):
+    """Final brackets of the route the growth-law scan replaced: step a by
+    0.05 from 0 and halve each flip's bracket to width 1e-7 on the verdict
+    alone."""
+    def lock(a):
+        return classify_fate(a, y0=y0).lock
+
+    brackets = []
+    a_prev, f_prev = 0.0, lock(0.0)
+    a = 0.05
+    while len(brackets) < count:
+        f = lock(a)
+        if f != f_prev:
+            lo, hi = a_prev, a
+            while hi - lo > 1e-7:
+                mid = 0.5 * (lo + hi)
+                if lock(mid) == f_prev:
+                    lo = mid
+                else:
+                    hi = mid
+            brackets.append((lo, hi))
+        a_prev, f_prev = a, f
+        a += 0.05
+    return brackets
+
+
+@pytest.fixture(scope="module")
+def two_routes():
+    """{(y0, count): (halving-route brackets, eigenvalues, closing)} where
+    closing lists (fates, halvings from the same bracket) per flip."""
+    import nel.painleve as pl
+
+    out = {}
+    for y0, count in ((-3.0, 4), (0.0, 4), (2.0, 4), (5.0, 4), (1.0, 12)):
+        closing = []
+        find_flip = pl._find_flip
+
+        def counted(probe, lo, hi, at_lo, at_hi):
+            spent = []
+
+            def counted_probe(a):
+                spent.append(a)
+                return probe(a)
+
+            found = find_flip(counted_probe, lo, hi, at_lo, at_hi)
+            closing.append((len(spent), pl._halvings(hi - lo)))
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "_find_flip", counted)
+            eigs = pl.painleve_eigenvalues(count, y0=y0)
+        out[y0, count] = (_halving_route(count, y0), eigs, closing)
+    return out
+
+
+def test_growth_law_scan_finds_the_halving_route_flips(two_routes):
+    # same number of flips, each new a_n inside the halving route's final
+    # bracket widened by 1e-7
+    for (y0, count), (brackets, eigs, _) in two_routes.items():
+        assert len(brackets) == len(eigs) == count, y0
+        for (lo, hi), e in zip(brackets, eigs):
+            assert lo - 1e-7 <= e <= hi + 1e-7, (y0, e, lo, hi)
+
+
+def test_flip_closing_spends_at_most_two_fates_over_halving(two_routes):
+    for (y0, _), (_, _, closing) in two_routes.items():
+        assert all(spent <= halvings + 2 for spent, halvings in closing), (y0, closing)
+
+
+def test_departure_score_saves_a_third_of_the_halvings(two_routes):
+    # on the ODE the score is near-linear, so the secant steps close each
+    # scan bracket in 10-14 fates where halving takes 22-23
+    for (y0, _), (_, _, closing) in two_routes.items():
+        spent = sum(s for s, _ in closing)
+        halvings = sum(h for _, h in closing)
+        assert spent <= 2 * halvings / 3, (y0, closing)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_departure_follows_the_unstable_mode(painleve_eigs12, k):
+    # the departing mode grows like exp((4/5) sqrt(2) (-x)^(5/4)), so
+    # K = (4/5) sqrt(2) (-x*)^(5/4) + ln|a - a_n| is nearly constant near
+    # a_2 and a_3, on both sides of the flip (4.8-5.4 at a_2, 10.1-10.6 at a_3)
+    eigs, _ = painleve_eigs12
+    ks = []
+    for d in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for a in (eigs[k] - d, eigs[k] + d):
+            x_star = classify_fate(a).departure
+            ks.append(RATE * (-x_star) ** 1.25 + math.log(d))
+    assert max(ks) - min(ks) < 1.0, ks

@@ -109,14 +109,14 @@ def test_forward_instability_witness():
 
 
 def test_eigenvalue_table_cross_method():
-    table = eigenvalue_table(1, 4)
+    table = eigenvalue_table(range(1, 5))
     for rec in table:
         assert abs(rec.a_n - REFERENCE[rec.n]) < 1e-5
         assert rec.residual is not None and rec.residual < 1e-7
 
 
 def test_eigenvalue_table_includes_negative_indices():
-    table = eigenvalue_table(-3, 1)
+    table = eigenvalue_table(range(-3, 2))
     assert [r.n for r in table] == [-3, -2, -1, 0, 1]
     for rec in table:
         assert abs(rec.a_n - REFERENCE[rec.n]) < 1e-5
@@ -184,7 +184,7 @@ def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
     with pytest.raises(ValueError, match="tol"):
         find_eigenvalue_bisect(1, tol)
     with pytest.raises(ValueError, match="tol"):
-        eigenvalue_table(-1, 2, tol)
+        eigenvalue_table(range(-1, 3), tol)
     assert calls == []
 
 
