@@ -13,7 +13,10 @@ step, which is how callers handle blow-up (pole) detection.
 
 Each kind of state runs on its own specialised float-only loop: the
 oscillatory model equation needs millions of scalar steps at tight
-tolerances, and every Painleve-I fate is a run of the pair loop.
+tolerances, and every Painleve-I fate is a run of the pair loop.  The scalar
+loop evaluates the model slope field ``cosine.rhs_unscaled``, cos(pi*x*y),
+inline at its six stages; any other callable, a wrapper of that one
+included, is called at each stage, with the same bits for the same field.
 """
 
 from __future__ import annotations
@@ -201,6 +204,11 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     NonFiniteState when the state or derivative stops being finite.  When
     ``stop_when(x, y)`` returns true after an accepted step, integration
     ends there and the trajectory is flagged ``stopped``.
+
+    ``rhs`` is called for k1 and the automatic first step's trial.  When it
+    is ``cosine.rhs_unscaled`` itself, the six stage evaluations of each
+    attempt are inline; any other callable, a wrapper of it included, is
+    called for them, and the trajectory is the same to the bit.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -239,25 +247,30 @@ def _initial_step_scalar(f, x0, y0, f0, direction, rtol, atol, span):
 
 
 def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    from .cosine import PI, rhs_unscaled    # cosine imports this module
+    # Inline stages must keep rhs_unscaled's operands and their order, so
+    # that both routes give the same bits.
+    inline = f is rhs_unscaled
+    cos, isfinite = math.cos, math.isfinite
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     direction = 1 if x1 > x0 else -1
     span = abs(x1 - x0)
     traj = Trajectory(1, direction)
-    xs, ys = traj.xs, traj._ys
+    xs_append, ys_append = traj.xs.append, traj._ys.append
     dn = array("d") if dense else None
 
     x, y = x0, y0
     k1 = f(x, y)
-    if not (math.isfinite(y) and math.isfinite(k1)):
+    if not (isfinite(y) and isfinite(k1)):
         raise NonFiniteState(f"non-finite initial data at x={x}")
-    xs.append(x)
-    ys.append(y)
+    xs_append(x)
+    ys_append(y)
 
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, cfg.max_step, span)
+        h = min(cfg.initial_step, max_step, span)
     else:
         h = min(_initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span),
-                cfg.max_step)
+                max_step)
     err_prev = 1.0
     fac_max = _FAC_MAX
     attempts = 0
@@ -267,28 +280,35 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
         attempts += 1
         if attempts > max_steps:
             raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
-        if h > cfg.max_step:
-            h = cfg.max_step
+        if h > max_step:
+            h = max_step
         last = (abs(x1 - x) <= h)
         if last:
             h = abs(x1 - x)
         hs = h * direction
 
-        k2 = f(x + _C2 * hs, y + hs * (_A21 * k1))
-        k3 = f(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
-        k4 = f(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(x + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        if inline:
+            k2 = cos(PI * (x + _C2 * hs) * (y + hs * (_A21 * k1)))
+            k3 = cos(PI * (x + _C3 * hs) * (y + hs * (_A31 * k1 + _A32 * k2)))
+            k4 = cos(PI * (x + _C4 * hs) * (y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3)))
+            k5 = cos(PI * (x + _C5 * hs) * (y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)))
+            k6 = cos(PI * (x + hs) * (y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)))
+        else:
+            k2 = f(x + _C2 * hs, y + hs * (_A21 * k1))
+            k3 = f(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
+            k4 = f(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = f(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = f(x + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
         y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         x_new = x1 if last else x + hs
-        k7 = f(x_new, y_new)
+        k7 = cos(PI * x_new * y_new) if inline else f(x_new, y_new)
 
         err_raw = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         sc = atol + rtol * max(abs(y), abs(y_new))
         err = abs(err_raw) / sc
 
         if err <= 1.0:
-            if not (math.isfinite(y_new) and math.isfinite(k7)):
+            if not (isfinite(y_new) and isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
                 dn.fromlist([hs, y, k1,
@@ -296,8 +316,8 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
                              _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
                              _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7])
             x, y, k1 = x_new, y_new, k7
-            xs.append(x)
-            ys.append(y)
+            xs_append(x)
+            ys_append(y)
             traj.step_count += 1
             if stop_when is not None and stop_when(x, y):
                 traj.stopped = True

@@ -203,12 +203,30 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["figures", "fig8", "--n", "501"],
     ["eigen", "--n", "6:1", "--method", "backward"],
     ["eigen", "--n", "6:1", "--method", "both"],
+    ["eigen", "--n", "1:1000000000", "--method", "backward"],
+    ["eigen", "--n", "-1000000000:1", "--method", "both"],
+    ["eigen", "--n", "100001", "--method", "backward"],
+    ["eigen", "--n", "-100001", "--method", "bisect"],
+    ["eigen", "--n", "1,100001", "--method", "both"],
+    ["eigen", "--n", "1:2:3", "--method", "backward"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UsageError"
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("text, ns", [
+    ("100000", [100000]),
+    ("-100000:-99998", [-100000, -99999, -99998]),
+    ("99999:100000", [99999, 100000]),
+    ("2,-100000", [2, -100000]),
+])
+def test_eigen_index_range_up_to_the_cap(text, ns):
+    from nel.cli import _parse_range
+
+    assert _parse_range(text) == ns
 
 
 @pytest.mark.parametrize("task", ["scan", "roots"])

@@ -1,4 +1,5 @@
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.cosine import rhs_unscaled
+from nel.cosine import (AsymptoticTail, asymptotic_tail_eval, rhs_unscaled,
+                        trapped_in_even_bundle)
 from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61,
                      _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3,
                      _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1, _FAC_MAX, _FAC_MIN,
@@ -15,7 +17,7 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      NonFiniteState, StepLimitExceeded, Trajectory, find_extrema,
                      integrate)
 from nel.painleve import painleve_rhs
-from nel.separatrix import _forward_span
+from nel.separatrix import _forward_span, backward_start
 
 
 def test_constant_field_is_exact():
@@ -535,3 +537,79 @@ def test_overflowing_initial_slope_raises_non_finite(f, y0):
     # steps until the budget ran out
     with pytest.raises(NonFiniteState, match="initial step at x=0.0"):
         integrate(f, 0.0, y0, 1.0)
+
+
+def _backward_run(n, dense):
+    x_start = backward_start(n)
+    y0 = asymptotic_tail_eval(AsymptoticTail(2 * n - 1), x_start)[0]
+    return x_start, y0, 0.0, None, dense, None
+
+
+_TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)     # bundle_decay_fit's
+_MODEL_RUNS = {
+    **{f"backward-{n}-{'dense' if dense else 'nodense'}": _backward_run(n, dense)
+       for n in (-3, 1, 10, 300, 4000) for dense in (True, False)},
+    **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, True, trapped_in_even_bundle)
+       for a in (0.3, 1.7, 3.0, 6.0)},
+    **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, True, None) for k in (1, 10, 25, 50)},
+    **{f"bundle-decay-{a}": (0.0, a, 4.5, _TIGHT, True, None) for a in (0.2, 0.4)},
+}
+
+
+@pytest.mark.parametrize("run", list(_MODEL_RUNS))
+def test_inline_model_rhs_equals_call_route_bitwise(run):
+    # rhs_unscaled itself takes the inline route; a wrapper of it is called
+    x0, y0, x1, cfg, dense, stop_when = _MODEL_RUNS[run]
+    got = integrate(rhs_unscaled, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
+    ref = integrate(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, dense=dense,
+                    stop_when=stop_when)
+    assert bytes(got.xs) == bytes(ref.xs)
+    assert bytes(got._ys) == bytes(ref._ys)
+    if dense:
+        assert bytes(got._dense) == bytes(ref._dense)
+    else:
+        assert got._dense is None and ref._dense is None
+    assert got._f_end.hex() == ref._f_end.hex()
+    assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
+    assert got.stopped == (stop_when is not None)
+
+
+@pytest.mark.parametrize("error, y0, cfg", [
+    (NonFiniteState, math.nan, None),
+    (NonFiniteState, math.inf, None),
+    (StepLimitExceeded, 1.0, IntegratorConfig(max_steps=10)),
+], ids=["nan", "inf", "budget"])
+def test_inline_model_rhs_raises_as_call_route(error, y0, cfg):
+    with pytest.raises(error) as got:
+        integrate(rhs_unscaled, 0.0, y0, 50.0, cfg)
+    with pytest.raises(error) as ref:
+        integrate(lambda x, y: rhs_unscaled(x, y), 0.0, y0, 50.0, cfg)
+    assert str(got.value) == str(ref.value)
+
+
+def _model_rhs_calls(f, *args, **kwargs):
+    """integrate(f, *args, **kwargs) and the number of rhs_unscaled calls it made."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is rhs_unscaled.__code__:
+            calls[0] += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        traj = integrate(f, *args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return traj, calls[0]
+
+
+@pytest.mark.parametrize("run", ["backward-10-dense", "maxima-count-3.0", "fig1-25"])
+def test_model_rhs_is_evaluated_inline(run):
+    x0, y0, x1, cfg, dense, stop_when = _MODEL_RUNS[run]
+    kw = dict(dense=dense, stop_when=stop_when)
+    traj, inline = _model_rhs_calls(rhs_unscaled, x0, y0, x1, cfg, **kw)
+    # k1 and the initial-step trial; every stage evaluation is inline
+    assert inline == 2
+    wrapped, called = _model_rhs_calls(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, **kw)
+    assert wrapped.step_count == traj.step_count > 0
+    assert called >= 2 + 6 * traj.step_count
