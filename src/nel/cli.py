@@ -3,10 +3,11 @@ and table, plus direct access to the solvers.
 
 All numeric payloads are serialized with 17 significant digits so a reparse
 reproduces bit-identical values, and identical invocations produce
-byte-identical files.  Grids are capped at 1,000,001 points.  The Painleve
-commands use the fixed fate window x >= -135; the eigenvalue scan steps by
-0.3 of the growth law's spacing and closes each flip to width 1e-7.  Every
-output file X gets a sidecar X.manifest.json recording the subcommand,
+byte-identical files.  Grids are capped at 1,000,001 points, separatrix
+indices at |n| <= 100,000 and a Fourier section at 2^25 sine values.  The
+Painleve commands use the fixed fate window x >= -135; the eigenvalue scan
+steps by 0.3 of the growth law's spacing and closes each flip to width 1e-7.
+Every output file X gets a sidecar X.manifest.json recording the subcommand,
 parameters, tool version and wall time that produced it.
 """
 
@@ -29,6 +30,7 @@ __all__ = ["main", "UsageError", "RunManifest"]
 _MAX_GRID = 1_000_001     # points in any grid a command builds
 _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
 _MAX_INDEX = 100_000      # |n|; the trace at n = 1e5 takes 1,011,126 of the 5,000,000 steps allowed
+_MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
@@ -43,16 +45,6 @@ class RunManifest:
     version: str
     wall_time_s: float
     outputs: list
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(x)
 
 
 def _json_dump(obj) -> str:
@@ -78,10 +70,20 @@ def _json_dump(obj) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Header, then one line per row tuple.  The first row fixes each
+    column's format: "%s" for a str label, "%.17g" for a number, which
+    writes a float as format(v, ".17g") (nan, inf and -inf included) and an
+    int up to 2^53 in size as str(v).  Rows stream to the file one line at a
+    time."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+        fh.write(line % first)
+        fh.writelines(map(line.__mod__, rows))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -167,6 +169,8 @@ def _cmd_eigen(args) -> int:
 
     t0 = time.perf_counter()
     ns = _parse_range(args.n)
+    if args.method == "bisect" and min(ns) < 1:
+        raise UsageError(f"--method bisect needs every n >= 1, got {args.n!r}")
     records = []
     if args.method == "both":
         records = eigenvalue_table(ns, args.tol)
@@ -230,6 +234,8 @@ def _cmd_figures(args) -> int:
         from .separatrix import scaled_separatrix
 
         n = args.n if args.n is not None else 10000
+        if n > _MAX_INDEX:
+            raise UsageError(f"--n {n} is above the separatrix index cap {_MAX_INDEX}")
         ts = [i / 2000 for i in range(2001)]
         rows = [(t, zz, big, zz - big)
                 for t, zz, big in zip(ts, scaled_separatrix(n, ts), implicit_Z(ts).tolist())]
@@ -428,6 +434,9 @@ def _cmd_fourier(args) -> int:
     from .fourier import GIBBS_LIMIT, fourier_partial_sum, gibbs_overshoot
 
     t0 = time.perf_counter()
+    if (args.n_terms + 1) * args.grid > _MAX_SINES:
+        raise UsageError(f"--n-terms {args.n_terms} with --grid {args.grid} needs "
+                         f"{(args.n_terms + 1) * args.grid} sines, more than {_MAX_SINES}")
     xs = [math.pi * i / (args.grid + 1) for i in range(1, args.grid + 1)]
     vals = fourier_partial_sum(args.n_terms, xs)
     out = Path(args.out)
@@ -509,7 +518,7 @@ def _build_parser() -> _Parser:
     q.add_argument("figure", choices=_FIGURES)
     q.add_argument("--out", required=True)
     q.add_argument("--n", type=_POSITIVE_INT, default=None,
-                   help="scaled-curve index for fig4 (default 10000); "
+                   help="scaled-curve index for fig4 (default 10000, at most 100000); "
                         "partial-sum degree for fig8 (default 50)")
     q.add_argument("--step", type=_checked(float, lambda v: v >= 1e-6, ">= 1e-6"),
                    default=0.0005, help="tau step for fig8")
@@ -553,7 +562,7 @@ def _build_parser() -> _Parser:
 
     q = subs.add_parser("fourier", help="square-wave sine sections")
     q.add_argument("--n-terms", type=_checked(int, lambda v: v >= 0, ">= 0"), default=80,
-                   dest="n_terms")
+                   dest="n_terms", help="N; (N + 1) * grid is at most 2^25")
     q.add_argument("--grid", type=_checked(int, lambda v: 1 <= v <= _MAX_GRID,
                                            f"in 1..{_MAX_GRID}"), default=1001)
     q.add_argument("--out", required=True)

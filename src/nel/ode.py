@@ -2,14 +2,17 @@
 
 Explicit embedded Runge-Kutta pair for scalar and (y, y') pair first-order
 systems.  The 5th-order solution is propagated; the difference to the
-embedded 4th-order solution drives a PI step-size controller.  Every
-accepted step stores the coefficients of the standard quartic interpolant,
-which ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives)
-read at a whole array of abscissae in the covered interval; the point reads
-``traj(x)`` and ``traj.derivative(x)`` are reads of one.  ``find_extrema``
-and the package's other cheap root searches run one lockstep bisection,
-``_bisect``.  An optional ``stop_when`` hook is checked after each accepted
-step, which is how callers handle blow-up (pole) detection.
+embedded 4th-order solution drives a PI step-size controller.  Each
+accepted step has a record of the coefficients of the standard quartic
+interpolant: the pair loop builds it at the step, the scalar loop stores the
+step's stages and builds all records in numpy passes after its last step.
+``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
+the records at a whole array of abscissae in the covered interval; the
+point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
+``find_extrema`` and the package's other cheap root searches run one
+lockstep bisection, ``_bisect``.  An optional ``stop_when`` hook is checked
+after each accepted step, which is how callers handle blow-up (pole)
+detection.
 
 Each kind of state runs on its own specialised float-only loop: the
 oscillatory model equation needs millions of scalar steps at tight
@@ -72,6 +75,8 @@ _BETA = 0.04          # PI controller: h *= safety * err^-expo1 * errprev^beta
 _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
+
+_DENSE_CHUNK = 4096   # scalar steps per numpy pass that builds dense records
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     traj = Trajectory(1, direction)
     xs_append, ys_append = traj.xs.append, traj._ys.append
     dn = array("d") if dense else None
+    dn_fromlist = dn.fromlist if dense else None
 
     x, y = x0, y0
     k1 = f(x, y)
@@ -311,10 +317,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             if not (isfinite(y_new) and isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn.fromlist([hs, y, k1,
-                             _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
-                             _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
-                             _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7])
+                dn_fromlist([hs, k1, k3, k4, k5, k6])
             x, y, k1 = x_new, y_new, k7
             xs_append(x)
             ys_append(y)
@@ -337,8 +340,35 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             fac_max = 1.0
 
     traj._f_end = k1
+    if dense:
+        _dense_records(dn, traj._ys, k1)
     traj._dense = dn
     return traj
+
+
+def _dense_records(dn, ys, f_end):
+    """Rewrite the scalar loop's stage records [hs, k1, k3, k4, k5, k6] in
+    place, _DENSE_CHUNK steps per numpy pass, into the dense records
+    [h, y_left, q1, q2, q3, q4] of ``Trajectory``.  y_left is the step's
+    left sample and k7 the next step's k1 (``f_end`` after the last step).
+    Each q sums the same products in the same order as a per-step build,
+    and numpy rounds every product and sum on its own, so the bits agree."""
+    rec = np.frombuffer(dn, dtype=float).reshape(-1, 6)
+    y_left = np.frombuffer(ys, dtype=float)
+    n = len(rec)
+    for a in range(0, n, _DENSE_CHUNK):
+        b = min(a + _DENSE_CHUNK, n)
+        r = rec[a:b]
+        k1, k3, k4, k5, k6 = r[:, 1], r[:, 2], r[:, 3], r[:, 4], r[:, 5]
+        # k7 views column 1 of this chunk's later rows: build every q before
+        # that column is overwritten
+        k7 = rec[a + 1:b + 1, 1] if b < n else np.append(rec[a + 1:, 1], f_end)
+        q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
+        q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
+        q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
+        r[:, 2] = k1
+        r[:, 1] = y_left[a:b]
+        r[:, 3], r[:, 4], r[:, 5] = q2, q3, q4
 
 
 def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):

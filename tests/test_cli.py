@@ -3,6 +3,7 @@ import math
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nel.cli import main
@@ -310,6 +311,7 @@ def test_grid_caps_admit_the_largest_grid():
     (["pseries", "rho", "--n", "500"], "rho_n"),
     (["figures", "fig8", "--n", "500"], "tau_scan"),
     (["figures", "fig4", "--n", "10000"], "scaled_separatrix"),
+    (["figures", "fig4", "--n", "100000"], "scaled_separatrix"),
 ])
 def test_degree_cap_admits_degree_500_and_spares_fig4(argv, stub, tmp_path, monkeypatch,
                                                       capsys):
@@ -329,6 +331,110 @@ def test_degree_cap_admits_degree_500_and_spares_fig4(argv, stub, tmp_path, monk
     code, _, _ = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
     assert code == 0
     assert seen == [int(argv[-1])]
+
+
+@pytest.mark.parametrize("argv, says, stub", [
+    (["figures", "fig4", "--n", "100001"], "above the separatrix index cap 100000",
+     "scaled_separatrix"),
+    (["figures", "fig4", "--n", "1000000"], "above the separatrix index cap 100000",
+     "scaled_separatrix"),
+    (["eigen", "--n", "0", "--method", "bisect"], "bisect needs every n >= 1",
+     "find_eigenvalue_bisect"),
+    (["eigen", "--n=-3:2", "--method", "bisect"], "bisect needs every n >= 1",
+     "find_eigenvalue_bisect"),
+    (["eigen", "--n", "2,0", "--method", "bisect"], "bisect needs every n >= 1",
+     "find_eigenvalue_bisect"),
+    (["fourier", "--n-terms", "2000", "--grid", "1000001"], "more than 33554432",
+     "fourier_partial_sum"),
+    (["fourier", "--n-terms", "64", "--grid", "524288"], "34078720 sines",
+     "fourier_partial_sum"),
+])
+def test_index_and_size_caps_refuse_before_computing(argv, says, stub, tmp_path,
+                                                      monkeypatch, capsys):
+    # fig4 at n = 1e6 would hold hundreds of MB of dense records before the
+    # step budget ran out; the Fourier section holds two (N + 1) x grid arrays
+    import nel.fourier
+    import nel.ode
+    import nel.separatrix
+
+    home = {"scaled_separatrix": nel.separatrix, "find_eigenvalue_bisect": nel.separatrix,
+            "fourier_partial_sum": nel.fourier}
+    calls = []
+    for mod, name in ((home[stub], stub), (nel.ode, "integrate")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+    out = tmp_path / "x.out"
+    code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert says in error["message"]
+    assert calls == []
+    assert not out.exists()
+
+
+def test_fourier_cap_admits_exactly_two_to_the_25_sines(tmp_path, monkeypatch, capsys):
+    import nel.fourier
+
+    seen = []
+
+    def stop(n_terms, xs):
+        seen.append((n_terms, len(xs)))
+        raise RuntimeError("stub")
+    monkeypatch.setattr(nel.fourier, "fourier_partial_sum", stop)
+    code, _, _ = run_cli(["fourier", "--n-terms", "63", "--grid", "524288",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 1
+    assert seen == [(63, 524288)] and 64 * 524288 == 2 ** 25
+
+
+def _old_fmt(x) -> str:
+    # the per-value formatter the CSV writer replaced
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return format(x, ".17g")
+    return str(x)
+
+
+def _old_csv(header, rows) -> str:
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(_old_fmt(v) for v in row) + "\n" for row in rows])
+
+
+_CSV_ROWS = {
+    "specials": [("z_1", math.nan, 1, -0.0), ("z_2", math.inf, -7, 5e-324),
+                 ("Z", -math.inf, 0, 0.1), ("a%s", 1e308, 10 ** 16, -2.5e-310)],
+    "numpy-floats": [(np.float64(0.1), np.float64(-1 / 3), np.float64(math.nan)),
+                     (np.float64(1e-300), np.float64(-0.0), np.float64(2.0 ** 60))],
+    "ints-and-labels": [(k, f"s{k}", 0.2 * k, k * 1.5) for k in range(-3, 40)],
+    "large-ints": [(2 ** 53, -(2 ** 53), 10 ** 16)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_ROWS))
+def test_write_csv_bytes_equal_per_value_format(case, tmp_path):
+    from nel.cli import _write_csv
+
+    rows = _CSV_ROWS[case]
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+    out = tmp_path / "x.csv"
+    _write_csv(out, header, rows)
+    assert out.read_bytes() == _old_csv(header, rows).encode()
+
+
+def test_write_csv_streams_an_iterator(tmp_path):
+    from nel.cli import _write_csv
+
+    taus = [i / 7 for i in range(100)]
+    rhos = [math.sqrt(t) * (-1) ** i for i, t in enumerate(taus)]
+    out = tmp_path / "x.csv"
+    _write_csv(out, ["tau", "rho"], zip(taus, rhos))
+    assert out.read_bytes() == _old_csv(["tau", "rho"], zip(taus, rhos)).encode()
+    _write_csv(out, ["tau", "rho"], zip([], []))
+    assert out.read_bytes() == b"tau,rho\n"
 
 
 def test_fig6_dataset(painleve_eigs12, tmp_path, capsys):
@@ -356,13 +462,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_computational_error_surfaced_as_json(tmp_path, capsys):
-    # n=0 has no bisection bracket; the separatrix module raises ValueError
-    code, _, err = run_cli(["eigen", "--n", "0:0", "--method", "bisect",
-                            "--out", str(tmp_path / "x.json")], capsys)
+    # the indices parse, but richardson needs them increasing and raises
+    # ValueError (eigen --method bisect at n <= 0 is a usage error instead)
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(["extrapolate", "--values", "1,2,3", "--indices", "3,2,1",
+                            "--out", str(out)], capsys)
     assert code == 1
     payload = json.loads(err)
-    assert payload["error"]["module"].endswith("separatrix") or \
-        payload["error"]["type"] == "ValueError"
+    assert (payload["error"]["type"], payload["error"]["module"]) == ("ValueError", "builtins")
+    assert "strictly increasing" in payload["error"]["message"]
+    assert not out.exists()
 
 
 def test_fig1_task_rows():

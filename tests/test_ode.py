@@ -13,9 +13,9 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3,
                      _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1, _FAC_MAX, _FAC_MIN,
                      _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
-                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, IntegratorConfig,
-                     NonFiniteState, StepLimitExceeded, Trajectory, find_extrema,
-                     integrate)
+                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, _DENSE_CHUNK,
+                     IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
+                     _initial_step_scalar, find_extrema, integrate)
 from nel.painleve import painleve_rhs
 from nel.separatrix import _forward_span, backward_start
 
@@ -613,3 +613,106 @@ def test_model_rhs_is_evaluated_inline(run):
     wrapped, called = _model_rhs_calls(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, **kw)
     assert wrapped.step_count == traj.step_count > 0
     assert called >= 2 + 6 * traj.step_count
+
+
+# -- the scalar dense records against a per-step build ------------------------
+
+def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
+    """The scalar Dormand-Prince loop building each step's dense record
+    [h, y_left, q1, q2, q3, q4] as it accepts the step; the scalar stepper,
+    which builds them after the loop, must reproduce it bit for bit."""
+    cfg = cfg or IntegratorConfig()
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    direction = 1 if x1 > x0 else -1
+    span = abs(x1 - x0)
+    traj = Trajectory(1, direction)
+    dn = array("d")
+    x, y = x0, y0
+    k1 = f(x, y)
+    traj.xs.append(x)
+    traj._ys.append(y)
+    if cfg.initial_step > 0:
+        h = min(cfg.initial_step, cfg.max_step, span)
+    else:
+        h = min(_initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span),
+                cfg.max_step)
+    err_prev = 1.0
+    fac_max = _FAC_MAX
+    while True:
+        h = min(h, cfg.max_step)
+        last = (abs(x1 - x) <= h)
+        if last:
+            h = abs(x1 - x)
+        hs = h * direction
+        k2 = f(x + _C2 * hs, y + hs * (_A21 * k1))
+        k3 = f(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
+        k4 = f(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = f(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = f(x + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        x_new = x1 if last else x + hs
+        k7 = f(x_new, y_new)
+        err = abs(hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)) \
+            / (atol + rtol * max(abs(y), abs(y_new)))
+        if err <= 1.0:
+            dn.fromlist([hs, y, k1,
+                         _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
+                         _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
+                         _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7])
+            x, y, k1 = x_new, y_new, k7
+            traj.xs.append(x)
+            traj._ys.append(y)
+            traj.step_count += 1
+            if stop_when is not None and stop_when(x, y):
+                traj.stopped = True
+                break
+            if last:
+                break
+            if err == 0.0:
+                fac = fac_max
+            else:
+                fac = min(fac_max, max(_FAC_MIN, _SAFETY * err ** -_EXPO1 * err_prev ** _BETA))
+            h *= fac
+            err_prev = max(err, 1e-4)
+            fac_max = _FAC_MAX
+        else:
+            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac_max = 1.0
+    traj._f_end = k1
+    traj._dense = dn
+    return traj
+
+
+def _fixed_steps(count):
+    # steps of 2^-12 from x = 0: every abscissa is exact, so the run takes
+    # exactly `count` steps
+    h = 2.0 ** -12
+    return (0.0, 0.5, count * h, IntegratorConfig(initial_step=h, max_step=h), None, count)
+
+
+_RECORD_RUNS = {
+    **{f"backward-{n}": (*_backward_run(n, True)[:4], None, None)
+       for n in (-3, 1, 10, 300, 4000)},
+    **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, None, None) for k in range(1, 51)},
+    **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, trapped_in_even_bundle, None)
+       for a in (0.3, 1.7, 3.0, 6.0)},
+    "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None, 1),
+    "chunk-minus-one": _fixed_steps(_DENSE_CHUNK - 1),
+    "chunk": _fixed_steps(_DENSE_CHUNK),
+    "chunk-plus-one": _fixed_steps(_DENSE_CHUNK + 1),
+    "three-chunks-and-more": _fixed_steps(3 * _DENSE_CHUNK + 5),
+}
+
+
+@pytest.mark.parametrize("run", list(_RECORD_RUNS))
+def test_dense_records_equal_per_step_build_bitwise(run):
+    x0, y0, x1, cfg, stop_when, steps = _RECORD_RUNS[run]
+    got = integrate(rhs_unscaled, x0, y0, x1, cfg, stop_when=stop_when)
+    ref = _per_step_reference(rhs_unscaled, x0, y0, x1, cfg, stop_when)
+    assert bytes(got._dense) == bytes(ref._dense)
+    assert bytes(got.xs) == bytes(ref.xs)
+    assert bytes(got._ys) == bytes(ref._ys)
+    assert got._f_end.hex() == ref._f_end.hex()
+    assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
+    assert got.stopped == (stop_when is not None)
+    assert steps is None or got.step_count == steps
