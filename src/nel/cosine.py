@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .extrapolate import _ls_slope
 from .ode import IntegratorConfig, integrate
+from .pseries import _horner
 
 __all__ = [
     "PI",
@@ -119,10 +120,7 @@ def taylor_coefficients(a: float, n_terms: int) -> TaylorSeries:
 
 def taylor_eval(series: TaylorSeries, x: float) -> float:
     """Horner evaluation of the truncated expansion."""
-    acc = 0.0
-    for c in reversed(series.coefficients):
-        acc = acc * x + c
-    return acc
+    return _horner(series.coefficients, x)[0]
 
 
 # -- large-x asymptotic tail ---------------------------------------------

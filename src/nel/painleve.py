@@ -24,6 +24,7 @@ import numpy as np
 
 from .extrapolate import _ls_slope, richardson
 from .ode import IntegratorConfig, Trajectory, _bisect, integrate
+from .pseries import _horner
 
 __all__ = [
     "PoleEvent",
@@ -164,19 +165,11 @@ def _pole_series(x0: float, h: float, terms: int):
     return c, dx, dh
 
 
-def _poly_and_deriv(c, s):
-    p = dp = 0.0
-    for cj in reversed(c):
-        dp = dp * s + p
-        p = p * s + cj
-    return p, dp
-
-
 def pole_series_eval(x0: float, h: float, x: float) -> tuple[float, float]:
     """(y, y') of the Laurent solution with data (x0, h), at x != x0."""
     c, _, _ = _pole_series(x0, h, _SERIES_TERMS)
     s = x - x0
-    p, dp = _poly_and_deriv(c, s)
+    p, dp = _horner(c, s)
     y = p / (s * s)
     v = dp / (s * s) - 2.0 * p / (s * s * s)
     return y, v
@@ -198,7 +191,7 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
     for _ in range(60):
         c, dxc, dhc = _pole_series(x0, h, _SERIES_TERMS)
         s = x - x0
-        p, dp = _poly_and_deriv(c, s)
+        p, dp = _horner(c, s)
         s2 = s * s
         ys = p / s2
         vs = dp / s2 - 2.0 * p / (s2 * s)
@@ -206,8 +199,8 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
         f2 = vs - v
         if abs(f1) <= 1e-11 * abs(y) and abs(f2) <= 1e-11 * abs(v):
             break
-        px, dpx = _poly_and_deriv(dxc, s)
-        ph, dph = _poly_and_deriv(dhc, s)
+        px, dpx = _horner(dxc, s)
+        ph, dph = _horner(dhc, s)
         # total d/dx0 at fixed x: parameter part minus d/ds
         j11 = px / s2 - vs
         j12 = ph / s2

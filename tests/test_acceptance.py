@@ -14,7 +14,8 @@ a route that does not go through the code under test:
   synthetic data (the plain log-log slope reads 0.693 at n = 6..12);
 - criterion 12: the second scan maximum is at 1 - 0.3780 = 0.6220, by the
   exact tau -> 1 - tau symmetry, checked here with companion-matrix roots
-  (the contract said 0.8780).
+  and, without finding roots, by argument-principle winding counts (the
+  contract said 0.8780).
 """
 
 import math
@@ -327,8 +328,9 @@ def test_criterion_12_partial_sum_root_moduli(fig8_scan):
 
 
 def test_criterion_12_reflection_by_companion_matrix():
-    # Route outside nel.pseries: coefficients exp(i pi tau (k^2 + k)) built
-    # here, roots from numpy's companion-matrix eigenvalues.
+    # Code outside nel.pseries: coefficients exp(i pi tau (k^2 + k)) built
+    # here, roots from numpy's companion-matrix eigenvalues.  nel.pseries
+    # uses the same algorithm; the winding-count test below shares none.
     def rho50(tau):
         k = np.arange(51)
         coeffs = np.exp(1j * np.pi * ((tau * (k * k + k)) % 2.0))
@@ -359,6 +361,34 @@ def test_criterion_12_scan_by_companion_matrix(fig8_scan):
     ok = len(taus) == 2001 and not fig8_scan.failures and worst <= 1e-12
     report("12[companion]", ok, f"max |rho - companion rho| {worst:.2e} over "
                                 f"{len(taus)} points, {len(fig8_scan.failures)} failures")
+    assert ok
+
+
+def test_criterion_12_rho_by_argument_principle(fig8_scan):
+    # A route that finds no roots: on sampled fig8 rows, p winds n times
+    # about 0 on |z| = rho (1 + delta) and fewer times on |z| = rho (1 - delta),
+    # so the largest root modulus lies within rho (1 +- delta).  Each sampled
+    # phase increment stays below pi/2, so the winding count is unambiguous.
+    n, delta, samples = 50, 1e-4, 1 << 17
+    unit = np.exp(2j * np.pi * np.arange(samples) / samples)
+    peaks = {fig8_scan.taus.index(t) for t, _ in fig8_scan.maxima[:2]}
+    rows = sorted(set(range(0, len(fig8_scan.taus), 200)) | peaks)
+    worst, bad = 0.0, []
+    for i in rows:
+        tau, rho = fig8_scan.taus[i], fig8_scan.rhos[i]
+        ph = [float(Fraction(tau) * (k * k + k) % 2) for k in range(n, -1, -1)]
+        desc = np.exp(1j * np.pi * np.array(ph))
+        winds = []
+        for radius in (rho * (1 + delta), rho * (1 - delta)):
+            p = np.polyval(desc, radius * unit)
+            step = np.angle(np.roll(p, -1) / p)
+            worst = max(worst, float(np.max(np.abs(step))))
+            winds.append(round(float(np.sum(step)) / (2 * np.pi)))
+        if not (winds[0] == n and winds[1] < n):
+            bad.append((tau, winds))
+    ok = len(rows) == 13 and not bad and worst < np.pi / 2
+    report("12[winding]", ok, f"{len(rows)} rows, windings off at {bad}, "
+                              f"largest phase step {worst:.3f}")
     assert ok
 
 

@@ -514,3 +514,20 @@ def test_run_quick_preset(tmp_path, capsys):
     for name in manifest["outputs"]:
         assert os.path.exists(name)
     assert (out_dir / "eigenvalues.json").exists()
+
+
+@pytest.mark.parametrize("task", ["scan", "roots"])
+def test_eigenvalue_failure_surfaced_as_json(task, tmp_path, monkeypatch, capsys):
+    # LAPACK's eigenvalue iteration does not converge: the root solver has no
+    # fallback, so the command ends in a typed error and writes no data file
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+    out = tmp_path / "x.out"
+    code, _, err = run_cli(["pseries", task, "--n", "10", "--tau", "0:0.1:0.05",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert (error["type"], error["module"]) == ("LinAlgError", "numpy.linalg")
+    assert not out.exists()
