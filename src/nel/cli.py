@@ -14,6 +14,7 @@ parameters, tool version and wall time that produced it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -300,6 +301,17 @@ def _cmd_limiting_curve(args) -> int:
                    {"Z0": lc.zs[0], "sup_method_gap": sup})
 
 
+def _constant_indices(text: str) -> list[int]:
+    """a-constant --indices: at least two strictly increasing integers in
+    1.._MAX_INDEX, refused before any trace."""
+    ns = _parse_list(text, "--indices", int)
+    if not (len(ns) >= 2 and 1 <= ns[0] and ns[-1] <= _MAX_INDEX
+            and all(a < b for a, b in zip(ns, ns[1:]))):
+        raise UsageError(f"--indices {text!r} must be at least two strictly increasing "
+                         f"integers in 1..{_MAX_INDEX}")
+    return ns
+
+
 def _cmd_extrapolate(args) -> int:
     from .extrapolate import fit_correction_exponent, richardson
 
@@ -313,7 +325,7 @@ def _cmd_extrapolate(args) -> int:
     elif args.target == "a-constant":
         from .separatrix import trace_separatrix_backward
 
-        indices = _parse_list(args.indices, "--indices", int) if args.indices \
+        indices = _constant_indices(args.indices) if args.indices \
             else [125, 250, 500, 1000, 2000]
         values = []
         for n in indices:
@@ -502,7 +514,9 @@ _POSITIVE = _checked(float, lambda v: v > 0, "positive and finite")
 _FINITE = _checked(float, lambda v: True, "finite")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built at the first main call, reused for the process's life; parsing keeps no state in it."""
     p = _Parser(prog="nel", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     subs = p.add_subparsers(dest="subcommand", required=True)

@@ -531,3 +531,108 @@ def test_eigenvalue_failure_surfaced_as_json(task, tmp_path, monkeypatch, capsys
     error = json.loads(err)["error"]
     assert (error["type"], error["module"]) == ("LinAlgError", "numpy.linalg")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("indices", ["0,1,2", "5,3", "125,200000", "125", "125,125"])
+def test_a_constant_indices_refused_before_any_trace(indices, tmp_path, monkeypatch,
+                                                      capsys):
+    # a_n ~ 2^(5/6) sqrt(n) is traced only at 1 <= n <= 100000; the guard
+    # runs before the first trace, not after it
+    import nel.separatrix
+
+    calls = []
+    monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward",
+                        lambda n, **k: calls.append(n))
+    out = tmp_path / "a.json"
+    code, _, err = run_cli(["extrapolate", "--target", "a-constant", "--indices", indices,
+                            "--out", str(out)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert "at least two strictly increasing integers in 1..100000" in error["message"]
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("indices, first", [("1,2", 1), ("99999,100000", 99999)])
+def test_a_constant_indices_admit_the_cap(indices, first, tmp_path, monkeypatch, capsys):
+    import nel.separatrix
+
+    calls = []
+
+    def stop(n, **k):
+        calls.append(n)
+        raise RuntimeError("stub")
+    monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward", stop)
+    code, _, _ = run_cli(["extrapolate", "--target", "a-constant", "--indices", indices,
+                          "--out", str(tmp_path / "a.json")], capsys)
+    assert code == 1
+    assert calls == [first]
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_parser_is_built_once():
+    from nel.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    import subprocess
+    import sys
+
+    import nel
+
+    src = os.path.dirname(os.path.dirname(nel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import nel.cli; print(nel.cli._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_no_value_carries_over_between_calls(tmp_path, monkeypatch, capsys):
+    # fig4 --n 3000 sets the shared --n flag; the next fig8 still gets its
+    # own defaults, degree 50 at step 0.0005
+    import nel.pseries
+    import nel.separatrix
+
+    seen = []
+    scan = SimpleNamespace(taus=[0.0], rhos=[1.0], maxima=[], reflection_gap=0.0,
+                           half_shift_gap=0.0)
+    monkeypatch.setattr(nel.separatrix, "scaled_separatrix",
+                        lambda n, ts: seen.append(("fig4", n)) or [0.0] * len(ts))
+    monkeypatch.setattr(nel.pseries, "tau_scan",
+                        lambda lo, hi, step, n: seen.append(("fig8", step, n)) or scan)
+    for argv in (["fig4", "--n", "3000"], ["fig8"]):
+        code, _, _ = run_cli(["figures", *argv, "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0
+    assert seen == [("fig4", 3000), ("fig8", 0.0005, 50)]
+
+
+@pytest.mark.parametrize("bad", [
+    ["pseries", "rho", "--n", "501"],                       # refused after the parse
+    ["pseries", "rho", "--tau-value", "0.4", "--n", "501"],
+    ["pseries", "rho", "--tau-value", "0.4", "--n", "0"],   # refused inside the parse
+    ["pseries", "rho", "--tau-value", "0.4", "--bogus"],
+])
+def test_call_after_a_failed_call_is_unchanged(bad, capsys):
+    good = ["pseries", "rho"]
+    code, alone, _ = run_cli(good, capsys)
+    assert code == 0
+    code, stdout, err = run_cli(bad, capsys)
+    assert (code, stdout, json.loads(err)["error"]["type"]) == (2, "", "UsageError")
+    assert run_cli(good, capsys) == (0, alone, "")
+
+
+def test_version_twice(capsys):
+    from nel import __version__
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == __version__ + "\n"
