@@ -20,6 +20,10 @@ tolerances, and every Painleve-I fate is a run of the pair loop.  The scalar
 loop evaluates the model slope field ``cosine.rhs_unscaled``, cos(pi*x*y),
 inline at its six stages; any other callable, a wrapper of that one
 included, is called at each stage, with the same bits for the same field.
+Both loops compare floats instead of calling ``min``, ``max`` or ``abs``:
+``max(a, b)`` is written ``b if b > a else a``, which keeps the builtin's
+NaN behaviour, and the reference loops of the tests, which still call the
+builtins, check that the bits agree.
 """
 
 from __future__ import annotations
@@ -88,14 +92,15 @@ class IntegratorConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
+        # written so that NaN fails every check
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if self.initial_step < 0:
-            raise ValueError("initial_step must be >= 0")
+        if type(self.max_steps) is not int or self.max_steps <= 0:     # bool is not a count
+            raise ValueError("max_steps must be a positive int")
+        if not 0 <= self.initial_step < math.inf:
+            raise ValueError("initial_step must be finite and >= 0")
 
 
 class Trajectory:
@@ -110,8 +115,8 @@ class Trajectory:
         th = (x - xs[i]) / h.
     """
 
-    __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "_dense",
-                 "_f_end", "stopped")
+    __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "rejected",
+                 "rhs_evals", "_dense", "_f_end", "stopped")
 
     def __init__(self, dim: int, direction: int):
         self.xs = array("d")
@@ -119,6 +124,8 @@ class Trajectory:
         self.dim = dim
         self.direction = direction
         self.step_count = 0
+        self.rejected = 0                    # attempts the controller turned down
+        self.rhs_evals = 0                   # inline cos(pi*x*y) stages included
         self._dense: array | None = None
         self._f_end: float | None = None     # y' at the last sample, scalar only
         self.stopped = False
@@ -206,14 +213,17 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     RMS norm.  Deterministic for a fixed configuration.
 
     Raises StepLimitExceeded when cfg.max_steps attempts are spent and
-    NonFiniteState when the state or derivative stops being finite.  When
+    NonFiniteState when the state or derivative stops being finite or a
+    rejected step has shrunk until it no longer moves x.  When
     ``stop_when(x, y)`` returns true after an accepted step, integration
     ends there and the trajectory is flagged ``stopped``.
 
     ``rhs`` is called for k1 and the automatic first step's trial.  When it
     is ``cosine.rhs_unscaled`` itself, the six stage evaluations of each
     attempt are inline; any other callable, a wrapper of it included, is
-    called for them, and the trajectory is the same to the bit.
+    called for them, and the trajectory is the same to the bit, its counts
+    ``step_count``, ``rejected`` and ``rhs_evals`` (inline stages counted)
+    included.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -279,18 +289,15 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
                 max_step)
     err_prev = 1.0
     fac_max = _FAC_MAX
-    attempts = 0
-    max_steps = cfg.max_steps
+    ay = abs(y)
 
-    while True:
-        attempts += 1
-        if attempts > max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
+    for attempt in range(1, cfg.max_steps + 1):
         if h > max_step:
             h = max_step
-        last = (abs(x1 - x) <= h)
+        rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
+        last = (rem <= h)
         if last:
-            h = abs(x1 - x)
+            h = rem
         hs = h * direction
 
         if inline:
@@ -310,35 +317,39 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
         k7 = cos(PI * x_new * y_new) if inline else f(x_new, y_new)
 
         err_raw = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        sc = atol + rtol * max(abs(y), abs(y_new))
-        err = abs(err_raw) / sc
+        ay_new = -y_new if y_new < 0.0 else y_new
+        err = (-err_raw if err_raw < 0.0 else err_raw) / (atol + rtol * (ay_new if ay_new > ay else ay))
 
         if err <= 1.0:
             if not (isfinite(y_new) and isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
                 dn_fromlist([hs, k1, k3, k4, k5, k6])
-            x, y, k1 = x_new, y_new, k7
+            x, y, k1, ay = x_new, y_new, k7, ay_new
             xs_append(x)
             ys_append(y)
-            traj.step_count += 1
             if stop_when is not None and stop_when(x, y):
                 traj.stopped = True
                 break
             if last:
                 break
-            if err == 0.0:
-                fac = fac_max
-            else:
-                fac = _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
-                fac = min(fac_max, max(_FAC_MIN, fac))
-            h *= fac
-            err_prev = max(err, 1e-4)
+            # 0.0 ** -_EXPO1 raises ZeroDivisionError; an exact step grows by fac_max
+            fac = fac_max if err == 0.0 else _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
+            h *= (fac if fac < fac_max else fac_max) if fac > _FAC_MIN else _FAC_MIN
+            err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac = _SAFETY * err ** -0.2
+            h *= fac if fac > _FAC_MIN else _FAC_MIN
             fac_max = 1.0
+            if x + h * direction == x:
+                raise NonFiniteState(f"step size underflow at x={x}")
+    else:
+        raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
+    traj.step_count = steps = len(traj.xs) - 1
+    traj.rejected = attempt - steps
+    traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
     traj._f_end = k1
     if dense:
         _dense_records(dn, traj._ys, k1)
@@ -389,7 +400,8 @@ def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     # _integrate_scalar on the pair (y, v); k_s and l_s are the stage slopes of y and v.
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    isfinite, sqrt = math.isfinite, math.sqrt
+    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     direction = 1 if x1 > x0 else -1
     span = abs(x1 - x0)
     traj = Trajectory(2, direction)
@@ -398,30 +410,27 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
 
     x, (y, v) = x0, y0
     k1, l1 = f(x, y0)
-    if not (math.isfinite(y) and math.isfinite(v) and math.isfinite(k1) and math.isfinite(l1)):
+    if not (isfinite(y) and isfinite(v) and isfinite(k1) and isfinite(l1)):
         raise NonFiniteState(f"non-finite initial data at x={x}")
     xs.append(x)
     ys.extend(y0)
 
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, cfg.max_step, span)
+        h = min(cfg.initial_step, max_step, span)
     else:
         h = min(_initial_step_pair(f, x0, y0, (k1, l1), direction, rtol, atol, span),
-                cfg.max_step)
+                max_step)
     err_prev = 1.0
     fac_max = _FAC_MAX
-    attempts = 0
-    max_steps = cfg.max_steps
+    ay, av = abs(y), abs(v)
 
-    while True:
-        attempts += 1
-        if attempts > max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
-        if h > cfg.max_step:
-            h = cfg.max_step
-        last = (abs(x1 - x) <= h)
+    for attempt in range(1, cfg.max_steps + 1):
+        if h > max_step:
+            h = max_step
+        rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
+        last = (rem <= h)
         if last:
-            h = abs(x1 - x)
+            h = rem
         hs = h * direction
 
         k2, l2 = f(x + _C2 * hs, (y + hs * (_A21 * k1), v + hs * (_A21 * l1)))
@@ -440,13 +449,13 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
 
         eu = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         ew = hs * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6 + _E7 * l7)
-        scu = atol + rtol * max(abs(y), abs(y_new))
-        scw = atol + rtol * max(abs(v), abs(v_new))
-        err = math.sqrt(((eu / scu) ** 2 + (ew / scw) ** 2) / 2)
+        ay_new, av_new = -y_new if y_new < 0.0 else y_new, -v_new if v_new < 0.0 else v_new
+        scu = atol + rtol * (ay_new if ay_new > ay else ay)
+        scw = atol + rtol * (av_new if av_new > av else av)
+        err = sqrt(((eu / scu) ** 2 + (ew / scw) ** 2) / 2)
 
         if err <= 1.0:
-            if not (math.isfinite(y_new) and math.isfinite(v_new)
-                    and math.isfinite(k7) and math.isfinite(l7)):
+            if not (isfinite(y_new) and isfinite(v_new) and isfinite(k7) and isfinite(l7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
                 dn.fromlist([hs, y, v, k1, l1,
@@ -456,27 +465,31 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
                              _P13 * l1 + _P33 * l3 + _P43 * l4 + _P53 * l5 + _P63 * l6 + _P73 * l7,
                              _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7,
                              _P14 * l1 + _P34 * l3 + _P44 * l4 + _P54 * l5 + _P64 * l6 + _P74 * l7])
-            x, y, v, k1, l1 = x_new, y_new, v_new, k7, l7
+            x, y, v, k1, l1, ay, av = x_new, y_new, v_new, k7, l7, ay_new, av_new
             xs.append(x)
             ys.fromlist([y, v])
-            traj.step_count += 1
             if stop_when is not None and stop_when(x, (y, v)):
                 traj.stopped = True
                 break
             if last:
                 break
-            if err == 0.0:
-                fac = fac_max
-            else:
-                fac = _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
-                fac = min(fac_max, max(_FAC_MIN, fac))
-            h *= fac
-            err_prev = max(err, 1e-4)
+            # 0.0 ** -_EXPO1 raises ZeroDivisionError; an exact step grows by fac_max
+            fac = fac_max if err == 0.0 else _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
+            h *= (fac if fac < fac_max else fac_max) if fac > _FAC_MIN else _FAC_MIN
+            err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac = _SAFETY * err ** -0.2
+            h *= fac if fac > _FAC_MIN else _FAC_MIN
             fac_max = 1.0
+            if x + h * direction == x:
+                raise NonFiniteState(f"step size underflow at x={x}")
+    else:
+        raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
+    traj.step_count = steps = len(traj.xs) - 1
+    traj.rejected = attempt - steps
+    traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
     traj._dense = dn
     return traj
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from array import array
 
 import numpy as np
@@ -108,11 +109,27 @@ def test_step_limit_exceeded():
 
 
 def test_non_finite_state_detected():
-    # y' = 1 + y^2 blows up at x = pi/2 (tan); overflow -> NonFiniteState,
-    # or the shrinking steps exhaust the budget first.
+    # y' = 1 + y^2 blows up at x = pi/2 (tan): the rejected steps shrink
+    # until they can no longer move x
     cfg = IntegratorConfig(max_steps=100_000)
-    with pytest.raises((NonFiniteState, StepLimitExceeded)):
+    with pytest.raises(NonFiniteState):
         integrate(lambda x, y: 1.0 + y * y, 0.0, 0.0, 3.0, cfg)
+
+
+@pytest.mark.parametrize("f, y0, x1, where", [
+    (lambda x, y: math.nan if x > 1 else math.cos(math.pi * x * y), 1.0, 5.0, "x=1.0"),
+    (lambda x, y: (y[1], math.nan) if x > 1 else (y[1], -y[0]), (1.0, 0.0), 5.0, "x=1.0"),
+    (lambda x, y: 1.0 + y * y, 0.0, 3.0, "x=1.57079632"),
+    (lambda x, y: 1.0 + y * y, 0.0, -3.0, "x=-1.57079632"),
+    (lambda x, y: (1.0 + y[0] * y[0], 0.0), (0.0, 0.0), 3.0, "x=1.57079632"),
+], ids=["scalar-nan-slope", "pair-nan-slope", "tan", "tan-backward", "pair-tan"])
+def test_step_size_underflow_fails_fast(f, y0, x1, where):
+    # every attempt past the bad point is rejected; once a step can no longer
+    # move x the run stops instead of spending the default 5,000,000 attempts
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteState, match=f"step size underflow at {where}"):
+        integrate(f, 0.0, y0, x1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stop_when_hook():
@@ -155,12 +172,16 @@ def test_cosine_class_one_has_single_maximum():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=-1.0)
+    # NaN must not pass for "unset", nor a float or a bool for an attempt count
+    for kw in [dict(rel_tol=0.0), dict(rel_tol=math.nan), dict(rel_tol=math.inf),
+               dict(abs_tol=-1e-12), dict(abs_tol=math.nan), dict(abs_tol=math.inf),
+               dict(max_step=-1.0), dict(max_step=0.0), dict(max_step=math.nan),
+               dict(initial_step=-1.0), dict(initial_step=math.nan),
+               dict(initial_step=math.inf), dict(max_steps=0), dict(max_steps=2.5),
+               dict(max_steps=10.0), dict(max_steps=True)]:
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kw)
+    IntegratorConfig(max_step=math.inf, initial_step=0.0, max_steps=1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -453,6 +474,7 @@ def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
         else:
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
             fac_max = 1.0
+            traj.rejected += 1
 
     traj._dense = dn
     return traj
@@ -480,6 +502,14 @@ _PAIR_RUNS = {
     "tight-rejecting": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
                         IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15), True,
                         lambda x, y: abs(y[0]) > 1e6),
+    # the max_step clamp binds on three stretches before the pole
+    "max-step-backward": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
+                          IntegratorConfig(max_step=0.02), True,
+                          lambda x, y: abs(y[0]) > 1e3),
+    # a first step of 1 is rejected until the controller has shrunk it
+    "big-first-step-backward": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
+                                IntegratorConfig(initial_step=1.0), True,
+                                lambda x, y: abs(y[0]) > 1e3),
 }
 
 
@@ -498,9 +528,9 @@ def test_pair_stepper_equals_tuple_reference_bitwise(run):
     assert (got.dim, got.direction) == (ref.dim, ref.direction)
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
-    # every run also rejects steps (k1, one initial-step probe, then six
-    # evaluations per attempt), so the reject branch is compared too
-    assert (len(calls) - 2) // 6 > got.step_count
+    # every run also rejects steps, so the reject branch is compared too
+    assert got.rejected == ref.rejected > 0
+    assert got.rhs_evals == len(calls)
 
 
 @pytest.mark.parametrize("error, f, y0, cfg", [
@@ -553,6 +583,8 @@ _MODEL_RUNS = {
        for a in (0.3, 1.7, 3.0, 6.0)},
     **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, True, None) for k in (1, 10, 25, 50)},
     **{f"bundle-decay-{a}": (0.0, a, 4.5, _TIGHT, True, None) for a in (0.2, 0.4)},
+    "fig1-10-max-step": (0.0, 2.0, 24.0, IntegratorConfig(max_step=0.01), True, None),
+    "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), True, None),
 }
 
 
@@ -561,8 +593,8 @@ def test_inline_model_rhs_equals_call_route_bitwise(run):
     # rhs_unscaled itself takes the inline route; a wrapper of it is called
     x0, y0, x1, cfg, dense, stop_when = _MODEL_RUNS[run]
     got = integrate(rhs_unscaled, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
-    ref = integrate(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, dense=dense,
-                    stop_when=stop_when)
+    rhs, calls = _counted(rhs_unscaled)
+    ref = integrate(rhs, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
     if dense:
@@ -572,6 +604,9 @@ def test_inline_model_rhs_equals_call_route_bitwise(run):
     assert got._f_end.hex() == ref._f_end.hex()
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
+    # the inline stages count as evaluations: both routes report the same
+    assert (got.rejected, got.rhs_evals) == (ref.rejected, ref.rhs_evals)
+    assert ref.rhs_evals == len(calls)
 
 
 @pytest.mark.parametrize("error, y0, cfg", [
@@ -612,7 +647,7 @@ def test_model_rhs_is_evaluated_inline(run):
     assert inline == 2
     wrapped, called = _model_rhs_calls(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, **kw)
     assert wrapped.step_count == traj.step_count > 0
-    assert called >= 2 + 6 * traj.step_count
+    assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
 
 
 # -- the scalar dense records against a per-step build ------------------------
@@ -638,7 +673,11 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
                 cfg.max_step)
     err_prev = 1.0
     fac_max = _FAC_MAX
+    attempts = 0
     while True:
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
         h = min(h, cfg.max_step)
         last = (abs(x1 - x) <= h)
         if last:
@@ -678,6 +717,7 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
         else:
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
             fac_max = 1.0
+            traj.rejected += 1
     traj._f_end = k1
     traj._dense = dn
     return traj
@@ -697,6 +737,10 @@ _RECORD_RUNS = {
     **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, trapped_in_even_bundle, None)
        for a in (0.3, 1.7, 3.0, 6.0)},
     "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None, 1),
+    "fig1-10-max-step": (0.0, 2.0, 24.0, IntegratorConfig(max_step=0.01), None, None),
+    "backward-10-max-step": (*_backward_run(10, True)[:3], IntegratorConfig(max_step=0.01),
+                             None, None),
+    "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), None, None),
     "chunk-minus-one": _fixed_steps(_DENSE_CHUNK - 1),
     "chunk": _fixed_steps(_DENSE_CHUNK),
     "chunk-plus-one": _fixed_steps(_DENSE_CHUNK + 1),
@@ -716,3 +760,17 @@ def test_dense_records_equal_per_step_build_bitwise(run):
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     assert steps is None or got.step_count == steps
+    assert got.rejected == ref.rejected
+    if run == "fig1-50-first-step-1":
+        assert got.rejected > 100
+
+
+@pytest.mark.parametrize("f", [rhs_unscaled, lambda x, y: rhs_unscaled(x, y)],
+                         ids=["inline", "call"])
+def test_scalar_step_limit_raises_as_per_step_reference(f):
+    cfg = IntegratorConfig(max_steps=10)
+    with pytest.raises(StepLimitExceeded) as got:
+        integrate(f, 0.0, 2.0, 20.0, cfg)
+    with pytest.raises(StepLimitExceeded) as ref:
+        _per_step_reference(rhs_unscaled, 0.0, 2.0, 20.0, cfg)
+    assert str(got.value) == str(ref.value)
