@@ -16,10 +16,12 @@ detection.
 
 Each kind of state runs on its own specialised float-only loop: the
 oscillatory model equation needs millions of scalar steps at tight
-tolerances, and every Painleve-I fate is a run of the pair loop.  The scalar
-loop evaluates the model slope field ``cosine.rhs_unscaled``, cos(pi*x*y),
-inline at its six stages; any other callable, a wrapper of that one
-included, is called at each stage, with the same bits for the same field.
+tolerances, and every Painleve-I fate is a run of the pair loop.  Each loop
+evaluates its model field inline at its six stages: the scalar loop the
+slope field ``cosine.rhs_unscaled``, cos(pi*x*y), and the pair loop the
+Painleve-I field ``painleve.painleve_rhs``, (y', y^2 + x).  Any other
+callable, a wrapper of either included, is called at each stage, with the
+same bits for the same field.
 Both loops compare floats instead of calling ``min``, ``max`` or ``abs``:
 ``max(a, b)`` is written ``b if b > a else a``, which keeps the builtin's
 NaN behaviour, and the reference loops of the tests, which still call the
@@ -77,6 +79,8 @@ _P72, _P73, _P74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 293804
 _SAFETY = 0.9
 _BETA = 0.04          # PI controller: h *= safety * err^-expo1 * errprev^beta
 _EXPO1 = 0.2 - 0.75 * _BETA
+# Rejected steps only: an accepted step has err <= 1 and err_prev >= 1e-4,
+# so its factor is at least 0.9 * 1e-4 ** 0.04 ~ 0.62.
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
 
@@ -125,7 +129,7 @@ class Trajectory:
         self.direction = direction
         self.step_count = 0
         self.rejected = 0                    # attempts the controller turned down
-        self.rhs_evals = 0                   # inline cos(pi*x*y) stages included
+        self.rhs_evals = 0                   # inline model-field stages included
         self._dense: array | None = None
         self._f_end: float | None = None     # y' at the last sample, scalar only
         self.stopped = False
@@ -219,11 +223,11 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     ends there and the trajectory is flagged ``stopped``.
 
     ``rhs`` is called for k1 and the automatic first step's trial.  When it
-    is ``cosine.rhs_unscaled`` itself, the six stage evaluations of each
-    attempt are inline; any other callable, a wrapper of it included, is
-    called for them, and the trajectory is the same to the bit, its counts
-    ``step_count``, ``rejected`` and ``rhs_evals`` (inline stages counted)
-    included.
+    is ``cosine.rhs_unscaled`` (scalar) or ``painleve.painleve_rhs`` (pair)
+    itself, the six stage evaluations of each attempt are inline; any other
+    callable, a wrapper of those included, is called for them, and the
+    trajectory is the same to the bit, its counts ``step_count``,
+    ``rejected`` and ``rhs_evals`` (inline stages counted) included.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -335,7 +339,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
                 break
             # 0.0 ** -_EXPO1 raises ZeroDivisionError; an exact step grows by fac_max
             fac = fac_max if err == 0.0 else _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
-            h *= (fac if fac < fac_max else fac_max) if fac > _FAC_MIN else _FAC_MIN
+            h *= fac if fac < fac_max else fac_max
             err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:
@@ -400,6 +404,10 @@ def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     # _integrate_scalar on the pair (y, v); k_s and l_s are the stage slopes of y and v.
+    from .painleve import painleve_rhs      # painleve imports this module
+    # Inline stages must keep painleve_rhs's operands and their order, so
+    # that both routes give the same bits.
+    inline = f is painleve_rhs
     isfinite, sqrt = math.isfinite, math.sqrt
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     direction = 1 if x1 > x0 else -1
@@ -433,19 +441,40 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
             h = rem
         hs = h * direction
 
-        k2, l2 = f(x + _C2 * hs, (y + hs * (_A21 * k1), v + hs * (_A21 * l1)))
-        k3, l3 = f(x + _C3 * hs, (y + hs * (_A31 * k1 + _A32 * k2),
-                                  v + hs * (_A31 * l1 + _A32 * l2)))
-        k4, l4 = f(x + _C4 * hs, (y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3),
-                                  v + hs * (_A41 * l1 + _A42 * l2 + _A43 * l3)))
-        k5, l5 = f(x + _C5 * hs, (y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                                  v + hs * (_A51 * l1 + _A52 * l2 + _A53 * l3 + _A54 * l4)))
-        k6, l6 = f(x + hs, (y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-                            v + hs * (_A61 * l1 + _A62 * l2 + _A63 * l3 + _A64 * l4 + _A65 * l5)))
+        if inline:
+            # painleve_rhs at (X, (Y, V)) is (V, Y * Y + X)
+            u = y + hs * (_A21 * k1)
+            k2 = v + hs * (_A21 * l1)
+            l2 = u * u + (x + _C2 * hs)
+            u = y + hs * (_A31 * k1 + _A32 * k2)
+            k3 = v + hs * (_A31 * l1 + _A32 * l2)
+            l3 = u * u + (x + _C3 * hs)
+            u = y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            k4 = v + hs * (_A41 * l1 + _A42 * l2 + _A43 * l3)
+            l4 = u * u + (x + _C4 * hs)
+            u = y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            k5 = v + hs * (_A51 * l1 + _A52 * l2 + _A53 * l3 + _A54 * l4)
+            l5 = u * u + (x + _C5 * hs)
+            u = y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            k6 = v + hs * (_A61 * l1 + _A62 * l2 + _A63 * l3 + _A64 * l4 + _A65 * l5)
+            l6 = u * u + (x + hs)
+        else:
+            k2, l2 = f(x + _C2 * hs, (y + hs * (_A21 * k1), v + hs * (_A21 * l1)))
+            k3, l3 = f(x + _C3 * hs, (y + hs * (_A31 * k1 + _A32 * k2),
+                                      v + hs * (_A31 * l1 + _A32 * l2)))
+            k4, l4 = f(x + _C4 * hs, (y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3),
+                                      v + hs * (_A41 * l1 + _A42 * l2 + _A43 * l3)))
+            k5, l5 = f(x + _C5 * hs, (y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                                      v + hs * (_A51 * l1 + _A52 * l2 + _A53 * l3 + _A54 * l4)))
+            k6, l6 = f(x + hs, (y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+                                v + hs * (_A61 * l1 + _A62 * l2 + _A63 * l3 + _A64 * l4 + _A65 * l5)))
         y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         v_new = v + hs * (_B1 * l1 + _B3 * l3 + _B4 * l4 + _B5 * l5 + _B6 * l6)
         x_new = x1 if last else x + hs
-        k7, l7 = f(x_new, (y_new, v_new))
+        if inline:
+            k7, l7 = v_new, y_new * y_new + x_new
+        else:
+            k7, l7 = f(x_new, (y_new, v_new))
 
         eu = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         ew = hs * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6 + _E7 * l7)
@@ -475,7 +504,7 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
                 break
             # 0.0 ** -_EXPO1 raises ZeroDivisionError; an exact step grows by fac_max
             fac = fac_max if err == 0.0 else _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
-            h *= (fac if fac < fac_max else fac_max) if fac > _FAC_MIN else _FAC_MIN
+            h *= fac if fac < fac_max else fac_max
             err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:

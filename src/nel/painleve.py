@@ -154,7 +154,11 @@ def _pole_series(x0: float, h: float, terms: int):
     dh[6] = 1.0
     for m in range(7, terms + 1):
         s = sx = sh = 0.0
-        for i in range(1, m):
+        # c, dx and dh vanish at 1..3, so a term with i or m - i there is
+        # +-0.0; s, sx and sh start at +0.0 and never hold -0.0, so adding
+        # one changes nothing.  Skipping them leaves the other terms in the
+        # same order: the same sums, to the bit, for finite coefficients.
+        for i in range(4, m - 3):
             s += c[i] * c[m - i]
             sx += dx[i] * c[m - i] + c[i] * dx[m - i]
             sh += dh[i] * c[m - i] + c[i] * dh[m - i]

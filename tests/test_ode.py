@@ -17,7 +17,7 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, _DENSE_CHUNK,
                      IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
                      _initial_step_scalar, find_extrema, integrate)
-from nel.painleve import painleve_rhs
+from nel.painleve import _Y_RESTART, integrate_with_poles, painleve_rhs, pole_series_eval
 from nel.separatrix import _forward_span, backward_start
 
 
@@ -622,12 +622,13 @@ def test_inline_model_rhs_raises_as_call_route(error, y0, cfg):
     assert str(got.value) == str(ref.value)
 
 
-def _model_rhs_calls(f, *args, **kwargs):
-    """integrate(f, *args, **kwargs) and the number of rhs_unscaled calls it made."""
+def _rhs_calls(field, f, *args, **kwargs):
+    """integrate(f, *args, **kwargs) and the number of times the code of
+    ``field`` ran in it."""
     calls = [0]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is rhs_unscaled.__code__:
+        if event == "call" and frame.f_code is field.__code__:
             calls[0] += 1
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -642,10 +643,79 @@ def _model_rhs_calls(f, *args, **kwargs):
 def test_model_rhs_is_evaluated_inline(run):
     x0, y0, x1, cfg, dense, stop_when = _MODEL_RUNS[run]
     kw = dict(dense=dense, stop_when=stop_when)
-    traj, inline = _model_rhs_calls(rhs_unscaled, x0, y0, x1, cfg, **kw)
+    traj, inline = _rhs_calls(rhs_unscaled, rhs_unscaled, x0, y0, x1, cfg, **kw)
     # k1 and the initial-step trial; every stage evaluation is inline
     assert inline == 2
-    wrapped, called = _model_rhs_calls(lambda x, y: rhs_unscaled(x, y), x0, y0, x1, cfg, **kw)
+    wrapped, called = _rhs_calls(rhs_unscaled, lambda x, y: rhs_unscaled(x, y),
+                                 x0, y0, x1, cfg, **kw)
+    assert wrapped.step_count == traj.step_count > 0
+    assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
+
+
+# -- the inline Painleve-I field against the call route -----------------------
+
+def _past_first_pole(a):
+    # where painleve's pole continuation restarts past the first pole
+    ev = integrate_with_poles(a, -30.0, dense=False)[1][0]
+    x = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    return x, pole_series_eval(ev.x0, ev.h, x)
+
+
+_PAINLEVE_RUNS = {
+    **{run: args[1:] for run, args in _PAIR_RUNS.items() if args[0] is painleve_rhs},
+    "forward-to-pole": (0.0, (1.0, 5.0), 5.0, None, True, lambda x, y: abs(y[0]) > 1e6),
+    # an oscillatory fate: no pole on the whole window
+    "no-dense-to-window-end": (0.0, (1.0, 2.0), -135.0, None, False, None),
+    "restart-past-pole": (*_past_first_pole(5.0), -30.0, None, True,
+                          lambda x, y: abs(y[0]) > 1e3),
+}
+
+
+@pytest.mark.parametrize("run", list(_PAINLEVE_RUNS))
+def test_inline_painleve_rhs_equals_call_route_bitwise(run):
+    # painleve_rhs itself takes the inline route; a wrapper of it is called
+    x0, y0, x1, cfg, dense, stop_when = _PAINLEVE_RUNS[run]
+    got = integrate(painleve_rhs, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
+    rhs, calls = _counted(painleve_rhs)
+    ref = integrate(rhs, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
+    assert bytes(got.xs) == bytes(ref.xs)
+    assert bytes(got._ys) == bytes(ref._ys)
+    if dense:
+        assert bytes(got._dense) == bytes(ref._dense)
+    else:
+        assert got._dense is None and ref._dense is None
+    assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
+    assert got.stopped == (stop_when is not None)
+    assert got.step_count > 0
+    # the inline stages count as evaluations: both routes report the same
+    assert (got.rejected, got.rhs_evals) == (ref.rejected, ref.rhs_evals)
+    assert ref.rhs_evals == len(calls)
+
+
+@pytest.mark.parametrize("error, y0, x1, cfg", [
+    (NonFiniteState, (math.nan, 5.0), -30.0, None),
+    # forward into a pole until the rejected step no longer moves x
+    (NonFiniteState, (1.0, 5.0), 5.0, None),
+    (StepLimitExceeded, (1.0, 5.0), -30.0, IntegratorConfig(max_steps=10)),
+], ids=["initial", "underflow", "budget"])
+def test_inline_painleve_rhs_raises_as_call_route(error, y0, x1, cfg):
+    with pytest.raises(error) as got:
+        integrate(painleve_rhs, 0.0, y0, x1, cfg)
+    with pytest.raises(error) as ref:
+        integrate(lambda x, y: painleve_rhs(x, y), 0.0, y0, x1, cfg)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("run", ["painleve-to-pole", "no-dense-to-window-end",
+                                 "restart-past-pole"])
+def test_painleve_rhs_is_evaluated_inline(run):
+    x0, y0, x1, cfg, dense, stop_when = _PAINLEVE_RUNS[run]
+    kw = dict(dense=dense, stop_when=stop_when)
+    traj, inline = _rhs_calls(painleve_rhs, painleve_rhs, x0, y0, x1, cfg, **kw)
+    # k1 and the initial-step trial; every stage evaluation is inline
+    assert inline == 2
+    wrapped, called = _rhs_calls(painleve_rhs, lambda x, y: painleve_rhs(x, y),
+                                 x0, y0, x1, cfg, **kw)
     assert wrapped.step_count == traj.step_count > 0
     assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
 

@@ -52,6 +52,35 @@ def test_laurent_series_satisfies_equation():
         assert terms - 5 < order < terms + 1
 
 
+def _full_range_series(x0, h, terms):
+    # the recursion summed over every i in 1..m-1, zero terms included
+    c, dx, dh = [0.0] * (terms + 1), [0.0] * (terms + 1), [0.0] * (terms + 1)
+    c[0], c[4], dx[4], c[5], c[6], dh[6] = 6.0, -x0 / 10.0, -0.1, -1.0 / 6.0, h, 1.0
+    for m in range(7, terms + 1):
+        s = sx = sh = 0.0
+        for i in range(1, m):
+            s += c[i] * c[m - i]
+            sx += dx[i] * c[m - i] + c[i] * dx[m - i]
+            sh += dh[i] * c[m - i] + c[i] * dh[m - i]
+        d = (m - 6) * (m + 1)
+        c[m], dx[m], dh[m] = s / d, sx / d, sh / d
+    return c, dx, dh
+
+
+@pytest.mark.parametrize("x0, h", [(0.0, 0.0), (0.0, 2.5), (-3.7, 1.9), (-7.3, -4.2),
+                                   (-41.06, 0.0), (12.5, -0.3), (-120.0, 37.0)])
+@pytest.mark.parametrize("terms", [7, 12, 24])
+def test_pole_series_skips_only_zero_terms(x0, h, terms):
+    from nel.painleve import _pole_series
+
+    got = _pole_series(x0, h, terms)
+    ref = _full_range_series(x0, h, terms)
+    for g, r in zip(got, ref):
+        assert [v.hex() for v in g] == [v.hex() for v in r]
+    if x0 == 0.0:
+        assert math.copysign(1.0, got[0][4]) == -1.0      # c_4 = -0.0 is kept
+
+
 def test_laurent_match_recovers_synthetic_pole():
     x0, h = -7.3, 4.2
     s = -math.sqrt(6.0 / _Y_MATCH) * 1.01
