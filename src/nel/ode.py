@@ -4,8 +4,8 @@ Explicit embedded Runge-Kutta pair for scalar and (y, y') pair first-order
 systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Each
 accepted step has a record of the coefficients of the standard quartic
-interpolant: the pair loop builds it at the step, the scalar loop stores the
-step's stages and builds all records in numpy passes after its last step.
+interpolant: each loop stores the step's stages and builds all records in
+numpy passes after its last step.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
 the records at a whole array of abscissae in the covered interval; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
@@ -356,34 +356,37 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
     traj._f_end = k1
     if dense:
-        _dense_records(dn, traj._ys, k1)
+        _dense_records(dn, traj._ys, (k1,))
     traj._dense = dn
     return traj
 
 
 def _dense_records(dn, ys, f_end):
-    """Rewrite the scalar loop's stage records [hs, k1, k3, k4, k5, k6] in
-    place, _DENSE_CHUNK steps per numpy pass, into the dense records
-    [h, y_left, q1, q2, q3, q4] of ``Trajectory``.  y_left is the step's
-    left sample and k7 the next step's k1 (``f_end`` after the last step).
-    Each q sums the same products in the same order as a per-step build,
-    and numpy rounds every product and sum on its own, so the bits agree."""
-    rec = np.frombuffer(dn, dtype=float).reshape(-1, 6)
-    y_left = np.frombuffer(ys, dtype=float)
+    """Rewrite a loop's stage records [hs, k1, k3, k4, k5, k6], each k of
+    d = len(f_end) components, in place, _DENSE_CHUNK steps per numpy pass,
+    into the dense records [h, y_left, q1, q2, q3, q4] of ``Trajectory``.
+    y_left is the step's left sample and k7 the next step's k1 (``f_end``,
+    y' at the last sample, after the last step).  Each q sums the same
+    products in the same order as a per-step build, and numpy rounds every
+    product and sum on its own, so the bits agree."""
+    d = len(f_end)
+    rec = np.frombuffer(dn, dtype=float).reshape(-1, 1 + 5 * d)
+    y_left = np.frombuffer(ys, dtype=float).reshape(-1, d)
     n = len(rec)
     for a in range(0, n, _DENSE_CHUNK):
         b = min(a + _DENSE_CHUNK, n)
         r = rec[a:b]
-        k1, k3, k4, k5, k6 = r[:, 1], r[:, 2], r[:, 3], r[:, 4], r[:, 5]
-        # k7 views column 1 of this chunk's later rows: build every q before
-        # that column is overwritten
-        k7 = rec[a + 1:b + 1, 1] if b < n else np.append(rec[a + 1:, 1], f_end)
+        k1, k3, k4, k5, k6 = (r[:, 1 + j * d:1 + (j + 1) * d] for j in range(5))
+        # k7 views the k1 columns of this chunk's later rows: build every q
+        # before those columns are overwritten
+        k7 = (rec[a + 1:b + 1, 1:1 + d] if b < n
+              else np.concatenate((rec[a + 1:, 1:1 + d], [f_end])))
         q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
         q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
         q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
-        r[:, 2] = k1
-        r[:, 1] = y_left[a:b]
-        r[:, 3], r[:, 4], r[:, 5] = q2, q3, q4
+        r[:, 1 + d:1 + 2 * d] = k1
+        r[:, 1:1 + d] = y_left[a:b]
+        r[:, 1 + 2 * d:1 + 3 * d], r[:, 1 + 3 * d:1 + 4 * d], r[:, 1 + 4 * d:] = q2, q3, q4
 
 
 def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
@@ -487,13 +490,7 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
             if not (isfinite(y_new) and isfinite(v_new) and isfinite(k7) and isfinite(l7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn.fromlist([hs, y, v, k1, l1,
-                             _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
-                             _P12 * l1 + _P32 * l3 + _P42 * l4 + _P52 * l5 + _P62 * l6 + _P72 * l7,
-                             _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
-                             _P13 * l1 + _P33 * l3 + _P43 * l4 + _P53 * l5 + _P63 * l6 + _P73 * l7,
-                             _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7,
-                             _P14 * l1 + _P34 * l3 + _P44 * l4 + _P54 * l5 + _P64 * l6 + _P74 * l7])
+                dn.fromlist([hs, k1, l1, k3, l3, k4, l4, k5, l5, k6, l6])
             x, y, v, k1, l1, ay, av = x_new, y_new, v_new, k7, l7, ay_new, av_new
             xs.append(x)
             ys.fromlist([y, v])
@@ -519,6 +516,8 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     traj.step_count = steps = len(traj.xs) - 1
     traj.rejected = attempt - steps
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
+    if dense:
+        _dense_records(dn, traj._ys, (k1, l1))
     traj._dense = dn
     return traj
 

@@ -183,10 +183,24 @@ def test_tail_not_asymptotic_raised():
         asymptotic_tail_eval(AsymptoticTail(1), -3.0)
 
 
-def test_tail_admissible_at_prescribed_starts():
-    for n in (1, 10, 500, 2000, 10000):
-        x_start = max(20.0, 3 * math.sqrt(n))
+class _Seeded(Exception):
+    """Raised in place of the backward integration, once the seed is checked."""
+
+
+def test_tail_admissible_at_prescribed_starts(monkeypatch):
+    import nel.separatrix as separatrix
+
+    def seeded(*args, **kwargs):
+        raise _Seeded
+
+    # the trace checks its tail seed before it integrates: stop it there
+    monkeypatch.setattr(separatrix, "integrate", seeded)
+    for n in (*range(-3, 8), 44, 45, 10_000, 100_000):
+        x_start = separatrix.backward_start(n)
         assert tail_is_asymptotic(AsymptoticTail(2 * n - 1), x_start)
+        # Undecidable (consistency) or TailNotAsymptotic would escape here
+        with pytest.raises(_Seeded):
+            separatrix.trace_separatrix_backward(n)
 
 
 # -- properties of the flow --------------------------------------------------

@@ -844,3 +844,45 @@ def test_scalar_step_limit_raises_as_per_step_reference(f):
     with pytest.raises(StepLimitExceeded) as ref:
         _per_step_reference(rhs_unscaled, 0.0, 2.0, 20.0, cfg)
     assert str(got.value) == str(ref.value)
+
+
+# -- the pair dense records against a per-step build --------------------------
+
+def _pair_fixed_steps(f, count):
+    # steps of -2^-12 from x = 0: every abscissa is exact, so the run takes
+    # exactly `count` steps
+    h = 2.0 ** -12
+    return (f, 0.0, (1.0, 0.5), -count * h, IntegratorConfig(initial_step=h, max_step=h),
+            None, count)
+
+
+_PAIR_RECORD_RUNS = {
+    **{run: (f, x0, y0, x1, cfg, stop_when, None)
+       for run, (f, x0, y0, x1, cfg, dense, stop_when) in _PAIR_RUNS.items() if dense},
+    **{run: (painleve_rhs, x0, y0, x1, cfg, stop_when, None)
+       for run, (x0, y0, x1, cfg, dense, stop_when) in _PAINLEVE_RUNS.items()
+       if dense and run not in _PAIR_RUNS},
+    "one-step": (painleve_rhs, 0.0, (1.0, 0.5), -1e-3, IntegratorConfig(initial_step=1e-3),
+                 None, 1),
+    **{f"{name}-{label}": _pair_fixed_steps(f, count)
+       for name, f in (("painleve", painleve_rhs), ("oscillator", _oscillator))
+       for label, count in (("chunk-minus-one", _DENSE_CHUNK - 1), ("chunk", _DENSE_CHUNK),
+                            ("chunk-plus-one", _DENSE_CHUNK + 1),
+                            ("three-chunks-and-more", 3 * _DENSE_CHUNK + 5))},
+}
+
+
+@pytest.mark.parametrize("run", list(_PAIR_RECORD_RUNS))
+def test_pair_dense_records_equal_per_step_build_bitwise(run):
+    # the pair loop stores each step's stages and builds the records after
+    # its last step; _tuple_reference builds each record as it accepts the step
+    f, x0, y0, x1, cfg, stop_when, steps = _PAIR_RECORD_RUNS[run]
+    got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
+    ref = _tuple_reference(f, x0, y0, x1, cfg, True, stop_when)
+    assert len(got._dense) == 11 * got.step_count > 0
+    assert bytes(got._dense) == bytes(ref._dense)
+    assert bytes(got.xs) == bytes(ref.xs)
+    assert bytes(got._ys) == bytes(ref._ys)
+    assert (got.step_count, got.stopped, got.rejected) == (ref.step_count, ref.stopped,
+                                                           ref.rejected)
+    assert steps is None or got.step_count == steps

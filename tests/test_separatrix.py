@@ -86,6 +86,27 @@ def test_backward_trace_insensitive_to_start():
     assert abs(r1.a_n - r2.a_n) < 1e-9
 
 
+def test_backward_start_below_seven_is_the_fallback():
+    for n in (*range(-60, 7), -10_000, -100_000):
+        assert backward_start(n).hex() == max(20.0, 3.0 * math.sqrt(max(abs(n), 1))).hex(), n
+
+
+def test_backward_start_from_seven_on_is_at_scaled_t_1_8():
+    for n in (*range(7, 60), 100, 1_000, 4_000, 10_000, 100_000):
+        assert backward_start(n).hex() == (1.8 * math.sqrt(2 * n - 0.5)).hex(), n
+
+
+# a tenth of the gap between the default tolerance and rel_tol 1e-13
+# (ROADMAP item 1's error table)
+@pytest.mark.parametrize("n, bound", [(100, 9.0e-9), (1_000, 2.7e-7), (4_000, 2.7e-6)])
+def test_backward_start_agrees_with_the_old_start(n, bound):
+    old_start = max(20.0, 3.0 * math.sqrt(n))
+    assert backward_start(n) < old_start
+    new, _ = trace_separatrix_backward(n, dense=False)
+    old, _ = trace_separatrix_backward(n, x_start=old_start, dense=False)
+    assert abs(new.a_n - old.a_n) < bound
+
+
 def test_backward_trace_stable_under_seed_perturbation():
     from nel.cosine import AsymptoticTail, asymptotic_tail_eval, rhs_unscaled
     from nel.ode import integrate
@@ -126,11 +147,12 @@ def test_eigenvalue_table_includes_negative_indices():
 
 def test_scaled_separatrix_values():
     z, t_max, rec = scaled_separatrix_evaluator(50)
-    assert t_max > 2.0
+    # the trace starts at t = 1.8 for n >= 7
+    assert t_max >= 1.8 - 1e-12
     s = math.sqrt(2 * 50 - 0.5)
     assert z(0.0) == pytest.approx(rec.a_n / s)
     # merges onto the 1/t tail beyond the turning point
-    for t in (1.5, 2.0):
+    for t in (1.5, 1.75):
         assert abs(z(t) - 1 / t) < 1e-3
 
 
