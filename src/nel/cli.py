@@ -54,14 +54,10 @@ def _json_dump(obj) -> str:
         if math.isnan(obj) or math.isinf(obj):
             return "null"
         return format(obj, ".17g")
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, str)):
+    if isinstance(obj, (int, str)):             # bool included
         return json.dumps(obj)
-    if isinstance(obj, complex):
-        return _json_dump({"re": obj.real, "im": obj.imag})
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_json_dump(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -126,11 +122,14 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
-    """'1,2.5,4' -> [1.0, 2.5, 4.0] (or ints with kind=int)."""
+    """'1,2.5,4' -> [1.0, 2.5, 4.0] (or ints with kind=int); nan or inf is refused."""
     try:
-        return [kind(v) for v in text.split(",")]
+        vs = [kind(v) for v in text.split(",")]
+        if not all(map(math.isfinite, vs)):
+            raise ValueError
     except ValueError as exc:
-        raise UsageError(f"bad {flag} {text!r}, expected comma-separated numbers") from exc
+        raise UsageError(f"bad {flag} {text!r}, expected comma-separated finite numbers") from exc
+    return vs
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -165,22 +164,24 @@ def _segment_rows(label, a, segs) -> list:
 
 
 def _cmd_eigen(args) -> int:
-    from .separatrix import (eigenvalue_table, find_eigenvalue_bisect,
+    from .separatrix import (_check_tol, eigenvalue_table, find_eigenvalue_bisect,
                              trace_separatrix_backward)
 
     t0 = time.perf_counter()
     ns = _parse_range(args.n)
     if args.method == "bisect" and min(ns) < 1:
         raise UsageError(f"--method bisect needs every n >= 1, got {args.n!r}")
-    records = []
+    if args.method != "backward":
+        try:
+            _check_tol(args.tol, max(ns))
+        except ValueError as exc:
+            raise UsageError(f"--tol: {exc}") from exc
     if args.method == "both":
         records = eigenvalue_table(ns, args.tol)
+    elif args.method == "bisect":
+        records = [find_eigenvalue_bisect(n, args.tol) for n in ns]
     else:
-        for n in ns:
-            if args.method == "bisect":
-                records.append(find_eigenvalue_bisect(n, args.tol))
-            else:
-                records.append(trace_separatrix_backward(n, dense=False)[0])
+        records = [trace_separatrix_backward(n, dense=False)[0] for n in ns]
     payload = [{"n": r.n, "a_n": r.a_n, "method": r.method,
                 "residual": r.residual, "tail_m": r.tail_m} for r in records]
     out = Path(args.out)

@@ -227,17 +227,16 @@ def trapped_in_even_bundle(x: float, y: float) -> bool:
 
 # -- hyperasymptotic splitting -------------------------------------------
 
-def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float], *,
-                     n_samples: int = 41,
-                     noise_floor: float = 1e-12) -> float:
-    """Least-squares slope of ln|y1 - y2| against x^2 over the window.
+def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float]) -> float:
+    """Least-squares slope of ln|y1 - y2| against x^2 at 41 evenly spaced
+    points of the window, both ends included.
 
     Two solutions in the same even-m bundle separate only through terms
     beyond every order of the tail.  Their difference obeys the linearised
     equation d' = -pi x sin(pi x y) d, and on an even-m bundle pi x y tends
     to pi (m + 1/2), where the sine is 1; so |y1 - y2| ~ K exp(-pi x^2 / 2)
     and the fitted slope is -pi/2.  Samples whose difference falls below
-    ``noise_floor`` carry integration noise rather than signal and are
+    1e-12 carry integration noise rather than signal and are
     excluded; at the tolerances used (1e-12 relative, 1e-14 absolute) the
     floor is reached around |y1 - y2| ~ 1e-12, well before the exact
     difference underflows.
@@ -259,12 +258,12 @@ def bundle_decay_fit(a1: float, a2: float, x_window: tuple[float, float], *,
     if m1 != m2 or m1 % 2 != 0:
         raise BundleMismatch(f"bundle indices {m1} and {m2}")
 
-    xs = [x_lo + (x_hi - x_lo) * i / (n_samples - 1) for i in range(n_samples)]
+    xs = [x_lo + (x_hi - x_lo) * i / 40 for i in range(41)]
     xsq, logd = [], []
     for x, d in zip(xs, abs(t1.sample(xs) - t2.sample(xs)).tolist()):
         if d < 1e-300:
             raise Underflow(f"difference underflowed at x={x}")
-        if d < noise_floor:
+        if d < 1e-12:
             continue
         xsq.append(x * x)
         logd.append(math.log(d))

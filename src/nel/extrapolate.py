@@ -45,12 +45,14 @@ def richardson(values: Sequence[float], indices: Sequence[float],
 
     ``indices`` must be positive and strictly increasing, with at least
     stages + 1 entries.  The default exponents are the integer ladder
-    1, 2, ..., stages.
+    1, 2, ..., stages.  Every value, index and exponent must be finite.
     """
     vals = [float(v) for v in values]
     idx = [float(n) for n in indices]
     if len(vals) != len(idx):
         raise ValueError("values and indices must have equal length")
+    if not all(map(math.isfinite, [*vals, *idx, *(exponents or ())])):
+        raise ValueError("values, indices and exponents must be finite")
     if len(vals) < 2:
         raise ValueError("need at least two values")
     if any(n <= 0 for n in idx):

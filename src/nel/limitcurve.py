@@ -256,6 +256,7 @@ def alpha_closed_form(n: int, k: int) -> Fraction:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # math.cos per item: numpy's cos may round differently
 _cos = np.vectorize(math.cos, otypes=[float])
+_ENVELOPE_HALF_WIDTH, _ENVELOPE_SAMPLES = 0.02, 13
 
 
 def _oscillatory_quad(fn, a: float, b: float, panel: float) -> float:
@@ -323,22 +324,20 @@ def eta_consistency_check(n_index: int, t: float) -> EtaCheck:
     return _eta_at(traj, scale, scaling_lambda(n_index), t)
 
 
-def eta_balance_envelope(n_index: int, t: float, *,
-                         half_width: float = 0.02, samples: int = 13) -> float:
+def eta_balance_envelope(n_index: int, t: float) -> float:
     """Phase-robust size of the energy-balance residual near t.
 
     The pointwise residual oscillates with the solution, so its value at a
     single t samples an arbitrary phase (it can even pass through zero).
     The max over a window a few oscillation periods wide measures the
-    O(1/lambda) envelope instead, which halves cleanly when n doubles.
-    The separatrix is traced once; each sample equals
-    ``eta_consistency_check`` at its t.
+    O(1/lambda) envelope instead, which halves cleanly when n doubles: the
+    max at _ENVELOPE_SAMPLES = 13 evenly spaced t within
+    _ENVELOPE_HALF_WIDTH = 0.02 of t, clipped to [1e-6, 1].  The separatrix
+    is traced once; each sample equals ``eta_consistency_check`` at its t.
     """
-    if samples < 3:
-        raise ValueError("samples must be >= 3")
-    lo = max(1e-6, t - half_width)
-    hi = min(1.0, t + half_width)
-    ts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    lo = max(1e-6, t - _ENVELOPE_HALF_WIDTH)
+    hi = min(1.0, t + _ENVELOPE_HALF_WIDTH)
+    ts = [lo + (hi - lo) * k / (_ENVELOPE_SAMPLES - 1) for k in range(_ENVELOPE_SAMPLES)]
     if not all(0 < s <= 1 for s in ts):
         raise ValueError("t must lie in (0, 1]")
     _, traj, scale = _scaled_trace(n_index)

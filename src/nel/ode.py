@@ -85,6 +85,7 @@ _FAC_MIN = 0.2
 _FAC_MAX = 6.0
 
 _DENSE_CHUNK = 4096   # scalar steps per numpy pass that builds dense records
+_XTOL = 1e-10         # find_extrema's bisection width
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     initial_step: float = 0.0      # 0 selects the step automatically
-    max_step: float = math.inf
     max_steps: int = 5_000_000
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
         if type(self.max_steps) is not int or self.max_steps <= 0:     # bool is not a count
             raise ValueError("max_steps must be a positive int")
         if not 0 <= self.initial_step < math.inf:
@@ -271,7 +269,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     # that both routes give the same bits.
     inline = f is rhs_unscaled
     cos, isfinite = math.cos, math.isfinite
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
     span = abs(x1 - x0)
     traj = Trajectory(1, direction)
@@ -287,17 +285,14 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     ys_append(y)
 
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, max_step, span)
+        h = min(cfg.initial_step, span)
     else:
-        h = min(_initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span),
-                max_step)
+        h = _initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span)
     err_prev = 1.0
     fac_max = _FAC_MAX
     ay = abs(y)
 
     for attempt in range(1, cfg.max_steps + 1):
-        if h > max_step:
-            h = max_step
         rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
         last = (rem <= h)
         if last:
@@ -412,7 +407,7 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     # that both routes give the same bits.
     inline = f is painleve_rhs
     isfinite, sqrt = math.isfinite, math.sqrt
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
     span = abs(x1 - x0)
     traj = Trajectory(2, direction)
@@ -427,17 +422,14 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     ys.extend(y0)
 
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, max_step, span)
+        h = min(cfg.initial_step, span)
     else:
-        h = min(_initial_step_pair(f, x0, y0, (k1, l1), direction, rtol, atol, span),
-                max_step)
+        h = _initial_step_pair(f, x0, y0, (k1, l1), direction, rtol, atol, span)
     err_prev = 1.0
     fac_max = _FAC_MAX
     ay, av = abs(y), abs(v)
 
     for attempt in range(1, cfg.max_steps + 1):
-        if h > max_step:
-            h = max_step
         rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
         last = (rem <= h)
         if last:
@@ -541,15 +533,16 @@ def _bisect(g, lo, hi, flo, iters) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def find_extrema(traj: Trajectory, xtol: float = 1e-10) -> list[tuple[float, float, str]]:
+def find_extrema(traj: Trajectory) -> list[tuple[float, float, str]]:
     """Locate interior extrema of a scalar trajectory.
 
     Sign changes of y' are bracketed on the stored derivative samples plus
     three interior probes of the dense interpolant per step, then bisected
     in lockstep on the interpolant derivative, a bracket of width w
-    min(80, max(20, ceil(log2(w/xtol)))) times.  A plus-to-minus crossing
-    is a maximum.  Returns (x, y, kind) tuples in trajectory order; constant
-    stretches contribute nothing.
+    min(80, max(20, ceil(log2(w/_XTOL)))) times, _XTOL = 1e-10; of two
+    extrema closer than 10 _XTOL the first is kept.  A plus-to-minus
+    crossing is a maximum.  Returns (x, y, kind) tuples in trajectory order;
+    constant stretches contribute nothing.
     """
     if traj.dim != 1:
         raise ValueError("find_extrema requires a scalar trajectory")
@@ -567,13 +560,13 @@ def find_extrema(traj: Trajectory, xtol: float = 1e-10) -> list[tuple[float, flo
     fl, fr = pf[:, :-1].ravel(), pf[:, 1:].ravel()
     k = np.nonzero((fl != 0.0) & ~(fl * fr >= 0.0))[0]
     xl, xr, fl = px[:, :-1].ravel()[k], px[:, 1:].ravel()[k], fl[k]
-    iters = [min(80, max(20, math.ceil(math.log2(max(abs(r - l) / xtol, 2.0)))))
+    iters = [min(80, max(20, math.ceil(math.log2(max(abs(r - l) / _XTOL, 2.0)))))
              for l, r in zip(xl.tolist(), xr.tolist())]
     x_star = _bisect(traj.slope, xl, xr, fl, iters)
 
     out = []
     for x, y, f in zip(x_star.tolist(), traj.sample(x_star).tolist(), fl.tolist()):
-        if out and abs(out[-1][0] - x) < 10 * xtol:
+        if out and abs(out[-1][0] - x) < 10 * _XTOL:
             continue
         # In +x order a maximum is a +(left) to -(right) crossing of y';
         # backward trajectories visit the right side first.

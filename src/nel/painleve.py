@@ -90,6 +90,7 @@ _SECANT_WIDTH = 1e-2     # the flip finder halves wider brackets
 # misses the flip by a median 5-12 % and a 90th percentile 11-24 % of its
 # distance from the nearer end; a step a quarter past it covers nine in ten.
 _PAST = 0.25
+_APPROACH_WINDOW, _APPROACH_SPLIT, _APPROACH_SAMPLES = (-9.5, -2.5), 1e-9, 25
 
 
 def painleve_rhs(x: float, y: tuple[float, float]) -> tuple[float, float]:
@@ -292,9 +293,7 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
         state = pole_series_eval(ev.x0, ev.h, x)
 
 
-def integrate_with_poles(a: float, x_end: float,
-                         ode: IntegratorConfig = _ODE, *,
-                         y0: float = 1.0,
+def integrate_with_poles(a: float, x_end: float, *, y0: float = 1.0,
                          dense: bool = True) -> tuple[list[Trajectory], list[PoleEvent]]:
     """Integrate from (0, y0) with slope a down to x_end < 0, through poles.
 
@@ -303,7 +302,7 @@ def integrate_with_poles(a: float, x_end: float,
     """
     if x_end >= 0:
         raise ValueError("x_end must be negative")
-    steps = list(_pole_continuation(a, x_end, ode, y0, dense))
+    steps = list(_pole_continuation(a, x_end, _ODE, y0, dense))
     return [traj for traj, _ in steps], [ev for _, ev in steps if ev is not None]
 
 
@@ -558,8 +557,7 @@ def _find_flip(probe, lo: float, hi: float, at_lo, at_hi) -> float:
     return 0.5 * (lo + hi)
 
 
-def painleve_eigenvalues(count: int, ode: IntegratorConfig = _ODE, *,
-                         y0: float = 1.0) -> list[float]:
+def painleve_eigenvalues(count: int, *, y0: float = 1.0) -> list[float]:
     """First `count` positive initial slopes at which the fate flips.
 
     Scans upward from a = 0; while seeking a_n the step is 0.3 of the
@@ -580,7 +578,7 @@ def painleve_eigenvalues(count: int, ode: IntegratorConfig = _ODE, *,
 
     def probe(a: float):
         # the departure score, +-1 without a departure
-        rep = classify_fate(a, ode, y0=y0)
+        rep = classify_fate(a, y0=y0)
         score = 1.0 if rep.departure is None else \
             math.exp(-0.8 * math.sqrt(2.0) * (-rep.departure) ** 1.25)
         return rep.lock, score if rep.lock == "oscillatory" else -score
@@ -631,20 +629,19 @@ def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
 
 
 def fit_oscillation_envelope(traj: Trajectory, *,
-                             fit_window: tuple[float, float] = (-70.0, -15.0),
-                             min_extrema: int = 8) -> EnvelopeFit:
+                             fit_window: tuple[float, float] = (-70.0, -15.0)) -> EnvelopeFit:
     """Fit the decaying oscillation about -sqrt(-x) on a dense trajectory.
 
     The deviation behaves like c (-x)^(-1/8) cos((4/5) sqrt(2) (-x)^(5/4) + d):
     the amplitude exponent comes from log|r| vs log(-x) at the extrema and
     the phase coefficient from regressing k*pi on (-x_k)^(5/4) over the
-    (consecutive) extrema.
+    (consecutive) extrema, of which there must be at least 8.
     """
     if traj.dim != 2:
         raise ValueError("expected a (y, y') trajectory")
     x_lo, x_hi = fit_window
     ext = _dense_extrema(traj, x_hi, max(x_lo, traj.x_end))
-    if len(ext) < min_extrema:
+    if len(ext) < 8:
         raise InsufficientExtrema(f"{len(ext)} extrema in {fit_window}")
     amp = _ls_slope([math.log(-x) for x, _ in ext],
                     [math.log(abs(r)) for _, r in ext])
@@ -654,15 +651,13 @@ def fit_oscillation_envelope(traj: Trajectory, *,
     return EnvelopeFit(amp, abs(slope), len(ext))
 
 
-def approach_decay_slope(a: float, ode: IntegratorConfig = _ODE, *,
-                         y0: float = 1.0,
-                         window: tuple[float, float] = (-9.5, -2.5),
-                         split: float = 1e-9,
-                         n_samples: int = 25) -> float:
+def approach_decay_slope(a: float) -> float:
     """Exponential rate at which an eigencurve meets +sqrt(-x), as a slope
     in the variable (-x)^(5/4).
 
-    Measured from the splitting of two solutions bracketing the eigenvalue:
+    Measured from the splitting of the solutions from y(0) = 1 with slopes
+    a -+ _APPROACH_SPLIT = 1e-9, bracketing the eigenvalue a, at
+    _APPROACH_SAMPLES = 25 evenly spaced x in _APPROACH_WINDOW = [-9.5, -2.5]:
     the linearised transverse mode behaves like (-x)^(-1/8)
     exp(+-(4/5) sqrt(2) (-x)^(5/4)), so ln(|y_+ - y_-| (-x)^(1/8)) regressed
     on (-x)^(5/4) gives the instability rate; the decaying branch that an
@@ -671,13 +666,13 @@ def approach_decay_slope(a: float, ode: IntegratorConfig = _ODE, *,
     directly would not work: the branch's own power corrections (-1/8)(-x)^-2
     swamp the exponential term beyond -x ~ 4.
     """
-    x_lo, x_hi = window
-    lo_segs, _ = integrate_with_poles(a - split, x_lo - 0.5, ode, y0=y0)
-    hi_segs, _ = integrate_with_poles(a + split, x_lo - 0.5, ode, y0=y0)
+    x_lo, x_hi = _APPROACH_WINDOW
+    lo_segs, _ = integrate_with_poles(a - _APPROACH_SPLIT, x_lo - 0.5)
+    hi_segs, _ = integrate_with_poles(a + _APPROACH_SPLIT, x_lo - 0.5)
     t_lo, t_hi = lo_segs[0], hi_segs[0]
     if (t_lo.x_end > x_lo - 0.4) or (t_hi.x_end > x_lo - 0.4):
         raise InsufficientExtrema("bracketing trajectories left the window early")
-    grid = [x_hi + (x_lo - x_hi) * i / (n_samples - 1) for i in range(n_samples)]
+    grid = [x_hi + (x_lo - x_hi) * i / (_APPROACH_SAMPLES - 1) for i in range(_APPROACH_SAMPLES)]
     gaps = np.abs(t_hi.sample(grid)[:, 0] - t_lo.sample(grid)[:, 0]).tolist()
     xs, ys = [], []
     for x, d in zip(grid, gaps):
@@ -688,10 +683,10 @@ def approach_decay_slope(a: float, ode: IntegratorConfig = _ODE, *,
     return -_ls_slope(xs, ys)
 
 
-def estimate_C(eigs, *, start: int = 4) -> float:
-    """Extrapolated limit of a_n / n^(3/5) over the computed eigenvalues."""
+def estimate_C(eigs) -> float:
+    """Extrapolated limit of a_n / n^(3/5) over the eigenvalues from a_4 on."""
     if len(eigs) < 8:
         raise ValueError("need at least 8 eigenvalues")
-    idx = list(range(start, len(eigs) + 1))
+    idx = list(range(4, len(eigs) + 1))
     seq = [eigs[n - 1] / n ** GROWTH_EXPONENT for n in idx]
     return richardson(seq, idx, stages=2).limit

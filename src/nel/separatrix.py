@@ -72,9 +72,13 @@ def _forward_span(a: float) -> float:
     return max(12.0, 2.5 * abs(a))
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:     # NaN fails too
-        raise ValueError("tol must be positive and finite")
+def _check_tol(tol: float, n: int) -> None:
+    # Below the float spacing at the widest bracket end of the bisection for
+    # n, 2^(5/6) sqrt(n) + 7, adjacent ends stay wider than tol for ever.
+    floor = math.ulp(_A_LAW * math.sqrt(n) + 7.0) if n >= 1 else 0.0
+    if not (0 < tol < math.inf and tol >= floor):     # NaN fails too
+        raise ValueError(f"tol {tol!r} must be positive, finite and at least {floor!r}, "
+                         f"the float spacing at the bisection bracket end for n={n}")
 
 
 def _forward_maxima(a: float, stop_when=None):
@@ -120,18 +124,18 @@ def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
     """Intercept a_n located by bisection on the maxima count, to width tol.
 
     The count jumps from n to n+1 across a_n; the bracket is seeded from
-    the growth law 2^(5/6) sqrt(n) +- 1 and widened in 0.5 steps if needed.
+    the growth law 2^(5/6) sqrt(n) +- 1 and widened in 0.5 steps, 12 at
+    most.  A tol below ulp(2^(5/6) sqrt(n) + 7) raises ValueError first.
     """
     if n < 1:
         raise ValueError("bisection requires n >= 1")
-    _check_tol(tol)
+    _check_tol(tol, n)
 
     def above(a: float) -> bool:
         return maxima_count(a)[0] >= n + 1
 
     center = _A_LAW * math.sqrt(n)
-    lo, hi = center - 1.0, center + 1.0
-    lo = max(lo, 1e-3)
+    lo, hi = max(center - 1.0, 1e-3), center + 1.0
     tries = 0
     while above(lo):
         lo -= 0.5
@@ -211,7 +215,7 @@ def scaled_separatrix_evaluator(n: int):
     record, traj, s = _scaled_trace(n)
 
     def z(t: float) -> float:
-        return traj(s * t) / s
+        return traj.sample([s * t]).tolist()[0] / s
 
     return z, traj.x_start / s, record
 
@@ -227,12 +231,13 @@ def eigenvalue_table(indices, tol: float = 1e-10) -> list[EigenvalueRecord]:
 
     For n >= 1 the bisection value (to width tol) is also computed and the
     cross-method discrepancy stored as the residual.  Only the listed n are
-    computed; the intercepts must increase over them.
+    computed; the intercepts must increase over them.  A tol too small for
+    the largest n (see find_eigenvalue_bisect) raises ValueError first.
     """
     ns = sorted(set(indices))
     if not ns:
         raise ValueError("no indices given")
-    _check_tol(tol)
+    _check_tol(tol, ns[-1])
     out = []
     for n in ns:
         rec, _ = trace_separatrix_backward(n, dense=False)

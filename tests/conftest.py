@@ -1,8 +1,28 @@
 """Session-scoped fixtures for computations shared across test modules."""
 
+import contextlib
+import signal
 import time
 
 import pytest
+
+
+@pytest.fixture
+def deadline():
+    """deadline(s): a context that raises TimeoutError in a run still going
+    after s seconds, so that a hang fails its test instead of the session."""
+    @contextlib.contextmanager
+    def within(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return within
 
 
 @pytest.fixture(scope="session")

@@ -210,12 +210,47 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["eigen", "--n", "-100001", "--method", "bisect"],
     ["eigen", "--n", "1,100001", "--method", "both"],
     ["eigen", "--n", "1:2:3", "--method", "backward"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2,nan", "--stages", "1"],
+    ["extrapolate", "--values", "1,nan,3", "--indices", "1,2,3"],
+    ["extrapolate", "--values", "1,2,inf", "--indices", "1,2,3"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,inf,3"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UsageError"
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--method", "bisect", "--tol", "1e-300"],
+    ["--n", "1", "--method", "both", "--tol", "1e-300"],
+    # 1e-15 is below ulp(2^(5/6) sqrt(3) + 7) = 1.8e-15
+    ["--n=-3:3", "--method", "both", "--tol", "1e-15"],
+], ids=["bisect", "both", "both-1e-15"])
+def test_eigen_tol_below_float_spacing_is_usage_error(argv, tmp_path, capsys, monkeypatch,
+                                                      deadline):
+    # once the bracket ends are adjacent floats, hi - lo > tol held for ever
+    import nel.separatrix
+
+    calls = []
+    integrate = nel.separatrix.integrate
+    monkeypatch.setattr(nel.separatrix, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    with deadline(30):
+        code, _, err = run_cli(["eigen", *argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert (code, calls) == (2, [])
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError" and "--tol" in error["message"]
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_eigen_tol_floor_does_not_apply_to_backward(tmp_path, capsys):
+    # the backward trace reads no tol
+    out = tmp_path / "eig.json"
+    code, _, _ = run_cli(["eigen", "--n", "1", "--method", "backward", "--tol", "1e-300",
+                          "--out", str(out)], capsys)
+    assert code == 0 and json.loads(out.read_text())[0]["n"] == 1
 
 
 @pytest.mark.parametrize("text, ns", [

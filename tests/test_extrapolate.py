@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,3 +81,20 @@ def test_exactness_property(coeffs, limit):
     r = richardson([f(n) for n in idx], idx, stages=4)
     scale = max(1.0, abs(limit), max(abs(c) for c in coeffs))
     assert abs(r.limit - limit) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("values, indices, exponents", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0, math.nan], None),
+    ([1.0, 2.0, 3.0], [math.nan, 2.0, 3.0], None),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf], None),
+    ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], None),
+    ([1.0, 2.0, -math.inf], [1.0, 2.0, 3.0], None),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], (1.0, math.inf)),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], (math.nan, 2.0)),
+], ids=["nan-last-index", "nan-first-index", "inf-index", "nan-value", "inf-value",
+        "inf-exponent", "nan-exponent"])
+def test_non_finite_input_raises(values, indices, exponents):
+    # NaN fails every ordering test, so a NaN index used to pass as
+    # "increasing" and give a finite limit
+    with pytest.raises(ValueError, match="finite"):
+        richardson(values, indices, exponents=exponents, stages=1)

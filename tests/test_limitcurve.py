@@ -271,9 +271,9 @@ def test_envelope_traces_once_and_samples_equal_pointwise_checks(monkeypatch):
                         lambda *a: traces.append(a) or trace(*a))
     monkeypatch.setattr(lcm, "_eta_at",
                         lambda *a: seen.append((a[-1], check(*a))) or seen[-1][1])
-    env = lcm.eta_balance_envelope(50, 0.5, samples=7)
+    env = lcm.eta_balance_envelope(50, 0.5)
     monkeypatch.undo()
-    assert len(traces) == 1 and len(seen) == 7
+    assert len(traces) == 1 and len(seen) == lcm._ENVELOPE_SAMPLES == 13
     for t, ec in seen:
         want = eta_consistency_check(50, t)
         assert (_bits(list(ec.__dict__.values())) == _bits(list(want.__dict__.values()))).all()

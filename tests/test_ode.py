@@ -2,6 +2,7 @@ import math
 import sys
 import time
 from array import array
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3,
                      _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1, _FAC_MAX, _FAC_MIN,
                      _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
-                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, _DENSE_CHUNK,
+                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY,
                      IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
                      _initial_step_scalar, find_extrema, integrate)
 from nel.painleve import _Y_RESTART, integrate_with_poles, painleve_rhs, pole_series_eval
@@ -175,13 +176,15 @@ def test_config_validation():
     # NaN must not pass for "unset", nor a float or a bool for an attempt count
     for kw in [dict(rel_tol=0.0), dict(rel_tol=math.nan), dict(rel_tol=math.inf),
                dict(abs_tol=-1e-12), dict(abs_tol=math.nan), dict(abs_tol=math.inf),
-               dict(max_step=-1.0), dict(max_step=0.0), dict(max_step=math.nan),
                dict(initial_step=-1.0), dict(initial_step=math.nan),
                dict(initial_step=math.inf), dict(max_steps=0), dict(max_steps=2.5),
                dict(max_steps=10.0), dict(max_steps=True)]:
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
-    IntegratorConfig(max_step=math.inf, initial_step=0.0, max_steps=1)
+    IntegratorConfig(initial_step=0.0, max_steps=1)
+    # the step size is bounded by the controller and the span alone
+    assert [f.name for f in fields(IntegratorConfig)] == ["rel_tol", "abs_tol",
+                                                         "initial_step", "max_steps"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -401,10 +404,9 @@ def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
     ys.extend(y)
 
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, cfg.max_step, span)
+        h = min(cfg.initial_step, span)
     else:
-        h = min(_tuple_initial_step(f, x0, y0, k1, direction, rtol, atol, span),
-                cfg.max_step)
+        h = _tuple_initial_step(f, x0, y0, k1, direction, rtol, atol, span)
     err_prev = 1.0
     fac_max = _FAC_MAX
     attempts = 0
@@ -414,8 +416,6 @@ def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
         attempts += 1
         if attempts > max_steps:
             raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
-        if h > cfg.max_step:
-            h = cfg.max_step
         last = (abs(x1 - x) <= h)
         if last:
             h = abs(x1 - x)
@@ -502,10 +502,6 @@ _PAIR_RUNS = {
     "tight-rejecting": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
                         IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15), True,
                         lambda x, y: abs(y[0]) > 1e6),
-    # the max_step clamp binds on three stretches before the pole
-    "max-step-backward": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
-                          IntegratorConfig(max_step=0.02), True,
-                          lambda x, y: abs(y[0]) > 1e3),
     # a first step of 1 is rejected until the controller has shrunk it
     "big-first-step-backward": (painleve_rhs, 0.0, (1.0, 5.0), -30.0,
                                 IntegratorConfig(initial_step=1.0), True,
@@ -583,7 +579,6 @@ _MODEL_RUNS = {
        for a in (0.3, 1.7, 3.0, 6.0)},
     **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, True, None) for k in (1, 10, 25, 50)},
     **{f"bundle-decay-{a}": (0.0, a, 4.5, _TIGHT, True, None) for a in (0.2, 0.4)},
-    "fig1-10-max-step": (0.0, 2.0, 24.0, IntegratorConfig(max_step=0.01), True, None),
     "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), True, None),
 }
 
@@ -737,10 +732,9 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
     traj.xs.append(x)
     traj._ys.append(y)
     if cfg.initial_step > 0:
-        h = min(cfg.initial_step, cfg.max_step, span)
+        h = min(cfg.initial_step, span)
     else:
-        h = min(_initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span),
-                cfg.max_step)
+        h = _initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span)
     err_prev = 1.0
     fac_max = _FAC_MAX
     attempts = 0
@@ -748,7 +742,6 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
         attempts += 1
         if attempts > cfg.max_steps:
             raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
-        h = min(h, cfg.max_step)
         last = (abs(x1 - x) <= h)
         if last:
             h = abs(x1 - x)
@@ -793,11 +786,25 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
     return traj
 
 
-def _fixed_steps(count):
-    # steps of 2^-12 from x = 0: every abscissa is exact, so the run takes
-    # exactly `count` steps
-    h = 2.0 ** -12
-    return (0.0, 0.5, count * h, IntegratorConfig(initial_step=h, max_step=h), None, count)
+# _DENSE_CHUNK sizes around a run's own step count n: a last pass of one
+# step, one pass that ends at the last step, one that reaches past it, and
+# three full passes and a remainder
+_CHUNK_EDGES = {
+    "chunk-minus-one": lambda n: n - 1,
+    "chunk": lambda n: n,
+    "chunk-plus-one": lambda n: n + 1,
+    "three-chunks-and-more": lambda n: (n - 1) // 3,
+}
+
+
+def _chunked(monkeypatch, run, steps, size):
+    """Sets _DENSE_CHUNK to size(steps) for the run, when size is given."""
+    if size is None:
+        return
+    chunk = size(steps)
+    if run.endswith("three-chunks-and-more"):
+        assert steps // chunk == 3 and steps % chunk > 0
+    monkeypatch.setattr("nel.ode._DENSE_CHUNK", chunk)
 
 
 _RECORD_RUNS = {
@@ -806,31 +813,28 @@ _RECORD_RUNS = {
     **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, None, None) for k in range(1, 51)},
     **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, trapped_in_even_bundle, None)
        for a in (0.3, 1.7, 3.0, 6.0)},
-    "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None, 1),
-    "fig1-10-max-step": (0.0, 2.0, 24.0, IntegratorConfig(max_step=0.01), None, None),
-    "backward-10-max-step": (*_backward_run(10, True)[:3], IntegratorConfig(max_step=0.01),
-                             None, None),
+    "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None, None),
     "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), None, None),
-    "chunk-minus-one": _fixed_steps(_DENSE_CHUNK - 1),
-    "chunk": _fixed_steps(_DENSE_CHUNK),
-    "chunk-plus-one": _fixed_steps(_DENSE_CHUNK + 1),
-    "three-chunks-and-more": _fixed_steps(3 * _DENSE_CHUNK + 5),
+    # fig1's a = 2 run, with rejections
+    **{label: (0.0, 2.0, 24.0, None, None, size) for label, size in _CHUNK_EDGES.items()},
 }
 
 
 @pytest.mark.parametrize("run", list(_RECORD_RUNS))
-def test_dense_records_equal_per_step_build_bitwise(run):
-    x0, y0, x1, cfg, stop_when, steps = _RECORD_RUNS[run]
-    got = integrate(rhs_unscaled, x0, y0, x1, cfg, stop_when=stop_when)
+def test_dense_records_equal_per_step_build_bitwise(run, monkeypatch):
+    x0, y0, x1, cfg, stop_when, size = _RECORD_RUNS[run]
     ref = _per_step_reference(rhs_unscaled, x0, y0, x1, cfg, stop_when)
+    _chunked(monkeypatch, run, ref.step_count, size)
+    got = integrate(rhs_unscaled, x0, y0, x1, cfg, stop_when=stop_when)
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
     assert got._f_end.hex() == ref._f_end.hex()
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
-    assert steps is None or got.step_count == steps
     assert got.rejected == ref.rejected
+    if run == "one-step":
+        assert got.step_count == 1
     if run == "fig1-50-first-step-1":
         assert got.rejected > 100
 
@@ -848,14 +852,6 @@ def test_scalar_step_limit_raises_as_per_step_reference(f):
 
 # -- the pair dense records against a per-step build --------------------------
 
-def _pair_fixed_steps(f, count):
-    # steps of -2^-12 from x = 0: every abscissa is exact, so the run takes
-    # exactly `count` steps
-    h = 2.0 ** -12
-    return (f, 0.0, (1.0, 0.5), -count * h, IntegratorConfig(initial_step=h, max_step=h),
-            None, count)
-
-
 _PAIR_RECORD_RUNS = {
     **{run: (f, x0, y0, x1, cfg, stop_when, None)
        for run, (f, x0, y0, x1, cfg, dense, stop_when) in _PAIR_RUNS.items() if dense},
@@ -863,26 +859,26 @@ _PAIR_RECORD_RUNS = {
        for run, (x0, y0, x1, cfg, dense, stop_when) in _PAINLEVE_RUNS.items()
        if dense and run not in _PAIR_RUNS},
     "one-step": (painleve_rhs, 0.0, (1.0, 0.5), -1e-3, IntegratorConfig(initial_step=1e-3),
-                 None, 1),
-    **{f"{name}-{label}": _pair_fixed_steps(f, count)
-       for name, f in (("painleve", painleve_rhs), ("oscillator", _oscillator))
-       for label, count in (("chunk-minus-one", _DENSE_CHUNK - 1), ("chunk", _DENSE_CHUNK),
-                            ("chunk-plus-one", _DENSE_CHUNK + 1),
-                            ("three-chunks-and-more", 3 * _DENSE_CHUNK + 5))},
+                 None, None),
+    **{f"{name}-{label}": (*_PAIR_RUNS[base][:5], _PAIR_RUNS[base][6], size)
+       for name, base in (("painleve", "painleve-to-pole"), ("oscillator", "oscillator-forward"))
+       for label, size in _CHUNK_EDGES.items()},
 }
 
 
 @pytest.mark.parametrize("run", list(_PAIR_RECORD_RUNS))
-def test_pair_dense_records_equal_per_step_build_bitwise(run):
+def test_pair_dense_records_equal_per_step_build_bitwise(run, monkeypatch):
     # the pair loop stores each step's stages and builds the records after
     # its last step; _tuple_reference builds each record as it accepts the step
-    f, x0, y0, x1, cfg, stop_when, steps = _PAIR_RECORD_RUNS[run]
-    got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
+    f, x0, y0, x1, cfg, stop_when, size = _PAIR_RECORD_RUNS[run]
     ref = _tuple_reference(f, x0, y0, x1, cfg, True, stop_when)
+    _chunked(monkeypatch, run, ref.step_count, size)
+    got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
     assert len(got._dense) == 11 * got.step_count > 0
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
     assert (got.step_count, got.stopped, got.rejected) == (ref.step_count, ref.stopped,
                                                            ref.rejected)
-    assert steps is None or got.step_count == steps
+    if run == "one-step":
+        assert got.step_count == 1

@@ -154,6 +154,9 @@ def test_scaled_separatrix_values():
     # merges onto the 1/t tail beyond the turning point
     for t in (1.5, 1.75):
         assert abs(z(t) - 1 / t) < 1e-3
+    # a read of one t is the grid read at it
+    ts = [0.0, 0.3, 1.0, 1.5, t_max]
+    assert [z(t).hex() for t in ts] == [v.hex() for v in scaled_separatrix(50, ts)]
 
 
 def test_scaled_intercept_converges_to_cube_root_two():
@@ -208,6 +211,40 @@ def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
     with pytest.raises(ValueError, match="tol"):
         eigenvalue_table(range(-1, 3), tol)
     assert calls == []
+
+
+def _bracket_floor(n):
+    # the float spacing at the widest bracket end, 2^(5/6) sqrt(n) + 1 + 12 * 0.5
+    return math.ulp(2.0 ** (5.0 / 6.0) * math.sqrt(n) + 7.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 100, 100_000])
+def test_tol_below_float_spacing_refused_before_any_integration(n, monkeypatch, deadline):
+    # below the spacing, adjacent bracket ends stay wider than tol and the
+    # halving never ends
+    import nel.separatrix
+
+    calls = []
+    integrate = nel.separatrix.integrate
+    monkeypatch.setattr(nel.separatrix, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    with deadline(30):
+        for tol in (1e-300, math.nextafter(_bracket_floor(n), 0.0)):
+            with pytest.raises(ValueError, match="tol"):
+                find_eigenvalue_bisect(n, tol)
+            with pytest.raises(ValueError, match="tol"):
+                eigenvalue_table([-2, 0, 1, n], tol)
+    assert calls == []
+
+
+def test_tol_at_float_spacing_ends_the_bisection(deadline):
+    # the floor itself is allowed, and the halving reaches it
+    floor = _bracket_floor(1)
+    with deadline(60):
+        rec = find_eigenvalue_bisect(1, floor)
+    assert abs(rec.a_n - find_eigenvalue_bisect(1).a_n) < 1e-10
+    # only the bisection reads tol: a table of n <= 0 takes any positive one
+    assert [r.n for r in eigenvalue_table([-1, 0], 1e-300)] == [-1, 0]
 
 
 # -- the even-bundle trap that ends each maxima count ------------------------
