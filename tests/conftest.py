@@ -10,7 +10,7 @@ import pytest
 @pytest.fixture
 def deadline():
     """deadline(s): a context that raises TimeoutError in a run still going
-    after s seconds, so that a hang fails its test instead of the session."""
+    after s seconds, so that a hang fails its test instead of stalling the run."""
     @contextlib.contextmanager
     def within(seconds: int):
         def expire(signum, frame):
