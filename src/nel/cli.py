@@ -30,7 +30,7 @@ __all__ = ["main", "UsageError", "RunManifest"]
 
 _MAX_GRID = 1_000_001     # points in any grid a command builds
 _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
-_MAX_INDEX = 100_000      # |n|; the trace at n = 1e5 takes 895,448 of the 5,000,000 steps allowed
+_MAX_INDEX = 100_000      # |n|; the trace at n = 1e5 takes 725,908 of the 5,000,000 steps allowed
 _MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 

@@ -317,6 +317,14 @@ def eta_consistency_check(n_index: int, t: float) -> EtaCheck:
     the fastest phase; the closed route integrates z z'(sqrt(1-s^2/z^2)-1).
     The energy-balance residual is O(1/lambda): it halves (roughly) when
     the index doubles.
+
+    The closed route needs z(s) >= s on [0, t].  The limit curve has it
+    (Z(t) > t up to Z(1) = 1), but a traced curve runs below z = s on the
+    last ~0.11/n before s = 1: there it follows its odd tail, z - 1/s =
+    w/(mu s) with w = x y - mu < 0 (see ``separatrix.backward_start``).  The
+    layer starts at s = 0.9978 for n = 50, 0.9989 for n = 100 and 0.99988
+    for n = 1000, and a t beyond it raises QuadratureFailure ("z(s) < s")
+    rather than a number from a formula whose premise fails.
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
@@ -333,7 +341,9 @@ def eta_balance_envelope(n_index: int, t: float) -> float:
     O(1/lambda) envelope instead, which halves cleanly when n doubles: the
     max at _ENVELOPE_SAMPLES = 13 evenly spaced t within
     _ENVELOPE_HALF_WIDTH = 0.02 of t, clipped to [1e-6, 1].  The separatrix
-    is traced once; each sample equals ``eta_consistency_check`` at its t.
+    is traced once; each sample equals ``eta_consistency_check`` at its t,
+    so a window that reaches the layer where that check fails (for n = 100
+    any t above 0.9789) raises QuadratureFailure as well.
     """
     lo = max(1e-6, t - _ENVELOPE_HALF_WIDTH)
     hi = min(1.0, t + _ENVELOPE_HALF_WIDTH)

@@ -195,10 +195,18 @@ def test_tail_admissible_at_prescribed_starts(monkeypatch):
 
     # the trace checks its tail seed before it integrates: stop it there
     monkeypatch.setattr(separatrix, "integrate", seeded)
-    for n in (*range(-3, 8), 44, 45, 10_000, 100_000):
+    theta = separatrix._STRIP_THETA
+    for n in (*range(-3, 8), 12, 13, 44, 45, 10_000, 100_000):
         x_start = separatrix.backward_start(n)
-        assert tail_is_asymptotic(AsymptoticTail(2 * n - 1), x_start)
-        # Undecidable (consistency) or TailNotAsymptotic would escape here
+        if n <= 12:
+            assert tail_is_asymptotic(AsymptoticTail(2 * n - 1), x_start)
+        else:
+            # a strip start: the seed lies in -theta < w < 0, outside x_c
+            mu = 2 * n - 0.5
+            w = x_start * (mu / x_start - mu / (math.pi * x_start ** 3)) - mu
+            assert -theta < w < 0
+            assert x_start ** 2 * math.sin(math.pi * theta) >= mu - theta
+        # Undecidable (consistency or strip) or TailNotAsymptotic would escape here
         with pytest.raises(_Seeded):
             separatrix.trace_separatrix_backward(n)
 

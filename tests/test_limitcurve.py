@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nel.limitcurve import (CUBE_ROOT_2, GROWTH_CONSTANT, ParityMismatch,
-                            alpha_closed_form, alpha_recursion, compute_A,
+                            QuadratureFailure, alpha_closed_form,
+                            alpha_recursion, compute_A, eta_balance_envelope,
                             eta_consistency_check, implicit_Z, implicit_curve,
                             solve_limit_ode)
 
@@ -260,6 +261,22 @@ def test_eta_rejects_bad_t():
         eta_consistency_check(50, 0.0)
     with pytest.raises(ValueError):
         eta_consistency_check(50, 1.5)
+
+
+def test_eta_closed_route_fails_typed_where_the_curve_dips_below_s():
+    # the traced curve runs below z = s on the last ~0.11/n before s = 1,
+    # where sqrt(z^2 - s^2) has no value; the window of the envelope,
+    # t +- 0.02 clipped to 1, reaches into that layer at t = 0.99
+    dips = r"z\(s\) < s"
+    with pytest.raises(QuadratureFailure, match=dips):
+        eta_consistency_check(100, 0.999)
+    with pytest.raises(QuadratureFailure, match=dips):
+        eta_consistency_check(50, 1.0)
+    with pytest.raises(QuadratureFailure, match=dips):
+        eta_balance_envelope(100, 0.99)
+    ec = eta_consistency_check(100, 0.99)
+    assert all(math.isfinite(v) for v in ec.__dict__.values())
+    assert ec.mismatch_closed < 0.01
 
 
 def test_envelope_traces_once_and_samples_equal_pointwise_checks(monkeypatch):

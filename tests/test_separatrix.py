@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nel.cosine import rhs_unscaled, trapped_in_even_bundle
-from nel.ode import find_extrema, integrate
-from nel.separatrix import (_forward_span, backward_start,
-                            classify_initial_condition, eigenvalue_table,
-                            find_eigenvalue_bisect, maxima_count,
-                            scaled_separatrix, scaled_separatrix_evaluator,
+from nel.ode import IntegratorConfig, find_extrema, integrate
+from nel.separatrix import (_STRIP_THETA, Undecidable, _forward_span,
+                            backward_start, classify_initial_condition,
+                            eigenvalue_table, find_eigenvalue_bisect,
+                            maxima_count, scaled_separatrix,
+                            scaled_separatrix_evaluator,
                             trace_separatrix_backward)
 
 # Reference intercepts, 7 significant digits (independently tabulated; the
@@ -22,6 +23,7 @@ REFERENCE = {
 }
 
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
+THETA = _STRIP_THETA
 
 
 def test_classify_basic_classes():
@@ -91,9 +93,90 @@ def test_backward_start_below_seven_is_the_fallback():
         assert backward_start(n).hex() == max(20.0, 3.0 * math.sqrt(max(abs(n), 1))).hex(), n
 
 
-def test_backward_start_from_seven_on_is_at_scaled_t_1_8():
+def _strip_edge_squares(n):
+    # x_c^2 = 2(mu - 1/3)/sqrt(3), x_s^2 = x_c^2 + 4K/pi with K = 40 e-folds
+    mu = 2 * n - 0.5
+    xc2 = (mu - THETA) / math.sin(math.pi * THETA)
+    return xc2, xc2 + 2 * 40.0 / (math.pi * math.cos(math.pi * THETA))
+
+
+def test_backward_start_from_seven_on_is_the_nearer_of_t_1_8_and_the_strip_edge():
     for n in (*range(7, 60), 100, 1_000, 4_000, 10_000, 100_000):
-        assert backward_start(n).hex() == (1.8 * math.sqrt(2 * n - 0.5)).hex(), n
+        tail = 1.8 * math.sqrt(2 * n - 0.5)
+        strip = math.sqrt(_strip_edge_squares(n)[1])
+        assert backward_start(n).hex() == min(tail, strip).hex(), n
+        # n = 13 is the first strip start, at t = 1.771
+        assert (backward_start(n) < tail) == (n >= 13), n
+    assert backward_start(13) / math.sqrt(25.5) == pytest.approx(1.7711, abs=1e-4)
+
+
+def test_backward_start_keeps_scaled_t_max_above_one():
+    # the eta windows stop at t = 1, so every trace must reach beyond it
+    assert min(backward_start(n) / math.sqrt(2 * n - 0.5) for n in range(7, 100_001)) > 1.07
+    for n in (13, 10_000):
+        _, t_max, _ = scaled_separatrix_evaluator(n)
+        assert t_max == backward_start(n) / math.sqrt(2 * n - 0.5)
+
+
+# a_n, bit for bit, of indices that keep the six-term tail start (n <= 12)
+_KEPT_START_HEX = {
+    -1000: '-0x1.c2d21e2b35bacp+5', -100: '-0x1.1d764efde4ae3p+4',
+    -12: '-0x1.8f8aab3b8c393p+2', -11: '-0x1.7eef38089e672p+2', -10: '-0x1.6d9339e698376p+2',
+    -9: '-0x1.5b59ecd7eace8p+2', -8: '-0x1.481e976d22148p+2', -7: '-0x1.33b112850e37fp+2',
+    -6: '-0x1.1dd0177ff5cd3p+2', -5: '-0x1.061f4b299a450p+2', -4: '-0x1.d828a767a62e9p+1',
+    -3: '-0x1.9d9d33c4b593cp+1', -2: '-0x1.5964281009dfbp+1', -1: '-0x1.042de7ce51e27p+1',
+    0: '-0x1.04468cce4d559p+0', 1: '0x1.9a42383c5b807p+0', 2: '0x1.31b5b839d9385p+1',
+    3: '0x1.7d03ee45f82e6p+1', 4: '0x1.bbd8666d3a2b0p+1', 5: '0x1.f2e0c13fa89d2p+1',
+    6: '0x1.1238eb93507e9p+2', 7: '0x1.28f3fded0c921p+2', 8: '0x1.3e11b1e69d938p+2',
+    9: '0x1.51df339cf0249p+2', 10: '0x1.649450a84e6bdp+2', 11: '0x1.765aeea850584p+2',
+    12: '0x1.87537544e1e14p+2',
+}
+
+
+def test_backward_trace_bits_kept_where_the_start_is_kept():
+    for n, want in _KEPT_START_HEX.items():
+        assert trace_separatrix_backward(n, dense=False)[0].a_n.hex() == want, n
+
+
+@pytest.mark.parametrize("n", [13, 50, 1_000, 10_000])
+def test_backward_trace_stays_in_the_odd_bundle_strip(n):
+    mu = 2 * n - 0.5
+    xc = math.sqrt(_strip_edge_squares(n)[0])
+    _, traj = trace_separatrix_backward(n, dense=False)
+    assert traj.x_start > xc
+    ws = [x * y - mu for x, y in zip(traj.xs, traj._ys) if x >= xc]
+    assert len(ws) > 10
+    assert all(-THETA < w < 0 for w in ws)
+
+
+def _tolerance_gap(x_start, y0):
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    default = integrate(rhs_unscaled, x_start, y0, 0.0, dense=False).y_end
+    return abs(default - integrate(rhs_unscaled, x_start, y0, 0.0, tight, dense=False).y_end)
+
+
+@pytest.mark.parametrize("n", [13, 100, 1_000])
+def test_strip_start_is_insensitive_to_the_seed(n):
+    # seeds on the strip's inner edge, in its middle and next to its outer edge
+    mu, xs = 2 * n - 0.5, backward_start(n)
+    ends = [integrate(rhs_unscaled, xs, (mu + w) / xs, 0.0, dense=False).y_end
+            for w in (0.0, -THETA / 2, -0.99 * THETA)]
+    # the gap between a_n at the default rel_tol 1e-10 and at 1e-13
+    gap = _tolerance_gap(xs, mu / xs - mu / (math.pi * xs ** 3))
+    assert max(ends) - min(ends) < gap
+
+
+def test_strip_start_never_takes_more_steps_than_t_1_8():
+    for n in (*range(7, 301), 1_000, 10_000, 100_000):
+        _, new = trace_separatrix_backward(n, dense=False)
+        _, old = trace_separatrix_backward(n, x_start=1.8 * math.sqrt(2 * n - 0.5), dense=False)
+        assert new.step_count <= old.step_count, n
+
+
+def test_strip_start_rejects_a_start_below_the_strip_edge():
+    xc = math.sqrt(_strip_edge_squares(20)[0])
+    with pytest.raises(Undecidable):
+        trace_separatrix_backward(20, x_start=0.99 * xc)
 
 
 # a tenth of the gap between the default tolerance and rel_tol 1e-13
@@ -146,17 +229,18 @@ def test_eigenvalue_table_includes_negative_indices():
 
 
 def test_scaled_separatrix_values():
-    z, t_max, rec = scaled_separatrix_evaluator(50)
-    # the trace starts at t = 1.8 for n >= 7
-    assert t_max >= 1.8 - 1e-12
-    s = math.sqrt(2 * 50 - 0.5)
+    z, t_max, rec = scaled_separatrix_evaluator(1000)
+    # the trace starts at the strip edge, t = 1.086 at n = 1000
+    assert t_max == pytest.approx(1.0863, abs=1e-4)
+    s = math.sqrt(2 * 1000 - 0.5)
     assert z(0.0) == pytest.approx(rec.a_n / s)
-    # merges onto the 1/t tail beyond the turning point
-    for t in (1.5, 1.75):
+    # merges onto the 1/t tail beyond the turning point: in the strip
+    # |z - 1/t| = |w|/(mu t) < 1/(3 mu t), about 1.6e-4 here
+    for t in (1.05, 1.07, t_max):
         assert abs(z(t) - 1 / t) < 1e-3
     # a read of one t is the grid read at it
-    ts = [0.0, 0.3, 1.0, 1.5, t_max]
-    assert [z(t).hex() for t in ts] == [v.hex() for v in scaled_separatrix(50, ts)]
+    ts = [0.0, 0.3, 1.0, 1.05, t_max]
+    assert [z(t).hex() for t in ts] == [v.hex() for v in scaled_separatrix(1000, ts)]
 
 
 def test_scaled_intercept_converges_to_cube_root_two():
