@@ -30,7 +30,7 @@ __all__ = ["main", "UsageError", "RunManifest"]
 
 _MAX_GRID = 1_000_001     # points in any grid a command builds
 _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
-_MAX_INDEX = 100_000      # |n|; the trace at n = 1e5 takes 725,908 of the 5,000,000 steps allowed
+_MAX_INDEX = 100_000      # |n|; n = -1e5 takes 944,976 of the trace's 5,000,000 attempts
 _MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -215,8 +215,9 @@ def _cmd_figures(args) -> int:
 
         rows = []
         for n in range(-3, 7):
-            rec, traj = trace_separatrix_backward(n)
-            rows.extend((n, rec.a_n, x, y) for x, y in _grid_read(traj, 0.0, traj.x_start, 0.02))
+            # the strip contracts the seed's error by e^-32 from x = 21 to 20
+            rec, traj = trace_separatrix_backward(n, x_start=21.0)
+            rows.extend((n, rec.a_n, x, y) for x, y in _grid_read(traj, 0.0, 20.0, 0.02))
         _write_csv(out, ["n", "a_n", "x", "y"], rows)
 
     elif name == "fig3":
@@ -224,7 +225,7 @@ def _cmd_figures(args) -> int:
         from .separatrix import scaled_separatrix
 
         rows = []
-        ts = [2.2 * i / 1100 for i in range(1101)]   # inside t_max > 7 for n <= 4
+        ts = [2.2 * i / 1100 for i in range(1101)]   # inside t_max >= 2.81 for n <= 4
         for n in range(1, 5):
             rows.extend((f"z_{n}", t, z) for t, z in zip(ts, scaled_separatrix(n, ts)))
         ts = [i / 1000 for i in range(1001)]
@@ -302,12 +303,15 @@ def _cmd_limiting_curve(args) -> int:
                    {"Z0": lc.zs[0], "sup_method_gap": sup})
 
 
+def _increasing(ns) -> bool:
+    return all(a < b for a, b in zip(ns, ns[1:]))
+
+
 def _constant_indices(text: str) -> list[int]:
     """a-constant --indices: at least two strictly increasing integers in
     1.._MAX_INDEX, refused before any trace."""
     ns = _parse_list(text, "--indices", int)
-    if not (len(ns) >= 2 and 1 <= ns[0] and ns[-1] <= _MAX_INDEX
-            and all(a < b for a, b in zip(ns, ns[1:]))):
+    if not (len(ns) >= 2 and 1 <= ns[0] and ns[-1] <= _MAX_INDEX and _increasing(ns)):
         raise UsageError(f"--indices {text!r} must be at least two strictly increasing "
                          f"integers in 1..{_MAX_INDEX}")
     return ns
@@ -322,6 +326,10 @@ def _cmd_extrapolate(args) -> int:
             raise UsageError("--values requires --indices")
         values = _parse_list(args.values, "--values")
         indices = _parse_list(args.indices, "--indices")
+        if len(indices) != len(values):
+            raise UsageError(f"--indices has {len(indices)} entries, --values {len(values)}")
+        if not (indices[0] > 0 and _increasing(indices)):
+            raise UsageError(f"--indices {args.indices!r} must be positive and strictly increasing")
         target = "raw"
     elif args.target == "a-constant":
         from .separatrix import trace_separatrix_backward

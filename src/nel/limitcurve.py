@@ -328,7 +328,7 @@ def eta_consistency_check(n_index: int, t: float) -> EtaCheck:
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    _, traj, scale = _scaled_trace(n_index)
+    traj, scale = _scaled_trace(n_index)
     return _eta_at(traj, scale, scaling_lambda(n_index), t)
 
 
@@ -350,6 +350,6 @@ def eta_balance_envelope(n_index: int, t: float) -> float:
     ts = [lo + (hi - lo) * k / (_ENVELOPE_SAMPLES - 1) for k in range(_ENVELOPE_SAMPLES)]
     if not all(0 < s <= 1 for s in ts):
         raise ValueError("t must lie in (0, 1]")
-    _, traj, scale = _scaled_trace(n_index)
+    traj, scale = _scaled_trace(n_index)
     lam = scaling_lambda(n_index)
     return max(_eta_at(traj, scale, lam, s).residual_balance for s in ts)

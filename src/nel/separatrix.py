@@ -8,7 +8,7 @@ the adjacent even bundles) but attract under backward integration, so two
 independent computations of a_n are available:
 
 * bisection on the maxima count of forward solutions, and
-* backward integration seeded from the odd-m asymptotic tail.
+* backward integration seeded inside the odd-m bundle, next to the tail.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosine import (AsymptoticTail, asymptotic_tail_eval, bundle_index,
-                     rhs_unscaled, scaling_factor, tail_is_asymptotic,
+from .cosine import (bundle_index, rhs_unscaled, scaling_factor,
                      trapped_in_even_bundle)
 from .ode import Trajectory, find_extrema, integrate
 
@@ -32,17 +31,13 @@ __all__ = [
     "trace_separatrix_backward",
     "backward_start",
     "scaled_separatrix",
-    "scaled_separatrix_evaluator",
     "eigenvalue_table",
 ]
 
 _A_LAW = 2.0 ** (5.0 / 6.0)   # large-n intercept growth a_n ~ A sqrt(n)
-# Scaled backward start t = x / sqrt(2n - 1/2).  tail_is_asymptotic first
-# holds at t ~ 1.7556 for large n and at t ~ 1.7925 for n = 7; for n <= 6 its
-# threshold lies above 1.8 (1.8058 at n = 6).
-_TAIL_T = 1.8
-# Odd-bundle strip -theta < w < 0, w = x*y - (2n - 1/2), and the e-folds by
-# which it contracts seed errors before its edge x_c (see backward_start).
+# Odd-bundle strip between w = 0 and w = -theta sign(mu), w = x*y - mu with
+# mu = 2n - 1/2, and the e-folds by which it contracts seed errors before its
+# edge x_c (see backward_start).
 _STRIP_THETA = 1.0 / 3.0
 _STRIP_EFOLDS = 40.0
 
@@ -166,65 +161,46 @@ def _strip_edges(n: int) -> tuple[float, float]:
     strip start, _STRIP_EFOLDS e-folds of contraction outside it."""
     mu = 2 * n - 0.5
     theta = _STRIP_THETA
-    xc2 = (mu - theta) / math.sin(math.pi * theta)
+    xc2 = (abs(mu) - theta) / math.sin(math.pi * theta)
     return (math.sqrt(xc2),
             math.sqrt(xc2 + 2 * _STRIP_EFOLDS / (math.pi * math.cos(math.pi * theta))))
 
 
 def backward_start(n: int) -> float:
-    """Starting abscissa for the backward trace.
+    """Starting abscissa x_s of the backward trace, the same rule for every n.
 
-    For n >= 7 it is the nearer of two starts; n = 7..12 take the first,
-    n >= 13 the second:
-    - x = 1.8 sqrt(2n - 1/2), at scaled t = _TAIL_T, where the odd tail
-      passes ``tail_is_asymptotic`` and x lies below the fallback
-      max(20, 3 sqrt(max(|n|, 1))): that is every n >= 7;
-    - the strip start x_s (``_strip_edges``), at t ~ 1.771 for n = 13 and
-      t -> 1.075 as n grows.
-    Elsewhere, n <= 0 included, the fallback.
-
-    The strip: with mu = 2n - 1/2 and w = x y - mu, the equation gives
-    y' = sin(pi w) and w' = (mu + w)/x + x sin(pi w).  At w = 0, w' > 0; at
-    w = -theta, w' < 0 wherever x^2 sin(pi theta) > mu - theta, that is
-    x > x_c.  So under decreasing x no solution leaves -theta < w < 0 before
-    x_c.  Inside the strip df/dy = pi x cos(pi w) >= pi x cos(pi theta), so
-    two backward solutions in it approach each other by at least
+    With mu = 2n - 1/2 and w = x y - mu, the equation gives y' = sin(pi w)
+    and w' = (mu + w)/x + x sin(pi w).  Take the strip between w = 0 and
+    w = -theta sign(mu):
+    - mu > 0: at w = 0, w' = mu/x > 0; at w = -theta, w' < 0 wherever
+      x^2 sin(pi theta) > mu - theta;
+    - mu < 0: at w = 0, w' = mu/x < 0; at w = theta, w' > 0 wherever
+      x^2 sin(pi theta) > |mu| - theta.
+    So under decreasing x no solution leaves the strip before
+    x_c^2 = (|mu| - theta)/sin(pi theta).  Inside it
+    df/dy = pi x cos(pi w) >= pi x cos(pi theta), so two backward solutions
+    in it approach each other by at least
     exp(-cos(pi theta) pi (x_s^2 - x_c^2)/2) = exp(-_STRIP_EFOLDS) by x_c.
-    With theta = _STRIP_THETA = 1/3, x_c^2 = 2(mu - 1/3)/sqrt(3) and
-    x_s^2 = x_c^2 + 4 K/pi, K = _STRIP_EFOLDS = 40: any seed in the strip
-    gives the same trace to e^-40 of its error, so the seed is irrelevant.
-    x_c sits at t ~ 1.0746, beyond the turning point t = 1.  Between x_s and
-    t = 1.8 the steps are bound by stability, not accuracy, so the nearer
-    start saves them and moves a_n by less than the integration error.
+    With theta = _STRIP_THETA = 1/3 < 1/2 <= |mu| and K = _STRIP_EFOLDS = 40,
+    x_s^2 = x_c^2 + 4 K/pi: any seed in the strip gives the same trace to
+    e^-40 of its error, so the seed is irrelevant.  For n >= 1, x_c tends
+    to scaled t = x/sqrt(mu) ~ 1.0746, beyond the turning point t = 1.
     """
-    fallback = max(20.0, 3.0 * math.sqrt(max(abs(n), 1)))
-    if n >= 1:
-        x = _TAIL_T * scaling_factor(n)
-        if x < fallback and tail_is_asymptotic(AsymptoticTail(2 * n - 1), x):
-            return min(x, _strip_edges(n)[1])
-    return fallback
+    return _strip_edges(n)[1]
 
 
 def _backward_seed(n: int, x_start: float) -> float:
-    """y at x_start for the n-th backward trace.
+    """y = mu/x - mu/(pi x^3) at x_start, that is w = -mu/(pi x^2).
 
-    Starts at or beyond t = _TAIL_T, and every start for n <= 6, take the
-    six-term odd tail, which must satisfy the equation there to a relative
-    residual of 1e-4 (6.0e-5 at t = 1.8 and n = 7, near 4e-5 beyond, as
-    mu/x_start^2 is constant).  Nearer starts for n >= 7 are strip starts:
-    y = mu/x - mu/(pi x^3), that is w = -1/(pi t^2), which must lie in the
-    strip -_STRIP_THETA < w < 0 with x_start > x_c (see backward_start).
+    Undecidable unless x_start > x_c and w lies strictly inside the strip
+    between 0 and -_STRIP_THETA sign(mu) (see backward_start).
     """
-    m = 2 * n - 1
-    mu = m + 0.5
-    if n >= 7 and x_start < _TAIL_T * scaling_factor(n):
-        y0 = mu / x_start - mu / (math.pi * x_start ** 3)
-        if not (x_start > _strip_edges(n)[0] and -_STRIP_THETA < x_start * y0 - mu < 0):
-            raise Undecidable(f"seed of n={n} at x_start={x_start} is outside the odd-bundle strip")
-        return y0
-    y0, yp0 = asymptotic_tail_eval(AsymptoticTail(m), x_start)
-    if abs(yp0 - rhs_unscaled(x_start, y0)) > 1e-4 * max(abs(yp0), 1e-3):
-        raise Undecidable(f"tail m={m} inconsistent at x_start={x_start}")
+    mu = 2 * n - 0.5
+    y0 = mu / x_start - mu / (math.pi * x_start ** 3)
+    w = x_start * y0 - mu
+    depth = -w if mu > 0 else w         # into the strip from its edge w = 0
+    if not (x_start > _strip_edges(n)[0] and 0 < depth < _STRIP_THETA):
+        raise Undecidable(f"seed of n={n} at x_start={x_start} is outside the odd-bundle strip")
     return y0
 
 
@@ -235,8 +211,8 @@ def trace_separatrix_backward(n: int, *, x_start: float | None = None,
     The separatrix attracts under decreasing x, so the trace is stable and
     insensitive to the seed and to x_start.  Works for n <= 0 as well
     (tails m = -1, -3, ...), which yields the negative intercepts.  The seed
-    at x_start is the six-term tail or, for n >= 7 below t = _TAIL_T, a
-    point of the odd-bundle strip (``_backward_seed``).
+    at x_start (default ``backward_start``) is a point of the odd-bundle
+    strip (``_backward_seed``).
     """
     if x_start is None:
         x_start = backward_start(n)
@@ -245,35 +221,21 @@ def trace_separatrix_backward(n: int, *, x_start: float | None = None,
     return EigenvalueRecord(n, traj.y_end, "backward", None, 2 * n - 1), traj
 
 
-def _scaled_trace(n: int):
+def _scaled_trace(n: int) -> tuple[Trajectory, float]:
     if n < 1:
         raise ValueError("scaled separatrices are defined for n >= 1")
-    record, traj = trace_separatrix_backward(n)
-    return record, traj, scaling_factor(n)
-
-
-def scaled_separatrix_evaluator(n: int):
-    """(z(t) callable, t_max, record) for the n-th scaled separatrix.
-
-    z(t) = y(s t)/s with s = sqrt(2n - 1/2); z(0) is the scaled intercept
-    and the turning point sits near t = 1.  t_max = backward_start(n)/s:
-    5.9 or more for n <= 6, 1.8 for n = 7..12, then falling from 1.771 at
-    n = 13 to 1.086 at n = 1000 and about 1.075 at large n.
-    """
-    record, traj, s = _scaled_trace(n)
-
-    def z(t: float) -> float:
-        return traj.sample([s * t]).tolist()[0] / s
-
-    return z, traj.x_start / s, record
+    return trace_separatrix_backward(n)[1], scaling_factor(n)
 
 
 def scaled_separatrix(n: int, grid) -> list[float]:
-    """Sample z(t) on the given t grid (each t in [0, t_max], else ValueError).
+    """Sample z(t) = y(s t)/s, s = sqrt(2n - 1/2), on the given t grid.
 
-    t_max is that of ``scaled_separatrix_evaluator``: about 1.08 at large n.
+    z(0) is the scaled intercept and the turning point sits near t = 1.
+    Each t must lie in [0, t_max], else ValueError; t_max =
+    backward_start(n)/s is 5.9 at n = 1, 2.81 at n = 4, 1.771 at n = 13,
+    1.086 at n = 1000 and about 1.075 at large n.
     """
-    _, traj, s = _scaled_trace(n)
+    traj, s = _scaled_trace(n)
     return (traj.sample([s * t for t in grid]) / s).tolist()
 
 

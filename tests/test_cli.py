@@ -214,6 +214,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["extrapolate", "--values", "1,nan,3", "--indices", "1,2,3"],
     ["extrapolate", "--values", "1,2,inf", "--indices", "1,2,3"],
     ["extrapolate", "--values", "1,2,3", "--indices", "1,inf,3"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,1,2", "--stages", "1"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2"],
+    ["extrapolate", "--values", "1,2", "--indices", "1,2,3"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "3,2,1"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "0,1,2"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
@@ -497,15 +502,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_computational_error_surfaced_as_json(tmp_path, capsys):
-    # the indices parse, but richardson needs them increasing and raises
-    # ValueError (eigen --method bisect at n <= 0 is a usage error instead)
+    # the indices are valid, but so close that richardson's elimination
+    # weights pass 1e12 and it raises IllConditioned (decreasing indices are
+    # a usage error instead)
     out = tmp_path / "x.json"
-    code, _, err = run_cli(["extrapolate", "--values", "1,2,3", "--indices", "3,2,1",
-                            "--out", str(out)], capsys)
+    code, _, err = run_cli(["extrapolate", "--values", "1,2,3",
+                            "--indices", "1,1.000001,1.000002", "--out", str(out)], capsys)
     assert code == 1
     payload = json.loads(err)
-    assert (payload["error"]["type"], payload["error"]["module"]) == ("ValueError", "builtins")
-    assert "strictly increasing" in payload["error"]["message"]
+    assert (payload["error"]["type"], payload["error"]["module"]) == \
+        ("IllConditioned", "nel.extrapolate")
+    assert "weight norm" in payload["error"]["message"]
     assert not out.exists()
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from nel.cosine import (PI, AsymptoticTail, BundleMismatch, TailNotAsymptotic,
                         asymptotic_tail_eval, bundle_decay_fit,
                         bundle_index, rhs_scaled, rhs_unscaled, scaling_factor,
-                        scaling_lambda, tail_is_asymptotic, taylor_coefficients,
-                        taylor_eval)
+                        scaling_lambda, taylor_coefficients, taylor_eval)
 from nel.ode import IntegratorConfig, integrate
 
 
@@ -193,20 +192,18 @@ def test_tail_admissible_at_prescribed_starts(monkeypatch):
     def seeded(*args, **kwargs):
         raise _Seeded
 
-    # the trace checks its tail seed before it integrates: stop it there
+    # the trace checks its seed before it integrates: stop it there
     monkeypatch.setattr(separatrix, "integrate", seeded)
     theta = separatrix._STRIP_THETA
-    for n in (*range(-3, 8), 12, 13, 44, 45, 10_000, 100_000):
+    for n in (-100_000, -1_000, *range(-3, 8), 12, 13, 44, 45, 10_000, 100_000):
+        # every start is a strip start: the seed lies between w = 0 and
+        # w = -theta sign(mu), outside x_c
         x_start = separatrix.backward_start(n)
-        if n <= 12:
-            assert tail_is_asymptotic(AsymptoticTail(2 * n - 1), x_start)
-        else:
-            # a strip start: the seed lies in -theta < w < 0, outside x_c
-            mu = 2 * n - 0.5
-            w = x_start * (mu / x_start - mu / (math.pi * x_start ** 3)) - mu
-            assert -theta < w < 0
-            assert x_start ** 2 * math.sin(math.pi * theta) >= mu - theta
-        # Undecidable (consistency or strip) or TailNotAsymptotic would escape here
+        mu = 2 * n - 0.5
+        w = x_start * (mu / x_start - mu / (math.pi * x_start ** 3)) - mu
+        assert (-theta < w < 0) if mu > 0 else (0 < w < theta)
+        assert x_start ** 2 * math.sin(math.pi * theta) >= abs(mu) - theta
+        # Undecidable (outside the strip) would escape here
         with pytest.raises(_Seeded):
             separatrix.trace_separatrix_backward(n)
 

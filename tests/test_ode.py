@@ -566,7 +566,7 @@ def test_overflowing_initial_slope_raises_non_finite(f, y0):
 
 def _backward_run(n, dense):
     x_start = backward_start(n)
-    y0 = _backward_seed(n, x_start)     # the six-term tail, or a strip seed
+    y0 = _backward_seed(n, x_start)     # the odd-bundle strip seed
     return x_start, y0, 0.0, None, dense, None
 
 

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.cosine import rhs_unscaled, trapped_in_even_bundle
+from nel.cosine import (AsymptoticTail, asymptotic_tail_eval, rhs_unscaled,
+                        trapped_in_even_bundle)
 from nel.ode import IntegratorConfig, find_extrema, integrate
-from nel.separatrix import (_STRIP_THETA, Undecidable, _forward_span,
-                            backward_start, classify_initial_condition,
-                            eigenvalue_table, find_eigenvalue_bisect,
-                            maxima_count, scaled_separatrix,
-                            scaled_separatrix_evaluator,
-                            trace_separatrix_backward)
+from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
+                            _forward_span, backward_start,
+                            classify_initial_condition, eigenvalue_table,
+                            find_eigenvalue_bisect, maxima_count,
+                            scaled_separatrix, trace_separatrix_backward)
 
 # Reference intercepts, 7 significant digits (independently tabulated; the
 # n=6 entry is the cross-validated value from both methods in this package,
@@ -76,9 +76,8 @@ def test_backward_trace_matches_reference():
 
 
 def test_backward_trace_rejects_non_asymptotic_start():
-    from nel.cosine import TailNotAsymptotic
-
-    with pytest.raises(TailNotAsymptotic):
+    # n = 5 at x = 2 lies below x_c = 3.25, where no seed is known asymptotic
+    with pytest.raises(Undecidable):
         trace_separatrix_backward(5, x_start=2.0)
 
 
@@ -88,37 +87,59 @@ def test_backward_trace_insensitive_to_start():
     assert abs(r1.a_n - r2.a_n) < 1e-9
 
 
-def test_backward_start_below_seven_is_the_fallback():
-    for n in (*range(-60, 7), -10_000, -100_000):
-        assert backward_start(n).hex() == max(20.0, 3.0 * math.sqrt(max(abs(n), 1))).hex(), n
-
-
 def _strip_edge_squares(n):
-    # x_c^2 = 2(mu - 1/3)/sqrt(3), x_s^2 = x_c^2 + 4K/pi with K = 40 e-folds
+    # x_c^2 = 2(|mu| - 1/3)/sqrt(3), x_s^2 = x_c^2 + 4K/pi with K = 40 e-folds
     mu = 2 * n - 0.5
-    xc2 = (mu - THETA) / math.sin(math.pi * THETA)
+    xc2 = (abs(mu) - THETA) / math.sin(math.pi * THETA)
     return xc2, xc2 + 2 * 40.0 / (math.pi * math.cos(math.pi * THETA))
 
 
+def test_backward_start_below_seven_is_the_fallback():
+    # the strip edge is the start of every n <= 6, in place of the fallback
+    # max(20, 3 sqrt(max(|n|, 1))), and always nearer than it
+    for n in range(-100_000, 7):
+        start = backward_start(n)
+        assert start.hex() == math.sqrt(_strip_edge_squares(n)[1]).hex(), n
+        assert start < max(20.0, 3.0 * math.sqrt(max(abs(n), 1))), n
+
+
 def test_backward_start_from_seven_on_is_the_nearer_of_t_1_8_and_the_strip_edge():
-    for n in (*range(7, 60), 100, 1_000, 4_000, 10_000, 100_000):
-        tail = 1.8 * math.sqrt(2 * n - 0.5)
-        strip = math.sqrt(_strip_edge_squares(n)[1])
-        assert backward_start(n).hex() == min(tail, strip).hex(), n
-        # n = 13 is the first strip start, at t = 1.771
-        assert (backward_start(n) < tail) == (n >= 13), n
+    # the strip edge is the start of every n >= 7; it is nearer than
+    # t = 1.8 from n = 13 on and lies beyond it for n = 7..12
+    for n in range(7, 100_001):
+        start = backward_start(n)
+        assert start.hex() == math.sqrt(_strip_edge_squares(n)[1]).hex(), n
+        assert (start < 1.8 * math.sqrt(2 * n - 0.5)) == (n >= 13), n
     assert backward_start(13) / math.sqrt(25.5) == pytest.approx(1.7711, abs=1e-4)
 
 
 def test_backward_start_keeps_scaled_t_max_above_one():
     # the eta windows stop at t = 1, so every trace must reach beyond it
-    assert min(backward_start(n) / math.sqrt(2 * n - 0.5) for n in range(7, 100_001)) > 1.07
+    assert min(backward_start(n) / math.sqrt(2 * n - 0.5) for n in range(1, 100_001)) > 1.07
     for n in (13, 10_000):
-        _, t_max, _ = scaled_separatrix_evaluator(n)
-        assert t_max == backward_start(n) / math.sqrt(2 * n - 0.5)
+        # scaled_separatrix reads up to t_max and no further
+        t_max = backward_start(n) / math.sqrt(2 * n - 0.5)
+        assert math.isfinite(scaled_separatrix(n, [t_max])[0])
+        with pytest.raises(ValueError):
+            scaled_separatrix(n, [t_max * (1 + 1e-9)])
 
 
-# a_n, bit for bit, of indices that keep the six-term tail start (n <= 12)
+# a_n, bit for bit, of n >= 13, which started at the strip edge before the
+# rule covered every n
+_STRIP_START_HEX = {
+    13: '0x1.979791285ca6fp+2', 100: '0x1.1cbfdf3c253ccp+4', 1_000: '0x1.c2b544e58918fp+5',
+    10_000: '0x1.645af60fa10ddp+7', 100_000: '0x1.19bae040590e8p+9',
+}
+
+
+def test_backward_trace_bits_kept_where_the_start_is_kept():
+    for n, want in _STRIP_START_HEX.items():
+        assert trace_separatrix_backward(n, dense=False)[0].a_n.hex() == want, n
+
+
+# a_n, bit for bit, of n <= 12 from the start before the strip rule reached
+# them: max(20, 3 sqrt(max(|n|, 1))) for n <= 6, 1.8 sqrt(2n - 1/2) for
+# n = 7..12, both seeded from the six-term tail
 _KEPT_START_HEX = {
     -1000: '-0x1.c2d21e2b35bacp+5', -100: '-0x1.1d764efde4ae3p+4',
     -12: '-0x1.8f8aab3b8c393p+2', -11: '-0x1.7eef38089e672p+2', -10: '-0x1.6d9339e698376p+2',
@@ -133,12 +154,33 @@ _KEPT_START_HEX = {
 }
 
 
-def test_backward_trace_bits_kept_where_the_start_is_kept():
+def _tolerance_gap(x_start, y0):
+    # a_n at the default rel_tol 1e-10 minus a_n at 1e-13, from one start
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    default = integrate(rhs_unscaled, x_start, y0, 0.0, dense=False).y_end
+    return abs(default - integrate(rhs_unscaled, x_start, y0, 0.0, tight, dense=False).y_end)
+
+
+def test_backward_trace_shift_stays_within_the_tolerance_gap():
     for n, want in _KEPT_START_HEX.items():
-        assert trace_separatrix_backward(n, dense=False)[0].a_n.hex() == want, n
+        # the old route, rebuilt here, still gives the old bits
+        x_old = (1.8 * math.sqrt(2 * n - 0.5) if n >= 7
+                 else max(20.0, 3.0 * math.sqrt(max(abs(n), 1))))
+        y_old = asymptotic_tail_eval(AsymptoticTail(2 * n - 1), x_old)[0]
+        old = integrate(rhs_unscaled, x_old, y_old, 0.0, dense=False).y_end
+        assert old.hex() == want, n
+        x_new = backward_start(n)
+        new = trace_separatrix_backward(n, dense=False)[0].a_n
+        gaps = (_tolerance_gap(x_old, y_old), _tolerance_gap(x_new, _backward_seed(n, x_new)))
+        assert abs(new - old) <= max(*gaps, 1e-12), n
 
 
-@pytest.mark.parametrize("n", [13, 50, 1_000, 10_000])
+def _strip_depth(n, w):
+    # distance of w = x y - mu into the strip from its edge w = 0
+    return -w if 2 * n - 0.5 > 0 else w
+
+
+@pytest.mark.parametrize("n", [-1_000, -3, 0, 1, 6, 12, 13, 50, 1_000, 10_000])
 def test_backward_trace_stays_in_the_odd_bundle_strip(n):
     mu = 2 * n - 0.5
     xc = math.sqrt(_strip_edge_squares(n)[0])
@@ -146,28 +188,34 @@ def test_backward_trace_stays_in_the_odd_bundle_strip(n):
     assert traj.x_start > xc
     ws = [x * y - mu for x, y in zip(traj.xs, traj._ys) if x >= xc]
     assert len(ws) > 10
-    assert all(-THETA < w < 0 for w in ws)
+    assert all(0 < _strip_depth(n, w) < THETA for w in ws)
 
 
-def _tolerance_gap(x_start, y0):
-    tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
-    default = integrate(rhs_unscaled, x_start, y0, 0.0, dense=False).y_end
-    return abs(default - integrate(rhs_unscaled, x_start, y0, 0.0, tight, dense=False).y_end)
-
-
-@pytest.mark.parametrize("n", [13, 100, 1_000])
+@pytest.mark.parametrize("n", [-3, 0, 1, 6, 13, 100, 1_000])
 def test_strip_start_is_insensitive_to_the_seed(n):
     # seeds on the strip's inner edge, in its middle and next to its outer edge
     mu, xs = 2 * n - 0.5, backward_start(n)
-    ends = [integrate(rhs_unscaled, xs, (mu + w) / xs, 0.0, dense=False).y_end
-            for w in (0.0, -THETA / 2, -0.99 * THETA)]
-    # the gap between a_n at the default rel_tol 1e-10 and at 1e-13
-    gap = _tolerance_gap(xs, mu / xs - mu / (math.pi * xs ** 3))
-    assert max(ends) - min(ends) < gap
+    side = -1.0 if mu > 0 else 1.0
+    ends = [integrate(rhs_unscaled, xs, (mu + side * d) / xs, 0.0, dense=False).y_end
+            for d in (0.0, THETA / 2, 0.99 * THETA)]
+    # the gap at n = 0 is 2.8e-14, a near-cancellation below the abs_tol
+    # 1e-12, so the bound is never taken below 1e-12
+    gap = _tolerance_gap(xs, _backward_seed(n, xs))
+    assert max(ends) - min(ends) < max(gap, 1e-12)
+
+
+def test_strip_start_takes_fewer_steps_than_x_20():
+    # x = 20 was the start of every n = -3..6 before the strip rule
+    for n in range(-3, 7):
+        _, new = trace_separatrix_backward(n, dense=False)
+        _, old = trace_separatrix_backward(n, x_start=20.0, dense=False)
+        assert new.step_count + new.rejected < old.step_count + old.rejected, n
 
 
 def test_strip_start_never_takes_more_steps_than_t_1_8():
-    for n in (*range(7, 301), 1_000, 10_000, 100_000):
+    # n = 7..12 started at t = 1.8 before the strip rule and now take 12-137
+    # more attempts from the strip edge, which lies beyond it there
+    for n in (*range(13, 301), 1_000, 10_000, 100_000):
         _, new = trace_separatrix_backward(n, dense=False)
         _, old = trace_separatrix_backward(n, x_start=1.8 * math.sqrt(2 * n - 0.5), dense=False)
         assert new.step_count <= old.step_count, n
@@ -191,11 +239,8 @@ def test_backward_start_agrees_with_the_old_start(n, bound):
 
 
 def test_backward_trace_stable_under_seed_perturbation():
-    from nel.cosine import AsymptoticTail, asymptotic_tail_eval, rhs_unscaled
-    from nel.ode import integrate
-
     xs = backward_start(2)
-    y0, _ = asymptotic_tail_eval(AsymptoticTail(3), xs)
+    y0 = _backward_seed(2, xs)
     base = integrate(rhs_unscaled, xs, y0, 0.0, dense=False).y_end
     pert = integrate(rhs_unscaled, xs, y0 + 1e-8, 0.0, dense=False).y_end
     assert abs(base - pert) < 1e-6
@@ -229,10 +274,15 @@ def test_eigenvalue_table_includes_negative_indices():
 
 
 def test_scaled_separatrix_values():
-    z, t_max, rec = scaled_separatrix_evaluator(1000)
+    s = math.sqrt(2 * 1000 - 0.5)
+    t_max = backward_start(1000) / s
+
+    def z(t):
+        return scaled_separatrix(1000, [t])[0]
+
     # the trace starts at the strip edge, t = 1.086 at n = 1000
     assert t_max == pytest.approx(1.0863, abs=1e-4)
-    s = math.sqrt(2 * 1000 - 0.5)
+    rec, _ = trace_separatrix_backward(1000, dense=False)
     assert z(0.0) == pytest.approx(rec.a_n / s)
     # merges onto the 1/t tail beyond the turning point: in the strip
     # |z - 1/t| = |w|/(mu t) < 1/(3 mu t), about 1.6e-4 here
@@ -244,8 +294,7 @@ def test_scaled_separatrix_values():
 
 
 def test_scaled_intercept_converges_to_cube_root_two():
-    z, _, _ = scaled_separatrix_evaluator(1000)
-    assert abs(z(0.0) - CUBE_ROOT_2) < 1e-3
+    assert abs(scaled_separatrix(1000, [0.0])[0] - CUBE_ROOT_2) < 1e-3
 
 
 def test_scaled_separatrix_grid_sampling():
