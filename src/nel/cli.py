@@ -146,12 +146,17 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _grid_read(traj, x0: float, x1: float, h: float):
-    """(x, y[0]) at x = x0 + i*h (h signed toward x1) up to x1, the last
-    abscissa clipped to x1; abscissae carry no accumulated drift."""
+def _grid(x0: float, x1: float, h: float) -> np.ndarray:
+    """x = x0 + i*h (h signed toward x1) up to x1, the last abscissa clipped
+    to x1; abscissae carry no accumulated drift."""
     n = math.floor(abs(x1 - x0) / h + 1e-9)
-    xs = np.clip(x0 + math.copysign(h, x1 - x0) * np.arange(n + 1), min(x0, x1), max(x0, x1))
-    return zip(xs.tolist(), traj.sample(xs).reshape(n + 1, -1)[:, 0].tolist())
+    return np.clip(x0 + math.copysign(h, x1 - x0) * np.arange(n + 1), min(x0, x1), max(x0, x1))
+
+
+def _grid_read(traj, x0: float, x1: float, h: float):
+    """(x, y[0]) on ``_grid(x0, x1, h)``."""
+    xs = _grid(x0, x1, h)
+    return zip(xs.tolist(), traj.sample(xs).reshape(len(xs), -1)[:, 0].tolist())
 
 
 def _segment_rows(label, a, segs) -> list:
@@ -192,18 +197,21 @@ def _cmd_eigen(args) -> int:
 
 
 def _fig1_task(k: int):
-    from .cosine import rhs_unscaled
-    from .ode import integrate
+    from .cosine import forward_values
 
     a = 0.2 * k
-    traj = integrate(rhs_unscaled, 0.0, a, 24.0)
-    return [(k, a, x, y) for x, y in _grid_read(traj, 0.0, traj.x_end, 0.02)]
+    xs = _grid(0.0, 24.0, 0.02)
+    return [(k, a, x, y) for x, y in zip(xs.tolist(), forward_values(a, xs).tolist())]
 
 
 def _cmd_figures(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     name = args.figure
+    if args.n is not None and name not in ("fig4", "fig8"):
+        raise UsageError(f"--n applies to fig4 and fig8, not {name}")
+    if args.step is not None and name != "fig8":
+        raise UsageError(f"--step applies to fig8, not {name}")
     summary: dict = {"figure": name}
 
     if name == "fig1":
@@ -277,6 +285,8 @@ def _cmd_figures(args) -> int:
         from .pseries import tau_scan
 
         n = _degree(args.n) if args.n is not None else 50
+        if args.step is None:
+            args.step = 0.0005          # the manifest records the step used
         sr = tau_scan(0.0, 1.0, args.step, n)
         _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
         summary["n"] = n
@@ -544,7 +554,7 @@ def _build_parser() -> _Parser:
                    help="scaled-curve index for fig4 (default 10000, at most 100000); "
                         "partial-sum degree for fig8 (default 50)")
     q.add_argument("--step", type=_checked(float, lambda v: v >= 1e-6, ">= 1e-6"),
-                   default=0.0005, help="tau step for fig8")
+                   default=None, help="tau step for fig8 (default 0.0005)")
     q.set_defaults(func=_cmd_figures)
 
     q = subs.add_parser("limiting-curve", help="limit curve by both routes")

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosine import (bundle_index, rhs_unscaled, scaling_factor,
-                     trapped_in_even_bundle)
+from .cosine import (_STRIP_DX2, _STRIP_THETA, bundle_index, rhs_unscaled,
+                     scaling_factor, trapped_in_even_bundle)
 from .ode import Trajectory, find_extrema, integrate
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 _A_LAW = 2.0 ** (5.0 / 6.0)   # large-n intercept growth a_n ~ A sqrt(n)
-# Odd-bundle strip between w = 0 and w = -theta sign(mu), w = x*y - mu with
-# mu = 2n - 1/2, and the e-folds by which it contracts seed errors before its
-# edge x_c (see backward_start).
-_STRIP_THETA = 1.0 / 3.0
-_STRIP_EFOLDS = 40.0
 
 
 class Undecidable(ValueError):
@@ -158,12 +153,11 @@ def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
 
 def _strip_edges(n: int) -> tuple[float, float]:
     """(x_c, x_s): where the odd-bundle strip stops being invariant, and the
-    strip start, _STRIP_EFOLDS e-folds of contraction outside it."""
+    strip start, cosine._STRIP_EFOLDS e-folds of contraction outside it."""
     mu = 2 * n - 0.5
     theta = _STRIP_THETA
     xc2 = (abs(mu) - theta) / math.sin(math.pi * theta)
-    return (math.sqrt(xc2),
-            math.sqrt(xc2 + 2 * _STRIP_EFOLDS / (math.pi * math.cos(math.pi * theta))))
+    return math.sqrt(xc2), math.sqrt(xc2 + _STRIP_DX2)
 
 
 def backward_start(n: int) -> float:
@@ -180,8 +174,8 @@ def backward_start(n: int) -> float:
     x_c^2 = (|mu| - theta)/sin(pi theta).  Inside it
     df/dy = pi x cos(pi w) >= pi x cos(pi theta), so two backward solutions
     in it approach each other by at least
-    exp(-cos(pi theta) pi (x_s^2 - x_c^2)/2) = exp(-_STRIP_EFOLDS) by x_c.
-    With theta = _STRIP_THETA = 1/3 < 1/2 <= |mu| and K = _STRIP_EFOLDS = 40,
+    exp(-cos(pi theta) pi (x_s^2 - x_c^2)/2) = exp(-K) by x_c.  With
+    theta = _STRIP_THETA = 1/3 < 1/2 <= |mu| and K = cosine._STRIP_EFOLDS = 40,
     x_s^2 = x_c^2 + 4 K/pi: any seed in the strip gives the same trace to
     e^-40 of its error, so the seed is irrelevant.  For n >= 1, x_c tends
     to scaled t = x/sqrt(mu) ~ 1.0746, beyond the turning point t = 1.

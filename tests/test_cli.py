@@ -525,6 +525,86 @@ def test_fig1_task_rows():
     assert abs(rows[-1][2] - 24.0) < 1e-9
 
 
+def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypatch, capsys):
+    # each curve's rows with x at or before its stop are, byte for byte,
+    # the rows a full-span run to x = 24 writes; only the rows beyond move
+    import nel.cosine
+    from nel.cosine import rhs_unscaled
+    from nel.ode import integrate
+
+    stops = []
+
+    def recorded(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        stops.append(traj.x_end)
+        return traj
+
+    monkeypatch.setattr(nel.cosine, "integrate", recorded)
+    out = tmp_path / "fig1.csv"
+    code, _, _ = run_cli(["figures", "fig1", "--out", str(out)], capsys)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,a,x,y" and len(lines) == 1 + 50 * 1201
+    assert len(stops) == 50 and all(7.2 < x < 11.2 for x in stops)
+    kept = 0
+    for k, stop in enumerate(stops, start=1):
+        a = 0.2 * k
+        n = math.floor(24.0 / 0.02 + 1e-9)
+        xs = np.clip(0.02 * np.arange(n + 1), 0.0, 24.0)
+        ys = integrate(rhs_unscaled, 0.0, a, 24.0).sample(xs)
+        rows = lines[1 + (k - 1) * 1201:1 + k * 1201]
+        for line, x, y in zip(rows, xs.tolist(), ys.tolist()):
+            if x <= stop:
+                assert line == "%.17g,%.17g,%.17g,%.17g" % (k, a, x, y)
+                kept += 1
+    assert kept == sum(math.floor(x / 0.02) + 1 for x in stops)
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["fig1", "--n", "5"], "--n applies to fig4 and fig8, not fig1"),
+    (["fig2", "--n", "5"], "--n applies to fig4 and fig8, not fig2"),
+    (["fig5", "--n", "80"], "--n applies to fig4 and fig8, not fig5"),
+    (["fig1", "--step", "0.01"], "--step applies to fig8, not fig1"),
+    (["fig4", "--step", "0.01"], "--step applies to fig8, not fig4"),
+    (["fig7", "--n", "3", "--step", "0.01"], "--n applies to fig4 and fig8, not fig7"),
+])
+def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch, capsys):
+    import nel.cosine
+    import nel.fourier
+    import nel.ode
+    import nel.separatrix
+
+    calls = []
+    for mod, name in ((nel.cosine, "forward_values"), (nel.ode, "integrate"),
+                      (nel.separatrix, "trace_separatrix_backward"),
+                      (nel.fourier, "fourier_partial_sum")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["figures", *argv, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("UsageError", says)
+    assert calls == []
+    assert not out.exists()
+
+
+def test_figure_manifests_record_only_flags_read(tmp_path, monkeypatch, capsys):
+    # fig8 still records the step it scanned at; the other figures, which
+    # read no --step, no longer record one
+    import nel.pseries
+
+    scan = SimpleNamespace(taus=[0.0], rhos=[1.0], maxima=[], reflection_gap=0.0,
+                           half_shift_gap=0.0)
+    monkeypatch.setattr(nel.pseries, "tau_scan", lambda lo, hi, step, n: scan)
+    for name in ("fig5", "fig8"):
+        code, _, _ = run_cli(["figures", name, "--out", str(tmp_path / f"{name}.csv")], capsys)
+        assert code == 0
+    params = {name: json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["parameters"]
+              for name in ("fig5", "fig8")}
+    assert params["fig5"] == {"subcommand": "figures", "figure": "fig5"}
+    assert params["fig8"] == {"subcommand": "figures", "figure": "fig8", "step": 0.0005}
+
+
 def test_fig7_oscillatory_segment_reaches_window_end(tmp_path, capsys):
     # index grid x0 - i*0.01: no drift, so the x = -40 endpoint is written
     out = tmp_path / "fig7.csv"

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.cosine import (PI, AsymptoticTail, BundleMismatch, TailNotAsymptotic,
-                        asymptotic_tail_eval, bundle_decay_fit,
-                        bundle_index, rhs_scaled, rhs_unscaled, scaling_factor,
-                        scaling_lambda, taylor_coefficients, taylor_eval)
+import nel.cosine
+from nel.cosine import (_STRIP_DX2, _STRIP_THETA, PI, AsymptoticTail, BundleMismatch,
+                        TailNotAsymptotic, _even_strip, _tail_cut, asymptotic_tail_eval,
+                        bundle_decay_fit, bundle_index, forward_values, rhs_scaled,
+                        rhs_unscaled, scaling_factor, scaling_lambda, tail_coefficients,
+                        taylor_coefficients, taylor_eval)
 from nel.ode import IntegratorConfig, integrate
+from nel.pseries import _horner
 
 
 def test_rhs_unscaled_values():
@@ -206,6 +210,136 @@ def test_tail_admissible_at_prescribed_starts(monkeypatch):
         # Undecidable (outside the strip) would escape here
         with pytest.raises(_Seeded):
             separatrix.trace_separatrix_backward(n)
+
+
+# -- the tail recursion and the forward cut ----------------------------------
+
+REF_CFG = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+GRID = [0.02 * i for i in range(1201)]      # fig1's abscissae on [0, 24]
+
+
+def _transcribed_tail(m):
+    """c_1..c_6 as the polynomials in mu = m + 1/2 that the recursion
+    replaced, evaluated exactly in rationals with pi the float's value."""
+    mu, p = Fraction(2 * m + 1, 2), Fraction(PI)
+    sg = -1 if m % 2 else 1
+    return (
+        sg * mu / p,
+        3 * mu / p ** 2,
+        sg * (mu ** 3 / (6 * p) + 15 * mu / p ** 3),
+        8 * mu ** 3 / (3 * p ** 2) + 105 * mu / p ** 4,
+        sg * (3 * mu ** 5 / (40 * p) + 36 * mu ** 3 / p ** 3 + 945 * mu / p ** 5),
+        38 * mu ** 5 / (15 * p ** 2) + 498 * mu ** 3 / p ** 4 + 10395 * mu / p ** 6,
+    )
+
+
+def test_tail_recursion_matches_the_transcribed_polynomials():
+    # measured: at most 4.93 ulp over these m (c_5 at m = 58), 6.25 over m < 1000
+    for m in (*range(0, 130), 500, 1000, 10_000, 100_000):
+        for c, ref in zip(tail_coefficients(m), _transcribed_tail(m), strict=True):
+            assert abs(Fraction(c) - ref) <= 7 * math.ulp(float(ref)), (m, c, ref)
+
+
+@pytest.mark.parametrize("m, x", [(0, 7.2), (0, 12.0), (62, 11.18), (500, 25.1), (5000, 76.4)])
+def test_tail_cut_ends_below_the_floor(m, x):
+    t = _tail_cut(m, x)
+    assert t[0] == m + 0.5
+    assert t[1:7] == pytest.approx([c * x ** (-2 * k) for k, c in
+                                    enumerate(tail_coefficients(m), start=1)], rel=1e-13)
+    assert all(abs(b) < abs(a) for a, b in zip(t, t[2:]))
+    assert max(map(abs, t[-2:])) < 2.0 ** -60 * (m + 0.5)
+
+
+@pytest.mark.parametrize("m, x", [(0, 1.0), (0, 3.0), (46, 9.0)])
+def test_tail_cut_stalls_before_the_floor(m, x):
+    # a term stops decreasing before the terms reach 2^-60 mu
+    assert _tail_cut(m, x) is None
+
+
+def _strip_start(m, w, cfg=REF_CFG):
+    """A rel 1e-14 run from w inside the strip just past its edge x_c, the
+    tail cut at x_s = sqrt(x_0^2 + _STRIP_DX2), and the abscissae beyond it."""
+    mu = m + 0.5
+    x0 = 1.0001 * math.sqrt((mu + _STRIP_THETA) / math.sin(math.pi * _STRIP_THETA))
+    x_s = math.sqrt(x0 * x0 + _STRIP_DX2)
+    xs = np.linspace(x_s, x_s + 3.0, 61)
+    return integrate(rhs_unscaled, x0, (mu + w) / x0, x_s + 3.0, cfg), _tail_cut(m, x_s), xs
+
+
+@pytest.mark.parametrize("m", [0, 62, 500])
+@pytest.mark.parametrize("w", [0.01, 0.2, 0.33])
+def test_strip_start_is_forgotten_by_the_tail_cut(m, w):
+    # any start in the strip meets the cut tail at x_s, to the reference
+    # run's own accuracy (at most 2.6e-15 measured); m = 500 does not stall
+    traj, t, xs = _strip_start(m, w)
+    tail = _horner(t, (xs[0] / xs) ** 2)[0] / xs
+    assert np.max(np.abs(tail / traj.sample(xs) - 1.0)) < 1e-14
+
+
+def _recorded_forward(a, xs):
+    """forward_values(a, xs) and the trajectory of its one integration."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nel.cosine, "integrate", recorded)
+        ys = forward_values(a, xs)
+    (traj,) = runs
+    return ys, traj
+
+
+@pytest.fixture(scope="module")
+def fig1_curves():
+    """k -> (forward_values run, its trajectory, full span at the default
+    tolerances, full span at rel 1e-14) for fig1's a = 0.2 k."""
+    out = {}
+    for k in (1, 10, 25, 40, 50):
+        a = 0.2 * k
+        ys, traj = _recorded_forward(a, GRID)
+        out[k] = (ys, traj, integrate(rhs_unscaled, 0.0, a, 24.0),
+                  integrate(rhs_unscaled, 0.0, a, 24.0, REF_CFG))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 10, 25, 40, 50])
+def test_forward_values_beyond_the_stop_meet_a_tight_run(k, fig1_curves):
+    # 3.1e-15 at most measured, where the default-tolerance run is off by
+    # 2.4e-11 to 3.6e-11
+    ys, traj, full, ref = fig1_curves[k]
+    assert traj.stopped and 7.2 < traj.x_end < 11.2
+    beyond = np.array(GRID) > traj.x_end
+    xb = np.array(GRID)[beyond]
+    exact = ref.sample(xb)
+    dev = np.max(np.abs(ys[beyond] / exact - 1.0))
+    assert dev < 1e-14
+    assert dev <= np.max(np.abs(full.sample(xb) / exact - 1.0))
+    assert ys[~beyond].tolist() == full.sample(np.array(GRID)[~beyond]).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 10, 25, 40, 50])
+def test_reference_run_stays_in_the_strip_after_its_entry(k, fig1_curves):
+    # the witness outside the code under test: every rel 1e-14 step after
+    # the first in the strip keeps the same m and 0 < w < 1/3
+    ref = fig1_curves[k][3]
+    inside = _even_strip(_STRIP_THETA)
+    pts = list(zip(ref.xs, np.frombuffer(ref._ys)))
+    entry = next(i for i, (x, y) in enumerate(pts) if inside(x, y))
+    m = math.floor(pts[entry][0] * pts[entry][1] - 0.5)
+    assert m % 2 == 0
+    for x, y in pts[entry:]:
+        assert 0 < x * y - (m + 0.5) < 1 / 3
+
+
+def test_stalled_cut_runs_the_full_span(monkeypatch):
+    # with no cut the run goes on to the end: every value is that of the
+    # full span to the bit
+    monkeypatch.setattr(nel.cosine, "_tail_cut", lambda m, x: None)
+    ys, traj = _recorded_forward(2.0, GRID)
+    assert not traj.stopped and traj.x_end == 24.0
+    assert ys.tolist() == integrate(rhs_unscaled, 0.0, 2.0, 24.0).sample(GRID).tolist()
 
 
 # -- properties of the flow --------------------------------------------------

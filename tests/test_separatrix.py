@@ -434,6 +434,26 @@ def test_trap_predicate_boundaries(x, y, trapped):
     assert trapped_in_even_bundle(x, y) is trapped
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=-1.0, max_value=8.0))
+def test_trap_predicate_is_the_half_width_strip(x, y):
+    # the width-1/2 strip test, written out: sin(pi/2) == 1.0 and
+    # m + 0.5 + 0.5 == m + 1, so it is the same predicate
+    u = x * y - 0.5
+    m = math.floor(u)
+    w = u - m
+    assert trapped_in_even_bundle(x, y) is (m >= 0 and m % 2 == 0 and 0.0 < w < 0.5
+                                            and x * x > m + 1)
+
+
+def test_bisect_intercepts_keep_their_bits(cross_method_10):
+    # the maxima count stops at the same step as before the trap test became
+    # the width-1/2 case of the strip test
+    assert [cross_method_10[n][0].hex() for n in range(1, 7)] == [
+        "0x1.9a42383c8c128p+0", "0x1.31b5b83a2728bp+1", "0x1.7d03ee4686aeep+1",
+        "0x1.bbd8666ddc128p+1", "0x1.f2e0c14062ae8p+1", "0x1.1238eb93cc229p+2"]
+
+
 def _rk4_trajectory(x, y, x_end, h):
     def f(x, y):
         return math.cos(math.pi * x * y)
