@@ -331,6 +331,10 @@ def _cmd_extrapolate(args) -> int:
     from .extrapolate import fit_correction_exponent, richardson
 
     t0 = time.perf_counter()
+    if args.values and args.target:
+        raise UsageError(f"--values and --target {args.target} exclude each other")
+    if args.target == "painleve-c" and args.indices:
+        raise UsageError("--indices applies to --values and --target a-constant, not painleve-c")
     if args.values:
         if not args.indices:
             raise UsageError("--values requires --indices")

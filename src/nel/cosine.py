@@ -5,10 +5,11 @@ solution at the origin, the large-x tail
 
     y(x) ~ (m + 1/2)/x + sum_k c_k x^(-2k-1)
 
-whose odd-m members are the separatrices, the forward solution read from
-that tail once an even-m bundle has trapped it (``forward_values``), and
-the exponentially small splitting between two solutions sharing an even-m
-tail, which decays like exp(-pi x^2 / 2).
+whose odd-m members are the separatrices, generated term by term by one
+recursion (``_tail_series``) and cut where its terms stop decreasing, the
+forward solution read from that tail once an even-m bundle has trapped it
+(``forward_values``), and the exponentially small splitting between two
+solutions sharing an even-m tail, which decays like exp(-pi x^2 / 2).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +27,7 @@ from .pseries import _horner
 
 __all__ = [
     "PI",
-    "AsymptoticTail",
     "TaylorSeries",
-    "TailNotAsymptotic",
     "BundleMismatch",
     "Underflow",
     "rhs_unscaled",
@@ -38,7 +37,6 @@ __all__ = [
     "taylor_coefficients",
     "taylor_eval",
     "tail_coefficients",
-    "asymptotic_tail_eval",
     "bundle_index",
     "forward_values",
     "bundle_decay_fit",
@@ -52,10 +50,6 @@ PI = math.pi
 _STRIP_THETA = 1.0 / 3.0
 _STRIP_EFOLDS = 40.0
 _STRIP_DX2 = 2 * _STRIP_EFOLDS / (PI * math.cos(PI * _STRIP_THETA))
-
-
-class TailNotAsymptotic(ValueError):
-    """Tail terms are not decreasing at the requested x."""
 
 
 class BundleMismatch(ValueError):
@@ -194,66 +188,6 @@ def _tail_cut(m: int, x: float) -> list[float] | None:
                 return None
             if abs(tk) < floor and abs(t[k - 1]) < floor:
                 return t
-
-
-@dataclass(frozen=True)
-class AsymptoticTail:
-    """Truncated large-x tail of the m-th bundle (separatrix for odd m)."""
-
-    m: int
-    truncation: int = 6
-    coefficients: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.truncation <= 6:
-            raise ValueError("truncation must be in 0..6")
-        object.__setattr__(self, "coefficients", tail_coefficients(self.m))
-
-    @property
-    def leading(self) -> float:
-        return self.m + 0.5
-
-
-def _tail_terms(tail: AsymptoticTail, x: float) -> list[float]:
-    terms = [tail.leading / x]
-    for k in range(1, tail.truncation + 1):
-        terms.append(tail.coefficients[k - 1] * x ** (-(2 * k + 1)))
-    return terms
-
-
-def tail_is_asymptotic(tail: AsymptoticTail, x: float) -> bool:
-    """Each term must be < 0.1x the preceding term of the same parity.
-
-    The odd-k and even-k coefficients form two separate families (the odd
-    ones carry the high powers of m + 1/2), so adjacent terms are compared
-    within their family; t_1 is still checked against t_0.
-    """
-    t = [abs(v) for v in _tail_terms(tail, x)]
-    if len(t) >= 2 and t[1] >= 0.1 * t[0]:
-        return False
-    for k in range(2, len(t)):
-        if t[k] >= 0.1 * t[k - 2]:
-            return False
-    return True
-
-
-def asymptotic_tail_eval(tail: AsymptoticTail, x: float) -> tuple[float, float]:
-    """Evaluate (y, y') of the truncated tail at x > 0.
-
-    Raises TailNotAsymptotic where the term-decrease test fails; the tail
-    is an asymptotic series, not a convergent one.
-    """
-    if x <= 0:
-        raise ValueError("tail is defined for x > 0")
-    if not tail_is_asymptotic(tail, x):
-        raise TailNotAsymptotic(f"tail m={tail.m} not ordered at x={x}")
-    y = tail.leading / x
-    yp = -tail.leading / x ** 2
-    for k in range(1, tail.truncation + 1):
-        c = tail.coefficients[k - 1]
-        y += c * x ** (-(2 * k + 1))
-        yp -= (2 * k + 1) * c * x ** (-(2 * k + 2))
-    return y, yp
 
 
 def bundle_index(x: float, y: float) -> int:

@@ -407,7 +407,7 @@ def test_criterion_13_gibbs_overshoot():
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_criterion_14_property_suites(scale):
-    from nel.cosine import AsymptoticTail, asymptotic_tail_eval, rhs_unscaled
+    from nel.cosine import rhs_unscaled, tail_coefficients
     from nel.ode import IntegratorConfig, integrate
     from nel.painleve import _Y_MATCH, _Y_RESTART, laurent_match, painleve_rhs, pole_series_eval
     from nel.pseries import all_roots, ftau_partial_sum
@@ -435,10 +435,12 @@ def test_criterion_14_property_suites(scale):
     vieta_ok = (abs(s + a[-2] / a[-1]) < 1e-8 * (1 + abs(s))
                 and abs(prod - a[0] / a[-1]) < 1e-8 * (1 + abs(prod)))
 
-    # tail residual order
+    # tail residual order of the k-term sum 3.5/x + sum_{j<=k} c_j x^-(2j+1)
     def tail_residual(k, x):
-        tail = AsymptoticTail(3, k)
-        y, yp = asymptotic_tail_eval(tail, x)
+        y, yp = 3.5 / x, -3.5 / x ** 2
+        for j, c in enumerate(tail_coefficients(3)[:k], start=1):
+            y += c * x ** (-(2 * j + 1))
+            yp -= (2 * j + 1) * c * x ** (-(2 * j + 2))
         return abs(yp - rhs_unscaled(x, y))
 
     tail_ok = all(

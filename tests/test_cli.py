@@ -219,6 +219,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["extrapolate", "--values", "1,2", "--indices", "1,2,3"],
     ["extrapolate", "--values", "1,2,3", "--indices", "3,2,1"],
     ["extrapolate", "--values", "1,2,3", "--indices", "0,1,2"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--target", "a-constant"],
+    ["extrapolate", "--target", "painleve-c", "--indices", "1,2", "--count", "5"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)

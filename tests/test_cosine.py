@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nel.cosine
-from nel.cosine import (_STRIP_DX2, _STRIP_THETA, PI, AsymptoticTail, BundleMismatch,
-                        TailNotAsymptotic, _even_strip, _tail_cut, asymptotic_tail_eval,
+from nel.cosine import (_STRIP_DX2, _STRIP_THETA, PI, BundleMismatch, _even_strip, _tail_cut,
                         bundle_decay_fit, bundle_index, forward_values, rhs_scaled,
                         rhs_unscaled, scaling_factor, scaling_lambda, tail_coefficients,
                         taylor_coefficients, taylor_eval)
@@ -152,18 +151,14 @@ def test_taylor_eval_matches_integration(a, x):
 # -- asymptotic tail -------------------------------------------------------
 
 
-def test_tail_leading_term():
-    t = AsymptoticTail(1, truncation=0)
-    y, yp = asymptotic_tail_eval(t, 10.0)
-    assert y == pytest.approx(0.15)
-    assert yp == pytest.approx(-0.015)
-
-
-def test_tail_c1_values():
-    assert AsymptoticTail(2).coefficients[0] == pytest.approx(2.5 / PI)
-    assert AsymptoticTail(1).coefficients[0] == pytest.approx(-1.5 / PI)
-    # leading coefficient of the series itself
-    assert AsymptoticTail(4).leading == 4.5
+def _tail_sum(m, K, x):
+    """(y, y') of the K-term tail (m + 1/2)/x + sum_{k=1..K} c_k x^-(2k+1),
+    summed from the leading term on."""
+    y, yp = (m + 0.5) / x, -(m + 0.5) / x ** 2
+    for k, c in enumerate(tail_coefficients(m)[:K], start=1):
+        y += c * x ** (-(2 * k + 1))
+        yp -= (2 * k + 1) * c * x ** (-(2 * k + 2))
+    return y, yp
 
 
 @pytest.mark.parametrize("trunc", range(0, 6))
@@ -171,19 +166,11 @@ def test_tail_residual_order(trunc):
     # ODE residual of the K-term tail scales like x^-(2K+2): doubling x
     # from 10 to 20 divides it by ~2^(2K+2).
     def residual(x):
-        t = AsymptoticTail(3, trunc)
-        y, yp = asymptotic_tail_eval(t, x)
+        y, yp = _tail_sum(3, trunc, x)
         return abs(yp - rhs_unscaled(x, y))
 
     expo = math.log2(residual(10.0) / residual(20.0))
     assert expo == pytest.approx(2 * trunc + 2, abs=0.5)
-
-
-def test_tail_not_asymptotic_raised():
-    with pytest.raises(TailNotAsymptotic):
-        asymptotic_tail_eval(AsymptoticTail(9), 2.0)
-    with pytest.raises(ValueError):
-        asymptotic_tail_eval(AsymptoticTail(1), -3.0)
 
 
 class _Seeded(Exception):
@@ -250,10 +237,22 @@ def test_tail_cut_ends_below_the_floor(m, x):
     assert max(map(abs, t[-2:])) < 2.0 ** -60 * (m + 0.5)
 
 
-@pytest.mark.parametrize("m, x", [(0, 1.0), (0, 3.0), (46, 9.0)])
+@pytest.mark.parametrize("m, x", [(0, 1.0), (0, 3.0), (46, 9.0), (9, 2.0)])
 def test_tail_cut_stalls_before_the_floor(m, x):
     # a term stops decreasing before the terms reach 2^-60 mu
     assert _tail_cut(m, x) is None
+
+
+def test_tail_cut_solves_the_equation_to_rounding():
+    # from the strip stop x_s at the edge x_c to 5 x_s, for m well beyond
+    # fig1's; at most 6.7 ulp measured (m = 70 at x_s)
+    for m in (*range(0, 130), 500, 1000, 5000):
+        x_s = math.sqrt((m + 0.5 + _STRIP_THETA) / math.sin(PI * _STRIP_THETA) + _STRIP_DX2)
+        for x in (f * x_s for f in (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)):
+            t = _tail_cut(m, x)
+            y = sum(t) / x
+            yp = -sum((2 * k + 1) * tk for k, tk in enumerate(t)) / x ** 2
+            assert abs(yp - rhs_unscaled(x, y)) <= 16 * math.ulp(PI * x * y), (m, x)
 
 
 def _strip_start(m, w, cfg=REF_CFG):

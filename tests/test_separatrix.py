@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.cosine import (AsymptoticTail, asymptotic_tail_eval, rhs_unscaled,
-                        trapped_in_even_bundle)
+from nel.cosine import rhs_unscaled, tail_coefficients, trapped_in_even_bundle
 from nel.ode import IntegratorConfig, find_extrema, integrate
 from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
                             _forward_span, backward_start,
@@ -166,7 +165,9 @@ def test_backward_trace_shift_stays_within_the_tolerance_gap():
         # the old route, rebuilt here, still gives the old bits
         x_old = (1.8 * math.sqrt(2 * n - 0.5) if n >= 7
                  else max(20.0, 3.0 * math.sqrt(max(abs(n), 1))))
-        y_old = asymptotic_tail_eval(AsymptoticTail(2 * n - 1), x_old)[0]
+        y_old = (2 * n - 0.5) / x_old
+        for k, c in enumerate(tail_coefficients(2 * n - 1), start=1):
+            y_old += c * x_old ** (-(2 * k + 1))
         old = integrate(rhs_unscaled, x_old, y_old, 0.0, dense=False).y_end
         assert old.hex() == want, n
         x_new = backward_start(n)
