@@ -335,6 +335,8 @@ def _cmd_extrapolate(args) -> int:
         raise UsageError(f"--values and --target {args.target} exclude each other")
     if args.target == "painleve-c" and args.indices:
         raise UsageError("--indices applies to --values and --target a-constant, not painleve-c")
+    if args.target != "painleve-c" and args.count is not None:
+        raise UsageError("--count applies to --target painleve-c only")
     if args.values:
         if not args.indices:
             raise UsageError("--values requires --indices")
@@ -358,6 +360,8 @@ def _cmd_extrapolate(args) -> int:
     elif args.target == "painleve-c":
         from .painleve import GROWTH_EXPONENT, painleve_eigenvalues
 
+        if args.count is None:
+            args.count = 12             # the manifest records the count used
         eigs = painleve_eigenvalues(args.count)
         indices = list(range(4, len(eigs) + 1))
         values = [eigs[n - 1] / n ** GROWTH_EXPONENT for n in indices]
@@ -573,7 +577,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--indices", help="comma-separated indices")
     q.add_argument("--stages", type=int)
     q.add_argument("--count", type=_checked(int, lambda v: 5 <= v <= 20, "in 5..20"),
-                   default=12, help="eigenvalues for painleve-c; the fit uses a_4 onward")
+                   help="eigenvalues for painleve-c (default 12); the fit uses a_4 onward")
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_extrapolate)
 

@@ -93,6 +93,30 @@ def test_extrapolate_raw_values(tmp_path, capsys):
     assert payload["limit"] == pytest.approx(3.0, abs=1e-12)
 
 
+def test_extrapolate_manifest_records_count_only_for_painleve_c(tmp_path, capsys,
+                                                               monkeypatch):
+    # the raw route reads no --count and records none; painleve-c records
+    # the count it scanned, 12 when --count is not given
+    import nel.painleve
+
+    code, _, _ = run_cli(["extrapolate", "--values", "4,3.5,3.25,3.125",
+                          "--indices", "1,2,4,8", "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+    params = json.loads((tmp_path / "r.json.manifest.json").read_text())["parameters"]
+    assert "count" not in params
+    counts = []
+
+    def ladder(count, **kwargs):
+        counts.append(count)
+        return [4.28373 * n ** 0.6 for n in range(1, count + 1)]
+    monkeypatch.setattr(nel.painleve, "painleve_eigenvalues", ladder)
+    code, _, _ = run_cli(["extrapolate", "--target", "painleve-c",
+                          "--out", str(tmp_path / "c.json")], capsys)
+    assert code == 0
+    params = json.loads((tmp_path / "c.json.manifest.json").read_text())["parameters"]
+    assert counts == [12] and params["count"] == 12
+
+
 def test_painleve_fate_subcommand(tmp_path, capsys):
     out = tmp_path / "fate.json"
     code, _, _ = run_cli(["painleve", "fate", "--a", "1.0", "--out", str(out)], capsys)
@@ -103,8 +127,8 @@ def test_painleve_fate_subcommand(tmp_path, capsys):
 
 
 def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
-    # at a = 100 neither the lock nor the energy rule decides by the window
-    # end; the run fails with a typed error and writes no data file
+    # at a = 100 neither the energy trap nor the chain rule decides by the
+    # window end; the run fails with a typed error and writes no data file
     out = tmp_path / "f.json"
     code, _, err = run_cli(["painleve", "fate", "--a", "100", "--out", str(out)], capsys)
     assert code == 1
@@ -221,6 +245,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["extrapolate", "--values", "1,2,3", "--indices", "0,1,2"],
     ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--target", "a-constant"],
     ["extrapolate", "--target", "painleve-c", "--indices", "1,2", "--count", "5"],
+    ["extrapolate", "--values", "1,2,3", "--indices", "1,2,3", "--count", "7"],
+    ["extrapolate", "--target", "a-constant", "--count", "7"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
