@@ -33,6 +33,7 @@ _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values
 _MAX_INDEX = 100_000      # |n|; n = -1e5 takes 944,976 of the trace's 5,000,000 attempts
 _MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+_CHUNK = 4096             # CSV lines formatted by one %; fourier --grid alone writes 10^6
 
 
 class UsageError(Exception):
@@ -66,21 +67,40 @@ def _json_dump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Header, then one line per row tuple.  The first row fixes each
-    column's format: "%s" for a str label, "%.17g" for a number, which
-    writes a float as format(v, ".17g") (nan, inf and -inf included) and an
-    int up to 2^53 in size as str(v).  Rows stream to the file one line at a
-    time."""
-    rows = iter(rows)
+def _col(vs) -> list[str]:
+    """Numbers as _write_csv writes them, for a column that blocks share."""
+    return list(map("%.17g".__mod__, vs))
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Header, then the rows of each block (lead, columns): row i is the
+    fields of the tuple lead, then entry i of each column, for i below the
+    columns' common length.
+
+    A str is written as it is, a number as "%.17g" % v: a float as
+    format(v, ".17g") (nan, inf and -inf included), an int up to 2^53 in
+    size as str(v).  A column's first entry decides for the whole column,
+    so a column that several blocks share is formatted once (``_col``).
+    The lead goes into the block's line template, each "%" in it doubled;
+    columns are its "%s" and "%.17g" fields.  At most _CHUNK lines are
+    formatted by one % and written at a time, so the text held stays
+    bounded however long the block.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
-        fh.write(line % first)
-        fh.writelines(map(line.__mod__, rows))
+        for lead, columns in blocks:
+            n, w = len(columns[0]), len(columns)
+            if n == 0:
+                continue
+            fixed = "".join((v if isinstance(v, str) else "%.17g" % v) + "," for v in lead)
+            line = fixed.replace("%", "%%") + ",".join(
+                "%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+            for i in range(0, n, _CHUNK):
+                m = min(_CHUNK, n - i)
+                args = [None] * (m * w)
+                for j, c in enumerate(columns):
+                    args[j::w] = c[i:i + m]
+                fh.write(line * m % tuple(args))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -153,16 +173,13 @@ def _grid(x0: float, x1: float, h: float) -> np.ndarray:
     return np.clip(x0 + math.copysign(h, x1 - x0) * np.arange(n + 1), min(x0, x1), max(x0, x1))
 
 
-def _grid_read(traj, x0: float, x1: float, h: float):
-    """(x, y[0]) on ``_grid(x0, x1, h)``."""
-    xs = _grid(x0, x1, h)
-    return zip(xs.tolist(), traj.sample(xs).reshape(len(xs), -1)[:, 0].tolist())
-
-
-def _segment_rows(label, a, segs) -> list:
-    """(label, a, segment, x, y) on a 0.01 grid down each Painleve segment."""
-    return [(label, a, si, x, y) for si, seg in enumerate(segs)
-            for x, y in _grid_read(seg, seg.x_start, seg.x_end, 0.01)]
+def _segment_blocks(label, a, segs) -> list:
+    """Blocks (label, a, segment) of x, y on a 0.01 grid down each Painleve segment."""
+    blocks = []
+    for si, seg in enumerate(segs):
+        xs = _grid(seg.x_start, seg.x_end, 0.01)
+        blocks.append(((label, a, si), (xs.tolist(), seg.sample(xs)[:, 0].tolist())))
+    return blocks
 
 
 # -- subcommands --------------------------------------------------------------
@@ -196,14 +213,6 @@ def _cmd_eigen(args) -> int:
                     "a_max": records[-1].a_n})
 
 
-def _fig1_task(k: int):
-    from .cosine import forward_values
-
-    a = 0.2 * k
-    xs = _grid(0.0, 24.0, 0.02)
-    return [(k, a, x, y) for x, y in zip(xs.tolist(), forward_values(a, xs).tolist())]
-
-
 def _cmd_figures(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
@@ -215,30 +224,35 @@ def _cmd_figures(args) -> int:
     summary: dict = {"figure": name}
 
     if name == "fig1":
-        rows = [row for k in range(1, 51) for row in _fig1_task(k)]
-        _write_csv(out, ["k", "a", "x", "y"], rows)
+        from .cosine import forward_values
+
+        xs = _grid(0.0, 24.0, 0.02)
+        x_col = _col(xs.tolist())
+        _write_csv(out, ["k", "a", "x", "y"],
+                   [((k, 0.2 * k), (x_col, forward_values(0.2 * k, xs).tolist()))
+                    for k in range(1, 51)])
 
     elif name == "fig2":
         from .separatrix import trace_separatrix_backward
 
-        rows = []
+        xs = _grid(0.0, 20.0, 0.02)
+        x_col, blocks = _col(xs.tolist()), []
         for n in range(-3, 7):
             # the strip contracts the seed's error by e^-32 from x = 21 to 20
             rec, traj = trace_separatrix_backward(n, x_start=21.0)
-            rows.extend((n, rec.a_n, x, y) for x, y in _grid_read(traj, 0.0, 20.0, 0.02))
-        _write_csv(out, ["n", "a_n", "x", "y"], rows)
+            blocks.append(((n, rec.a_n), (x_col, traj.sample(xs).tolist())))
+        _write_csv(out, ["n", "a_n", "x", "y"], blocks)
 
     elif name == "fig3":
         from .limitcurve import implicit_Z
         from .separatrix import scaled_separatrix
 
-        rows = []
         ts = [2.2 * i / 1100 for i in range(1101)]   # inside t_max >= 2.81 for n <= 4
-        for n in range(1, 5):
-            rows.extend((f"z_{n}", t, z) for t, z in zip(ts, scaled_separatrix(n, ts)))
+        t_col = _col(ts)
+        blocks = [((f"z_{n}",), (t_col, scaled_separatrix(n, ts))) for n in range(1, 5)]
         ts = [i / 1000 for i in range(1001)]
-        rows.extend(("Z", t, z) for t, z in zip(ts, implicit_Z(ts).tolist()))
-        _write_csv(out, ["series", "t", "value"], rows)
+        blocks.append((("Z",), (ts, implicit_Z(ts).tolist())))
+        _write_csv(out, ["series", "t", "value"], blocks)
 
     elif name == "fig4":
         from .limitcurve import implicit_Z
@@ -248,38 +262,37 @@ def _cmd_figures(args) -> int:
         if n > _MAX_INDEX:
             raise UsageError(f"--n {n} is above the separatrix index cap {_MAX_INDEX}")
         ts = [i / 2000 for i in range(2001)]
-        rows = [(t, zz, big, zz - big)
-                for t, zz, big in zip(ts, scaled_separatrix(n, ts), implicit_Z(ts).tolist())]
-        _write_csv(out, ["t", "z", "Z", "diff"], rows)
+        zs, big = scaled_separatrix(n, ts), implicit_Z(ts).tolist()
+        _write_csv(out, ["t", "z", "Z", "diff"],
+                   [((), (ts, zs, big, [z - b for z, b in zip(zs, big)]))])
         summary["n"] = n
 
     elif name == "fig5":
         from .fourier import fourier_partial_sum
 
-        rows = []
-        for n_terms in (5, 20, 80):
-            xs = [math.pi * i / 1000 for i in range(1, 1000)]
-            vals = fourier_partial_sum(n_terms, xs)
-            rows.extend((n_terms, x, float(v)) for x, v in zip(xs, vals))
-        _write_csv(out, ["N", "x", "s"], rows)
+        xs = [math.pi * i / 1000 for i in range(1, 1000)]
+        x_col = _col(xs)
+        _write_csv(out, ["N", "x", "s"],
+                   [((n_terms,), (x_col, fourier_partial_sum(n_terms, xs).tolist()))
+                    for n_terms in (5, 20, 80)])
 
     elif name == "fig6":
         from .painleve import painleve_eigenvalues, integrate_with_poles
 
         eigs = painleve_eigenvalues(4)
-        rows = []
+        blocks = []
         for k, a in enumerate(eigs, start=1):
-            rows.extend(_segment_rows(k, a, integrate_with_poles(a, -12.0)[0]))
-        _write_csv(out, ["k", "a", "segment", "x", "y"], rows)
+            blocks += _segment_blocks(k, a, integrate_with_poles(a, -12.0)[0])
+        _write_csv(out, ["k", "a", "segment", "x", "y"], blocks)
         summary["eigenvalues"] = eigs
 
     elif name == "fig7":
         from .painleve import integrate_with_poles
 
-        rows = []
+        blocks = []
         for label, a in (("oscillatory", 1.0), ("pole_chain", 5.0)):
-            rows.extend(_segment_rows(label, a, integrate_with_poles(a, -40.0)[0]))
-        _write_csv(out, ["fate", "a", "segment", "x", "y"], rows)
+            blocks += _segment_blocks(label, a, integrate_with_poles(a, -40.0)[0])
+        _write_csv(out, ["fate", "a", "segment", "x", "y"], blocks)
 
     elif name == "fig8":
         from .pseries import tau_scan
@@ -288,7 +301,7 @@ def _cmd_figures(args) -> int:
         if args.step is None:
             args.step = 0.0005          # the manifest records the step used
         sr = tau_scan(0.0, 1.0, args.step, n)
-        _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
+        _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
         summary["n"] = n
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
         summary["reflection_gap"] = sr.reflection_gap
@@ -302,15 +315,12 @@ def _cmd_limiting_curve(args) -> int:
 
     t0 = time.perf_counter()
     lc = solve_limit_ode(args.grid)
-    rows = []
-    sup = 0.0
-    for t, z, zi in zip(lc.ts, lc.zs, implicit_Z(lc.ts).tolist()):
-        sup = max(sup, abs(z - zi))
-        rows.append((t, z, zi, z - zi))
+    zi = implicit_Z(lc.ts).tolist()
+    diff = [z - b for z, b in zip(lc.zs, zi)]
     out = Path(args.out)
-    _write_csv(out, ["t", "Z_ode", "Z_implicit", "diff"], rows)
+    _write_csv(out, ["t", "Z_ode", "Z_implicit", "diff"], [((), (lc.ts, lc.zs, zi, diff))])
     return _finish(args, t0, [out],
-                   {"Z0": lc.zs[0], "sup_method_gap": sup})
+                   {"Z0": lc.zs[0], "sup_method_gap": max([0.0, *map(abs, diff)])})
 
 
 def _increasing(ns) -> bool:
@@ -439,7 +449,7 @@ def _cmd_pseries(args) -> int:
 
         lo, hi, step = _parse_grid(args.tau)
         sr = tau_scan(lo, hi, step, args.n)
-        _write_csv(out, ["tau", "rho"], zip(sr.taus, sr.rhos))
+        _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
         return _finish(args, t0, [out],
                        {"maxima": [list(m) for m in sr.maxima[:4]],
                         "failures": len(sr.failures),
@@ -477,9 +487,9 @@ def _cmd_fourier(args) -> int:
         raise UsageError(f"--n-terms {args.n_terms} with --grid {args.grid} needs "
                          f"{(args.n_terms + 1) * args.grid} sines, more than {_MAX_SINES}")
     xs = [math.pi * i / (args.grid + 1) for i in range(1, args.grid + 1)]
-    vals = fourier_partial_sum(args.n_terms, xs)
+    vals = fourier_partial_sum(args.n_terms, xs).tolist()
     out = Path(args.out)
-    _write_csv(out, ["x", "s"], zip(xs, (float(v) for v in vals)))
+    _write_csv(out, ["x", "s"], [((), (xs, vals))])
     return _finish(args, t0, [out],
                    {"n_terms": args.n_terms,
                     "overshoot": gibbs_overshoot(args.n_terms),

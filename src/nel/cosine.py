@@ -174,12 +174,12 @@ def _tail_cut(m: int, x: float) -> list[float] | None:
 
     Terms are taken while each is smaller in size than the previous term of
     its parity (the odd-k and even-k coefficients grow at different rates).
-    The cut ends once the last term of each parity is below 2^-60 mu; it is
+    The cut ends once the last term of each parity is below 2^-60 |mu|; it is
     None when a term stops decreasing first (or is not finite).  At x' > x
     the terms are t_k (x/x')^2k, so each shrinks faster than the one two
     before it and the cut holds there too.
     """
-    floor = 2.0 ** -60 * (m + 0.5)
+    floor = 2.0 ** -60 * abs(m + 0.5)
     t = []
     for k, tk in enumerate(_tail_series(m, x ** -2)):
         t.append(tk)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nel.cli import main
+from nel.cli import _CHUNK, _col, _write_csv, main
 
 
 def run_cli(argv, capsys):
@@ -471,38 +471,92 @@ def _old_csv(header, rows) -> str:
                    + [",".join(_old_fmt(v) for v in row) + "\n" for row in rows])
 
 
-_CSV_ROWS = {
-    "specials": [("z_1", math.nan, 1, -0.0), ("z_2", math.inf, -7, 5e-324),
-                 ("Z", -math.inf, 0, 0.1), ("a%s", 1e308, 10 ** 16, -2.5e-310)],
-    "numpy-floats": [(np.float64(0.1), np.float64(-1 / 3), np.float64(math.nan)),
-                     (np.float64(1e-300), np.float64(-0.0), np.float64(2.0 ** 60))],
-    "ints-and-labels": [(k, f"s{k}", 0.2 * k, k * 1.5) for k in range(-3, 40)],
-    "large-ints": [(2 ** 53, -(2 ** 53), 10 ** 16)],
+def _block_rows(blocks) -> list:
+    # the rows a list of (lead, columns) blocks stands for
+    return [(*lead, *vals) for lead, columns in blocks for vals in zip(*columns)]
+
+
+_XS = [0.02 * i for i in range(1201)]
+_TS = [i / 2000 for i in range(2001)]
+_LONG = [math.sqrt(i) / 7 for i in range(2 * _CHUNK + 17)]
+
+# each case: (blocks, the rows the writer must write); the rows are those
+# the blocks expand to, with raw numbers where a block holds a _col column
+_CSV_BLOCKS = {
+    "specials": [(("z_1",), ([math.nan], [1], [-0.0])),
+                 (("z_2",), ([math.inf], [-7], [5e-324])),
+                 (("Z",), ([-math.inf], [0], [0.1])),
+                 (("a%s",), ([1e308], [10 ** 16], [-2.5e-310]))],
+    "numpy-floats": [((np.float64(0.1),),
+                      (np.array([-1 / 3, -0.0]), np.array([math.nan, 2.0 ** 60]))),
+                     ((), (np.array([1e-300]), np.array([-0.0]), np.array([math.nan])))],
+    "ints-and-labels": [((), (list(range(-3, 40)), [f"s{k}" for k in range(-3, 40)],
+                              [0.2 * k for k in range(-3, 40)],
+                              [k * 1.5 for k in range(-3, 40)]))],
+    "large-ints": [((2 ** 53,), ([-(2 ** 53)], [10 ** 16]))],
     "empty": [],
+    "percent": [(("a%s", "100%", 0.5), (["%d", "x%%"], [1.0, 2.0])),
+                ((), (["%(k)s", "%"], ["%.17g", "50%"], [3, 4]))],
+    "empty-block": [((1, 0.2), ([], [])), ((2, 0.4), ([0.0], [1.5])), ((3, 0.6), ([], []))],
+    "shared-column": ([((k, 0.2 * k), (_col(_XS), [math.sin(k * x) for x in _XS]))
+                       for k in (1, 2, 3)],
+                      [(k, 0.2 * k, x, math.sin(k * x)) for k in (1, 2, 3) for x in _XS]),
+    "many-columns": [((), (_TS, [t / 3 for t in _TS], [t / 7 for t in _TS],
+                           [t / 3 - t / 7 for t in _TS]))],
+    "longer-than-chunk": [(("a%s", 0.5), (_LONG, [-v for v in _LONG])),
+                          (("b",), (_LONG[:3],))],
 }
 
 
-@pytest.mark.parametrize("case", list(_CSV_ROWS))
+@pytest.mark.parametrize("case", list(_CSV_BLOCKS))
 def test_write_csv_bytes_equal_per_value_format(case, tmp_path):
-    from nel.cli import _write_csv
-
-    rows = _CSV_ROWS[case]
+    blocks = _CSV_BLOCKS[case]
+    blocks, rows = blocks if isinstance(blocks, tuple) else (blocks, _block_rows(blocks))
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
     out = tmp_path / "x.csv"
-    _write_csv(out, header, rows)
+    _write_csv(out, header, blocks)
     assert out.read_bytes() == _old_csv(header, rows).encode()
 
 
 def test_write_csv_streams_an_iterator(tmp_path):
-    from nel.cli import _write_csv
-
     taus = [i / 7 for i in range(100)]
     rhos = [math.sqrt(t) * (-1) ** i for i, t in enumerate(taus)]
     out = tmp_path / "x.csv"
-    _write_csv(out, ["tau", "rho"], zip(taus, rhos))
+    blocks = (((), (taus[i:i + 10], rhos[i:i + 10])) for i in range(0, 100, 10))
+    _write_csv(out, ["tau", "rho"], blocks)
     assert out.read_bytes() == _old_csv(["tau", "rho"], zip(taus, rhos)).encode()
-    _write_csv(out, ["tau", "rho"], zip([], []))
+    _write_csv(out, ["tau", "rho"], iter([]))
     assert out.read_bytes() == b"tau,rho\n"
+
+
+def test_write_csv_writes_a_long_block_in_bounded_chunks(tmp_path, monkeypatch):
+    # fourier --grid reaches 10^6 rows: each write holds at most _CHUNK lines
+    import builtins
+
+    import nel.cli
+
+    lines = []
+
+    class Recorded:
+        def __init__(self, *args, **kwargs):
+            self.fh = builtins.open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            lines.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(nel.cli, "open", Recorded, raising=False)
+    n = 10 ** 6
+    out = tmp_path / "x.csv"
+    _write_csv(out, ["k", "i", "x"], [(("k",), (range(n), [0.5] * n))])
+    assert lines == [1] + [_CHUNK] * (n // _CHUNK) + [n % _CHUNK]
+    assert out.read_text() == "k,i,x\n" + "".join(["k,%d,0.5\n" % i for i in range(n)])
 
 
 def test_fig6_dataset(painleve_eigs12, tmp_path, capsys):
@@ -544,15 +598,6 @@ def test_computational_error_surfaced_as_json(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fig1_task_rows():
-    from nel.cli import _fig1_task
-
-    rows = _fig1_task(3)
-    assert rows[0] == (3, 0.6000000000000001, 0.0, 0.6000000000000001)
-    assert len(rows) == 1201
-    assert abs(rows[-1][2] - 24.0) < 1e-9
-
-
 def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypatch, capsys):
     # each curve's rows with x at or before its stop are, byte for byte,
     # the rows a full-span run to x = 24 writes; only the rows beyond move
@@ -573,6 +618,7 @@ def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypa
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "k,a,x,y" and len(lines) == 1 + 50 * 1201
+    assert {line.split(",")[2] for line in lines[1201::1201]} == {"24"}
     assert len(stops) == 50 and all(7.2 < x < 11.2 for x in stops)
     kept = 0
     for k, stop in enumerate(stops, start=1):

@@ -13,6 +13,7 @@ from nel.cosine import (_STRIP_DX2, _STRIP_THETA, PI, BundleMismatch, _even_stri
                         taylor_coefficients, taylor_eval)
 from nel.ode import IntegratorConfig, integrate
 from nel.pseries import _horner
+from nel.separatrix import _strip_edges
 
 
 def test_rhs_unscaled_values():
@@ -227,14 +228,16 @@ def test_tail_recursion_matches_the_transcribed_polynomials():
             assert abs(Fraction(c) - ref) <= 7 * math.ulp(float(ref)), (m, c, ref)
 
 
-@pytest.mark.parametrize("m, x", [(0, 7.2), (0, 12.0), (62, 11.18), (500, 25.1), (5000, 76.4)])
+# m < 0 at the odd-bundle strip starts x_s of fig2's n = 0, -1, -2, -3
+@pytest.mark.parametrize("m, x", [(0, 7.2), (0, 12.0), (62, 11.18), (500, 25.1), (5000, 76.4),
+                                  (-1, 7.15), (-3, 7.31), (-5, 7.47), (-7, 7.62)])
 def test_tail_cut_ends_below_the_floor(m, x):
     t = _tail_cut(m, x)
     assert t[0] == m + 0.5
     assert t[1:7] == pytest.approx([c * x ** (-2 * k) for k, c in
                                     enumerate(tail_coefficients(m), start=1)], rel=1e-13)
     assert all(abs(b) < abs(a) for a, b in zip(t, t[2:]))
-    assert max(map(abs, t[-2:])) < 2.0 ** -60 * (m + 0.5)
+    assert max(map(abs, t[-2:])) < 2.0 ** -60 * abs(m + 0.5)
 
 
 @pytest.mark.parametrize("m, x", [(0, 1.0), (0, 3.0), (46, 9.0), (9, 2.0)])
@@ -245,9 +248,13 @@ def test_tail_cut_stalls_before_the_floor(m, x):
 
 def test_tail_cut_solves_the_equation_to_rounding():
     # from the strip stop x_s at the edge x_c to 5 x_s, for m well beyond
-    # fig1's; at most 6.7 ulp measured (m = 70 at x_s)
-    for m in (*range(0, 130), 500, 1000, 5000):
-        x_s = math.sqrt((m + 0.5 + _STRIP_THETA) / math.sin(PI * _STRIP_THETA) + _STRIP_DX2)
+    # fig1's; at most 6.7 ulp measured (m = 70 at x_s).  m = -1..-7 start at
+    # the odd-bundle strip starts of fig2's n = 0..-3; at most 2.5 ulp
+    # measured (m = -3 at 2 x_s)
+    starts = [(m, math.sqrt((m + 0.5 + _STRIP_THETA) / math.sin(PI * _STRIP_THETA) + _STRIP_DX2))
+              for m in (*range(0, 130), 500, 1000, 5000)]
+    starts += [(2 * n - 1, _strip_edges(n)[1]) for n in (0, -1, -2, -3)]
+    for m, x_s in starts:
         for x in (f * x_s for f in (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)):
             t = _tail_cut(m, x)
             y = sum(t) / x
