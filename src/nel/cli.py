@@ -173,12 +173,16 @@ def _grid(x0: float, x1: float, h: float) -> np.ndarray:
     return np.clip(x0 + math.copysign(h, x1 - x0) * np.arange(n + 1), min(x0, x1), max(x0, x1))
 
 
-def _segment_blocks(label, a, segs) -> list:
-    """Blocks (label, a, segment) of x, y on a 0.01 grid down each Painleve segment."""
+def _segment_blocks(curves, x_min: float) -> list:
+    """Blocks (label, a, segment) of x, y on a 0.01 grid down each segment of
+    ``integrate_with_poles(a, x_min)``, for each (label, a) of curves."""
+    from .painleve import integrate_with_poles
+
     blocks = []
-    for si, seg in enumerate(segs):
-        xs = _grid(seg.x_start, seg.x_end, 0.01)
-        blocks.append(((label, a, si), (xs.tolist(), seg.sample(xs)[:, 0].tolist())))
+    for label, a in curves:
+        for si, seg in enumerate(integrate_with_poles(a, x_min)[0]):
+            xs = _grid(seg.x_start, seg.x_end, 0.01)
+            blocks.append(((label, a, si), (xs.tolist(), seg.sample(xs)[:, 0].tolist())))
     return blocks
 
 
@@ -277,22 +281,16 @@ def _cmd_figures(args) -> int:
                     for n_terms in (5, 20, 80)])
 
     elif name == "fig6":
-        from .painleve import painleve_eigenvalues, integrate_with_poles
+        from .painleve import painleve_eigenvalues
 
         eigs = painleve_eigenvalues(4)
-        blocks = []
-        for k, a in enumerate(eigs, start=1):
-            blocks += _segment_blocks(k, a, integrate_with_poles(a, -12.0)[0])
-        _write_csv(out, ["k", "a", "segment", "x", "y"], blocks)
+        _write_csv(out, ["k", "a", "segment", "x", "y"],
+                   _segment_blocks(enumerate(eigs, start=1), -12.0))
         summary["eigenvalues"] = eigs
 
     elif name == "fig7":
-        from .painleve import integrate_with_poles
-
-        blocks = []
-        for label, a in (("oscillatory", 1.0), ("pole_chain", 5.0)):
-            blocks += _segment_blocks(label, a, integrate_with_poles(a, -40.0)[0])
-        _write_csv(out, ["fate", "a", "segment", "x", "y"], blocks)
+        _write_csv(out, ["fate", "a", "segment", "x", "y"],
+                   _segment_blocks((("oscillatory", 1.0), ("pole_chain", 5.0)), -40.0))
 
     elif name == "fig8":
         from .pseries import tau_scan
