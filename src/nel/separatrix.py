@@ -7,7 +7,8 @@ odd tail (2n - 1/2)/x.  They are unstable forward (neighbours veer off to
 the adjacent even bundles) but attract under backward integration, so two
 independent computations of a_n are available:
 
-* bisection on the maxima count of forward solutions, and
+* bisection on the maxima count of forward solutions, which the end value
+  of x*y fixes by a level-crossing law (``maxima_count``), and
 * backward integration seeded inside the odd-m bundle, next to the tail.
 """
 
@@ -75,34 +76,45 @@ def _check_tol(tol: float, n: int) -> None:
                          f"the float spacing at the bisection bracket end for n={n}")
 
 
-def _forward_maxima(a: float, stop_when=None):
-    """Forward solution over the span and the abscissae of its maxima."""
-    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), stop_when=stop_when)
-    return traj, [x for x, _, kind in find_extrema(traj) if kind == "max"]
+def maxima_count(a: float) -> int:
+    """Number of maxima of the forward solution, read from its end state.
 
+    With u = x*y, y' = cos(pi u) vanishes only on the levels u = k + 1/2,
+    and there u' = y + x y' = y.  Since y' = 1 wherever y = 0, y changes
+    sign at most once, upward.  If it does, at x0, then u < 0 on (0, x0)
+    and u(x0) = 0; crossing -1/2 back upward needs y > 0, so u stays in
+    (-1/2, 0] before x0 and crosses no level there.  While y > 0, u crosses
+    each level upward only, and y' turns from + to - (a maximum) at even k;
+    while y < 0, it crosses downward only, with a maximum at odd k.  So the
+    end value u of the run fixes the count: floor((u - 1/2)/2) + 1 for
+    u > 1/2, floor((-1/2 - u)/2) + 1 for u < -1/2, and 0 otherwise.
 
-def maxima_count(a: float) -> tuple[int, float | None]:
-    """Number of maxima of the forward solution and the location of the last.
-
-    Integration stops once m = floor(x*y - 1/2) >= 0 is even,
+    The run (no dense output) stops once m = floor(x*y - 1/2) >= 0 is even,
     0 < w = x*y - (m + 1/2) < 1/2 and x^2 > m + 1.  For even m,
     w' = y - x sin(pi w) and y' = -sin(pi w); w' > 0 at w = 0, and w' < 0 at
-    w = 1/2 once x^2 > m + 1; so the strip is forward-invariant, y' < 0 in
-    it, and no maximum follows.  The steps before the stop are those of the
-    full span, so both results are the same to the bit.
+    w = 1/2 once x^2 > m + 1; so the strip is forward-invariant, u never
+    reaches the next level, and no maximum follows.
     """
-    _, maxima = _forward_maxima(a, trapped_in_even_bundle)
-    return len(maxima), (maxima[-1] if maxima else None)
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), dense=False,
+                     stop_when=trapped_in_even_bundle)
+    u = traj.x_end * traj.y_end
+    if u > 0.5:
+        return math.floor((u - 0.5) / 2) + 1
+    if u < -0.5:
+        return math.floor((-0.5 - u) / 2) + 1
+    return 0
 
 
 def classify_initial_condition(a: float) -> SolutionClass:
     """Class of the initial condition: maxima count plus landing bundle.
 
+    The maxima are located by ``find_extrema`` over the whole forward span.
     The bundle index round(x*y - 1/2) is sampled over the last stretch of
     the forward span; if the samples disagree or come out odd the input is
     too close to a separatrix and Undecidable is raised.
     """
-    traj, maxima = _forward_maxima(a)
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
+    maxima = [x for x, _, kind in find_extrema(traj) if kind == "max"]
     x_max = traj.x_end
     probes = [0.90 * x_max, 0.93 * x_max, 0.96 * x_max, x_max]
     ms = {bundle_index(x, y) for x, y in zip(probes, traj.sample(probes).tolist())}
@@ -126,7 +138,7 @@ def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
     _check_tol(tol, n)
 
     def above(a: float) -> bool:
-        return maxima_count(a)[0] >= n + 1
+        return maxima_count(a) >= n + 1
 
     center = _A_LAW * math.sqrt(n)
     lo, hi = max(center - 1.0, 1e-3), center + 1.0

@@ -42,7 +42,7 @@ def test_classify_negative_initial_condition_via_reflection():
 
 
 def test_classify_monotone_in_a():
-    counts = [maxima_count(a)[0] for a in [0.1 + 0.25 * k for k in range(24)]]
+    counts = [maxima_count(a) for a in [0.1 + 0.25 * k for k in range(24)]]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
@@ -384,15 +384,15 @@ def test_tol_at_float_spacing_ends_the_bisection(deadline):
 # -- the even-bundle trap that ends each maxima count ------------------------
 
 def _full_span_count(a):
-    """Reference: the whole forward span, then find_extrema (no stop)."""
+    """Reference: the maxima find_extrema locates over the whole forward span."""
     traj = integrate(rhs_unscaled, 0.0, a, max(12.0, 2.5 * abs(a)))
-    maxima = [x for x, _, kind in find_extrema(traj) if kind == "max"]
-    return len(maxima), (maxima[-1] if maxima else None)
+    return sum(kind == "max" for _, _, kind in find_extrema(traj))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=12.0))
 def test_stopped_count_equals_full_span_count(a):
+    # the level-crossing law covers both signs of a
     assert maxima_count(a) == _full_span_count(a)
 
 
@@ -409,17 +409,53 @@ def test_stopped_count_equals_full_span_count_near_intercepts(n, k, side, cross_
 def test_maxima_count_stops_before_the_span(a, monkeypatch):
     import nel.separatrix
 
-    trajs = []
+    calls, trajs = [], []
 
     def recorded(*args, **kwargs):
+        calls.append(kwargs)
         trajs.append(integrate(*args, **kwargs))
         return trajs[-1]
 
+    def located(traj):
+        raise AssertionError("maxima_count located extrema")
+
     monkeypatch.setattr(nel.separatrix, "integrate", recorded)
-    maxima_count(a)
-    (traj,) = trajs
+    monkeypatch.setattr(nel.separatrix, "find_extrema", located)
+    count = maxima_count(a)
+    (kwargs,), (traj,) = calls, trajs
+    assert kwargs["dense"] is False
     assert traj.stopped
     assert traj.x_end < _forward_span(a)
+    assert count == _full_span_count(a)
+
+
+def _halving_on_located_count(n, tol=1e-10):
+    """find_eigenvalue_bisect's bracket and halving on the located count."""
+    def above(a):
+        return _full_span_count(a) >= n + 1
+
+    center = 2.0 ** (5.0 / 6.0) * math.sqrt(n)
+    lo, hi = max(center - 1.0, 1e-3), center + 1.0
+    while above(lo):
+        lo -= 0.5
+    while not above(hi):
+        hi += 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_on_the_law_equals_halving_on_located_counts(cross_method_10):
+    # every bisection decision, and so every bit of a_n, is that of the
+    # route that located each extremum over the whole span
+    for n in range(1, 11):
+        assert cross_method_10[n][0].hex() == _halving_on_located_count(n).hex(), n
+    assert (find_eigenvalue_bisect(3, 1e-9).a_n.hex()
+            == _halving_on_located_count(3, 1e-9).hex())
 
 
 @pytest.mark.parametrize("x, y, trapped", [
