@@ -404,6 +404,9 @@ def _cmd_painleve(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     if args.task == "eigen":
+        if not -3 <= args.y0 <= 5:
+            raise UsageError(f"--y0 {args.y0} is outside -3..5, the range where the "
+                             f"eigen scan cap was checked")
         eigs = painleve_eigenvalues(args.count, y0=args.y0)
         payload = {
             "y0": args.y0,
@@ -594,8 +597,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"), default=12)
     q.add_argument("--a", type=_FINITE, default=0.0)
     q.add_argument("--y0", type=_FINITE, default=1.0,
-                   help="y(0); the eigen scan cap follows the y0 = 1 law and was "
-                        "checked for y0 in -3..5")
+                   help="y(0): any finite value for fate and envelope, -3..5 for "
+                        "eigen, whose scan cap follows the y0 = 1 law and was "
+                        "checked there")
     q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
                    default=-80.0, dest="x_min")
     q.add_argument("--out", required=True)

@@ -5,7 +5,8 @@ systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Each
 accepted step has a record of the coefficients of the standard quartic
 interpolant: each loop stores the step's stages and builds all records in
-numpy passes after its last step.
+numpy passes after its last step.  A scalar run without dense output keeps
+only its first and last sample.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
 the records at a whole array of abscissae in the covered interval; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
@@ -109,7 +110,8 @@ class Trajectory:
     """Sampled solution with a per-step quartic dense evaluator.
 
     ``xs`` holds the accepted step endpoints (strictly monotone in the
-    integration direction).  For each step i the flat ``_dense`` array holds
+    integration direction); a scalar run without dense output keeps only
+    its first and last sample.  For each step i the flat ``_dense`` array holds
     [h, y_left..., q1..., q2..., q3..., q4...] so that on x in
     [xs[i], xs[i+1]]:
 
@@ -220,6 +222,10 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     ``stop_when(x, y)`` returns true after an accepted step, integration
     ends there and the trajectory is flagged ``stopped``.
 
+    ``dense=False`` builds no dense records, so ``sample`` and ``slope``
+    refuse the trajectory, and a scalar run keeps only its first and last
+    sample; its ends and counts are those of the dense run.
+
     ``rhs`` is called for k1 and the automatic first step's trial.  When it
     is ``cosine.rhs_unscaled`` (scalar) or ``painleve.painleve_rhs`` (pair)
     itself, the six stage evaluations of each attempt are inline; any other
@@ -291,6 +297,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     err_prev = 1.0
     fac_max = _FAC_MAX
     ay = abs(y)
+    rejected = 0
 
     for attempt in range(1, cfg.max_steps + 1):
         rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
@@ -324,9 +331,9 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
                 dn_fromlist([hs, k1, k3, k4, k5, k6])
+                xs_append(x_new)
+                ys_append(y_new)
             x, y, k1, ay = x_new, y_new, k7, ay_new
-            xs_append(x)
-            ys_append(y)
             if stop_when is not None and stop_when(x, y):
                 traj.stopped = True
                 break
@@ -338,6 +345,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:
+            rejected += 1
             fac = _SAFETY * err ** -0.2
             h *= fac if fac > _FAC_MIN else _FAC_MIN
             fac_max = 1.0
@@ -346,8 +354,11 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     else:
         raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
-    traj.step_count = steps = len(traj.xs) - 1
-    traj.rejected = attempt - steps
+    if not dense:
+        xs_append(x)
+        ys_append(y)
+    traj.step_count = attempt - rejected
+    traj.rejected = rejected
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
     traj._f_end = k1
     if dense:

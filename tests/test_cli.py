@@ -138,18 +138,31 @@ def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_painleve_scan_past_the_y0_1_cap_names_y0(tmp_path, capsys):
-    # the scan cap C (count + 1.5)^(3/5) + 2 = 9.42 follows the y0 = 1 law;
-    # at y0 = 6 the first flip lies above it (at y0 = 5 it is a_1 = 8.854)
+@pytest.mark.parametrize("y0", ["5.5", "6", "-3.5"])
+def test_painleve_eigen_y0_outside_the_checked_range_is_a_usage_error(tmp_path, capsys,
+                                                                      monkeypatch, y0):
+    # the eigen scan cap follows the y0 = 1 law and was checked for y0 in
+    # -3..5; outside it the scan used to end in ScanExhausted (exit 1)
+    import nel.painleve
+
+    calls = []
+    monkeypatch.setattr(nel.painleve, "classify_fate", lambda *a, **kw: calls.append(a))
     out = tmp_path / "e.json"
-    code, _, err = run_cli(["painleve", "eigen", "--count", "1", "--y0", "6",
+    code, _, err = run_cli(["painleve", "eigen", "--count", "1", "--y0", y0,
                             "--out", str(out)], capsys)
-    assert code == 1
+    assert code == 2
     error = json.loads(err)["error"]
-    assert (error["type"], error["module"]) == ("ScanExhausted", "nel.painleve")
-    assert "only 0 fate flips below a=9.42" in error["message"]
-    assert "y0=6.0" in error["message"] and "y0 = 1 law" in error["message"]
-    assert not out.exists()
+    assert error["type"] == "UsageError" and "-3..5" in error["message"]
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["fate", "--a", "1.0", "--y0", "6"],
+                                  ["envelope", "--a", "1.0", "--y0", "-4"]])
+def test_painleve_fate_and_envelope_accept_y0_outside_the_eigen_range(tmp_path, capsys,
+                                                                      argv):
+    out = tmp_path / "f.json"
+    code, _, _ = run_cli(["painleve", *argv, "--out", str(out)], capsys)
+    assert code == 0 and out.exists()
 
 
 def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypatch):

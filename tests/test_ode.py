@@ -646,6 +646,34 @@ def test_model_rhs_is_evaluated_inline(run):
     assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
 
 
+# -- scalar runs without dense output keep only their two ends ---------------
+
+_END_RUNS = {
+    "inline-fig1-25": (rhs_unscaled, 0.0, 5.0, 24.0, None),
+    "generic-callable": (lambda x, y: math.sin(x * y) - 0.1 * y, 0.0, 2.0, 30.0, None),
+    "stopped-maxima-count-3.0": (rhs_unscaled, 0.0, 3.0, _forward_span(3.0),
+                                 trapped_in_even_bundle),
+    "backward-1000": (rhs_unscaled, backward_start(1000),
+                      _backward_seed(1000, backward_start(1000)), 0.0, None),
+}
+
+
+@pytest.mark.parametrize("run", list(_END_RUNS))
+def test_run_without_dense_output_keeps_its_two_ends(run):
+    f, x0, y0, x1, stop_when = _END_RUNS[run]
+    full = integrate(f, x0, y0, x1, dense=True, stop_when=stop_when)
+    ends = integrate(f, x0, y0, x1, dense=False, stop_when=stop_when)
+    assert (ends.x_end.hex(), ends.y_end.hex()) == (full.x_end.hex(), full.y_end.hex())
+    assert ends._f_end.hex() == full._f_end.hex()
+    assert (ends.step_count, ends.rejected, ends.rhs_evals, ends.stopped) == \
+        (full.step_count, full.rejected, full.rhs_evals, full.stopped)
+    assert full.step_count == len(full.xs) - 1 > 1 and full.rejected > 0
+    assert full.stopped == (stop_when is not None)
+    assert bytes(ends.xs) == bytes(array("d", [x0, full.x_end]))
+    assert bytes(ends._ys) == bytes(array("d", [y0, full.y_end]))
+    assert ends._dense is None
+
+
 # -- the inline Painleve-I field against the call route -----------------------
 
 def _past_first_pole(a):

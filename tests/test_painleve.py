@@ -611,6 +611,18 @@ def test_scan_that_never_flips_ends_in_scan_exhausted(monkeypatch):
     assert len(calls) == 38
 
 
+def test_scan_past_the_y0_1_cap_names_y0():
+    # the scan cap C (count + 1.5)^(3/5) + 2 = 9.42 follows the y0 = 1 law;
+    # at y0 = 6, outside the range the CLI accepts, the first flip lies above
+    # it (at y0 = 5 it is a_1 = 8.854)
+    import nel.painleve as pl
+
+    with pytest.raises(pl.ScanExhausted) as err:
+        pl.painleve_eigenvalues(1, y0=6.0)
+    assert "only 0 fate flips below a=9.42" in str(err.value)
+    assert "y0=6.0" in str(err.value) and "y0 = 1 law" in str(err.value)
+
+
 # -- the growth-law scan against the 0.05-step halving route ------------------
 
 
