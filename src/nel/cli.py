@@ -194,7 +194,7 @@ def _cmd_eigen(args) -> int:
                              trace_separatrix_backward)
 
     t0 = time.perf_counter()
-    ns = _parse_range(args.n)
+    ns = sorted(set(_parse_range(args.n)))     # every --method: each n once, increasing
     if args.method == "bisect" and min(ns) < 1:
         raise UsageError(f"--method bisect needs every n >= 1, got {args.n!r}")
     if args.method != "backward":

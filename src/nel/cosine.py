@@ -31,7 +31,6 @@ __all__ = [
     "BundleMismatch",
     "Underflow",
     "rhs_unscaled",
-    "rhs_scaled",
     "scaling_lambda",
     "scaling_factor",
     "taylor_coefficients",
@@ -63,11 +62,6 @@ class Underflow(ArithmeticError):
 def rhs_unscaled(x: float, y: float) -> float:
     """Slope field cos(pi*x*y); bounded in [-1, 1], equals 1 on both axes."""
     return math.cos(PI * x * y)
-
-
-def rhs_scaled(t: float, z: float, lam: float) -> float:
-    """Slope field cos(lam*t*z) of the scaled equation."""
-    return math.cos(lam * t * z)
 
 
 def scaling_lambda(n: int) -> float:
@@ -105,6 +99,10 @@ def taylor_coefficients(a: float, n_terms: int) -> TaylorSeries:
     u = pi*x*y one has c' = -s u', s' = c u', y' = c, which turns into a
     coefficient recurrence with Cauchy products.  Works over any field,
     so tests can rerun it in exact rational arithmetic.
+
+    No CLI command calls it: ``test_taylor_eval_matches_integration``
+    checks ``integrate`` against it near x = 0, and
+    ``test_taylor_float_coefficients_match_formulas`` checks b_3..b_9.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")

@@ -52,12 +52,10 @@ __all__ = [
     "EtaCheck",
     "solve_limit_ode",
     "implicit_Z",
-    "implicit_curve",
     "alpha_recursion",
     "alpha_closed_form",
     "eta_consistency_check",
     "eta_balance_envelope",
-    "compute_A",
 ]
 
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
@@ -85,7 +83,6 @@ class QuadratureFailure(RuntimeError):
 class LimitCurve:
     ts: tuple[float, ...]
     zs: tuple[float, ...]
-    source: str                 # "ode" or "implicit"
 
 
 def _limit_rhs_v(v: float, w: float) -> float:
@@ -117,7 +114,7 @@ def solve_limit_ode(grid_size: int = 1001) -> LimitCurve:
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     # v = 0 (t = 1) reads the initial value W = 0 exactly
     ws = _ode_curve().sample([math.sqrt(1.0 - t) for t in ts])
-    return LimitCurve(tuple(ts), tuple((ws + ts).tolist()), "ode")
+    return LimitCurve(tuple(ts), tuple((ws + ts).tolist()))
 
 
 def _implicit_lhs(g):
@@ -156,19 +153,6 @@ def implicit_Z(t):
         raise RootNotBracketed(f"no sign change for t={ts[bad][0]}")
     z[inner] = ts * _bisect(lambda g: _implicit_lhs(g) - target, lo, hi, flo, 90)
     return z.tolist()[0] if np.ndim(t) == 0 else z
-
-
-def implicit_curve(grid_size: int = 1001) -> LimitCurve:
-    ts = tuple(i / (grid_size - 1) for i in range(grid_size))
-    return LimitCurve(ts, tuple(implicit_Z(ts).tolist()), "implicit")
-
-
-def compute_A() -> float:
-    """Growth constant sqrt(2) * Z(0) of the separatrix intercepts."""
-    a = math.sqrt(2.0) * implicit_Z(0.0)
-    if abs(a - GROWTH_CONSTANT) > 1e-12:
-        raise AssertionError(f"growth constant mismatch: {a}")
-    return a
 
 
 # -- random-walk coefficient table -----------------------------------------

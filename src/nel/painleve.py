@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrapolate import _ls_slope, richardson
-from .ode import IntegratorConfig, Trajectory, _bisect, integrate
+from .ode import IntegratorConfig, Trajectory, _bisect, _find_flip, integrate
 from .pseries import _horner
 
 __all__ = [
@@ -84,11 +84,6 @@ _BISECT_TOL = 1e-7       # final bracket width on a
 # (a_(n+1) - a_n) / (0.6 C n^(-2/5)) over y0 in -3..5 is 0.40 (y0 = 5, n = 1:
 # a_2 - a_1 = 1.03); 0.3 = (3/4) 0.40 keeps a quarter of it spare.
 _SCAN_FRACTION = 0.3
-_SECANT_WIDTH = 1e-2     # the flip finder halves wider brackets
-# Secant overshoot, see _secant_probe.  Over y0 in -3..5 the secant estimate
-# misses the flip by a median 5-12 % and a 90th percentile 11-24 % of its
-# distance from the nearer end; a step a quarter past it covers nine in ten.
-_PAST = 0.25
 _APPROACH_WINDOW, _APPROACH_SPLIT, _APPROACH_SAMPLES = (-9.5, -2.5), 1e-9, 25
 
 
@@ -404,66 +399,6 @@ def classify_fate(a: float, ode: IntegratorConfig = _ODE, *,
     return FateReport(poles, "oscillatory", traj.x_end, _departure(segments))
 
 
-def _halvings(width: float) -> int:
-    """Halvings that take a bracket of this width to width <= _BISECT_TOL."""
-    return max(0, math.ceil(math.log2(width / _BISECT_TOL)))
-
-
-def _secant_probe(lo, f_lo, back_lo, hi, f_hi, back_hi):
-    """Next probe strictly inside (lo, hi), or None.
-
-    The secant estimate t of the flip comes from the nearer end (smaller
-    |score|) and the previous end on its side, or, when that lands outside,
-    from the two ends.  The probe is t stepped _PAST of its distance from
-    the nearer end further on, so that it lands across the flip and the
-    bracket closes from both sides.
-    """
-    if f_lo == f_hi:
-        return None
-    if abs(f_lo) <= abs(f_hi):
-        near, f_near, back, toward = lo, f_lo, back_lo, 1.0
-    else:
-        near, f_near, back, toward = hi, f_hi, back_hi, -1.0
-    t = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-    if back is not None and back[1] != f_near:
-        u = near - f_near * (near - back[0]) / (f_near - back[1])
-        if lo < u < hi:
-            t = u
-    a = near + toward * max((1.0 + _PAST) * abs(t - near), 0.5 * _BISECT_TOL)
-    return a if lo < a < hi else None
-
-
-def _find_flip(probe, lo: float, hi: float, at_lo, at_hi) -> float:
-    """Midpoint of a bracket of width <= _BISECT_TOL inside [lo, hi] whose
-    ends have opposite verdicts.
-
-    ``probe(a)`` returns (verdict, score), and at_lo and at_hi are its
-    values at lo and hi.  The score has the verdict's sign and should be
-    near-linear in a on each side of the flip.  Brackets wider than
-    _SECANT_WIDTH are halved, narrower ones take _secant_probe steps.  A
-    halving replaces any step after which halving could no longer finish
-    within _halvings(hi - lo) + 2 probes; so no score costs more probes
-    than that.
-    """
-    (v_lo, f_lo), (_, f_hi) = at_lo, at_hi
-    back_lo = back_hi = None          # the previous end on each side
-    budget = _halvings(hi - lo) + 2
-    spent = 0
-    while hi - lo > _BISECT_TOL:
-        a = 0.5 * (lo + hi)
-        if hi - lo <= _SECANT_WIDTH:
-            s = _secant_probe(lo, f_lo, back_lo, hi, f_hi, back_hi)
-            if s is not None and spent + 1 + _halvings(max(s - lo, hi - s)) <= budget:
-                a = s
-        v, f = probe(a)
-        spent += 1
-        if v == v_lo:
-            back_lo, lo, f_lo = (lo, f_lo), a, f
-        else:
-            back_hi, hi, f_hi = (hi, f_hi), a, f
-    return 0.5 * (lo + hi)
-
-
 def painleve_eigenvalues(count: int, *, y0: float = 1.0) -> list[float]:
     """First `count` positive initial slopes at which the fate flips.
 
@@ -502,7 +437,7 @@ def painleve_eigenvalues(count: int, *, y0: float = 1.0) -> list[float]:
                 f"C (count + 1.5)^(3/5) + 2 follows the y0 = 1 law")
         at = probe(a)
         if at[0] != at_prev[0]:
-            eigs.append(_find_flip(probe, a_prev, a, at_prev, at))
+            eigs.append(_find_flip(probe, a_prev, a, at_prev, at, _BISECT_TOL))
         a_prev, at_prev = a, at
     return eigs
 

@@ -27,7 +27,6 @@ __all__ = [
     "rho_n",
     "tau_scan",
     "ScanResult",
-    "liminf_window",
 ]
 
 
@@ -171,11 +170,3 @@ def tau_scan(tau_start: float, tau_end: float, step: float, n: int) -> ScanResul
     return ScanResult(tuple(taus), tuple(rhos), tuple(maxima), (),
                       gap(lambda t: t + 0.5), gap(lambda t: 1.0 - t))
 
-
-def liminf_window(tau: float, n_window) -> float:
-    """min of rho_n over the window: a finite-window stand-in for the
-    liminf over all section degrees (labelled approximation)."""
-    ns = list(n_window)
-    if not ns:
-        raise ValueError("window must be nonempty")
-    return min(rho_n(tau, n) for n in ns)

@@ -17,16 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cosine import (_STRIP_DX2, _STRIP_THETA, bundle_index, rhs_unscaled,
-                     scaling_factor, trapped_in_even_bundle)
-from .ode import Trajectory, find_extrema, integrate
+from .cosine import (_STRIP_DX2, _STRIP_THETA, rhs_unscaled, scaling_factor,
+                     trapped_in_even_bundle)
+from .ode import Trajectory, _find_flip, integrate
 
 __all__ = [
-    "SolutionClass",
     "EigenvalueRecord",
     "Undecidable",
     "BracketFailure",
-    "classify_initial_condition",
     "maxima_count",
     "find_eigenvalue_bisect",
     "trace_separatrix_backward",
@@ -39,18 +37,11 @@ _A_LAW = 2.0 ** (5.0 / 6.0)   # large-n intercept growth a_n ~ A sqrt(n)
 
 
 class Undecidable(ValueError):
-    """Bundle estimator did not stabilize (near-separatrix input)."""
+    """Backward seed outside the odd-bundle strip (see _backward_seed)."""
 
 
 class BracketFailure(RuntimeError):
     """No class transition inside the expanded bisection bracket."""
-
-
-@dataclass(frozen=True)
-class SolutionClass:
-    n_maxima: int
-    bundle_m: int
-    x_turn: float | None      # location of the last maximum
 
 
 @dataclass(frozen=True)
@@ -105,27 +96,6 @@ def maxima_count(a: float) -> int:
     return 0
 
 
-def classify_initial_condition(a: float) -> SolutionClass:
-    """Class of the initial condition: maxima count plus landing bundle.
-
-    The maxima are located by ``find_extrema`` over the whole forward span.
-    The bundle index round(x*y - 1/2) is sampled over the last stretch of
-    the forward span; if the samples disagree or come out odd the input is
-    too close to a separatrix and Undecidable is raised.
-    """
-    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
-    maxima = [x for x, _, kind in find_extrema(traj) if kind == "max"]
-    x_max = traj.x_end
-    probes = [0.90 * x_max, 0.93 * x_max, 0.96 * x_max, x_max]
-    ms = {bundle_index(x, y) for x, y in zip(probes, traj.sample(probes).tolist())}
-    if len(ms) != 1:
-        raise Undecidable(f"bundle estimate did not settle for a={a}: {sorted(ms)}")
-    m = ms.pop()
-    if m % 2 != 0:
-        raise Undecidable(f"odd bundle index {m} for a={a}: near-separatrix input")
-    return SolutionClass(len(maxima), m, maxima[-1] if maxima else None)
-
-
 def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
     """Intercept a_n located by bisection on the maxima count, to width tol.
 
@@ -154,13 +124,9 @@ def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
         tries += 1
         if tries > 12:
             raise BracketFailure(f"no upper bracket for n={n}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return EigenvalueRecord(n, 0.5 * (lo + hi), "bisect", None, 2 * n - 1)
+    # the score 0.0 is constant, so every probe of _find_flip is a halving
+    a_n = _find_flip(lambda a: (above(a), 0.0), lo, hi, (False, 0.0), (True, 0.0), tol)
+    return EigenvalueRecord(n, a_n, "bisect", None, 2 * n - 1)
 
 
 def _strip_edges(n: int) -> tuple[float, float]:

@@ -166,26 +166,40 @@ def test_painleve_fate_and_envelope_accept_y0_outside_the_eigen_range(tmp_path, 
 
 
 def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypatch):
-    # `--n 7,2,7 --method both` bisects n = 2 and 7 only, once each, and
-    # writes their records in increasing n
+    # `--n 7,2,7` computes n = 2 and 7 only, once each, by every method, and
+    # writes their records in increasing n (a_min is a_2, a_max is a_7)
     import nel.separatrix
 
-    calls = []
+    calls = {"bisect": [], "backward": []}
     bisect = nel.separatrix.find_eigenvalue_bisect
+    trace = nel.separatrix.trace_separatrix_backward
 
-    def recorded(n, tol=1e-10):
-        calls.append(n)
+    def bisected(n, tol=1e-10):
+        calls["bisect"].append(n)
         return bisect(n, tol)
 
-    monkeypatch.setattr(nel.separatrix, "find_eigenvalue_bisect", recorded)
-    out = tmp_path / "eig.json"
-    code, _, _ = run_cli(["eigen", "--n", "7,2,7", "--method", "both",
-                          "--out", str(out)], capsys)
-    assert code == 0
-    assert sorted(calls) == [2, 7]
-    payload = json.loads(out.read_text())
-    assert [r["n"] for r in payload] == [2, 7]
-    assert all(r["residual"] <= 1e-7 for r in payload)
+    def traced(n, **kwargs):
+        calls["backward"].append(n)
+        return trace(n, **kwargs)
+
+    monkeypatch.setattr(nel.separatrix, "find_eigenvalue_bisect", bisected)
+    monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward", traced)
+    for method in ("both", "backward", "bisect"):
+        for routed in calls.values():
+            routed.clear()
+        out = tmp_path / f"{method}.json"
+        code, stdout, _ = run_cli(["eigen", "--n", "7,2,7", "--method", method,
+                                   "--out", str(out)], capsys)
+        assert code == 0
+        for route, routed in calls.items():
+            assert sorted(routed) == ([2, 7] if method in (route, "both") else []), method
+        payload = json.loads(out.read_text())
+        assert [r["n"] for r in payload] == [2, 7]
+        summary = json.loads(stdout)
+        assert (summary["count"], summary["a_min"], summary["a_max"]) == \
+            (2, payload[0]["a_n"], payload[1]["a_n"])
+        if method == "both":
+            assert all(r["residual"] <= 1e-7 for r in payload)
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

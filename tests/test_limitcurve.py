@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from nel.limitcurve import (CUBE_ROOT_2, GROWTH_CONSTANT, ParityMismatch,
                             QuadratureFailure, alpha_closed_form,
-                            alpha_recursion, compute_A, eta_balance_envelope,
-                            eta_consistency_check, implicit_Z, implicit_curve,
-                            solve_limit_ode)
+                            alpha_recursion, eta_balance_envelope,
+                            eta_consistency_check, implicit_Z, solve_limit_ode)
 
 
 def test_ode_curve_endpoints():
@@ -144,13 +143,8 @@ def test_implicit_rejects_t_below_the_overflow_floor():
         implicit_Z([0.0, 0.5, 1e-80])
 
 
-def test_implicit_curve_source_tag():
-    ic = implicit_curve(11)
-    assert ic.source == "implicit" and len(ic.ts) == 11
-
-
 def test_growth_constant():
-    a = compute_A()
+    a = math.sqrt(2.0) * implicit_Z(0.0)
     assert a == pytest.approx(GROWTH_CONSTANT, abs=1e-12)
     assert math.sqrt(2.0) * CUBE_ROOT_2 == pytest.approx(GROWTH_CONSTANT, abs=1e-15)
 
@@ -165,7 +159,7 @@ def test_growth_constant_against_extrapolated_intercepts():
         seq.append(math.sqrt(2.0) * rec.a_n / math.sqrt(2 * n - 0.5))
         idx.append(n)
     est = richardson(seq, idx, stages=4).limit
-    assert abs(est - compute_A()) < 1e-5
+    assert abs(est - math.sqrt(2.0) * implicit_Z(0.0)) < 1e-5
 
 
 # -- alpha table -------------------------------------------------------------

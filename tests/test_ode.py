@@ -300,8 +300,8 @@ def test_find_extrema_equals_scalar_loop_bitwise(y0, span, backward):
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 1.7, 2.4, 3.0, 4.1])
 def test_find_extrema_equals_scalar_loop_on_maxima_count_spans(a):
-    # the full forward span that classify_initial_condition reads, on both
-    # sides of a_1..a_4
+    # the full forward span over which the tests' reference maxima count
+    # locates the maxima, on both sides of a_1..a_4
     traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
     got = find_extrema(traj)
     assert got

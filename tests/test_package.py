@@ -1,4 +1,7 @@
+import ast
 import importlib
+import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -7,6 +10,30 @@ import nel
 
 MODULES = ["nel", *(f"nel.{info.name}" for info in pkgutil.iter_modules(nel.__path__))]
 
+# Exported functions that no other nel module references, each with the
+# reason it stays public.  A route only tests reach either earns a line here
+# or goes.
+KEEP = {
+    "nel.cli.main": "the nel console script and python -m nel.cli",
+    "nel.cosine.taylor_coefficients": "reference route near x = 0 for integrate "
+                                      "(test_taylor_eval_matches_integration)",
+    "nel.cosine.taylor_eval": "evaluates taylor_coefficients for that reference route",
+    "nel.cosine.tail_coefficients": "criterion 14 checks the odd tails against it",
+    "nel.cosine.bundle_index": "the tests read a forward run's landing bundle with it",
+    "nel.cosine.bundle_decay_fit": "criterion 8: the even-bundle splitting slope -pi/2",
+    "nel.fourier.first_peak_location": "gibbs_overshoot calls it",
+    "nel.limitcurve.alpha_recursion": "criterion 5: the exact random-walk table",
+    "nel.limitcurve.alpha_closed_form": "criterion 5: the closed forms of that table",
+    "nel.limitcurve.eta_consistency_check": "criterion 6: the finite-frequency energy balance",
+    "nel.limitcurve.eta_balance_envelope": "criterion 6: the envelope of that balance",
+    "nel.ode.find_extrema": "the tests' and CI's reference route for maxima_count",
+    "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
+    "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
+    "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
+    "nel.separatrix.maxima_count": "find_eigenvalue_bisect calls it",
+    "nel.separatrix.backward_start": "trace_separatrix_backward starts from it",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_resolves(name):
@@ -14,3 +41,32 @@ def test_every_export_resolves(name):
     # entry would break every traced benchmark run
     module = importlib.import_module(name)
     assert [a for a in module.__all__ if not hasattr(module, a)] == []
+
+
+def _names_read(path: pathlib.Path) -> set[str]:
+    """Names a module reads, imports or reaches as attributes; docstrings
+    and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_function_has_a_caller_or_a_reason():
+    src = pathlib.Path(nel.__file__).parent
+    read = {"nel" if p.stem == "__init__" else f"nel.{p.stem}": _names_read(p)
+            for p in src.glob("*.py")}
+    unreached = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            if inspect.isfunction(getattr(module, attr)) and not any(
+                    attr in names for other, names in read.items() if other != name):
+                unreached.append(f"{name}.{attr}")
+    # both ways: a new test-only export fails, and so does a stale reason
+    assert sorted(unreached) == sorted(KEEP)

@@ -545,7 +545,8 @@ def _ladder_fate(flips, a, score):
 def test_flip_finder_on_a_synthetic_ladder(left, right, score):
     # every flip of the ladder, from brackets placed around it at either
     # side: found within 1e-7, at most 2 probes more than halving would take
-    from nel.painleve import _BISECT_TOL, _find_flip, _halvings
+    from nel.ode import _find_flip, _halvings
+    from nel.painleve import _BISECT_TOL
 
     for r in _LADDER:
         calls = []
@@ -555,9 +556,9 @@ def test_flip_finder_on_a_synthetic_ladder(left, right, score):
             return _ladder_fate(_LADDER, a, score)
 
         lo, hi = r - left, r + right
-        found = _find_flip(probe, lo, hi, probe(lo), probe(hi))
+        found = _find_flip(probe, lo, hi, probe(lo), probe(hi), _BISECT_TOL)
         assert abs(found - r) <= _BISECT_TOL
-        assert len(calls) - 2 <= _halvings(hi - lo) + 2
+        assert len(calls) - 2 <= _halvings(hi - lo, _BISECT_TOL) + 2
 
 
 def _ladder_classify(flips, score, calls):
@@ -582,14 +583,15 @@ def test_scan_on_a_synthetic_ladder(score, monkeypatch):
     # the whole scan with classify_fate stubbed: every flip within 1e-7,
     # each closed within halving from its scan bracket + 2
     import nel.painleve as pl
+    from nel.ode import _halvings
 
     calls, closing = [], []
     find_flip = pl._find_flip
 
-    def counted(probe, lo, hi, at_lo, at_hi):
+    def counted(probe, lo, hi, at_lo, at_hi, tol):
         n0 = len(calls)
-        found = find_flip(probe, lo, hi, at_lo, at_hi)
-        closing.append((len(calls) - n0, pl._halvings(hi - lo)))
+        found = find_flip(probe, lo, hi, at_lo, at_hi, tol)
+        closing.append((len(calls) - n0, _halvings(hi - lo, tol)))
         return found
 
     monkeypatch.setattr(pl, "classify_fate", _ladder_classify(_LADDER, score, calls))
@@ -657,21 +659,22 @@ def two_routes():
     """{(y0, count): (halving-route brackets, eigenvalues, closing)} where
     closing lists (fates, halvings from the same bracket) per flip."""
     import nel.painleve as pl
+    from nel.ode import _halvings
 
     out = {}
     for y0, count in ((-3.0, 4), (0.0, 4), (2.0, 4), (5.0, 4), (1.0, 12)):
         closing = []
         find_flip = pl._find_flip
 
-        def counted(probe, lo, hi, at_lo, at_hi):
+        def counted(probe, lo, hi, at_lo, at_hi, tol):
             spent = []
 
             def counted_probe(a):
                 spent.append(a)
                 return probe(a)
 
-            found = find_flip(counted_probe, lo, hi, at_lo, at_hi)
-            closing.append((len(spent), pl._halvings(hi - lo)))
+            found = find_flip(counted_probe, lo, hi, at_lo, at_hi, tol)
+            closing.append((len(spent), _halvings(hi - lo, tol)))
             return found
 
         with pytest.MonkeyPatch.context() as mp:

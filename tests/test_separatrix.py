@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nel.cosine import rhs_unscaled, tail_coefficients, trapped_in_even_bundle
+from nel.cosine import bundle_index, rhs_unscaled, tail_coefficients, trapped_in_even_bundle
 from nel.ode import IntegratorConfig, find_extrema, integrate
 from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
-                            _forward_span, backward_start,
-                            classify_initial_condition, eigenvalue_table,
+                            _forward_span, backward_start, eigenvalue_table,
                             find_eigenvalue_bisect, maxima_count,
                             scaled_separatrix, trace_separatrix_backward)
 
@@ -25,20 +24,30 @@ CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 THETA = _STRIP_THETA
 
 
+def _landing(a):
+    """(bundle index m at the end, stopped) of maxima_count's forward run."""
+    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a), dense=False,
+                     stop_when=trapped_in_even_bundle)
+    return bundle_index(traj.x_end, traj.y_end), traj.stopped
+
+
 def test_classify_basic_classes():
-    assert classify_initial_condition(0.5).n_maxima == 1
-    assert classify_initial_condition(2.0).n_maxima == 2
-    c = classify_initial_condition(0.5)
-    assert c.bundle_m == 0
-    assert c.x_turn is not None and 0 < c.x_turn < 2
+    assert maxima_count(0.5) == 1
+    assert maxima_count(2.0) == 2
+    assert _landing(0.5) == (0, True)
+    # the one maximum, located on a dense run over the whole span
+    traj = integrate(rhs_unscaled, 0.0, 0.5, _forward_span(0.5))
+    (x_turn,) = [x for x, _, kind in find_extrema(traj) if kind == "max"]
+    assert 0 < x_turn < 2
 
 
 def test_classify_negative_initial_condition_via_reflection():
     # w(x) = -y(-x) solves the same equation, so classifying a < 0 forward
-    # agrees with the reflected problem's backward continuation.
-    c = classify_initial_condition(-1.5)
-    assert c.bundle_m % 2 == 0
-    assert c.bundle_m < 0
+    # agrees with the reflected problem's backward continuation.  The trap
+    # holds only bundles m >= 0, so the run ends at the span's end.
+    m, stopped = _landing(-1.5)
+    assert m % 2 == 0 and m < 0
+    assert not stopped
 
 
 def test_classify_monotone_in_a():
@@ -252,11 +261,9 @@ def test_forward_instability_witness():
     # Perturbing the intercept pushes the forward solution onto the even
     # bundles on either side of the odd separatrix tail.
     a2 = REFERENCE[2]
-    below = classify_initial_condition(a2 - 1e-6)
-    above = classify_initial_condition(a2 + 1e-6)
-    assert below.bundle_m == 2
-    assert above.bundle_m == 4
-    assert above.n_maxima == below.n_maxima + 1
+    assert _landing(a2 - 1e-6) == (2, True)
+    assert _landing(a2 + 1e-6) == (4, True)
+    assert maxima_count(a2 + 1e-6) == maxima_count(a2 - 1e-6) + 1
 
 
 def test_eigenvalue_table_cross_method():
@@ -417,13 +424,12 @@ def test_maxima_count_stops_before_the_span(a, monkeypatch):
         trajs.append(integrate(*args, **kwargs))
         return trajs[-1]
 
-    def located(traj):
-        raise AssertionError("maxima_count located extrema")
-
     monkeypatch.setattr(nel.separatrix, "integrate", recorded)
-    monkeypatch.setattr(nel.separatrix, "find_extrema", located)
     count = maxima_count(a)
     (kwargs,), (traj,) = calls, trajs
+    # no extremum is located: the module imports no find_extrema, and the
+    # run keeps no dense output for it to read
+    assert not hasattr(nel.separatrix, "find_extrema")
     assert kwargs["dense"] is False
     assert traj.stopped
     assert traj.x_end < _forward_span(a)
@@ -448,6 +454,29 @@ def _halving_on_located_count(n, tol=1e-10):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def test_bisect_takes_two_bracket_checks_and_plain_halvings(monkeypatch):
+    # the flip finder gets the constant score 0.0, so it never takes a secant
+    # step: n = 6 takes its 2 bracket checks and 35 halvings from width 2 to
+    # 1e-10, every probe at the midpoint of the bracket left by the one before
+    import nel.separatrix
+
+    probes = []
+    count = nel.separatrix.maxima_count
+
+    def recorded(a):
+        probes.append(a)
+        return count(a)
+
+    monkeypatch.setattr(nel.separatrix, "maxima_count", recorded)
+    a_n = find_eigenvalue_bisect(6).a_n
+    assert len(probes) == 37
+    lo, hi = probes[:2]
+    for a in probes[2:]:
+        assert a == 0.5 * (lo + hi)
+        lo, hi = (lo, a) if count(a) >= 7 else (a, hi)
+    assert hi - lo <= 1e-10 and a_n == 0.5 * (lo + hi)
 
 
 def test_bisect_on_the_law_equals_halving_on_located_counts(cross_method_10):
