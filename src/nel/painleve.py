@@ -52,7 +52,11 @@ REPORTED_GROWTH_CONSTANT = 4.28373        # C; compare also (17/5) 2^(1/3)
 
 
 class MatchDiverged(RuntimeError):
-    """Laurent matching failed to converge; raise the match height and retry."""
+    """A double pole could not be crossed: the Laurent fit did not converge,
+    its residual or 24-term tail broke its bound, a turnaround rose past
+    1e7, or the fitted poles fell out of order.  Nothing retries at another
+    height, so the run has no verdict; the tests cross every pole that
+    a = -100..100 (step 10) meet by x = -135 without one."""
 
 
 class Undecided(RuntimeError):
@@ -69,12 +73,18 @@ class ScanExhausted(RuntimeError):
 
 
 _ODE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000)
-# Matching at moderate height: the free quartic coefficient h enters the
-# observed state like h*s^4 against the 6/s^2 divergence, so its fit error
-# scales like Y^3; y ~ 150 (s ~ 0.2) extracts h ~300x better than y ~ 1000
-# while the series still converges fast (ratio ~ s/spacing).
-_Y_MATCH = 150.0         # |y| at which the Laurent fit starts
-_Y_RESTART = 150.0       # |y| on the far side after a pole
+# Height |y| at which a double pole is matched, and restarted on the far side
+# at s = -sqrt(6/_Y_POLE).  The free quartic coefficient h enters the state
+# like h s^4 against the 6/s^2 divergence, so the fit passes the stepper's
+# local error into h amplified like Y^3: the height is the lowest the series
+# allows.  Two conditions set that floor.  The 24-term tail |c_24 s^22| must
+# stay below laurent_match's 1e-9 |y| at every pole of the fate window; at
+# Y = 40 its worst over a = -100, -90, ..., 100 to x = -135 is 0.23 of that
+# bound at the restart offset (the first pole of a = -100).  It grows like
+# Y^-12: at Y = 35 it is 1.16, and at Y = 30 the fit fails at a = +-80,
+# +-90 and +-100.  And Y > 1.5 sqrt(-_X_MIN) ~ 17.4, so that no run within
+# sqrt(-x)/2 of +sqrt(-x) spans two segments (_departure).
+_Y_POLE = 40.0
 _SERIES_TERMS = 24
 _X_MIN = -135.0          # fate window
 _BISECT_TOL = 1e-7       # final bracket width on a
@@ -181,7 +191,7 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
     Newton converges in a few steps this close to the pole; the relative
     residual of the converged fit is reported on the event.
     """
-    if y < 0.5 * _Y_MATCH:
+    if y < 0.5 * _Y_POLE:
         raise MatchDiverged(f"matching requested at y={y:.3g}, below the match height")
     if v == 0.0:
         raise MatchDiverged("v = 0: turning point, not a pole approach")
@@ -247,9 +257,9 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
     ``until(x, state)``, called after each accepted step, is ORed into the
     pole test; a segment it ends is yielded with None and is the last one.
     """
-    delta = math.sqrt(6.0 / _Y_RESTART)
+    delta = math.sqrt(6.0 / _Y_POLE)
     x, state = 0.0, (float(y0), float(a))
-    threshold = _Y_MATCH
+    threshold = _Y_POLE
     last_x0 = math.inf
     while True:
         def hit(xx, yy, _t=threshold):
@@ -279,7 +289,7 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
             raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
         yield traj, ev
         last_x0 = ev.x0
-        threshold = _Y_MATCH
+        threshold = _Y_POLE
         x = ev.x0 - delta
         if x <= x_end:
             return
@@ -353,7 +363,8 @@ def _past_saddle(traj: Trajectory) -> bool:
 def _departure(segments) -> float | None:
     """Left end of the longest run of stored samples with |y - sqrt(-x)| <
     sqrt(-x)/2, x < 0, over the segments; None without one.  No run spans
-    two segments: they meet at a pole or a turnaround, at |y| >= 150."""
+    two segments: they meet at a pole or a turnaround, at |y| >= _Y_POLE,
+    and a sample in the run has y < 1.5 sqrt(-_X_MIN) < _Y_POLE."""
     xs = np.concatenate([np.frombuffer(t.xs, dtype=float) for t in segments])
     y = np.concatenate([np.frombuffer(t._ys, dtype=float)[0::2] for t in segments])
     root = np.sqrt(-xs)

@@ -17,7 +17,7 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY,
                      IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
                      _initial_step_scalar, find_extrema, integrate)
-from nel.painleve import _Y_RESTART, integrate_with_poles, painleve_rhs, pole_series_eval
+from nel.painleve import _Y_POLE, integrate_with_poles, painleve_rhs, pole_series_eval
 from nel.separatrix import _backward_seed, _forward_span, backward_start
 
 
@@ -679,7 +679,7 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
 def _past_first_pole(a):
     # where painleve's pole continuation restarts past the first pole
     ev = integrate_with_poles(a, -30.0, dense=False)[1][0]
-    x = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    x = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     return x, pole_series_eval(ev.x0, ev.h, x)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nel.ode import IntegratorConfig
-from nel.painleve import (_ODE, _X_MIN, _Y_MATCH, _Y_RESTART, InsufficientExtrema,
+from nel.painleve import (_ODE, _X_MIN, _Y_POLE, InsufficientExtrema,
                           MatchDiverged, PoleEvent, Undecided, approach_decay_slope,
                           classify_fate, estimate_C, fit_oscillation_envelope,
                           integrate_with_poles, laurent_match, painleve_rhs,
@@ -83,7 +83,7 @@ def test_pole_series_skips_only_zero_terms(x0, h, terms):
 
 def test_laurent_match_recovers_synthetic_pole():
     x0, h = -7.3, 4.2
-    s = -math.sqrt(6.0 / _Y_MATCH) * 1.01
+    s = -math.sqrt(6.0 / _Y_POLE) * 1.01
     y, v = pole_series_eval(x0, h, x0 + s)
     ev = laurent_match(x0 + s, y, v)
     assert abs(ev.x0 - x0) < 1e-6
@@ -113,6 +113,27 @@ def test_laurent_match_guards():
         PoleEvent(-1.0, 0.0, 1e-3)                  # residual bound enforced
 
 
+def test_pole_height_is_the_floor_the_series_allows():
+    # the 24-term tail |c_24 s^22| at the restart offset s = sqrt(6/_Y_POLE),
+    # where y ~ _Y_POLE, stays within a quarter of laurent_match's bound
+    # 1e-9 |y| at every pole that a = -100..100 meet in the fate window
+    # (worst 0.23, the first pole of a = -100); the ratio grows like Y^-12,
+    # so a ratio above 0.1 also puts the lowest height the bound allows
+    # above 0.82 _Y_POLE.  A run within sqrt(-x)/2 of +sqrt(-x) stays below
+    # 1.5 sqrt(-_X_MIN), so it never reaches a segment end.
+    from nel.painleve import _SERIES_TERMS, _pole_series
+
+    assert _Y_POLE > 1.5 * math.sqrt(-_X_MIN)
+    s = math.sqrt(6.0 / _Y_POLE)
+    ratios = []
+    for k in range(-10, 11):
+        _, poles = integrate_with_poles(10.0 * k, _X_MIN, dense=False)
+        for ev in poles:
+            c, _, _ = _pole_series(ev.x0, ev.h, _SERIES_TERMS)
+            ratios.append(abs(c[-1]) * s ** (_SERIES_TERMS - 2) / (1e-9 * _Y_POLE))
+    assert 0.1 < max(ratios) <= 0.25
+
+
 def test_pole_round_trip():
     # from series data on one side, cross the pole numerically and compare
     # with the series on the other side
@@ -122,9 +143,9 @@ def test_pole_round_trip():
     s_far = 0.6
     y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
     tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, _ODE,
-                   dense=False, stop_when=lambda x, y: y[0] >= _Y_MATCH and y[1] < 0)
+                   dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
     ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
-    xr = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     st = pole_series_eval(ev.x0, ev.h, xr)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, _ODE, dense=False)
     y_ref, v_ref = pole_series_eval(x0, h, x0 - s_far)
@@ -141,9 +162,9 @@ def test_pole_round_trip_tolerance_scaling(scale):
     s_far = 0.5
     y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
     tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, ode,
-                   dense=False, stop_when=lambda x, y: y[0] >= _Y_MATCH and y[1] < 0)
+                   dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
     ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
-    xr = ev.x0 - math.sqrt(6.0 / _Y_RESTART)
+    xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     st = pole_series_eval(ev.x0, ev.h, xr)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, ode, dense=False)
     y_ref, _ = pole_series_eval(x0, h, x0 - s_far)
