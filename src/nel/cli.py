@@ -190,8 +190,7 @@ def _segment_blocks(curves, x_min: float) -> list:
 
 
 def _cmd_eigen(args) -> int:
-    from .separatrix import (_check_tol, eigenvalue_table, find_eigenvalue_bisect,
-                             trace_separatrix_backward)
+    from .separatrix import _check_tol, find_eigenvalue_bisect, trace_separatrix_backward
 
     t0 = time.perf_counter()
     ns = sorted(set(_parse_range(args.n)))     # every --method: each n once, increasing
@@ -202,19 +201,25 @@ def _cmd_eigen(args) -> int:
             _check_tol(args.tol, max(ns))
         except ValueError as exc:
             raise UsageError(f"--tol: {exc}") from exc
-    if args.method == "both":
-        records = eigenvalue_table(ns, args.tol)
-    elif args.method == "bisect":
-        records = [find_eigenvalue_bisect(n, args.tol) for n in ns]
-    else:
-        records = [trace_separatrix_backward(n, dense=False)[0] for n in ns]
-    payload = [{"n": r.n, "a_n": r.a_n, "method": r.method,
-                "residual": r.residual, "tail_m": r.tail_m} for r in records]
+    payload = []
+    for n in ns:
+        a_n = bis = None
+        if args.method != "bisect":
+            a_n = trace_separatrix_backward(n, dense=False).y_end
+        if args.method != "backward" and n >= 1:
+            bis = find_eigenvalue_bisect(n, args.tol)
+        payload.append({"n": n, "a_n": bis if a_n is None else a_n,
+                        "method": "bisect" if a_n is None else "backward",
+                        "residual": None if None in (a_n, bis) else abs(bis - a_n),
+                        "tail_m": 2 * n - 1})
+    for prev, rec in zip(payload, payload[1:]):
+        if not rec["a_n"] > prev["a_n"]:
+            raise RuntimeError(f"intercepts not increasing at n={rec['n']}")
     out = Path(args.out)
     _write_json(out, payload)
     return _finish(args, t0, [out],
-                   {"count": len(payload), "a_min": records[0].a_n,
-                    "a_max": records[-1].a_n})
+                   {"count": len(payload), "a_min": payload[0]["a_n"],
+                    "a_max": payload[-1]["a_n"]})
 
 
 def _cmd_figures(args) -> int:
@@ -243,8 +248,8 @@ def _cmd_figures(args) -> int:
         x_col, blocks = _col(xs.tolist()), []
         for n in range(-3, 7):
             # the strip contracts the seed's error by e^-32 from x = 21 to 20
-            rec, traj = trace_separatrix_backward(n, x_start=21.0)
-            blocks.append(((n, rec.a_n), (x_col, traj.sample(xs).tolist())))
+            traj = trace_separatrix_backward(n, x_start=21.0)
+            blocks.append(((n, traj.y_end), (x_col, traj.sample(xs).tolist())))
         _write_csv(out, ["n", "a_n", "x", "y"], blocks)
 
     elif name == "fig3":
@@ -362,8 +367,8 @@ def _cmd_extrapolate(args) -> int:
             else [125, 250, 500, 1000, 2000]
         values = []
         for n in indices:
-            rec, _ = trace_separatrix_backward(n, dense=False)
-            values.append(math.sqrt(2.0) * rec.a_n / math.sqrt(2 * n - 0.5))
+            a_n = trace_separatrix_backward(n, dense=False).y_end
+            values.append(math.sqrt(2.0) * a_n / math.sqrt(2 * n - 0.5))
         target = args.target
     elif args.target == "painleve-c":
         from .painleve import GROWTH_EXPONENT, painleve_eigenvalues

@@ -53,10 +53,11 @@ REPORTED_GROWTH_CONSTANT = 4.28373        # C; compare also (17/5) 2^(1/3)
 
 class MatchDiverged(RuntimeError):
     """A double pole could not be crossed: the Laurent fit did not converge,
-    its residual or 24-term tail broke its bound, a turnaround rose past
-    1e7, or the fitted poles fell out of order.  Nothing retries at another
-    height, so the run has no verdict; the tests cross every pole that
-    a = -100..100 (step 10) meet by x = -135 without one."""
+    its residual broke its bound or its 24-term tail did so at the match or
+    at the restart offset, a turnaround rose past 1e7, or the fitted poles
+    fell out of order.  Nothing retries at another height, so the run has
+    no verdict; the tests cross every pole that a = -100..100 (step 10)
+    meet by x = -135 without one."""
 
 
 class Undecided(RuntimeError):
@@ -78,13 +79,15 @@ _ODE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000)
 # like h s^4 against the 6/s^2 divergence, so the fit passes the stepper's
 # local error into h amplified like Y^3: the height is the lowest the series
 # allows.  Two conditions set that floor.  The 24-term tail |c_24 s^22| must
-# stay below laurent_match's 1e-9 |y| at every pole of the fate window; at
-# Y = 40 its worst over a = -100, -90, ..., 100 to x = -135 is 0.23 of that
-# bound at the restart offset (the first pole of a = -100).  It grows like
-# Y^-12: at Y = 35 it is 1.16, and at Y = 30 the fit fails at a = +-80,
-# +-90 and +-100.  And Y > 1.5 sqrt(-_X_MIN) ~ 17.4, so that no run within
-# sqrt(-x)/2 of +sqrt(-x) spans two segments (_departure).
+# stay below 1e-9 |y| out to the restart offset, where laurent_match checks
+# it, at every pole of the fate window; at Y = 40 its worst over a = -100,
+# -90, ..., 100 to x = -135 is 0.23 of that bound there (the first pole of
+# a = -100).  It grows like Y^-12: at Y = 35 it is 1.16, and at Y = 30 the
+# fit fails at a = +-80, +-90 and +-100.  And Y > 1.5 sqrt(-_X_MIN) ~ 17.4,
+# so that no run within sqrt(-x)/2 of +sqrt(-x) spans two segments
+# (_departure).
 _Y_POLE = 40.0
+_S_RESTART = math.sqrt(6.0 / _Y_POLE)
 _SERIES_TERMS = 24
 _X_MIN = -135.0          # fate window
 _BISECT_TOL = 1e-7       # final bracket width on a
@@ -229,9 +232,12 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
         h -= d1
     else:
         raise MatchDiverged(f"Newton did not converge near x={x}")
-    # truncation sanity: the last kept term must be negligible
-    tail = abs(c[-1] * s ** (_SERIES_TERMS - 2))
-    if tail > 1e-9 * abs(y):
+    # truncation sanity: the last kept term must be negligible at the match
+    # and at the restart offset past the pole, where y ~ 6/s^2 = _Y_POLE;
+    # tail/|y| grows like |s|^24, so the larger |s| of the two decides
+    r, y_r = max((abs(s), abs(y)), (_S_RESTART, _Y_POLE))
+    tail = abs(c[-1]) * r ** (_SERIES_TERMS - 2)
+    if tail > 1e-9 * y_r:
         raise MatchDiverged(f"series truncation too coarse: tail={tail:.2e}")
     res = math.hypot(f1 / y, f2 / v if v != 0 else 0.0)
     return PoleEvent(x0, h, res)
@@ -257,7 +263,6 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
     ``until(x, state)``, called after each accepted step, is ORed into the
     pole test; a segment it ends is yielded with None and is the last one.
     """
-    delta = math.sqrt(6.0 / _Y_POLE)
     x, state = 0.0, (float(y0), float(a))
     threshold = _Y_POLE
     last_x0 = math.inf
@@ -290,7 +295,7 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
         yield traj, ev
         last_x0 = ev.x0
         threshold = _Y_POLE
-        x = ev.x0 - delta
+        x = ev.x0 - _S_RESTART
         if x <= x_end:
             return
         state = pole_series_eval(ev.x0, ev.h, x)

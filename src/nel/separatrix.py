@@ -15,14 +15,12 @@ independent computations of a_n are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cosine import (_STRIP_DX2, _STRIP_THETA, rhs_unscaled, scaling_factor,
                      trapped_in_even_bundle)
 from .ode import Trajectory, _find_flip, integrate
 
 __all__ = [
-    "EigenvalueRecord",
     "Undecidable",
     "BracketFailure",
     "maxima_count",
@@ -30,7 +28,6 @@ __all__ = [
     "trace_separatrix_backward",
     "backward_start",
     "scaled_separatrix",
-    "eigenvalue_table",
 ]
 
 _A_LAW = 2.0 ** (5.0 / 6.0)   # large-n intercept growth a_n ~ A sqrt(n)
@@ -42,15 +39,6 @@ class Undecidable(ValueError):
 
 class BracketFailure(RuntimeError):
     """No class transition inside the expanded bisection bracket."""
-
-
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    n: int
-    a_n: float
-    method: str               # "bisect" or "backward"
-    residual: float | None    # |bisect - backward| when both were computed
-    tail_m: int
 
 
 def _forward_span(a: float) -> float:
@@ -96,7 +84,7 @@ def maxima_count(a: float) -> int:
     return 0
 
 
-def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
+def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> float:
     """Intercept a_n located by bisection on the maxima count, to width tol.
 
     The count jumps from n to n+1 across a_n; the bracket is seeded from
@@ -125,8 +113,7 @@ def find_eigenvalue_bisect(n: int, tol: float = 1e-10) -> EigenvalueRecord:
         if tries > 12:
             raise BracketFailure(f"no upper bracket for n={n}")
     # the score 0.0 is constant, so every probe of _find_flip is a halving
-    a_n = _find_flip(lambda a: (above(a), 0.0), lo, hi, (False, 0.0), (True, 0.0), tol)
-    return EigenvalueRecord(n, a_n, "bisect", None, 2 * n - 1)
+    return _find_flip(lambda a: (above(a), 0.0), lo, hi, (False, 0.0), (True, 0.0), tol)
 
 
 def _strip_edges(n: int) -> tuple[float, float]:
@@ -177,8 +164,10 @@ def _backward_seed(n: int, x_start: float) -> float:
 
 
 def trace_separatrix_backward(n: int, *, x_start: float | None = None,
-                              dense: bool = True) -> tuple[EigenvalueRecord, Trajectory]:
+                              dense: bool = True) -> Trajectory:
     """Trace the n-th separatrix from its odd tail m = 2n-1 down to x = 0.
+
+    The trace ends at x_end == 0.0 exactly, so its y_end is the intercept a_n.
 
     The separatrix attracts under decreasing x, so the trace is stable and
     insensitive to the seed and to x_start.  Works for n <= 0 as well
@@ -189,14 +178,13 @@ def trace_separatrix_backward(n: int, *, x_start: float | None = None,
     if x_start is None:
         x_start = backward_start(n)
     y0 = _backward_seed(n, x_start)
-    traj = integrate(rhs_unscaled, x_start, y0, 0.0, dense=dense)
-    return EigenvalueRecord(n, traj.y_end, "backward", None, 2 * n - 1), traj
+    return integrate(rhs_unscaled, x_start, y0, 0.0, dense=dense)
 
 
 def _scaled_trace(n: int) -> tuple[Trajectory, float]:
     if n < 1:
         raise ValueError("scaled separatrices are defined for n >= 1")
-    return trace_separatrix_backward(n)[1], scaling_factor(n)
+    return trace_separatrix_backward(n), scaling_factor(n)
 
 
 def scaled_separatrix(n: int, grid) -> list[float]:
@@ -210,28 +198,3 @@ def scaled_separatrix(n: int, grid) -> list[float]:
     traj, s = _scaled_trace(n)
     return (traj.sample([s * t for t in grid]) / s).tolist()
 
-
-def eigenvalue_table(indices, tol: float = 1e-10) -> list[EigenvalueRecord]:
-    """Records for the sorted distinct `indices`; a_n from the backward trace.
-
-    For n >= 1 the bisection value (to width tol) is also computed and the
-    cross-method discrepancy stored as the residual.  Only the listed n are
-    computed; the intercepts must increase over them.  A tol too small for
-    the largest n (see find_eigenvalue_bisect) raises ValueError first.
-    """
-    ns = sorted(set(indices))
-    if not ns:
-        raise ValueError("no indices given")
-    _check_tol(tol, ns[-1])
-    out = []
-    for n in ns:
-        rec, _ = trace_separatrix_backward(n, dense=False)
-        if n >= 1:
-            bis = find_eigenvalue_bisect(n, tol)
-            rec = EigenvalueRecord(n, rec.a_n, "backward",
-                                   abs(bis.a_n - rec.a_n), rec.tail_m)
-        out.append(rec)
-    for a, b in zip(out, out[1:]):
-        if not b.a_n > a.a_n:
-            raise RuntimeError(f"intercepts not increasing at n={b.n}")
-    return out

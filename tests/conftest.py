@@ -1,6 +1,7 @@
 """Session-scoped fixtures for computations shared across test modules."""
 
 import contextlib
+import json
 import signal
 import time
 
@@ -38,13 +39,16 @@ def scaled_eta_pair():
 
 
 @pytest.fixture(scope="session")
-def reference_table():
-    """Backward-traced intercepts for n = -3..6 plus elapsed wall time."""
-    from nel.separatrix import eigenvalue_table
+def reference_table(tmp_path_factory):
+    """The records of `nel eigen --n=-3:6 --method both` (backward-traced
+    intercepts, bisection residuals for n >= 1) plus elapsed wall time."""
+    from nel.cli import main
 
+    out = tmp_path_factory.mktemp("reference") / "eigen.json"
     t0 = time.perf_counter()
-    table = eigenvalue_table(range(-3, 7))
-    return table, time.perf_counter() - t0
+    assert main(["eigen", "--n=-3:6", "--method", "both", "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - t0
+    return json.loads(out.read_text()), elapsed
 
 
 @pytest.fixture(scope="session")
@@ -52,12 +56,8 @@ def cross_method_10():
     """(bisect, backward) intercept pairs for n = 1..10."""
     from nel.separatrix import find_eigenvalue_bisect, trace_separatrix_backward
 
-    out = {}
-    for n in range(1, 11):
-        b = find_eigenvalue_bisect(n).a_n
-        t, _ = trace_separatrix_backward(n, dense=False)
-        out[n] = (b, t.a_n)
-    return out
+    return {n: (find_eigenvalue_bisect(n), trace_separatrix_backward(n, dense=False).y_end)
+            for n in range(1, 11)}
 
 
 @pytest.fixture(scope="session")
@@ -65,12 +65,8 @@ def geometric_intercepts():
     """Backward intercepts at n = 125 * 2^k, k = 0..4."""
     from nel.separatrix import trace_separatrix_backward
 
-    idx = (125, 250, 500, 1000, 2000)
-    vals = {}
-    for n in idx:
-        rec, _ = trace_separatrix_backward(n, dense=False)
-        vals[n] = rec.a_n
-    return vals
+    return {n: trace_separatrix_backward(n, dense=False).y_end
+            for n in (125, 250, 500, 1000, 2000)}
 
 
 @pytest.fixture(scope="session")

@@ -94,7 +94,7 @@ def offset_power_fit(n, a):
 
 def test_criterion_01_reference_intercepts(reference_table):
     table, elapsed = reference_table
-    diffs = {rec.n: rec.a_n - FIG2_CAPTION[rec.n] for rec in table}
+    diffs = {rec["n"]: rec["a_n"] - FIG2_CAPTION[rec["n"]] for rec in table}
     bad = {n: d for n, d in diffs.items() if abs(d) > 1e-5}
     ok = not bad and elapsed <= 60.0
     worst = max(abs(d) for d in diffs.values())
@@ -111,7 +111,7 @@ def test_criterion_01_sixth_intercept_by_rk4(reference_table):
     # Second route for the corrected a_6 entry, outside nel: the RK4 value
     # must round to the six printed decimals and match the program's trace.
     table, _ = reference_table
-    program = next(rec.a_n for rec in table if rec.n == 6)
+    program = next(rec["a_n"] for rec in table if rec["n"] == 6)
     rk4 = rk4_backward_intercept(6)
     ok = abs(rk4 - FIG2_CAPTION[6]) <= 5e-7 and abs(rk4 - program) <= 1e-7
     report("1[rk4]", ok, f"RK4 a_6 {rk4:.10f}, program {program:.10f}, "

@@ -202,6 +202,40 @@ def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypat
             assert all(r["residual"] <= 1e-7 for r in payload)
 
 
+def test_eigen_both_residuals_by_index(reference_table):
+    # `eigen --n=-3:6 --method both`: every record carries the backward a_n
+    # and its tail; n >= 1 also has the bisection's distance from it, below
+    # 1e-7, and n <= 0, which has no bisection, has none
+    table, _ = reference_table
+    assert [r["n"] for r in table] == list(range(-3, 7))
+    for r in table:
+        assert (r["method"], r["tail_m"]) == ("backward", 2 * r["n"] - 1)
+        if r["n"] >= 1:
+            assert r["residual"] < 1e-7, r
+        else:
+            assert r["residual"] is None, r
+
+
+@pytest.mark.parametrize("method", ["both", "backward", "bisect"])
+def test_eigen_intercepts_must_increase_by_every_method(method, tmp_path, monkeypatch,
+                                                        capsys):
+    # a solver whose intercepts fall with n ends the run in a typed error,
+    # and no data file is written
+    import nel.separatrix
+
+    monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward",
+                        lambda n, **k: SimpleNamespace(y_end=-float(n)))
+    monkeypatch.setattr(nel.separatrix, "find_eigenvalue_bisect", lambda n, tol: -float(n))
+    out = tmp_path / "eig.json"
+    code, stdout, err = run_cli(["eigen", "--n", "1:3", "--method", method,
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("RuntimeError",
+                                                 "intercepts not increasing at n=2")
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["figures", "fig99", "--out", str(tmp_path / "x.csv")],
                            capsys)
@@ -287,7 +321,14 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     ["--n", "1", "--method", "both", "--tol", "1e-300"],
     # 1e-15 is below ulp(2^(5/6) sqrt(3) + 7) = 1.8e-15
     ["--n=-3:3", "--method", "both", "--tol", "1e-15"],
-], ids=["bisect", "both", "both-1e-15"])
+    # the largest n sets the floor, whatever the smaller n listed with it
+    *[["--n=-2,0,1," + str(n), "--method", "both", "--tol",
+       repr(math.nextafter(math.ulp(2.0 ** (5.0 / 6.0) * math.sqrt(n) + 7.0), 0.0))]
+      for n in (1, 4, 100, 100_000)],
+    # not positive and finite: refused by the flag's type
+    *[["--n=-1:2", "--method", "both", "--tol=" + tol] for tol in ("0", "-1", "nan", "inf")],
+], ids=["bisect", "both", "both-1e-15", "both-floor-1", "both-floor-4", "both-floor-100",
+        "both-floor-100000", "both-0", "both-negative", "both-nan", "both-inf"])
 def test_eigen_tol_below_float_spacing_is_usage_error(argv, tmp_path, capsys, monkeypatch,
                                                       deadline):
     # once the bracket ends are adjacent floats, hi - lo > tol held for ever
@@ -306,11 +347,14 @@ def test_eigen_tol_below_float_spacing_is_usage_error(argv, tmp_path, capsys, mo
 
 
 def test_eigen_tol_floor_does_not_apply_to_backward(tmp_path, capsys):
-    # the backward trace reads no tol
+    # the backward trace reads no tol, and `both` bisects no n <= 0
     out = tmp_path / "eig.json"
     code, _, _ = run_cli(["eigen", "--n", "1", "--method", "backward", "--tol", "1e-300",
                           "--out", str(out)], capsys)
     assert code == 0 and json.loads(out.read_text())[0]["n"] == 1
+    code, _, _ = run_cli(["eigen", "--n=-1:0", "--method", "both", "--tol", "1e-300",
+                          "--out", str(out)], capsys)
+    assert code == 0 and [r["n"] for r in json.loads(out.read_text())] == [-1, 0]
 
 
 @pytest.mark.parametrize("text, ns", [

@@ -155,8 +155,8 @@ def test_growth_constant_against_extrapolated_intercepts():
 
     seq, idx = [], []
     for n in (125, 250, 500, 1000, 2000):
-        rec, _ = trace_separatrix_backward(n, dense=False)
-        seq.append(math.sqrt(2.0) * rec.a_n / math.sqrt(2 * n - 0.5))
+        a_n = trace_separatrix_backward(n, dense=False).y_end
+        seq.append(math.sqrt(2.0) * a_n / math.sqrt(2 * n - 0.5))
         idx.append(n)
     est = richardson(seq, idx, stages=4).limit
     assert abs(est - math.sqrt(2.0) * implicit_Z(0.0)) < 1e-5

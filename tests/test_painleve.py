@@ -134,6 +134,28 @@ def test_pole_height_is_the_floor_the_series_allows():
     assert 0.1 < max(ratios) <= 0.25
 
 
+def test_laurent_match_checks_the_tail_at_the_restart_offset():
+    # a synthetic pole far left (x0 = -300, h = 50) matched deep on its
+    # approach (y ~ 1000): the 24-term tail is 3e-17 of 1e-9 |y| at the match
+    # point, but 1.74 of the bound at the restart offset s = -sqrt(6/_Y_POLE),
+    # y ~ _Y_POLE, where the far-side run would start from the series
+    from nel.painleve import _SERIES_TERMS, _pole_series
+
+    x0, h = -300.0, 50.0
+    c, _, _ = _pole_series(x0, h, _SERIES_TERMS)
+    ratio = abs(c[-1]) * (6.0 / _Y_POLE) ** ((_SERIES_TERMS - 2) / 2) / (1e-9 * _Y_POLE)
+    assert 1.7 < ratio < 1.8
+    s = -math.sqrt(6.0 / 1000.0)
+    y, v = pole_series_eval(x0, h, x0 + s)
+    assert y == pytest.approx(1000.0, rel=1e-3)
+    with pytest.raises(MatchDiverged, match="truncation"):
+        laurent_match(x0 + s, y, v)
+    # the test pole of the round trips passes from the same height
+    x0, h = -7.3, 4.2
+    ev = laurent_match(x0 + s, *pole_series_eval(x0, h, x0 + s))
+    assert abs(ev.x0 - x0) < 1e-9
+
+
 def test_pole_round_trip():
     # from series data on one side, cross the pole numerically and compare
     # with the series on the other side

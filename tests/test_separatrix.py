@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from nel.cosine import bundle_index, rhs_unscaled, tail_coefficients, trapped_in_even_bundle
 from nel.ode import IntegratorConfig, find_extrema, integrate
 from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
-                            _forward_span, backward_start, eigenvalue_table,
-                            find_eigenvalue_bisect, maxima_count,
-                            scaled_separatrix, trace_separatrix_backward)
+                            _forward_span, backward_start, find_eigenvalue_bisect,
+                            maxima_count, scaled_separatrix, trace_separatrix_backward)
 
 # Reference intercepts, 7 significant digits (independently tabulated; the
 # n=6 entry is the cross-validated value from both methods in this package,
@@ -56,17 +55,17 @@ def test_classify_monotone_in_a():
 
 
 def test_bisect_first_eigenvalue():
-    rec = find_eigenvalue_bisect(1)
-    assert rec.method == "bisect"
-    assert abs(rec.a_n - REFERENCE[1]) < 1e-5
+    a_n = find_eigenvalue_bisect(1)
+    assert isinstance(a_n, float)
+    assert abs(a_n - REFERENCE[1]) < 1e-5
 
 
 def test_bisect_fourth_eigenvalue():
-    assert abs(find_eigenvalue_bisect(4).a_n - REFERENCE[4]) < 1e-5
+    assert abs(find_eigenvalue_bisect(4) - REFERENCE[4]) < 1e-5
 
 
 def test_bisect_monotone():
-    vals = [find_eigenvalue_bisect(n).a_n for n in range(1, 6)]
+    vals = [find_eigenvalue_bisect(n) for n in range(1, 6)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -77,9 +76,8 @@ def test_bisect_requires_positive_index():
 
 def test_backward_trace_matches_reference():
     for n in (2, 6, 0):
-        rec, traj = trace_separatrix_backward(n, dense=False)
-        assert abs(rec.a_n - REFERENCE[n]) < 1e-5
-        assert rec.tail_m == 2 * n - 1
+        traj = trace_separatrix_backward(n, dense=False)
+        assert abs(traj.y_end - REFERENCE[n]) < 1e-5
         assert traj.x_end == 0.0
 
 
@@ -90,9 +88,9 @@ def test_backward_trace_rejects_non_asymptotic_start():
 
 
 def test_backward_trace_insensitive_to_start():
-    r1, _ = trace_separatrix_backward(2, dense=False)
-    r2, _ = trace_separatrix_backward(2, x_start=2 * backward_start(2), dense=False)
-    assert abs(r1.a_n - r2.a_n) < 1e-9
+    r1 = trace_separatrix_backward(2, dense=False)
+    r2 = trace_separatrix_backward(2, x_start=2 * backward_start(2), dense=False)
+    assert abs(r1.y_end - r2.y_end) < 1e-9
 
 
 def _strip_edge_squares(n):
@@ -142,7 +140,7 @@ _STRIP_START_HEX = {
 
 def test_backward_trace_bits_kept_where_the_start_is_kept():
     for n, want in _STRIP_START_HEX.items():
-        assert trace_separatrix_backward(n, dense=False)[0].a_n.hex() == want, n
+        assert trace_separatrix_backward(n, dense=False).y_end.hex() == want, n
 
 
 # a_n, bit for bit, of n <= 12 from the start before the strip rule reached
@@ -180,7 +178,7 @@ def test_backward_trace_shift_stays_within_the_tolerance_gap():
         old = integrate(rhs_unscaled, x_old, y_old, 0.0, dense=False).y_end
         assert old.hex() == want, n
         x_new = backward_start(n)
-        new = trace_separatrix_backward(n, dense=False)[0].a_n
+        new = trace_separatrix_backward(n, dense=False).y_end
         gaps = (_tolerance_gap(x_old, y_old), _tolerance_gap(x_new, _backward_seed(n, x_new)))
         assert abs(new - old) <= max(*gaps, 1e-12), n
 
@@ -195,7 +193,7 @@ def test_backward_trace_stays_in_the_odd_bundle_strip(n):
     mu = 2 * n - 0.5
     xc = math.sqrt(_strip_edge_squares(n)[0])
     # the per-step samples: a run without dense output keeps only its ends
-    _, traj = trace_separatrix_backward(n)
+    traj = trace_separatrix_backward(n)
     assert traj.x_start > xc
     ws = [x * y - mu for x, y in zip(traj.xs, traj._ys) if x >= xc]
     assert len(ws) > 10
@@ -218,8 +216,8 @@ def test_strip_start_is_insensitive_to_the_seed(n):
 def test_strip_start_takes_fewer_steps_than_x_20():
     # x = 20 was the start of every n = -3..6 before the strip rule
     for n in range(-3, 7):
-        _, new = trace_separatrix_backward(n, dense=False)
-        _, old = trace_separatrix_backward(n, x_start=20.0, dense=False)
+        new = trace_separatrix_backward(n, dense=False)
+        old = trace_separatrix_backward(n, x_start=20.0, dense=False)
         assert new.step_count + new.rejected < old.step_count + old.rejected, n
 
 
@@ -227,8 +225,8 @@ def test_strip_start_never_takes_more_steps_than_t_1_8():
     # n = 7..12 started at t = 1.8 before the strip rule and now take 12-137
     # more attempts from the strip edge, which lies beyond it there
     for n in (*range(13, 301), 1_000, 10_000, 100_000):
-        _, new = trace_separatrix_backward(n, dense=False)
-        _, old = trace_separatrix_backward(n, x_start=1.8 * math.sqrt(2 * n - 0.5), dense=False)
+        new = trace_separatrix_backward(n, dense=False)
+        old = trace_separatrix_backward(n, x_start=1.8 * math.sqrt(2 * n - 0.5), dense=False)
         assert new.step_count <= old.step_count, n
 
 
@@ -244,9 +242,9 @@ def test_strip_start_rejects_a_start_below_the_strip_edge():
 def test_backward_start_agrees_with_the_old_start(n, bound):
     old_start = max(20.0, 3.0 * math.sqrt(n))
     assert backward_start(n) < old_start
-    new, _ = trace_separatrix_backward(n, dense=False)
-    old, _ = trace_separatrix_backward(n, x_start=old_start, dense=False)
-    assert abs(new.a_n - old.a_n) < bound
+    new = trace_separatrix_backward(n, dense=False)
+    old = trace_separatrix_backward(n, x_start=old_start, dense=False)
+    assert abs(new.y_end - old.y_end) < bound
 
 
 def test_backward_trace_stable_under_seed_perturbation():
@@ -266,22 +264,6 @@ def test_forward_instability_witness():
     assert maxima_count(a2 + 1e-6) == maxima_count(a2 - 1e-6) + 1
 
 
-def test_eigenvalue_table_cross_method():
-    table = eigenvalue_table(range(1, 5))
-    for rec in table:
-        assert abs(rec.a_n - REFERENCE[rec.n]) < 1e-5
-        assert rec.residual is not None and rec.residual < 1e-7
-
-
-def test_eigenvalue_table_includes_negative_indices():
-    table = eigenvalue_table(range(-3, 2))
-    assert [r.n for r in table] == [-3, -2, -1, 0, 1]
-    for rec in table:
-        assert abs(rec.a_n - REFERENCE[rec.n]) < 1e-5
-        if rec.n < 1:
-            assert rec.residual is None
-
-
 def test_scaled_separatrix_values():
     s = math.sqrt(2 * 1000 - 0.5)
     t_max = backward_start(1000) / s
@@ -291,8 +273,7 @@ def test_scaled_separatrix_values():
 
     # the trace starts at the strip edge, t = 1.086 at n = 1000
     assert t_max == pytest.approx(1.0863, abs=1e-4)
-    rec, _ = trace_separatrix_backward(1000, dense=False)
-    assert z(0.0) == pytest.approx(rec.a_n / s)
+    assert z(0.0) == pytest.approx(trace_separatrix_backward(1000, dense=False).y_end / s)
     # merges onto the 1/t tail beyond the turning point: in the strip
     # |z - 1/t| = |w|/(mu t) < 1/(3 mu t), about 1.6e-4 here
     for t in (1.05, 1.07, t_max):
@@ -342,16 +323,14 @@ def test_oscillation_amplitude_halves_when_n_doubles():
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
     # tol = 0 would never end the bisection; nan or inf would end it at once
-    # on the seed bracket's midpoint; both readers of tol refuse it before
-    # any integration
+    # on the seed bracket's midpoint; the bisection refuses it before any
+    # integration
     import nel.separatrix
 
     calls = []
     monkeypatch.setattr(nel.separatrix, "integrate", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="tol"):
         find_eigenvalue_bisect(1, tol)
-    with pytest.raises(ValueError, match="tol"):
-        eigenvalue_table(range(-1, 3), tol)
     assert calls == []
 
 
@@ -374,8 +353,6 @@ def test_tol_below_float_spacing_refused_before_any_integration(n, monkeypatch, 
         for tol in (1e-300, math.nextafter(_bracket_floor(n), 0.0)):
             with pytest.raises(ValueError, match="tol"):
                 find_eigenvalue_bisect(n, tol)
-            with pytest.raises(ValueError, match="tol"):
-                eigenvalue_table([-2, 0, 1, n], tol)
     assert calls == []
 
 
@@ -383,10 +360,8 @@ def test_tol_at_float_spacing_ends_the_bisection(deadline):
     # the floor itself is allowed, and the halving reaches it
     floor = _bracket_floor(1)
     with deadline(60):
-        rec = find_eigenvalue_bisect(1, floor)
-    assert abs(rec.a_n - find_eigenvalue_bisect(1).a_n) < 1e-10
-    # only the bisection reads tol: a table of n <= 0 takes any positive one
-    assert [r.n for r in eigenvalue_table([-1, 0], 1e-300)] == [-1, 0]
+        a_n = find_eigenvalue_bisect(1, floor)
+    assert abs(a_n - find_eigenvalue_bisect(1)) < 1e-10
 
 
 # -- the even-bundle trap that ends each maxima count ------------------------
@@ -470,7 +445,7 @@ def test_bisect_takes_two_bracket_checks_and_plain_halvings(monkeypatch):
         return count(a)
 
     monkeypatch.setattr(nel.separatrix, "maxima_count", recorded)
-    a_n = find_eigenvalue_bisect(6).a_n
+    a_n = find_eigenvalue_bisect(6)
     assert len(probes) == 37
     lo, hi = probes[:2]
     for a in probes[2:]:
@@ -484,7 +459,7 @@ def test_bisect_on_the_law_equals_halving_on_located_counts(cross_method_10):
     # route that located each extremum over the whole span
     for n in range(1, 11):
         assert cross_method_10[n][0].hex() == _halving_on_located_count(n).hex(), n
-    assert (find_eigenvalue_bisect(3, 1e-9).a_n.hex()
+    assert (find_eigenvalue_bisect(3, 1e-9).hex()
             == _halving_on_located_count(3, 1e-9).hex())
 
 
