@@ -202,20 +202,6 @@ def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypat
             assert all(r["residual"] <= 1e-7 for r in payload)
 
 
-def test_eigen_both_residuals_by_index(reference_table):
-    # `eigen --n=-3:6 --method both`: every record carries the backward a_n
-    # and its tail; n >= 1 also has the bisection's distance from it, below
-    # 1e-7, and n <= 0, which has no bisection, has none
-    table, _ = reference_table
-    assert [r["n"] for r in table] == list(range(-3, 7))
-    for r in table:
-        assert (r["method"], r["tail_m"]) == ("backward", 2 * r["n"] - 1)
-        if r["n"] >= 1:
-            assert r["residual"] < 1e-7, r
-        else:
-            assert r["residual"] is None, r
-
-
 @pytest.mark.parametrize("method", ["both", "backward", "bisect"])
 def test_eigen_intercepts_must_increase_by_every_method(method, tmp_path, monkeypatch,
                                                         capsys):

@@ -264,6 +264,28 @@ def test_forward_instability_witness():
     assert maxima_count(a2 + 1e-6) == maxima_count(a2 - 1e-6) + 1
 
 
+def test_eigenvalue_table_cross_method(reference_table):
+    # the records of `nel eigen --n=-3:6 --method both`: n >= 1 carries the
+    # backward a_n, its tail, and the bisection's distance from it
+    table, _ = reference_table
+    for rec in table:
+        if rec["n"] >= 1:
+            assert abs(rec["a_n"] - REFERENCE[rec["n"]]) < 1e-5
+            assert (rec["method"], rec["tail_m"]) == ("backward", 2 * rec["n"] - 1)
+            assert rec["residual"] is not None and rec["residual"] < 1e-7, rec
+
+
+def test_eigenvalue_table_includes_negative_indices(reference_table):
+    # n <= 0 is listed too, traced backward, with no bisection to compare
+    table, _ = reference_table
+    assert [r["n"] for r in table] == list(range(-3, 7))
+    for rec in table:
+        assert abs(rec["a_n"] - REFERENCE[rec["n"]]) < 1e-5
+        if rec["n"] < 1:
+            assert (rec["method"], rec["tail_m"]) == ("backward", 2 * rec["n"] - 1)
+            assert rec["residual"] is None, rec
+
+
 def test_scaled_separatrix_values():
     s = math.sqrt(2 * 1000 - 0.5)
     t_max = backward_start(1000) / s
