@@ -472,17 +472,19 @@ def _cmd_pseries(args) -> int:
             outputs.append(out)
         return _finish(args, t0, outputs, payload)
     # roots, the last choice
-    from .pseries import all_roots, ftau_partial_sum
+    from .pseries import partial_sum_roots
 
-    poly = ftau_partial_sum(args.tau_value, args.n)
-    roots, residuals = all_roots(poly)
+    roots, residuals = partial_sum_roots(args.tau_value, args.n)
+    # moduli as rho_n takes them (np.abs and Python's abs can differ in the
+    # last bit), so rho and roots print the same rho
+    mods = np.abs(roots)
     payload = {
         "tau": args.tau_value, "n": args.n,
-        "roots": [{"re": z.real, "im": z.imag, "abs": abs(z), "residual": float(r)}
-                  for z, r in sorted(zip(roots, residuals), key=lambda p: -abs(p[0]))],
+        "roots": [{"re": z.real, "im": z.imag, "abs": float(a), "residual": float(r)}
+                  for z, a, r in sorted(zip(roots, mods, residuals), key=lambda p: -p[1])],
     }
     _write_json(out, payload)
-    return _finish(args, t0, [out], {"rho": max(abs(z) for z in roots)})
+    return _finish(args, t0, [out], {"rho": float(np.max(mods))})
 
 
 def _cmd_fourier(args) -> int:

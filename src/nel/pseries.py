@@ -2,11 +2,27 @@
 
 The coefficient family a_k = exp(i pi tau (k^2 + k)) has unit modulus, so
 every partial sum S_n is a degree-n polynomial whose largest root modulus
-rho_n probes how far outside the unit disk the section zeros reach.  Roots
-are the eigenvalues of stacked companion matrices with Newton polish: a
-single polynomial is a stack of one, and a tau scan solves its grid a chunk
-of rows at a time, serially.  The one Horner evaluator of the package,
-_horner, lives here.
+rho_n probes how far outside the unit disk the section zeros reach.  The
+one Horner evaluator of the package, _horner, lives here.
+
+The half-degree route.  With c = exp(-i pi tau (n + 1)) and z = c zeta,
+S_n(c zeta) = sum_k b_k zeta^k with b_k = exp(i pi tau k (k - n)), and
+k (k - n) is the same integer for k and n - k, so b_k = b_{n-k} exactly:
+the roots come in pairs zeta, 1/zeta.  For n = 2m,
+
+    zeta^-m S_n(c zeta) = b_m + 2 sum_{j=1..m} b_{m-j} T_j(x),
+    x = (zeta + 1/zeta) / 2,
+
+with T_j the Chebyshev polynomials, whose m roots x are the eigenvalues of
+an m x m colleague matrix (I. J. Good, Q. J. Math. 12, 1961).  For
+n = 2m + 1 the terms k and n - k cancel at zeta = -1; the quotient by
+zeta + 1, u_0 = b_0 and u_k = b_k - u_{k-1}, is palindromic of degree 2m
+and is treated the same way.  Each x gives zeta = x +- sqrt(x^2 - 1), each
+zeta the root z = c zeta, plus z = -c for odd n; then two guarded Newton
+steps on S_n.  rho_n, partial_sum_roots and tau_scan share this solver,
+one LAPACK call for a stack of rows, a quarter of the matrix entries of the
+degree-n companion matrix.  all_roots, the generic companion-matrix route,
+is the reference route the tests check it against.
 
 Useful structure, exact in the phase arithmetic used here: a_k(tau + 1) =
 a_k(tau) (k^2 + k is even) and a_k(1 - tau) = conj(a_k(tau)), so rho_n is
@@ -24,13 +40,14 @@ __all__ = [
     "ComplexPolynomial",
     "ftau_partial_sum",
     "all_roots",
+    "partial_sum_roots",
     "rho_n",
     "tau_scan",
     "ScanResult",
 ]
 
 
-# A tau scan solves this many (rows x degree^2) companion-matrix entries at a time.
+# A tau scan solves this many (rows x m^2) colleague-matrix entries at a time, m = n // 2.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -51,18 +68,24 @@ class ComplexPolynomial:
         return len(self.coefficients) - 1
 
 
-def ftau_partial_sum(tau: float, n: int) -> ComplexPolynomial:
-    """S_n with coefficients exp(i pi tau (k^2 + k)), k = 0..n.
+def _unit_phases(tau: float, ks) -> list[complex]:
+    """exp(i pi tau k) for each integer k in ks.
 
-    The phase tau (k^2 + k) is reduced mod 2 exactly, in integers over the
-    binary denominator of tau, before multiplying by pi, which keeps the
-    coefficients accurate at k ~ 200 where the raw phase is ~1e5.
+    The phase tau k is reduced mod 2 exactly, in integers over the binary
+    denominator of tau, before multiplying by pi, which keeps the values
+    accurate at k ~ 1e5.
     """
+    num, den = tau.as_integer_ratio()    # exact binary value of the float
+    phases = [math.pi * (num * k % (2 * den) / den) for k in ks]
+    return [complex(math.cos(p), math.sin(p)) for p in phases]
+
+
+def ftau_partial_sum(tau: float, n: int) -> ComplexPolynomial:
+    """S_n with coefficients exp(i pi tau (k^2 + k)), k = 0..n, each phase
+    reduced mod 2 exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num, den = tau.as_integer_ratio()    # exact binary value of the float
-    phases = [math.pi * (num * (k * k + k) % (2 * den) / den) for k in range(n + 1)]
-    return ComplexPolynomial(tuple(complex(math.cos(p), math.sin(p)) for p in phases))
+    return ComplexPolynomial(tuple(_unit_phases(tau, (k * k + k for k in range(n + 1)))))
 
 
 def _horner(c, s):
@@ -77,21 +100,14 @@ def _horner(c, s):
     return p, dp
 
 
-def _roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, residuals |p(z_i)|) for each row of a (rows, d + 1) array of
-    ascending coefficients with nonzero leading entries.
+def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, residuals |p(z)|) after two Newton steps on each row's polynomial,
+    each kept only where it lowers |p|.
 
-    The roots are the eigenvalues of the rows' monic companion matrices, one
-    LAPACK call for the stack (a backward-stable root finder: Edelman and
-    Murakami, Math. Comp. 64, 1995), then two Newton steps, each kept only
-    where it lowers |p|.  Every operation acts on one row at a time, so a row
+    coeffs is a (rows, d + 1) array of ascending coefficients and z holds
+    each row's roots.  Every operation acts on one row at a time, so a row
     gets the same bits in any batch.
     """
-    rows, d = coeffs.shape[0], coeffs.shape[1] - 1
-    companion = np.zeros((rows, d, d), dtype=complex)
-    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    z = np.linalg.eigvals(companion)
     cols = coeffs.T[:, :, None]
     # at a multiple root p' = 0 and the step overflows; |p| then rejects it
     with np.errstate(all="ignore"):
@@ -107,16 +123,66 @@ def _roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def all_roots(poly: ComplexPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """All degree roots (as a complete multiset) plus residuals |p(z_i)|.
 
-    Companion-matrix eigenvalues, Newton-polished; residuals are small
+    The reference route for any polynomial: the eigenvalues of the monic
+    degree-d companion matrix (a backward-stable root finder: Edelman and
+    Murakami, Math. Comp. 64, 1995), Newton-polished; residuals are small
     against the coefficient scale sum|a_k| max(1,|z|)^n.
     """
-    roots, residuals = _roots(np.asarray([poly.coefficients], dtype=complex))
+    coeffs = np.asarray([poly.coefficients], dtype=complex)
+    d = poly.degree
+    companion = np.zeros((1, d, d), dtype=complex)
+    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots, residuals = _polish(coeffs, np.linalg.eigvals(companion))
+    return roots[0], residuals[0]
+
+
+def _section_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, residuals |S_n(z_i)|), each (len(taus), n), of the partial
+    sums S_n at each tau, by the half-degree route of the module docstring.
+
+    One LAPACK call solves the stack of colleague matrices.  Every operation
+    acts on one row at a time, so a row gets the same bits in any batch.
+    """
+    coeffs = np.array([ftau_partial_sum(t, n).coefficients for t in taus])
+    m, odd = divmod(n, 2)
+    b = np.array([_unit_phases(t, (k * (k - n) for k in range(m + 1))) for t in taus])
+    c = np.array([_unit_phases(t, (-(n + 1),)) for t in taus])
+    if odd:
+        # u_k = b_k - u_{k-1} as one sequential sum; the sign flips are exact
+        sign = (-1.0) ** np.arange(m + 1)
+        b = sign * np.cumsum(sign * b, axis=1)
+    rows = len(taus)
+    x = np.empty((rows, 0), dtype=complex)
+    if m:
+        # the colleague matrix of sum_j alpha_j T_j(x), alpha_0 = b_m and
+        # alpha_j = 2 b_{m-j}: row 0 from x T_0 = T_1, rows j from x T_j =
+        # (T_{j-1} + T_{j+1}) / 2, and the last row closed by T_m = -sum_{j<m}
+        # alpha_j T_j / alpha_m; for m = 1 that row is row 0
+        alpha = np.concatenate([b[:, m:], 2 * b[:, m - 1::-1]], axis=1)
+        colleague = np.zeros((rows, m, m), dtype=complex)
+        i = np.arange(m - 1)
+        colleague[:, i, i + 1] = colleague[:, i + 1, i] = 0.5
+        colleague[:, 0, 1:2] = 1.0
+        colleague[:, -1, :] -= (0.5 if m > 1 else 1.0) * alpha[:, :m] / alpha[:, m:]
+        x = np.linalg.eigvals(colleague)
+    s = np.sqrt((x - 1) * (x + 1))
+    zeta = x + np.where((x.conj() * s).real < 0, -s, s)       # |zeta| >= 1
+    z = c * np.concatenate([zeta, 1 / zeta, -np.ones((rows, odd))], axis=1)
+    return _polish(coeffs, z)
+
+
+def partial_sum_roots(tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n roots of the degree-n partial sum plus residuals |S_n(z_i)|,
+    by the half-degree route; all_roots(ftau_partial_sum(tau, n)) is the
+    reference route for the same multiset."""
+    roots, residuals = _section_roots([tau], n)
     return roots[0], residuals[0]
 
 
 def rho_n(tau: float, n: int) -> float:
     """Largest root modulus of the degree-n partial sum."""
-    roots, _ = all_roots(ftau_partial_sum(tau, n))
+    roots, _ = partial_sum_roots(tau, n)
     return float(np.max(np.abs(roots)))
 
 
@@ -134,10 +200,10 @@ def tau_scan(tau_start: float, tau_end: float, step: float, n: int) -> ScanResul
     """rho_n over a tau grid, with local maxima and symmetry gaps reported.
 
     Serial, one stacked eigenvalue call per chunk of grid points, sized so
-    the (points, n, n) companion matrices hold about _CHUNK_ELEMENTS
-    entries; each rho equals rho_n at its tau, bit for bit.  ``failures``
-    stays empty: a point whose eigenvalues fail to converge raises
-    numpy.linalg.LinAlgError.
+    the (points, m, m) colleague matrices, m = n // 2, hold about
+    _CHUNK_ELEMENTS entries; each rho equals rho_n at its tau, bit for bit.
+    ``failures`` stays empty: a point whose eigenvalues fail to converge
+    raises numpy.linalg.LinAlgError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -146,11 +212,10 @@ def tau_scan(tau_start: float, tau_end: float, step: float, n: int) -> ScanResul
     count = int(round((tau_end - tau_start) / step)) + 1
     taus = [tau_start + i * step for i in range(count) if tau_start + i * step <= tau_end + 1e-12]
 
-    coeffs = np.array([ftau_partial_sum(t, n).coefficients for t in taus])
-    chunk = max(1, _CHUNK_ELEMENTS // n ** 2)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n // 2) ** 2)
     rhos = []
     for i in range(0, len(taus), chunk):
-        rhos += np.max(np.abs(_roots(coeffs[i:i + chunk])[0]), axis=1).tolist()
+        rhos += np.max(np.abs(_section_roots(taus[i:i + chunk], n)[0]), axis=1).tolist()
     maxima = []
     for i in range(1, len(rhos) - 1):
         if rhos[i] >= rhos[i - 1] and rhos[i] > rhos[i + 1]:

@@ -338,8 +338,9 @@ def test_criterion_12_partial_sum_root_moduli(fig8_scan):
 
 def test_criterion_12_reflection_by_companion_matrix():
     # Code outside nel.pseries: coefficients exp(i pi tau (k^2 + k)) built
-    # here, roots from numpy's companion-matrix eigenvalues.  nel.pseries
-    # uses the same algorithm; the winding-count test below shares none.
+    # here, roots from numpy's companion-matrix eigenvalues.  nel.pseries'
+    # rho_n takes the half-degree colleague route, so this check shares none
+    # of its algorithm; neither does the winding-count test below.
     def rho50(tau):
         k = np.arange(51)
         coeffs = np.exp(1j * np.pi * ((tau * (k * k + k)) % 2.0))

@@ -84,6 +84,19 @@ def test_pseries_rho_stdout(tmp_path, capsys):
     assert abs(payload["rho"] - 1.70002) < 5e-3
 
 
+@pytest.mark.parametrize("n", [50, 51])
+def test_pseries_roots_and_rho_print_the_same_rho(n, tmp_path, capsys):
+    # the roots file's moduli, its summary and rho's payload are one value
+    out = tmp_path / "roots.json"
+    argv = ["--tau-value", "0.378", "--n", str(n)]
+    _, rho_stdout, _ = run_cli(["pseries", "rho", *argv], capsys)
+    _, roots_stdout, _ = run_cli(["pseries", "roots", *argv, "--out", str(out)], capsys)
+    rho = json.loads(rho_stdout)["rho"]
+    assert json.loads(roots_stdout)["rho"].hex() == rho.hex()
+    roots = json.loads(out.read_text())["roots"]
+    assert len(roots) == n and roots[0]["abs"].hex() == rho.hex()
+
+
 def test_extrapolate_raw_values(tmp_path, capsys):
     out = tmp_path / "x.json"
     code, stdout, _ = run_cli(["extrapolate", "--values", "4,3.5,3.25,3.125",
@@ -360,7 +373,7 @@ def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys
     import nel.pseries
 
     calls = []
-    for name in ("tau_scan", "all_roots", "ftau_partial_sum"):
+    for name in ("tau_scan", "partial_sum_roots", "all_roots", "ftau_partial_sum"):
         monkeypatch.setattr(nel.pseries, name,
                             lambda *a, _n=name, **k: calls.append(_n))
     code, _, err = run_cli(["pseries", task], capsys)
@@ -385,7 +398,7 @@ def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monke
     import nel.pseries
 
     calls = []
-    for name in ("tau_scan", "rho_n", "all_roots", "ftau_partial_sum"):
+    for name in ("tau_scan", "rho_n", "partial_sum_roots", "all_roots", "ftau_partial_sum"):
         monkeypatch.setattr(nel.pseries, name,
                             lambda *a, _n=name, **k: calls.append(_n))
     code, _, err = run_cli(["pseries", *argv, "--out", str(tmp_path / "x.out")], capsys)

@@ -30,6 +30,9 @@ KEEP = {
     "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
     "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
     "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
+    "nel.pseries.all_roots": "the reference route the tests check partial_sum_roots and "
+                             "rho_n against",
+    "nel.pseries.ftau_partial_sum": "builds S_n for that reference route",
     "nel.separatrix.maxima_count": "find_eigenvalue_bisect calls it",
     "nel.separatrix.backward_start": "trace_separatrix_backward starts from it",
 }

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nel.pseries
-from nel.pseries import ComplexPolynomial, all_roots, ftau_partial_sum, rho_n, tau_scan
+from nel.pseries import (ComplexPolynomial, all_roots, ftau_partial_sum, partial_sum_roots,
+                         rho_n, tau_scan)
 
 CUBIC_RHO = 1.7000157758867895        # largest root modulus of 1+iz-iz^2-z^3
 DEG7_RHO = 1.7804366187866512         # ... of the tau=3/8 period numerator
@@ -114,18 +115,62 @@ def test_tau_scan_ignores_worker_environment(monkeypatch):
 
 def test_batch_rows_equal_rows_solved_alone():
     taus = (0.0, 0.25, 0.378, 0.5, 0.61, 0.8574042765875693)
-    coeffs = np.array([ftau_partial_sum(t, 20).coefficients for t in taus])
-    roots, residuals = nel.pseries._roots(coeffs)
-    for t, r, res in zip(taus, roots, residuals):
-        alone, alone_res = all_roots(ftau_partial_sum(t, 20))
-        assert r.tobytes() == alone.tobytes() and res.tobytes() == alone_res.tobytes()
+    for n in (20, 21):
+        roots, residuals = nel.pseries._section_roots(taus, n)
+        for t, r, res in zip(taus, roots, residuals):
+            alone, alone_res = partial_sum_roots(t, n)
+            assert r.tobytes() == alone.tobytes() and res.tobytes() == alone_res.tobytes()
 
 
-def test_tau_scan_across_chunks_equals_points_alone():
-    # 31 points at degree 50 span three chunks of the batched solver
-    sr = tau_scan(0.37, 0.385, 0.0005, 50)
-    assert len(sr.taus) == 31 > nel.pseries._CHUNK_ELEMENTS // 50 ** 2
+def test_tau_scan_across_chunks_equals_points_alone(monkeypatch):
+    # the chunks are counted as the scan makes them, one stacked eigenvalue
+    # call each, so a change to the chunk rule cannot leave this scan in one
+    eigvals, stacks = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(len(a)) or eigvals(a))
+    sr = tau_scan(0.37, 0.43, 0.0005, 50)
+    monkeypatch.undo()
+    assert len(stacks) >= 3 and sum(stacks) == len(sr.taus) == 121
     assert sr.rhos == tuple(rho_n(t, 50) for t in sr.taus)
+
+
+# tau = 1/2 with n = 3 (mod 4) is the one point where the two routes part:
+# there S_n has near-multiple roots on |z| = 1, which neither route resolves
+# past ~1e-8 (both differ from numpy.roots by as much)
+NEAR_MULTIPLE_TOL = 1e-7
+REFERENCE_TAUS = (0.5, 0.378, *np.random.default_rng(7).random(4), 0.0, 0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20, 21, 49, 50, 99, 100, 499, 500])
+def test_rho_matches_the_companion_reference(n):
+    # n = 1..4 reach the half-degree route's m = 0 and m = 1 colleague cases;
+    # the companion matrix at 499 and 500 is slow, so three taus there
+    for tau in REFERENCE_TAUS[:3] if n > 400 else REFERENCE_TAUS:
+        pool, _ = all_roots(ftau_partial_sum(tau, n))
+        want = float(np.max(np.abs(pool)))
+        near_multiple = tau == 0.5 and n % 4 == 3
+        tol = NEAR_MULTIPLE_TOL if near_multiple else 1e-14
+        assert abs(rho_n(tau, n) - want) <= tol * want, (tau, n)
+        # and the same multiset of roots, matched greedily nearest first
+        for z in partial_sum_roots(tau, n)[0]:
+            j = np.argmin(np.abs(pool - z))
+            assert abs(pool[j] - z) <= (NEAR_MULTIPLE_TOL if near_multiple else 1e-12), (tau, n)
+            pool = np.delete(pool, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 50, 99])
+def test_companion_roots_pair_under_the_palindromic_identity(n):
+    # independent of the half-degree route: b_k = b_{n-k} makes the roots
+    # of S_n closed under z -> omega / z, omega = exp(-2 pi i tau (n + 1)),
+    # and for odd n puts one at z = -c, c = exp(-i pi tau (n + 1))
+    for tau in np.random.default_rng(11).random(8):
+        poly = ftau_partial_sum(float(tau), n)
+        roots, _ = all_roots(poly)
+        omega = cmath.exp(-2j * math.pi * tau * (n + 1))
+        for z in roots:
+            assert np.min(np.abs(roots - omega / z)) <= 1e-10, (tau, n, z)
+        if n % 2:
+            c = cmath.exp(-1j * math.pi * tau * (n + 1))
+            assert abs(np.polyval(poly.coefficients[::-1], -c)) <= 1e-12 * (n + 1)
 
 
 def test_polish_keeps_roots_where_newton_overflows():
