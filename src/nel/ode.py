@@ -3,12 +3,12 @@
 Explicit embedded Runge-Kutta pair for scalar and (y, y') pair first-order
 systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Each
-accepted step has a record of the coefficients of the standard quartic
-interpolant: each loop stores the step's stages and builds all records in
-numpy passes after its last step.  A scalar run without dense output keeps
-only its first and last sample.
+accepted step keeps the record of its stages that the loop stored; a read
+builds the standard quartic interpolant of each step it touches from that
+record, the step's left sample and the next step's first stage.  A scalar
+run without dense output keeps only its first and last sample.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
-the records at a whole array of abscissae in the covered interval; the
+the dense output at a whole array of abscissae in the covered interval; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
 ``find_extrema`` and the package's other cheap root searches run one
 lockstep bisection, ``_bisect``; both eigenvalue ladders, the cosine
@@ -87,7 +87,6 @@ _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
 
-_DENSE_CHUNK = 4096   # scalar steps per numpy pass that builds dense records
 _XTOL = 1e-10         # find_extrema's bisection width
 _SECANT_WIDTH = 1e-2  # _find_flip halves wider brackets
 # Secant overshoot, see _secant_probe.  Over Painleve-I y0 in -3..5 the secant
@@ -118,12 +117,16 @@ class Trajectory:
 
     ``xs`` holds the accepted step endpoints (strictly monotone in the
     integration direction); a scalar run without dense output keeps only
-    its first and last sample.  For each step i the flat ``_dense`` array holds
-    [h, y_left..., q1..., q2..., q3..., q4...] so that on x in
-    [xs[i], xs[i+1]]:
+    its first and last sample.  For each step i the flat ``_dense`` array
+    holds the stage record [hs, k1..., k3..., k4..., k5..., k6...]: the
+    signed step hs from xs[i] to xs[i+1] and its stage slopes, each k of
+    ``dim`` components.  With y_left = the sample at xs[i] and k7
+    = the next step's k1, or ``_f_end`` after the last step, a read builds
 
-        y(x) = y_left + h*(q1*th + q2*th^2 + q3*th^3 + q4*th^4),
-        th = (x - xs[i]) / h.
+        q1 = k1,  q_j = P1j*k1 + P3j*k3 + P4j*k4 + P5j*k5 + P6j*k6 + P7j*k7
+        (j = 2, 3, 4),
+        y(x) = y_left + hs*(q1*th + q2*th^2 + q3*th^3 + q4*th^4),
+        th = (x - xs[i]) / hs.
     """
 
     __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "rejected",
@@ -138,7 +141,7 @@ class Trajectory:
         self.rejected = 0                    # attempts the controller turned down
         self.rhs_evals = 0                   # inline model-field stages included
         self._dense: array | None = None
-        self._f_end: float | None = None     # y' at the last sample, scalar only
+        self._f_end = None                   # y' at the last sample: k1, or (k1, l1)
         self.stopped = False
 
     # -- samples -------------------------------------------------------
@@ -167,9 +170,11 @@ class Trajectory:
     # -- dense output ----------------------------------------------------
 
     def _steps(self, xs):
-        """(th, rec): each abscissa's offset th = (x - x_i)/h into its step i,
-        as a column, and step i's dense record.  ValueError outside the
-        trajectory (NaN included) or without dense output."""
+        """(th, h, y_left, q1, q2, q3, q4) of each abscissa's step i: its
+        offset th = (x - x_i)/h into the step and h as columns, and the
+        step's left sample and quartic coefficients, shape (len(xs), dim).
+        ValueError outside the trajectory (NaN included) or without dense
+        output."""
         if self._dense is None:
             raise ValueError("trajectory was integrated without dense output")
         x = np.asarray(xs, dtype=float)
@@ -178,9 +183,21 @@ class Trajectory:
         if not (((x - nodes[0]) * d >= 0) & ((x - nodes[-1]) * d <= 0)).all():
             raise ValueError(f"abscissa outside trajectory range [{nodes[0]}, {nodes[-1]}]")
         # the step a node starts; the end node closes the last step
-        i = np.minimum(np.searchsorted(nodes * d, x * d, side="right") - 1, len(nodes) - 2)
-        rec = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * self.dim)[i]
-        return (x[:, None] - nodes[i][:, None]) / rec[:, :1], rec
+        last = len(nodes) - 2
+        i = np.minimum(np.searchsorted(nodes * d, x * d, side="right") - 1, last)
+        dim = self.dim
+        stages = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * dim)
+        rec = stages[i]
+        h = rec[:, :1]
+        k1, k3, k4, k5, k6 = (rec[:, 1 + j * dim:1 + (j + 1) * dim] for j in range(5))
+        # k7 is the next step's k1, y' at the last sample after the last step
+        k7 = stages[np.minimum(i + 1, last), 1:1 + dim]
+        k7[i == last] = self._f_end
+        q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
+        q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
+        q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
+        y_left = np.frombuffer(self._ys, dtype=float).reshape(-1, dim)[i]
+        return (x[:, None] - nodes[i][:, None]) / h, h, y_left, k1, q2, q3, q4
 
     def __call__(self, x: float):
         return (float if self.dim == 1 else tuple)(self.sample([x])[0].tolist())
@@ -193,12 +210,9 @@ class Trajectory:
         scalar, else (len(xs), dim).  Raises ValueError for an abscissa
         outside the trajectory (NaN included) or without dense output.
         """
-        th, rec = self._steps(xs)
-        dim = self.dim
-        h = rec[:, :1]
-        y0, q1, q2, q3, q4 = (rec[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(5))
+        th, h, y0, q1, q2, q3, q4 = self._steps(xs)
         y = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
-        return y[:, 0] if dim == 1 else y
+        return y[:, 0] if self.dim == 1 else y
 
     def slope(self, xs) -> np.ndarray:
         """Derivative of the dense output at each abscissa in ``xs`` of a
@@ -206,9 +220,7 @@ class Trajectory:
         as ``sample``."""
         if self.dim != 1:
             raise ValueError("slope requires a scalar trajectory")
-        th, rec = self._steps(xs)
-        th = th[:, 0]
-        q1, q2, q3, q4 = rec[:, 2], rec[:, 3], rec[:, 4], rec[:, 5]
+        th, _, _, q1, q2, q3, q4 = (c[:, 0] for c in self._steps(xs))
         return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
 
 
@@ -229,7 +241,7 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     ``stop_when(x, y)`` returns true after an accepted step, integration
     ends there and the trajectory is flagged ``stopped``.
 
-    ``dense=False`` builds no dense records, so ``sample`` and ``slope``
+    ``dense=False`` stores no stage records, so ``sample`` and ``slope``
     refuse the trajectory, and a scalar run keeps only its first and last
     sample; its ends and counts are those of the dense run.
 
@@ -260,15 +272,24 @@ def _checked_step(h: float, x0: float) -> float:
     return h
 
 
-def _initial_step_scalar(f, x0, y0, f0, direction, rtol, atol, span):
-    sc = atol + rtol * abs(y0)
-    d0 = abs(y0) / sc
-    d1 = abs(f0) / sc
+def _first_step(f, x0, y0, f0, x1, cfg) -> float:
+    """The first step from x0 toward x1: ``cfg.initial_step`` clipped to the
+    span, or the automatic choice (Hairer, Norsett and Wanner, II.4) from
+    the tuples y0 and f0 = f(x0, y0), in the scaled RMS norm of the
+    components; f maps (x, tuple) to a tuple.  The RMS of one component u
+    is math.sqrt(u ** 2) = |u| for 1e-150 < |u| < 1e150."""
+    span = abs(x1 - x0)
+    if cfg.initial_step > 0:
+        return min(cfg.initial_step, span)
+    direction = 1 if x1 > x0 else -1
+    n = len(y0)
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
+    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc)) / n)
+    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc)) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = _checked_step(min(h0, span), x0)
-    y1 = y0 + h0 * direction * f0
-    f1 = f(x0 + h0 * direction, y1)
-    d2 = abs(f1 - f0) / sc / h0
+    f1 = f(x0 + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y0, f0)))
+    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -284,7 +305,6 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     cos, isfinite = math.cos, math.isfinite
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
-    span = abs(x1 - x0)
     traj = Trajectory(1, direction)
     xs_append, ys_append = traj.xs.append, traj._ys.append
     dn = array("d") if dense else None
@@ -297,10 +317,7 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     xs_append(x)
     ys_append(y)
 
-    if cfg.initial_step > 0:
-        h = min(cfg.initial_step, span)
-    else:
-        h = _initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span)
+    h = _first_step(lambda x, s: (f(x, s[0]),), x0, (y0,), (k1,), x1, cfg)
     err_prev = 1.0
     fac_max = _FAC_MAX
     ay = abs(y)
@@ -368,54 +385,8 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     traj.rejected = rejected
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
     traj._f_end = k1
-    if dense:
-        _dense_records(dn, traj._ys, (k1,))
     traj._dense = dn
     return traj
-
-
-def _dense_records(dn, ys, f_end):
-    """Rewrite a loop's stage records [hs, k1, k3, k4, k5, k6], each k of
-    d = len(f_end) components, in place, _DENSE_CHUNK steps per numpy pass,
-    into the dense records [h, y_left, q1, q2, q3, q4] of ``Trajectory``.
-    y_left is the step's left sample and k7 the next step's k1 (``f_end``,
-    y' at the last sample, after the last step).  Each q sums the same
-    products in the same order as a per-step build, and numpy rounds every
-    product and sum on its own, so the bits agree."""
-    d = len(f_end)
-    rec = np.frombuffer(dn, dtype=float).reshape(-1, 1 + 5 * d)
-    y_left = np.frombuffer(ys, dtype=float).reshape(-1, d)
-    n = len(rec)
-    for a in range(0, n, _DENSE_CHUNK):
-        b = min(a + _DENSE_CHUNK, n)
-        r = rec[a:b]
-        k1, k3, k4, k5, k6 = (r[:, 1 + j * d:1 + (j + 1) * d] for j in range(5))
-        # k7 views the k1 columns of this chunk's later rows: build every q
-        # before those columns are overwritten
-        k7 = (rec[a + 1:b + 1, 1:1 + d] if b < n
-              else np.concatenate((rec[a + 1:, 1:1 + d], [f_end])))
-        q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
-        q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
-        q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
-        r[:, 1 + d:1 + 2 * d] = k1
-        r[:, 1:1 + d] = y_left[a:b]
-        r[:, 1 + 2 * d:1 + 3 * d], r[:, 1 + 3 * d:1 + 4 * d], r[:, 1 + 4 * d:] = q2, q3, q4
-
-
-def _initial_step_pair(f, x0, y0, f0, direction, rtol, atol, span):
-    (y, v), (k, l) = y0, f0
-    scu, scw = atol + rtol * abs(y), atol + rtol * abs(v)
-    d0 = math.sqrt(((y / scu) ** 2 + (v / scw) ** 2) / 2)
-    d1 = math.sqrt(((k / scu) ** 2 + (l / scw) ** 2) / 2)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = _checked_step(min(h0, span), x0)
-    k1, l1 = f(x0 + h0 * direction, (y + h0 * direction * k, v + h0 * direction * l))
-    d2 = math.sqrt((((k1 - k) / scu) ** 2 + ((l1 - l) / scw) ** 2) / 2) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return _checked_step(min(100 * h0, h1, span), x0)
 
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
@@ -427,7 +398,6 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     isfinite, sqrt = math.isfinite, math.sqrt
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
-    span = abs(x1 - x0)
     traj = Trajectory(2, direction)
     xs, ys = traj.xs, traj._ys
     dn = array("d") if dense else None
@@ -439,13 +409,11 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     xs.append(x)
     ys.extend(y0)
 
-    if cfg.initial_step > 0:
-        h = min(cfg.initial_step, span)
-    else:
-        h = _initial_step_pair(f, x0, y0, (k1, l1), direction, rtol, atol, span)
+    h = _first_step(f, x0, y0, (k1, l1), x1, cfg)
     err_prev = 1.0
     fac_max = _FAC_MAX
     ay, av = abs(y), abs(v)
+    rejected = 0
 
     for attempt in range(1, cfg.max_steps + 1):
         rem = x1 - x if direction > 0 else x - x1   # |x1 - x|: x never passes x1
@@ -515,6 +483,7 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
             err_prev = 1e-4 if 1e-4 > err else err
             fac_max = _FAC_MAX
         else:
+            rejected += 1
             fac = _SAFETY * err ** -0.2
             h *= fac if fac > _FAC_MIN else _FAC_MIN
             fac_max = 1.0
@@ -523,11 +492,10 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     else:
         raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
-    traj.step_count = steps = len(traj.xs) - 1
-    traj.rejected = attempt - steps
+    traj.step_count = attempt - rejected
+    traj.rejected = rejected
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
-    if dense:
-        _dense_records(dn, traj._ys, (k1, l1))
+    traj._f_end = (k1, l1)
     traj._dense = dn
     return traj
 
@@ -636,7 +604,7 @@ def find_extrema(traj: Trajectory) -> list[tuple[float, float, str]]:
 
     nodes = np.frombuffer(traj.xs, dtype=float)
     # y' at every node: each step's k1 column, then the final derivative
-    fs = np.append(np.frombuffer(traj._dense, dtype=float)[2::6], traj._f_end)
+    fs = np.append(np.frombuffer(traj._dense, dtype=float)[1::6], traj._f_end)
     a, b = nodes[:-1, None], nodes[1:, None]
     inner = a + (b - a) * np.array([0.25, 0.5, 0.75])
     # per step: the five probes a, a + w/4, a + w/2, a + 3w/4, b

@@ -175,13 +175,21 @@ def _section_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray]:
 def partial_sum_roots(tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n roots of the degree-n partial sum plus residuals |S_n(z_i)|,
     by the half-degree route; all_roots(ftau_partial_sum(tau, n)) is the
-    reference route for the same multiset."""
+    reference route for the same multiset.
+
+    At tau = 1/2 with n = 3 (mod 4), S_n = (1 - z)^2 (1 + z) (1 - z^(n+1))
+    / (1 - z^4) has a double root at z = 1, which either route returns as a
+    pair about 1e-8 = O(sqrt(eps)) away from it."""
     roots, residuals = _section_roots([tau], n)
     return roots[0], residuals[0]
 
 
 def rho_n(tau: float, n: int) -> float:
-    """Largest root modulus of the degree-n partial sum."""
+    """Largest root modulus of the degree-n partial sum.
+
+    At tau = 1/2 with n = 3 (mod 4) every root lies on |z| = 1 and rho = 1
+    exactly, but z = 1 is a double root, so the value reads 1 + 3e-9 to
+    1 + 8e-9 (n = 3, 7, 11, 99, 499): only about 8 digits hold there."""
     roots, _ = partial_sum_roots(tau, n)
     return float(np.max(np.abs(roots)))
 

@@ -16,7 +16,7 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
                      _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY,
                      IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
-                     _initial_step_scalar, find_extrema, integrate)
+                     find_extrema, integrate)
 from nel.painleve import _Y_POLE, integrate_with_poles, painleve_rhs, pole_series_eval
 from nel.separatrix import _backward_seed, _forward_span, backward_start
 
@@ -218,29 +218,69 @@ def test_sample_equals_point_reads_bitwise(y0, span, backward, fracs):
     assert (_bits(traj.slope(xs)) == _bits([_layout_slope(traj, x) for x in xs])).all()
 
 
-def _layout_read(traj, x):
-    """Point read written from the documented _dense layout
-    [h, y_left..., q1..., q2..., q3..., q4...] per step."""
-    d, nodes = traj.dim, traj.xs
-    i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
-            len(nodes) - 2)
-    rec = traj._dense[i * (1 + 5 * d):(i + 1) * (1 + 5 * d)]
-    h = rec[0]
-    th = (x - nodes[i]) / h
-    return [rec[1 + c] + h * th * (rec[1 + d + c] + th * (rec[1 + 2 * d + c]
-            + th * (rec[1 + 3 * d + c] + th * rec[1 + 4 * d + c])))
-            for c in range(d)]
+def _quartic(traj, i):
+    """(hs, y_left, q1, q2, q3, q4) of step i, all but hs lists over the
+    components, built as the Trajectory docstring documents: from the
+    step's stage record [hs, k1..., k3..., k4..., k5..., k6...], its left
+    sample and k7, the next step's k1 or ``_f_end`` after the last step."""
+    d, dn = traj.dim, traj._dense
+    w = 1 + 5 * d
+    hs = dn[i * w]
+    k1, k3, k4, k5, k6 = (dn[i * w + 1 + j * d:i * w + 1 + (j + 1) * d] for j in range(5))
+    if (i + 2) * w <= len(dn):
+        k7 = dn[(i + 1) * w + 1:(i + 1) * w + 1 + d]
+    else:
+        k7 = traj._f_end if d > 1 else [traj._f_end]
+    q = [[pa * k1[c] + pb * k3[c] + pc * k4[c] + pd * k5[c] + pe * k6[c] + pf * k7[c]
+          for c in range(d)]
+         for pa, pb, pc, pd, pe, pf in ((_P12, _P32, _P42, _P52, _P62, _P72),
+                                        (_P13, _P33, _P43, _P53, _P63, _P73),
+                                        (_P14, _P34, _P44, _P54, _P64, _P74))]
+    return hs, traj._ys[i * d:(i + 1) * d], k1, *q
 
 
-def _layout_slope(traj, x):
-    """Derivative read of a scalar trajectory written from the same layout:
-    y'(x) = q1 + 2 q2 th + 3 q3 th^2 + 4 q4 th^3."""
+def _step_of(traj, x):
     nodes = traj.xs
-    i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
-            len(nodes) - 2)
-    h, _, q1, q2, q3, q4 = traj._dense[6 * i:6 * i + 6]
-    th = (x - nodes[i]) / h
+    return min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
+               len(nodes) - 2)
+
+
+def _layout_read(traj, x, i=None):
+    """Point read written from the documented _dense layout: the value at x
+    of step i's quartic, y_left + hs*th*(q1 + th*(q2 + ...)); by default i
+    is the step x falls in."""
+    i = _step_of(traj, x) if i is None else i
+    hs, y, q1, q2, q3, q4 = _quartic(traj, i)
+    th = (x - traj.xs[i]) / hs
+    return [y[c] + hs * th * (q1[c] + th * (q2[c] + th * (q3[c] + th * q4[c])))
+            for c in range(traj.dim)]
+
+
+def _layout_slope(traj, x, i=None):
+    """Derivative read of a scalar trajectory from the same layout:
+    y'(x) = q1 + 2 q2 th + 3 q3 th^2 + 4 q4 th^3."""
+    i = _step_of(traj, x) if i is None else i
+    hs, _, (q1,), (q2,), (q3,), (q4,) = _quartic(traj, i)
+    th = (x - traj.xs[i]) / hs
     return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
+
+
+def _reads_equal_layout(got, ref):
+    """got's reads at every node and at th = 1/4, 1/2, 3/4 of each step equal
+    the layout reads of ref's records, bit for bit: values, and derivatives
+    of a scalar trajectory."""
+    xs, steps = [], []
+    for i in range(len(got.xs) - 1):
+        a, b = got.xs[i], got.xs[i + 1]
+        xs += [a] + [a + (b - a) * frac for frac in (0.25, 0.5, 0.75)]
+        steps += [i] * 4
+    xs.append(got.xs[-1])
+    steps.append(len(got.xs) - 2)
+    want = [_layout_read(ref, x, i) for i, x in zip(steps, xs)]
+    assert (_bits(got.sample(xs)).reshape(len(xs), -1) == _bits(want)).all()
+    if got.dim == 1:
+        want = [_layout_slope(ref, x, i) for i, x in zip(steps, xs)]
+        assert (_bits(got.slope(xs)) == _bits(want)).all()
 
 
 def _scalar_find_extrema(traj, xtol=1e-10):
@@ -248,7 +288,7 @@ def _scalar_find_extrema(traj, xtol=1e-10):
     time, on the layout reads above: the route the lockstep version
     replaced, kept as its reference."""
     out = []
-    xs, fs = traj.xs, [*traj._dense[2::6], traj._f_end]
+    xs, fs = traj.xs, [*traj._dense[1::6], traj._f_end]
     for i in range(len(xs) - 1):
         a, b = xs[i], xs[i + 1]
         probes = [(a, fs[i])]
@@ -446,13 +486,8 @@ def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
                 dn.append(hs)
-                dn.extend(y)
-                dn.extend(k1)
-                for pa, pb, pc, pd, pe, pf in ((_P12, _P32, _P42, _P52, _P62, _P72),
-                                               (_P13, _P33, _P43, _P53, _P63, _P73),
-                                               (_P14, _P34, _P44, _P54, _P64, _P74)):
-                    dn.extend(pa * k1[i] + pb * k3[i] + pc * k4[i]
-                              + pd * k5[i] + pe * k6[i] + pf * k7[i] for i in rng)
+                for k in (k1, k3, k4, k5, k6):
+                    dn.extend(k)
             x, y, k1 = x_new, y_new, tuple(k7)
             xs.append(x)
             ys.extend(y)
@@ -475,6 +510,7 @@ def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
             fac_max = 1.0
             traj.rejected += 1
 
+    traj._f_end = k1
     traj._dense = dn
     return traj
 
@@ -521,6 +557,7 @@ def test_pair_stepper_equals_tuple_reference_bitwise(run):
     else:
         assert got._dense is None and ref._dense is None
     assert (got.dim, got.direction) == (ref.dim, ref.direction)
+    assert [v.hex() for v in got._f_end] == [v.hex() for v in ref._f_end]
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     # every run also rejects steps, so the reject branch is compared too
@@ -742,12 +779,13 @@ def test_painleve_rhs_is_evaluated_inline(run):
     assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
 
 
-# -- the scalar dense records against a per-step build ------------------------
+# -- the scalar loop against a per-step reference -----------------------------
 
 def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
-    """The scalar Dormand-Prince loop building each step's dense record
-    [h, y_left, q1, q2, q3, q4] as it accepts the step; the scalar stepper,
-    which builds them after the loop, must reproduce it bit for bit."""
+    """The scalar Dormand-Prince loop written with the builtins, storing each
+    step's stage record [hs, k1, k3, k4, k5, k6] as it accepts the step; its
+    first step is the tuple rule's on (y0,).  The scalar stepper must
+    reproduce it bit for bit."""
     cfg = cfg or IntegratorConfig()
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1 if x1 > x0 else -1
@@ -761,7 +799,8 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
     if cfg.initial_step > 0:
         h = min(cfg.initial_step, span)
     else:
-        h = _initial_step_scalar(f, x0, y0, k1, direction, rtol, atol, span)
+        h = _tuple_initial_step(lambda x, s: (f(x, s[0]),), x0, (y0,), (k1,), direction,
+                                rtol, atol, span)
     err_prev = 1.0
     fac_max = _FAC_MAX
     attempts = 0
@@ -784,10 +823,7 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
         err = abs(hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)) \
             / (atol + rtol * max(abs(y), abs(y_new)))
         if err <= 1.0:
-            dn.fromlist([hs, y, k1,
-                         _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7,
-                         _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7,
-                         _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7])
+            dn.fromlist([hs, k1, k3, k4, k5, k6])
             x, y, k1 = x_new, y_new, k7
             traj.xs.append(x)
             traj._ys.append(y)
@@ -813,45 +849,23 @@ def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
     return traj
 
 
-# _DENSE_CHUNK sizes around a run's own step count n: a last pass of one
-# step, one pass that ends at the last step, one that reaches past it, and
-# three full passes and a remainder
-_CHUNK_EDGES = {
-    "chunk-minus-one": lambda n: n - 1,
-    "chunk": lambda n: n,
-    "chunk-plus-one": lambda n: n + 1,
-    "three-chunks-and-more": lambda n: (n - 1) // 3,
-}
-
-
-def _chunked(monkeypatch, run, steps, size):
-    """Sets _DENSE_CHUNK to size(steps) for the run, when size is given."""
-    if size is None:
-        return
-    chunk = size(steps)
-    if run.endswith("three-chunks-and-more"):
-        assert steps // chunk == 3 and steps % chunk > 0
-    monkeypatch.setattr("nel.ode._DENSE_CHUNK", chunk)
-
-
 _RECORD_RUNS = {
-    **{f"backward-{n}": (*_backward_run(n, True)[:4], None, None)
+    **{f"backward-{n}": (*_backward_run(n, True)[:4], None)
        for n in (-3, 1, 10, 300, 4000)},
-    **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, None, None) for k in range(1, 51)},
-    **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, trapped_in_even_bundle, None)
+    **{f"fig1-{k}": (0.0, 0.2 * k, 24.0, None, None) for k in range(1, 51)},
+    **{f"maxima-count-{a}": (0.0, a, _forward_span(a), None, trapped_in_even_bundle)
        for a in (0.3, 1.7, 3.0, 6.0)},
-    "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None, None),
-    "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), None, None),
-    # fig1's a = 2 run, with rejections
-    **{label: (0.0, 2.0, 24.0, None, None, size) for label, size in _CHUNK_EDGES.items()},
+    "one-step": (0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3), None),
+    "fig1-50-first-step-1": (0.0, 10.0, 24.0, IntegratorConfig(initial_step=1.0), None),
 }
 
 
 @pytest.mark.parametrize("run", list(_RECORD_RUNS))
-def test_dense_records_equal_per_step_build_bitwise(run, monkeypatch):
-    x0, y0, x1, cfg, stop_when, size = _RECORD_RUNS[run]
+def test_dense_records_equal_per_step_build_bitwise(run):
+    # the stage records, ends and counts equal the per-step reference's, and
+    # every read equals the quartic built from its records one step at a time
+    x0, y0, x1, cfg, stop_when = _RECORD_RUNS[run]
     ref = _per_step_reference(rhs_unscaled, x0, y0, x1, cfg, stop_when)
-    _chunked(monkeypatch, run, ref.step_count, size)
     got = integrate(rhs_unscaled, x0, y0, x1, cfg, stop_when=stop_when)
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
@@ -860,6 +874,7 @@ def test_dense_records_equal_per_step_build_bitwise(run, monkeypatch):
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     assert got.rejected == ref.rejected
+    _reads_equal_layout(got, ref)
     if run == "one-step":
         assert got.step_count == 1
     if run == "fig1-50-first-step-1":
@@ -877,35 +892,33 @@ def test_scalar_step_limit_raises_as_per_step_reference(f):
     assert str(got.value) == str(ref.value)
 
 
-# -- the pair dense records against a per-step build --------------------------
+# -- the pair loop against the tuple reference, reads included ---------------
 
 _PAIR_RECORD_RUNS = {
-    **{run: (f, x0, y0, x1, cfg, stop_when, None)
+    **{run: (f, x0, y0, x1, cfg, stop_when)
        for run, (f, x0, y0, x1, cfg, dense, stop_when) in _PAIR_RUNS.items() if dense},
-    **{run: (painleve_rhs, x0, y0, x1, cfg, stop_when, None)
+    **{run: (painleve_rhs, x0, y0, x1, cfg, stop_when)
        for run, (x0, y0, x1, cfg, dense, stop_when) in _PAINLEVE_RUNS.items()
        if dense and run not in _PAIR_RUNS},
     "one-step": (painleve_rhs, 0.0, (1.0, 0.5), -1e-3, IntegratorConfig(initial_step=1e-3),
-                 None, None),
-    **{f"{name}-{label}": (*_PAIR_RUNS[base][:5], _PAIR_RUNS[base][6], size)
-       for name, base in (("painleve", "painleve-to-pole"), ("oscillator", "oscillator-forward"))
-       for label, size in _CHUNK_EDGES.items()},
+                 None),
 }
 
 
 @pytest.mark.parametrize("run", list(_PAIR_RECORD_RUNS))
-def test_pair_dense_records_equal_per_step_build_bitwise(run, monkeypatch):
-    # the pair loop stores each step's stages and builds the records after
-    # its last step; _tuple_reference builds each record as it accepts the step
-    f, x0, y0, x1, cfg, stop_when, size = _PAIR_RECORD_RUNS[run]
+def test_pair_dense_records_equal_per_step_build_bitwise(run):
+    # the pair loop stores each step's stages as _tuple_reference does, and
+    # every read equals the quartic built from those records one step at a time
+    f, x0, y0, x1, cfg, stop_when = _PAIR_RECORD_RUNS[run]
     ref = _tuple_reference(f, x0, y0, x1, cfg, True, stop_when)
-    _chunked(monkeypatch, run, ref.step_count, size)
     got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
     assert len(got._dense) == 11 * got.step_count > 0
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
+    assert [v.hex() for v in got._f_end] == [v.hex() for v in ref._f_end]
     assert (got.step_count, got.stopped, got.rejected) == (ref.step_count, ref.stopped,
                                                            ref.rejected)
+    _reads_equal_layout(got, ref)
     if run == "one-step":
         assert got.step_count == 1

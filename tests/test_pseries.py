@@ -63,6 +63,25 @@ def test_rho_geometric_sum_is_one():
         assert rho_n(0.0, n) == pytest.approx(1.0, abs=1e-9)
 
 
+# At tau = 1/2 the coefficients run 1, -1, -1, 1 with period 4, so for
+# n = 3 (mod 4) S_n = (1 - z)^2 (1 + z) (1 - z^(n+1)) / (1 - z^4): every root
+# lies on |z| = 1, rho = 1 exactly, and z = 1 is a double root.  An error of
+# c eps per coefficient (each -1 carries sin(pi) = 1.2e-16 in its imaginary
+# part, and the eigenvalue solver adds its backward error) moves a double root
+# by O(sqrt(eps)), not O(eps): with S_n = (1 - z)^2 g and g(1) = (n + 1)/2 it
+# moves by about sqrt(|dS_n(1)| / g(1)) <= sqrt(2 c eps).  The bound
+# 8 sqrt(eps) is c = 32.
+EPS = np.finfo(float).eps
+DOUBLE_ROOT_TOL = 8 * math.sqrt(EPS)
+
+
+def test_rho_at_half_is_one_with_a_double_root():
+    for n in range(3, 500, 4):
+        closed = np.tile([1.0, -1.0, -1.0, 1.0], (n + 1) // 4)
+        assert np.abs(ftau_partial_sum(0.5, n).coefficients - closed).max() <= EPS
+        assert abs(rho_n(0.5, n) - 1.0) <= DOUBLE_ROOT_TOL, n
+
+
 def test_rho50_at_reported_maximum():
     assert rho_n(0.3780, 50) == pytest.approx(1.7818, abs=5e-4)
 
