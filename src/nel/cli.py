@@ -7,8 +7,12 @@ byte-identical files.  Grids are capped at 1,000,001 points, separatrix
 indices at |n| <= 100,000 and a Fourier section at 2^25 sine values.  The
 Painleve commands use the fixed fate window x >= -135; the eigenvalue scan
 steps by 0.3 of the growth law's spacing and closes each flip to width 1e-7.
-Every output file X gets a sidecar X.manifest.json recording the subcommand,
-parameters, tool version and wall time that produced it.
+``main`` runs each subcommand, times it, writes its manifest and prints its
+JSON summary with the outputs.  The manifest records the subcommand, the
+flags its task read (with the defaults it used), the tool version, the wall
+time and the outputs.  A command given --out X writes it to X.manifest.json,
+``run --out-dir D`` to D/run.manifest.json; one given neither (``pseries
+rho`` without --out) writes none.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ _MAX_INDEX = 100_000      # |n|; n = -1e5 takes 944,976 of the trace's 5,000,000
 _MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 _CHUNK = 4096             # CSV lines formatted by one %; fourier --grid alone writes 10^6
+# run --preset: each subcommand's argv, its --out given as a name in --out-dir
+_PRESETS = {
+    "quick": (("eigen", "--n", "1:6", "--method", "both", "--out", "eigenvalues.json"),
+              ("limiting-curve", "--grid", "1001", "--out", "limit_curve.csv"),
+              ("fourier", "--n-terms", "80", "--grid", "1001", "--out", "fourier.csv")),
+    "figures": tuple(("figures", name, "--out", f"{name}.csv") for name in _FIGURES),
+}
 
 
 class UsageError(Exception):
@@ -107,19 +118,12 @@ def _write_json(path: Path, obj) -> None:
     Path(path).write_text(_json_dump(obj) + "\n")
 
 
-def _finish(args, t0: float, outputs: list[Path], summary: dict) -> int:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out", "out_dir") and v is not None}
-    manifest = RunManifest(args.subcommand, params, __version__,
-                           time.perf_counter() - t0,
-                           [str(p) for p in outputs])
-    if outputs:
-        mpath = Path(str(outputs[0]) + ".manifest.json")
-        _write_json(mpath, asdict(manifest))
-    summary = dict(summary)
-    summary["outputs"] = [str(p) for p in outputs]
-    print(_json_dump(summary))
-    return 0
+def _default(args, flag: str, value):
+    """args.<flag>, set to value when the flag was not given, so the
+    manifest records the value used."""
+    if getattr(args, flag) is None:
+        setattr(args, flag, value)
+    return getattr(args, flag)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -189,10 +193,9 @@ def _segment_blocks(curves, x_min: float) -> list:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args) -> tuple[list, dict]:
     from .separatrix import _check_tol, find_eigenvalue_bisect, trace_separatrix_backward
 
-    t0 = time.perf_counter()
     ns = sorted(set(_parse_range(args.n)))     # every --method: each n once, increasing
     if args.method == "bisect" and min(ns) < 1:
         raise UsageError(f"--method bisect needs every n >= 1, got {args.n!r}")
@@ -217,13 +220,11 @@ def _cmd_eigen(args) -> int:
             raise RuntimeError(f"intercepts not increasing at n={rec['n']}")
     out = Path(args.out)
     _write_json(out, payload)
-    return _finish(args, t0, [out],
-                   {"count": len(payload), "a_min": payload[0]["a_n"],
-                    "a_max": payload[-1]["a_n"]})
+    return [out], {"count": len(payload), "a_min": payload[0]["a_n"],
+                   "a_max": payload[-1]["a_n"]}
 
 
-def _cmd_figures(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_figures(args) -> tuple[list, dict]:
     out = Path(args.out)
     name = args.figure
     if args.n is not None and name not in ("fig4", "fig8"):
@@ -301,29 +302,25 @@ def _cmd_figures(args) -> int:
         from .pseries import tau_scan
 
         n = _degree(args.n) if args.n is not None else 50
-        if args.step is None:
-            args.step = 0.0005          # the manifest records the step used
-        sr = tau_scan(0.0, 1.0, args.step, n)
+        sr = tau_scan(0.0, 1.0, _default(args, "step", 0.0005), n)
         _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
         summary["n"] = n
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
         summary["reflection_gap"] = sr.reflection_gap
         summary["half_shift_gap"] = sr.half_shift_gap
 
-    return _finish(args, t0, [out], summary)
+    return [out], summary
 
 
-def _cmd_limiting_curve(args) -> int:
+def _cmd_limiting_curve(args) -> tuple[list, dict]:
     from .limitcurve import implicit_Z, solve_limit_ode
 
-    t0 = time.perf_counter()
     lc = solve_limit_ode(args.grid)
     zi = implicit_Z(lc.ts).tolist()
     diff = [z - b for z, b in zip(lc.zs, zi)]
     out = Path(args.out)
     _write_csv(out, ["t", "Z_ode", "Z_implicit", "diff"], [((), (lc.ts, lc.zs, zi, diff))])
-    return _finish(args, t0, [out],
-                   {"Z0": lc.zs[0], "sup_method_gap": max([0.0, *map(abs, diff)])})
+    return [out], {"Z0": lc.zs[0], "sup_method_gap": max([0.0, *map(abs, diff)])}
 
 
 def _increasing(ns) -> bool:
@@ -340,10 +337,9 @@ def _constant_indices(text: str) -> list[int]:
     return ns
 
 
-def _cmd_extrapolate(args) -> int:
+def _cmd_extrapolate(args) -> tuple[list, dict]:
     from .extrapolate import fit_correction_exponent, richardson
 
-    t0 = time.perf_counter()
     if args.values and args.target:
         raise UsageError(f"--values and --target {args.target} exclude each other")
     if args.target == "painleve-c" and args.indices:
@@ -373,9 +369,7 @@ def _cmd_extrapolate(args) -> int:
     elif args.target == "painleve-c":
         from .painleve import GROWTH_EXPONENT, painleve_eigenvalues
 
-        if args.count is None:
-            args.count = 12             # the manifest records the count used
-        eigs = painleve_eigenvalues(args.count)
+        eigs = painleve_eigenvalues(_default(args, "count", 12))
         indices = list(range(4, len(eigs) + 1))
         values = [eigs[n - 1] / n ** GROWTH_EXPONENT for n in indices]
         target = args.target
@@ -398,21 +392,20 @@ def _cmd_extrapolate(args) -> int:
     }
     out = Path(args.out)
     _write_json(out, payload)
-    return _finish(args, t0, [out], {"limit": result.limit})
+    return [out], {"limit": result.limit}
 
 
-def _cmd_painleve(args) -> int:
+def _cmd_painleve(args) -> tuple[list, dict]:
     from .painleve import (REPORTED_GROWTH_CONSTANT, classify_fate, estimate_C,
                            fit_oscillation_envelope, integrate_with_poles,
                            painleve_eigenvalues)
 
-    t0 = time.perf_counter()
     out = Path(args.out)
     if args.task == "eigen":
         if not -3 <= args.y0 <= 5:
             raise UsageError(f"--y0 {args.y0} is outside -3..5, the range where the "
                              f"eigen scan cap was checked")
-        eigs = painleve_eigenvalues(args.count, y0=args.y0)
+        eigs = painleve_eigenvalues(_default(args, "count", 12), y0=args.y0)
         payload = {
             "y0": args.y0,
             "eigenvalues": eigs,
@@ -421,21 +414,22 @@ def _cmd_painleve(args) -> int:
             "nearby_closed_form": 3.4 * 2 ** (1 / 3),
         }
         _write_json(out, payload)
-        return _finish(args, t0, [out], {"count": len(eigs)})
+        return [out], {"count": len(eigs)}
     if args.task == "fate":
-        rep = classify_fate(args.a, y0=args.y0)
+        rep = classify_fate(_default(args, "a", 0.0), y0=args.y0)
         payload = {"a": args.a, "y0": args.y0, "lock": rep.lock,
                    "pole_count": rep.pole_count, "lock_onset": rep.lock_onset}
         _write_json(out, payload)
-        return _finish(args, t0, [out], {"lock": rep.lock})
+        return [out], {"lock": rep.lock}
     # envelope, the last choice
-    segs, poles = integrate_with_poles(args.a, args.x_min, y0=args.y0)
-    fit = fit_oscillation_envelope(segs[-1], fit_window=(args.x_min, args.x_min / 3.2))
+    x_min = _default(args, "x_min", -80.0)
+    segs, poles = integrate_with_poles(_default(args, "a", 0.0), x_min, y0=args.y0)
+    fit = fit_oscillation_envelope(segs[-1], fit_window=(x_min, x_min / 3.2))
     payload = {"a": args.a, "amplitude_exponent": fit.amplitude_exponent,
                "phase_coefficient": fit.phase_coefficient,
                "n_extrema": fit.n_extrema, "poles": len(poles)}
     _write_json(out, payload)
-    return _finish(args, t0, [out], {"n_extrema": fit.n_extrema})
+    return [out], {"n_extrema": fit.n_extrema}
 
 
 def _degree(n: int) -> int:
@@ -444,8 +438,7 @@ def _degree(n: int) -> int:
     return n
 
 
-def _cmd_pseries(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_pseries(args) -> tuple[list, dict]:
     _degree(args.n)
     out = Path(args.out) if args.out else None
     if out is None and args.task in ("scan", "roots"):
@@ -453,28 +446,26 @@ def _cmd_pseries(args) -> int:
     if args.task == "scan":
         from .pseries import tau_scan
 
-        lo, hi, step = _parse_grid(args.tau)
+        lo, hi, step = _parse_grid(_default(args, "tau", "0:1:0.0005"))
         sr = tau_scan(lo, hi, step, args.n)
         _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
-        return _finish(args, t0, [out],
-                       {"maxima": [list(m) for m in sr.maxima[:4]],
-                        "failures": len(sr.failures),
-                        "reflection_gap": sr.reflection_gap,
-                        "half_shift_gap": sr.half_shift_gap})
+        return [out], {"maxima": [list(m) for m in sr.maxima[:4]],
+                       "failures": len(sr.failures),
+                       "reflection_gap": sr.reflection_gap,
+                       "half_shift_gap": sr.half_shift_gap}
     if args.task == "rho":
         from .pseries import rho_n
 
-        val = rho_n(args.tau_value, args.n)
+        val = rho_n(_default(args, "tau_value", 0.25), args.n)
         payload = {"tau": args.tau_value, "n": args.n, "rho": val}
-        outputs = []
-        if out is not None:
-            _write_json(out, payload)
-            outputs.append(out)
-        return _finish(args, t0, outputs, payload)
+        if out is None:
+            return [], payload
+        _write_json(out, payload)
+        return [out], payload
     # roots, the last choice
     from .pseries import partial_sum_roots
 
-    roots, residuals = partial_sum_roots(args.tau_value, args.n)
+    roots, residuals = partial_sum_roots(_default(args, "tau_value", 0.25), args.n)
     # moduli as rho_n takes them (np.abs and Python's abs can differ in the
     # last bit), so rho and roots print the same rho
     mods = np.abs(roots)
@@ -484,13 +475,12 @@ def _cmd_pseries(args) -> int:
                   for z, a, r in sorted(zip(roots, mods, residuals), key=lambda p: -p[1])],
     }
     _write_json(out, payload)
-    return _finish(args, t0, [out], {"rho": float(np.max(mods))})
+    return [out], {"rho": float(np.max(mods))}
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_fourier(args) -> tuple[list, dict]:
     from .fourier import GIBBS_LIMIT, fourier_partial_sum, gibbs_overshoot
 
-    t0 = time.perf_counter()
     if (args.n_terms + 1) * args.grid > _MAX_SINES:
         raise UsageError(f"--n-terms {args.n_terms} with --grid {args.grid} needs "
                          f"{(args.n_terms + 1) * args.grid} sines, more than {_MAX_SINES}")
@@ -498,41 +488,21 @@ def _cmd_fourier(args) -> int:
     vals = fourier_partial_sum(args.n_terms, xs).tolist()
     out = Path(args.out)
     _write_csv(out, ["x", "s"], [((), (xs, vals))])
-    return _finish(args, t0, [out],
-                   {"n_terms": args.n_terms,
-                    "overshoot": gibbs_overshoot(args.n_terms),
-                    "overshoot_limit": GIBBS_LIMIT})
+    return [out], {"n_terms": args.n_terms,
+                   "overshoot": gibbs_overshoot(args.n_terms),
+                   "overshoot_limit": GIBBS_LIMIT}
 
 
-def _cmd_run(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_run(args) -> tuple[list, dict]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-
-    def sub(argv):
-        code = main(argv)
-        if code != 0:
+    outputs = []
+    for *argv, name in _PRESETS[args.preset]:
+        outputs.append(out_dir / name)
+        argv.append(str(outputs[-1]))
+        if main(argv) != 0:
             raise RuntimeError(f"subcommand failed: {argv}")
-
-    if args.preset == "quick":
-        sub(["eigen", "--n", "1:6", "--method", "both",
-             "--out", str(out_dir / "eigenvalues.json")])
-        sub(["limiting-curve", "--grid", "1001",
-             "--out", str(out_dir / "limit_curve.csv")])
-        sub(["fourier", "--n-terms", "80", "--grid", "1001",
-             "--out", str(out_dir / "fourier.csv")])
-        outputs = [out_dir / "eigenvalues.json", out_dir / "limit_curve.csv",
-                   out_dir / "fourier.csv"]
-    else:
-        for name in _FIGURES:
-            sub(["figures", name, "--out", str(out_dir / f"{name}.csv")])
-            outputs.append(out_dir / f"{name}.csv")
-    manifest = RunManifest("run", {"preset": args.preset}, __version__,
-                           time.perf_counter() - t0, [str(p) for p in outputs])
-    _write_json(out_dir / "run.manifest.json", asdict(manifest))
-    print(_json_dump({"preset": args.preset, "outputs": [str(p) for p in outputs]}))
-    return 0
+    return outputs, {"preset": args.preset}
 
 
 # -- parser -------------------------------------------------------------------
@@ -601,22 +571,24 @@ def _build_parser() -> _Parser:
 
     q = subs.add_parser("painleve", help="first Painleve transcendent")
     q.add_argument("task", choices=("eigen", "fate", "envelope"))
-    q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"), default=12)
-    q.add_argument("--a", type=_FINITE, default=0.0)
+    q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"),
+                   help="eigenvalues for eigen (default 12)")
+    q.add_argument("--a", type=_FINITE, help="initial slope for fate and envelope (default 0)")
     q.add_argument("--y0", type=_FINITE, default=1.0,
                    help="y(0): any finite value for fate and envelope, -3..5 for "
                         "eigen, whose scan cap follows the y0 = 1 law and was "
                         "checked there")
     q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
-                   default=-80.0, dest="x_min")
+                   dest="x_min", help="window end for envelope (default -80)")
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_painleve)
 
     q = subs.add_parser("pseries", help="partial-sum root moduli")
     q.add_argument("task", choices=("scan", "rho", "roots"))
     q.add_argument("--n", type=_POSITIVE_INT, default=50)
-    q.add_argument("--tau", default="0:1:0.0005", help="scan grid start:end:step")
-    q.add_argument("--tau-value", type=_FINITE, default=0.25, dest="tau_value")
+    q.add_argument("--tau", help="scan grid start:end:step (default 0:1:0.0005)")
+    q.add_argument("--tau-value", type=_FINITE, dest="tau_value",
+                   help="tau for rho and roots (default 0.25)")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_pseries)
 
@@ -629,7 +601,7 @@ def _build_parser() -> _Parser:
     q.set_defaults(func=_cmd_fourier)
 
     q = subs.add_parser("run", help="preset batches")
-    q.add_argument("--preset", choices=("quick", "figures"), default="quick")
+    q.add_argument("--preset", choices=tuple(_PRESETS), default="quick")
     q.add_argument("--out-dir", required=True, dest="out_dir")
     q.set_defaults(func=_cmd_run)
 
@@ -640,7 +612,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        outputs, summary = args.func(args)
+        outputs = [str(p) for p in outputs]
+        # the manifest goes beside --out, or into --out-dir; none without either
+        out, out_dir = getattr(args, "out", None), getattr(args, "out_dir", None)
+        if out or out_dir:
+            path = f"{Path(out)}.manifest.json" if out else Path(out_dir, "run.manifest.json")
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("func", "out", "out_dir") and v is not None}
+            _write_json(path, asdict(RunManifest(args.subcommand, params, __version__,
+                                                 time.perf_counter() - t0, outputs)))
+        print(_json_dump({**summary, "outputs": outputs}))
+        return 0
     except UsageError as exc:
         sys.stderr.write(_json_dump({"error": {
             "type": "UsageError", "module": "cli", "message": str(exc)}}) + "\n")

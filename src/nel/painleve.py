@@ -261,23 +261,19 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
     x_end.  Poles are strictly ordered along the integration direction.
 
     ``until(x, state)``, called after each accepted step, is ORed into the
-    pole test; a segment it ends is yielded with None and is the last one.
+    pole test; a segment it ends (at a step where both hold, too) is yielded
+    with None and is the last one.
     """
     x, state = 0.0, (float(y0), float(a))
     threshold = _Y_POLE
     last_x0 = math.inf
     while True:
-        def hit(xx, yy, _t=threshold):
-            return yy[0] >= _t and yy[1] < 0.0
-
-        stop = hit
-        if until is not None:
-            def stop(xx, yy, _t=threshold):
-                return (yy[0] >= _t and yy[1] < 0.0) or until(xx, yy)
+        def stop(xx, yy, _t=threshold):
+            return yy[0] >= _t and yy[1] < 0.0 or until is not None and until(xx, yy)
 
         traj = integrate(painleve_rhs, x, state, x_end, ode,
                          dense=dense, stop_when=stop)
-        if not traj.stopped or not hit(traj.x_end, traj.y_end):
+        if not traj.stopped or until is not None and until(traj.x_end, traj.y_end):
             yield traj, None
             return
         yv = traj.y_end
@@ -301,16 +297,16 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
         state = pole_series_eval(ev.x0, ev.h, x)
 
 
-def integrate_with_poles(a: float, x_end: float, *, y0: float = 1.0,
-                         dense: bool = True) -> tuple[list[Trajectory], list[PoleEvent]]:
+def integrate_with_poles(a: float, x_end: float, *,
+                         y0: float = 1.0) -> tuple[list[Trajectory], list[PoleEvent]]:
     """Integrate from (0, y0) with slope a down to x_end < 0, through poles.
 
-    Returns the trajectory segments between poles and the fitted pole
+    Returns the dense trajectory segments between poles and the fitted pole
     events, strictly ordered along the integration direction.
     """
     if x_end >= 0:
         raise ValueError("x_end must be negative")
-    steps = list(_pole_continuation(a, x_end, _ODE, y0, dense))
+    steps = list(_pole_continuation(a, x_end, _ODE, y0, dense=True))
     return [traj for traj, _ in steps], [ev for _, ev in steps if ev is not None]
 
 
@@ -473,7 +469,9 @@ def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
 
     All sign changes of r' between window nodes are bisected in lockstep
     (``ode._bisect``), 60 halvings; a bracket that hits r' = 0 collapses
-    onto that point.
+    onto that point.  Each bracket is one step, whose quartic is built once
+    and read as ``Trajectory.sample`` reads it; a midpoint on the step's end
+    node takes that node's value, which ``sample`` reads from the next step.
     """
     def g(x):
         return traj.sample(x)[:, 1] - 1.0 / (2.0 * np.sqrt(-x))
@@ -482,7 +480,16 @@ def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
     xs = xs[(xs <= x_hi) & (xs >= x_lo)]
     gs = g(xs)
     flip = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
-    x_e = _bisect(g, xs[flip], xs[flip + 1], gs[flip], 60)
+    x0, x1, g1 = xs[flip], xs[flip + 1], gs[flip + 1]
+    # h's only column, and the y' column of the rest
+    _, h, y0, q1, q2, q3, q4 = (c[:, -1] for c in traj._steps(x0))
+
+    def g_step(x):
+        th = (x - x0) / h
+        v = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
+        return np.where(x == x1, g1, v - 1.0 / (2.0 * np.sqrt(-x)))
+
+    x_e = _bisect(g_step, x0, x1, gs[flip], 60)
     return list(zip(x_e.tolist(), (traj.sample(x_e)[:, 0] + np.sqrt(-x_e)).tolist()))
 
 

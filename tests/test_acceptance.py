@@ -294,7 +294,7 @@ def test_criterion_10_growth_law(painleve_eigs12):
 def test_criterion_11_oscillation_law():
     from nel.painleve import fit_oscillation_envelope, integrate_with_poles
 
-    segs, _ = integrate_with_poles(1.0, -80.0, dense=True)
+    segs, _ = integrate_with_poles(1.0, -80.0)
     fit = fit_oscillation_envelope(segs[-1], fit_window=(-80.0, -25.0))
     rate = 0.8 * math.sqrt(2.0)
     amp_ok = abs(fit.amplitude_exponent + 0.125) <= 0.02

@@ -732,21 +732,76 @@ def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_figure_manifests_record_only_flags_read(tmp_path, monkeypatch, capsys):
-    # fig8 still records the step it scanned at; the other figures, which
-    # read no --step, no longer record one
-    import nel.pseries
+_FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
+                               {"figure": f"fig{k}", **({"step": 0.0005} if k == 8 else {})},
+                               ["x.csv"], id=f"figures-fig{k}") for k in range(1, 9)]
 
-    scan = SimpleNamespace(taus=[0.0], rhos=[1.0], maxima=[], reflection_gap=0.0,
-                           half_shift_gap=0.0)
+
+@pytest.mark.parametrize("argv, params, outputs", [
+    pytest.param(["eigen", "--n", "1:2", "--out", "x.json"],
+                 {"n": "1:2", "method": "both", "tol": 1e-10}, ["x.json"], id="eigen"),
+    *_FIGURE_CASES,
+    pytest.param(["limiting-curve", "--grid", "21", "--out", "x.csv"], {"grid": 21}, ["x.csv"],
+                 id="limiting-curve"),
+    pytest.param(["extrapolate", "--values", "4,3.5,3.25", "--indices", "1,2,4", "--out", "x.json"],
+                 {"values": "4,3.5,3.25", "indices": "1,2,4"}, ["x.json"], id="extrapolate-raw"),
+    pytest.param(["extrapolate", "--target", "a-constant", "--indices", "1,2", "--out", "x.json"],
+                 {"target": "a-constant", "indices": "1,2"}, ["x.json"],
+                 id="extrapolate-a-constant"),
+    pytest.param(["extrapolate", "--target", "painleve-c", "--out", "x.json"],
+                 {"target": "painleve-c", "count": 12}, ["x.json"], id="extrapolate-painleve-c"),
+    pytest.param(["painleve", "eigen", "--out", "x.json"],
+                 {"task": "eigen", "count": 12, "y0": 1.0}, ["x.json"], id="painleve-eigen"),
+    pytest.param(["painleve", "fate", "--out", "x.json"],
+                 {"task": "fate", "a": 0.0, "y0": 1.0}, ["x.json"], id="painleve-fate"),
+    pytest.param(["painleve", "envelope", "--a", "1.7", "--out", "x.json"],
+                 {"task": "envelope", "a": 1.7, "y0": 1.0, "x_min": -80.0}, ["x.json"],
+                 id="painleve-envelope"),
+    pytest.param(["pseries", "scan", "--out", "x.csv"],
+                 {"task": "scan", "n": 50, "tau": "0:1:0.0005"}, ["x.csv"], id="pseries-scan"),
+    pytest.param(["pseries", "rho"], None, [], id="pseries-rho"),
+    pytest.param(["pseries", "rho", "--out", "x.json"],
+                 {"task": "rho", "n": 50, "tau_value": 0.25}, ["x.json"], id="pseries-rho-out"),
+    pytest.param(["pseries", "roots", "--n", "10", "--out", "x.json"],
+                 {"task": "roots", "n": 10, "tau_value": 0.25}, ["x.json"], id="pseries-roots"),
+    pytest.param(["fourier", "--n-terms", "10", "--grid", "11", "--out", "x.csv"],
+                 {"n_terms": 10, "grid": 11}, ["x.csv"], id="fourier"),
+    pytest.param(["run", "--out-dir", "q"], {"preset": "quick"},
+                 ["q/eigenvalues.json", "q/limit_curve.csv", "q/fourier.csv"], id="run-quick"),
+    pytest.param(["run", "--preset", "figures", "--out-dir", "q"], {"preset": "figures"},
+                 [f"q/fig{k}.csv" for k in range(1, 9)], id="run-figures"),
+])
+def test_manifests_record_only_flags_read(argv, params, outputs, tmp_path, monkeypatch, capsys):
+    # main writes one manifest per command: beside --out, or run.manifest.json
+    # in --out-dir, and none without either.  Its parameters are the flags the
+    # task read, with the defaults it used (fig8 its step, painleve eigen its
+    # count); the summary's last line lists the outputs
+    import nel.painleve
+    import nel.pseries
+    from nel import __version__
+
+    scan = SimpleNamespace(taus=[0.0], rhos=[1.0], maxima=[], failures=[],
+                           reflection_gap=0.0, half_shift_gap=0.0)
     monkeypatch.setattr(nel.pseries, "tau_scan", lambda lo, hi, step, n: scan)
-    for name in ("fig5", "fig8"):
-        code, _, _ = run_cli(["figures", name, "--out", str(tmp_path / f"{name}.csv")], capsys)
-        assert code == 0
-    params = {name: json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["parameters"]
-              for name in ("fig5", "fig8")}
-    assert params["fig5"] == {"subcommand": "figures", "figure": "fig5"}
-    assert params["fig8"] == {"subcommand": "figures", "figure": "fig8", "step": 0.0005}
+    monkeypatch.setattr(nel.painleve, "painleve_eigenvalues",
+                        lambda count, **k: [4.28373 * n ** 0.6 for n in range(1, count + 1)])
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(stdout.splitlines()[-1])["outputs"] == outputs
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.manifest.json"))
+    if params is None:
+        assert written == []
+        return
+    top = "q/run.manifest.json" if argv[0] == "run" else outputs[0] + ".manifest.json"
+    nested = [o + ".manifest.json" for o in outputs] if argv[0] == "run" else []
+    assert written == sorted([top, *nested])
+    manifest = json.loads((tmp_path / top).read_text())
+    assert list(manifest) == ["subcommand", "parameters", "version", "wall_time_s", "outputs"]
+    assert manifest["parameters"] == {"subcommand": argv[0], **params}
+    assert (manifest["subcommand"], manifest["version"], manifest["outputs"]) == \
+        (argv[0], __version__, outputs)
+    assert manifest["wall_time_s"] >= 0
 
 
 def test_fig7_oscillatory_segment_reaches_window_end(tmp_path, capsys):

@@ -715,7 +715,7 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
 
 def _past_first_pole(a):
     # where painleve's pole continuation restarts past the first pole
-    ev = integrate_with_poles(a, -30.0, dense=False)[1][0]
+    ev = integrate_with_poles(a, -30.0)[1][0]
     x = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     return x, pole_series_eval(ev.x0, ev.h, x)
 

@@ -127,7 +127,7 @@ def test_pole_height_is_the_floor_the_series_allows():
     s = math.sqrt(6.0 / _Y_POLE)
     ratios = []
     for k in range(-10, 11):
-        _, poles = integrate_with_poles(10.0 * k, _X_MIN, dense=False)
+        _, poles = integrate_with_poles(10.0 * k, _X_MIN)
         for ev in poles:
             c, _, _ = _pole_series(ev.x0, ev.h, _SERIES_TERMS)
             ratios.append(abs(c[-1]) * s ** (_SERIES_TERMS - 2) / (1e-9 * _Y_POLE))
@@ -234,7 +234,7 @@ def test_fate_flips_at_first_eigenvalue():
 
 @pytest.mark.parametrize("a", [7.0, 10.0])
 def test_fate_and_integration_cross_the_same_poles(a):
-    _, poles = integrate_with_poles(a, _X_MIN, dense=False)
+    _, poles = integrate_with_poles(a, _X_MIN)
     assert classify_fate(a).pole_count == len(poles)
 
 
@@ -315,7 +315,7 @@ def _full_window_fate(a, y0, x_min=_X_MIN):
     """Fate by the full-window route: integrate every segment to x_min;
     a chain at the first pole whose segment meets the energy rule, else the
     4-extrema lock of the last segment.  Returns (lock, poles, onset)."""
-    segs, poles = integrate_with_poles(a, x_min, y0=y0, dense=False)
+    segs, poles = integrate_with_poles(a, x_min, y0=y0)
     # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
     # a turnaround ends one below it
     ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
@@ -335,7 +335,7 @@ def _sixteen_pole_fate(a, y0):
     at the 16th pole or when poles persist into the last 10 units of a
     window to x = -60, else the lock of the last segment.  Returns (lock,
     poles, onset)."""
-    segs, poles = integrate_with_poles(a, -60.0, y0=y0, dense=False)
+    segs, poles = integrate_with_poles(a, -60.0, y0=y0)
     if len(poles) >= 16:
         return "pole_chain", 16, None
     extrema = [] if segs[-1].stopped else _segment_extrema(segs[-1], _TRACK_FROM)
@@ -406,7 +406,7 @@ def test_trap_holds_every_later_sample_and_no_pole(y0):
         if rep.lock != "oscillatory":
             continue
         trapped += 1
-        segs, poles = integrate_with_poles(float(a), _X_MIN, y0=y0, dense=False)
+        segs, poles = integrate_with_poles(float(a), _X_MIN, y0=y0)
         assert all(p.x0 > rep.lock_onset for p in poles), a
         later = [(x, seg.state(i)) for seg in segs for i, x in enumerate(seg.xs)
                  if x < rep.lock_onset]
@@ -423,7 +423,7 @@ def test_departure_near_a_flip_is_that_of_the_full_window(e):
     from nel.painleve import _departure
 
     for d in (-1e-3, 1e-3, -1e-7, 1e-7):
-        segs, _ = integrate_with_poles(e + d, _X_MIN, dense=False)
+        segs, _ = integrate_with_poles(e + d, _X_MIN)
         assert classify_fate(e + d).departure == _departure(segs), d
 
 
@@ -517,15 +517,47 @@ def test_negative_eigenvalues_exist():
 
 
 def test_envelope_fit():
-    segs, _ = integrate_with_poles(1.0, -80.0, dense=True)
+    segs, _ = integrate_with_poles(1.0, -80.0)
     fit = fit_oscillation_envelope(segs[-1], fit_window=(-80.0, -25.0))
     assert fit.amplitude_exponent == pytest.approx(-0.125, abs=0.02)
     assert fit.phase_coefficient == pytest.approx(RATE, rel=0.005)
     assert fit.n_extrema >= 8
 
 
+@pytest.mark.parametrize("a", [0.5, 1.7, 2.95])
+def test_dense_extrema_equal_bisection_on_sample_reads(a, monkeypatch):
+    # the bisection reads each bracket's quartic, built once; its extrema
+    # equal, bit for bit, those of bisecting on Trajectory.sample, and at
+    # both ends of every bracket its r' is the value sample reads there
+    # (the end node from the next step)
+    import nel.painleve
+    from nel.ode import _bisect
+    from nel.painleve import _dense_extrema
+
+    traj = integrate_with_poles(a, -80.0)[0][-1]
+
+    def g(x):
+        return traj.sample(x)[:, 1] - 1.0 / (2.0 * np.sqrt(-x))
+
+    ends = []
+
+    def checked(g_step, lo, hi, flo, iters):
+        ends.append([(g_step(x), g(x)) for x in (lo, hi)])
+        return _bisect(g_step, lo, hi, flo, iters)
+
+    xs = np.frombuffer(traj.xs, dtype=float)
+    xs = xs[(xs <= -25.0) & (xs >= -80.0)]
+    gs = g(xs)
+    flip = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
+    x_e = _bisect(g, xs[flip], xs[flip + 1], gs[flip], 60)
+    ref = list(zip(x_e.tolist(), (traj.sample(x_e)[:, 0] + np.sqrt(-x_e)).tolist()))
+    monkeypatch.setattr(nel.painleve, "_bisect", checked)
+    assert _dense_extrema(traj, -25.0, -80.0) == ref and len(ref) >= 8
+    assert all(got.tobytes() == want.tobytes() for got, want in ends[0])
+
+
 def test_envelope_fit_needs_extrema():
-    segs, _ = integrate_with_poles(1.0, -20.0, dense=True)
+    segs, _ = integrate_with_poles(1.0, -20.0)
     with pytest.raises(InsufficientExtrema):
         fit_oscillation_envelope(segs[-1], fit_window=(-80.0, -60.0))
 
