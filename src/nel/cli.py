@@ -268,7 +268,7 @@ def _cmd_figures(args) -> tuple[list, dict]:
         from .limitcurve import implicit_Z
         from .separatrix import scaled_separatrix
 
-        n = args.n if args.n is not None else 10000
+        n = _default(args, "n", 10000)
         if n > _MAX_INDEX:
             raise UsageError(f"--n {n} is above the separatrix index cap {_MAX_INDEX}")
         ts = [i / 2000 for i in range(2001)]
@@ -301,7 +301,7 @@ def _cmd_figures(args) -> tuple[list, dict]:
     elif name == "fig8":
         from .pseries import tau_scan
 
-        n = _degree(args.n) if args.n is not None else 50
+        n = _degree(_default(args, "n", 50))
         sr = tau_scan(0.0, 1.0, _default(args, "step", 0.0005), n)
         _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
         summary["n"] = n
@@ -359,8 +359,7 @@ def _cmd_extrapolate(args) -> tuple[list, dict]:
     elif args.target == "a-constant":
         from .separatrix import trace_separatrix_backward
 
-        indices = _constant_indices(args.indices) if args.indices \
-            else [125, 250, 500, 1000, 2000]
+        indices = _constant_indices(_default(args, "indices", "125,250,500,1000,2000"))
         values = []
         for n in indices:
             a_n = trace_separatrix_backward(n, dense=False).y_end
@@ -376,7 +375,7 @@ def _cmd_extrapolate(args) -> tuple[list, dict]:
     else:
         raise UsageError("need --values or --target {a-constant,painleve-c}")
 
-    stages = min(4, len(values) - 1) if args.stages is None else args.stages
+    stages = _default(args, "stages", min(4, len(values) - 1))
     if not 1 <= stages <= len(values) - 1:
         raise UsageError(f"--stages must be in 1..{len(values) - 1} for {len(values)} values")
     result = richardson(values, indices, stages=stages)
@@ -421,9 +420,11 @@ def _cmd_painleve(args) -> tuple[list, dict]:
                    "pole_count": rep.pole_count, "lock_onset": rep.lock_onset}
         _write_json(out, payload)
         return [out], {"lock": rep.lock}
-    # envelope, the last choice
+    # envelope, the last choice: no default slope, a = 0 meets too few extrema
+    if args.a is None:
+        raise UsageError("envelope needs --a")
     x_min = _default(args, "x_min", -80.0)
-    segs, poles = integrate_with_poles(_default(args, "a", 0.0), x_min, y0=args.y0)
+    segs, poles = integrate_with_poles(args.a, x_min, y0=args.y0)
     fit = fit_oscillation_envelope(segs[-1], fit_window=(x_min, x_min / 3.2))
     payload = {"a": args.a, "amplitude_exponent": fit.amplitude_exponent,
                "phase_coefficient": fit.phase_coefficient,
@@ -573,7 +574,8 @@ def _build_parser() -> _Parser:
     q.add_argument("task", choices=("eigen", "fate", "envelope"))
     q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"),
                    help="eigenvalues for eigen (default 12)")
-    q.add_argument("--a", type=_FINITE, help="initial slope for fate and envelope (default 0)")
+    q.add_argument("--a", type=_FINITE,
+                   help="initial slope for fate (default 0) and envelope (required)")
     q.add_argument("--y0", type=_FINITE, default=1.0,
                    help="y(0): any finite value for fate and envelope, -3..5 for "
                         "eigen, whose scan cap follows the y0 = 1 law and was "

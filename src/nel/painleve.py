@@ -12,7 +12,9 @@ Double poles are traversed by matching the local Laurent series
     y = 6/s^2 - (x0/10) s^2 - s^3/6 + h s^4 + ...   (s = x - x0)
 
 to the diverging numerical solution, solving for (x0, h) by Newton, and
-restarting on the far side from the same series.
+restarting on the far side from the same series, at one of two heights
+|y|: the floor ~17.43, when the previous pole's series tail shows it
+passing, or 40, where every pole of the fate window passes (see _Y_FLOOR).
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class MatchDiverged(RuntimeError):
     """A double pole could not be crossed: the Laurent fit did not converge,
     its residual broke its bound or its 24-term tail did so at the match or
     at the restart offset, a turnaround rose past 1e7, or the fitted poles
-    fell out of order.  Nothing retries at another height, so the run has
-    no verdict; the tests cross every pole that a = -100..100 (step 10)
-    meet by x = -135 without one."""
+    fell out of order.  A failed match at the floor height is retried at
+    40 by the pole continuation; at 40 nothing retries, so the run has no
+    verdict.  The tests cross every pole that a = -100..100 (step 10) meet
+    by x = -135 without one."""
 
 
 class Undecided(RuntimeError):
@@ -74,22 +77,38 @@ class ScanExhausted(RuntimeError):
 
 
 _ODE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000)
-# Height |y| at which a double pole is matched, and restarted on the far side
-# at s = -sqrt(6/_Y_POLE).  The free quartic coefficient h enters the state
-# like h s^4 against the 6/s^2 divergence, so the fit passes the stepper's
-# local error into h amplified like Y^3: the height is the lowest the series
-# allows.  Two conditions set that floor.  The 24-term tail |c_24 s^22| must
-# stay below 1e-9 |y| out to the restart offset, where laurent_match checks
-# it, at every pole of the fate window; at Y = 40 its worst over a = -100,
-# -90, ..., 100 to x = -135 is 0.23 of that bound there (the first pole of
-# a = -100).  It grows like Y^-12: at Y = 35 it is 1.16, and at Y = 30 the
-# fit fails at a = +-80, +-90 and +-100.  And Y > 1.5 sqrt(-_X_MIN) ~ 17.4,
-# so that no run within sqrt(-x)/2 of +sqrt(-x) spans two segments
-# (_departure).
-_Y_POLE = 40.0
-_S_RESTART = math.sqrt(6.0 / _Y_POLE)
-_SERIES_TERMS = 24
 _X_MIN = -135.0          # fate window
+# Heights |y| at which a double pole is matched, and restarted on the far side
+# at s = -sqrt(6/Y).  The free quartic coefficient h enters the state like
+# h s^4 against the 6/s^2 divergence, so the fit passes the stepper's local
+# error into h amplified like Y^3: each pole is matched at the lower of two
+# heights whenever its series allows it.
+# - The floor _Y_FLOOR = 1.5 sqrt(-_X_MIN) ~ 17.43.  A run within sqrt(-x)/2
+#   of +sqrt(-x) stays below it, so no such run spans two segments
+#   (_departure).
+# - _Y_POLE = 40, where every pole of the fate window passes: the 24-term
+#   tail |c_24 s^22| stays below 1e-9 |y| out to the restart offset, where
+#   laurent_match checks it; its worst over a = -100, -90, ..., 100 to
+#   x = -135 is 0.23 of that bound there (the first pole of a = -100), and
+#   at Y = 35 it is 1.16.
+# The tail ratio grows like Y^-12, so a pole matched at Y with ratio r passes
+# from Y r^(1/12) up, its lowest height.  The first pole of a run tries the
+# floor; each later pole does when _HEIGHT_MARGIN times the previous pole's
+# lowest height is at most the floor, and otherwise takes 40.  A floor that
+# fails (a match that breaks a check of laurent_match, or a stop short of the
+# pole signature of _approaching_pole) integrates the same segment again from
+# its start to 40, so the segments end where they would at 40 alone.  Over
+# the 990 poles that a = -100..100 (step 10) meet by x = -135 the lowest
+# height runs from 4.6 to 35.4, and from one pole to the next it grows by at
+# most 1.31x, by more than 1.052x at 1 % of them and by more than 1.1x at 4
+# of 969.  A failed floor costs a second run of its segment, a passed one
+# saves only the steps between the heights, so the margin sits above that
+# 99th percentile: 1.1, which of 1.0, 1.05, 1.1, 1.2 and 1.3 also takes
+# those runs the fewest attempts.
+_Y_FLOOR = 1.5 * math.sqrt(-_X_MIN)
+_Y_POLE = 40.0
+_HEIGHT_MARGIN = 1.1
+_SERIES_TERMS = 24
 _BISECT_TOL = 1e-7       # final bracket width on a
 # Scan step in a while seeking a_n: a fraction of the local spacing
 # 0.6 C n^(-2/5) (the derivative of C n^(3/5)).  A step longer than
@@ -110,6 +129,7 @@ class PoleEvent:
     x0: float          # pole location
     h: float           # free coefficient of (x - x0)^4
     residual: float    # relative match residual
+    tail: float        # 24-term tail over its 1e-9 |y| bound, at the restart offset
 
     def __post_init__(self):
         if not self.residual <= 1e-8:
@@ -145,41 +165,50 @@ class FateReport:
 # -- Laurent series at a double pole ----------------------------------------
 
 
-def _pole_series(x0: float, h: float, terms: int):
-    """Coefficients c_j of y = sum c_j s^(j-2) and their (x0, h) derivatives.
+def _pole_series(x0: float, h: float, terms: int) -> list[float]:
+    """Coefficients c_j of y = sum c_j s^(j-2), j = 0..terms.
 
     c_0 = 6 and the resonance sits at j = 6, where h enters freely; higher
     coefficients follow from c_m (m-6)(m+1) = sum_{i=1}^{m-1} c_i c_{m-i}.
     """
     c = [0.0] * (terms + 1)
-    dx = [0.0] * (terms + 1)
-    dh = [0.0] * (terms + 1)
     c[0] = 6.0
     c[4] = -x0 / 10.0
-    dx[4] = -0.1
     c[5] = -1.0 / 6.0
     c[6] = h
-    dh[6] = 1.0
     for m in range(7, terms + 1):
-        s = sx = sh = 0.0
-        # c, dx and dh vanish at 1..3, so a term with i or m - i there is
-        # +-0.0; s, sx and sh start at +0.0 and never hold -0.0, so adding
-        # one changes nothing.  Skipping them leaves the other terms in the
-        # same order: the same sums, to the bit, for finite coefficients.
+        s = 0.0
+        # c vanishes at 1..3, so a term with i or m - i there is +-0.0; s
+        # starts at +0.0 and never holds -0.0, so adding one changes
+        # nothing.  Skipping them leaves the other terms in the same order:
+        # the same sums, to the bit, for finite coefficients.
         for i in range(4, m - 3):
             s += c[i] * c[m - i]
+        c[m] = s / ((m - 6) * (m + 1))
+    return c
+
+
+def _pole_series_derivatives(c: list[float]) -> tuple[list[float], list[float]]:
+    """(x0, h) derivatives of the coefficients c of _pole_series, by the
+    differentiated recurrence over the same terms in the same order."""
+    dx = [0.0] * len(c)
+    dh = [0.0] * len(c)
+    dx[4] = -0.1
+    dh[6] = 1.0
+    for m in range(7, len(c)):
+        sx = sh = 0.0
+        for i in range(4, m - 3):
             sx += dx[i] * c[m - i] + c[i] * dx[m - i]
             sh += dh[i] * c[m - i] + c[i] * dh[m - i]
         d = (m - 6) * (m + 1)
-        c[m] = s / d
         dx[m] = sx / d
         dh[m] = sh / d
-    return c, dx, dh
+    return dx, dh
 
 
 def pole_series_eval(x0: float, h: float, x: float) -> tuple[float, float]:
     """(y, y') of the Laurent solution with data (x0, h), at x != x0."""
-    c, _, _ = _pole_series(x0, h, _SERIES_TERMS)
+    c = _pole_series(x0, h, _SERIES_TERMS)
     s = x - x0
     p, dp = _horner(c, s)
     y = p / (s * s)
@@ -187,21 +216,24 @@ def pole_series_eval(x0: float, h: float, x: float) -> tuple[float, float]:
     return y, v
 
 
-def laurent_match(x: float, y: float, v: float) -> PoleEvent:
-    """Fit (x0, h) so the Laurent series matches the observed (y, v) at x.
+def laurent_match(x: float, y: float, v: float, height: float) -> PoleEvent:
+    """Fit (x0, h) so the Laurent series matches the observed (y, v) at x,
+    reached on the approach to a pole matched at `height`.
 
     The initial guess comes from the leading order y = 6/s^2: x0 = x + 2y/v.
     Newton converges in a few steps this close to the pole; the relative
-    residual of the converged fit is reported on the event.
+    residual of the converged fit is reported on the event, with the
+    24-term tail over its bound 1e-9 |y| at the match or at the restart
+    offset s = -sqrt(6/height), whichever is farther from the pole.
     """
-    if y < 0.5 * _Y_POLE:
+    if y < 0.5 * height:
         raise MatchDiverged(f"matching requested at y={y:.3g}, below the match height")
     if v == 0.0:
         raise MatchDiverged("v = 0: turning point, not a pole approach")
     x0 = x + 2.0 * y / v
     h = 0.0
     for _ in range(60):
-        c, dxc, dhc = _pole_series(x0, h, _SERIES_TERMS)
+        c = _pole_series(x0, h, _SERIES_TERMS)
         s = x - x0
         p, dp = _horner(c, s)
         s2 = s * s
@@ -211,6 +243,7 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
         f2 = vs - v
         if abs(f1) <= 1e-11 * abs(y) and abs(f2) <= 1e-11 * abs(v):
             break
+        dxc, dhc = _pole_series_derivatives(c)
         px, dpx = _horner(dxc, s)
         ph, dph = _horner(dhc, s)
         # total d/dx0 at fixed x: parameter part minus d/ds
@@ -233,14 +266,14 @@ def laurent_match(x: float, y: float, v: float) -> PoleEvent:
     else:
         raise MatchDiverged(f"Newton did not converge near x={x}")
     # truncation sanity: the last kept term must be negligible at the match
-    # and at the restart offset past the pole, where y ~ 6/s^2 = _Y_POLE;
+    # and at the restart offset past the pole, where y ~ 6/s^2 = height;
     # tail/|y| grows like |s|^24, so the larger |s| of the two decides
-    r, y_r = max((abs(s), abs(y)), (_S_RESTART, _Y_POLE))
-    tail = abs(c[-1]) * r ** (_SERIES_TERMS - 2)
-    if tail > 1e-9 * y_r:
-        raise MatchDiverged(f"series truncation too coarse: tail={tail:.2e}")
+    r, y_r = max((abs(s), abs(y)), (math.sqrt(6.0 / height), height))
+    tail = abs(c[-1]) * r ** (_SERIES_TERMS - 2) / (1e-9 * y_r)
+    if tail > 1.0:
+        raise MatchDiverged(f"series truncation too coarse: tail={tail:.2e} of its bound")
     res = math.hypot(f1 / y, f2 / v if v != 0 else 0.0)
-    return PoleEvent(x0, h, res)
+    return PoleEvent(x0, h, res, tail)
 
 
 # -- integration with pole continuation --------------------------------------
@@ -259,13 +292,16 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
     PoleEvent that ended the segment, or None when the segment ended at a
     turnaround (the match height is raised and integration resumes) or at
     x_end.  Poles are strictly ordered along the integration direction.
+    Each pole is matched at _Y_FLOOR or _Y_POLE by the rule of the
+    constants block; a segment whose floor fails is integrated again from
+    its start and only that run is yielded.
 
     ``until(x, state)``, called after each accepted step, is ORed into the
     pole test; a segment it ends (at a step where both hold, too) is yielded
     with None and is the last one.
     """
     x, state = 0.0, (float(y0), float(a))
-    threshold = _Y_POLE
+    height = threshold = _Y_FLOOR
     last_x0 = math.inf
     while True:
         def stop(xx, yy, _t=threshold):
@@ -277,7 +313,18 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
             yield traj, None
             return
         yv = traj.y_end
-        if not _approaching_pole(yv[0], yv[1]):
+        ev = None
+        if _approaching_pole(yv[0], yv[1]):
+            try:
+                ev = laurent_match(traj.x_end, yv[0], yv[1], height)
+            except MatchDiverged:
+                if height == _Y_POLE:
+                    raise
+        if ev is None and height < _Y_POLE:
+            # the floor fails here: the same segment again, to 40
+            height = threshold = _Y_POLE
+            continue
+        if ev is None:
             # turnaround near the match height: raise the bar and continue
             if threshold > 1e7:
                 raise MatchDiverged("turnaround above 1e7 without pole signature")
@@ -285,16 +332,17 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
             threshold *= 4.0
             x, state = traj.x_end, yv
             continue
-        ev = laurent_match(traj.x_end, yv[0], yv[1])
         if ev.x0 >= last_x0:
             raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
         yield traj, ev
         last_x0 = ev.x0
-        threshold = _Y_POLE
-        x = ev.x0 - _S_RESTART
+        x = ev.x0 - math.sqrt(6.0 / height)
         if x <= x_end:
             return
         state = pole_series_eval(ev.x0, ev.h, x)
+        # the next pole's lowest height, predicted from this one's by Y^-12
+        lowest = _HEIGHT_MARGIN * height * ev.tail ** (1.0 / 12.0)
+        height = threshold = _Y_FLOOR if lowest <= _Y_FLOOR else _Y_POLE
 
 
 def integrate_with_poles(a: float, x_end: float, *,
@@ -364,8 +412,8 @@ def _past_saddle(traj: Trajectory) -> bool:
 def _departure(segments) -> float | None:
     """Left end of the longest run of stored samples with |y - sqrt(-x)| <
     sqrt(-x)/2, x < 0, over the segments; None without one.  No run spans
-    two segments: they meet at a pole or a turnaround, at |y| >= _Y_POLE,
-    and a sample in the run has y < 1.5 sqrt(-_X_MIN) < _Y_POLE."""
+    two segments: they meet at a pole or a turnaround, at |y| >= _Y_FLOOR,
+    and a sample in the run has y < 1.5 sqrt(-_X_MIN) = _Y_FLOOR."""
     xs = np.concatenate([np.frombuffer(t.xs, dtype=float) for t in segments])
     y = np.concatenate([np.frombuffer(t._ys, dtype=float)[0::2] for t in segments])
     root = np.sqrt(-xs)

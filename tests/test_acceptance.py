@@ -465,7 +465,7 @@ def test_criterion_14_property_suites(scale):
     y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
     tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, pode,
                    dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], _Y_POLE)
     xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     st = pole_series_eval(ev.x0, ev.h, xr)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, pode, dense=False)

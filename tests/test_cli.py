@@ -178,6 +178,22 @@ def test_painleve_fate_and_envelope_accept_y0_outside_the_eigen_range(tmp_path, 
     assert code == 0 and out.exists()
 
 
+def test_painleve_envelope_needs_a(tmp_path, capsys, monkeypatch):
+    # envelope has no default slope: at a = 0 the window holds one extremum,
+    # so a run without --a is refused before any integration; fate keeps a = 0
+    import nel.painleve
+
+    calls = []
+    monkeypatch.setattr(nel.painleve, "integrate_with_poles", lambda *a, **k: calls.append(a))
+    out = tmp_path / "env.json"
+    code, stdout, err = run_cli(["painleve", "envelope", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("UsageError", "envelope needs --a")
+    assert calls == [] and not out.exists()
+    assert not (tmp_path / "env.json.manifest.json").exists()
+
+
 def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypatch):
     # `--n 7,2,7` computes n = 2 and 7 only, once each, by every method, and
     # writes their records in increasing n (a_min is a_2, a_max is a_7)
@@ -732,8 +748,9 @@ def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch
     assert not out.exists()
 
 
+_FIGURE_DEFAULTS = {4: {"n": 10000}, 8: {"n": 50, "step": 0.0005}}
 _FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
-                               {"figure": f"fig{k}", **({"step": 0.0005} if k == 8 else {})},
+                               {"figure": f"fig{k}", **_FIGURE_DEFAULTS.get(k, {})},
                                ["x.csv"], id=f"figures-fig{k}") for k in range(1, 9)]
 
 
@@ -744,12 +761,17 @@ _FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
     pytest.param(["limiting-curve", "--grid", "21", "--out", "x.csv"], {"grid": 21}, ["x.csv"],
                  id="limiting-curve"),
     pytest.param(["extrapolate", "--values", "4,3.5,3.25", "--indices", "1,2,4", "--out", "x.json"],
-                 {"values": "4,3.5,3.25", "indices": "1,2,4"}, ["x.json"], id="extrapolate-raw"),
+                 {"values": "4,3.5,3.25", "indices": "1,2,4", "stages": 2}, ["x.json"],
+                 id="extrapolate-raw"),
     pytest.param(["extrapolate", "--target", "a-constant", "--indices", "1,2", "--out", "x.json"],
-                 {"target": "a-constant", "indices": "1,2"}, ["x.json"],
+                 {"target": "a-constant", "indices": "1,2", "stages": 1}, ["x.json"],
                  id="extrapolate-a-constant"),
+    pytest.param(["extrapolate", "--target", "a-constant", "--out", "x.json"],
+                 {"target": "a-constant", "indices": "125,250,500,1000,2000", "stages": 4},
+                 ["x.json"], id="extrapolate-a-constant-defaults"),
     pytest.param(["extrapolate", "--target", "painleve-c", "--out", "x.json"],
-                 {"target": "painleve-c", "count": 12}, ["x.json"], id="extrapolate-painleve-c"),
+                 {"target": "painleve-c", "count": 12, "stages": 4}, ["x.json"],
+                 id="extrapolate-painleve-c"),
     pytest.param(["painleve", "eigen", "--out", "x.json"],
                  {"task": "eigen", "count": 12, "y0": 1.0}, ["x.json"], id="painleve-eigen"),
     pytest.param(["painleve", "fate", "--out", "x.json"],
@@ -774,8 +796,9 @@ _FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
 def test_manifests_record_only_flags_read(argv, params, outputs, tmp_path, monkeypatch, capsys):
     # main writes one manifest per command: beside --out, or run.manifest.json
     # in --out-dir, and none without either.  Its parameters are the flags the
-    # task read, with the defaults it used (fig8 its step, painleve eigen its
-    # count); the summary's last line lists the outputs
+    # task read, with the defaults it used (fig4 and fig8 their n, fig8 its
+    # step, extrapolate its stages and a-constant its indices, painleve eigen
+    # its count); the summary's last line lists the outputs
     import nel.painleve
     import nel.pseries
     from nel import __version__

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nel.ode import IntegratorConfig
-from nel.painleve import (_ODE, _X_MIN, _Y_POLE, InsufficientExtrema,
+from nel.painleve import (_ODE, _X_MIN, _Y_FLOOR, _Y_POLE, InsufficientExtrema,
                           MatchDiverged, PoleEvent, Undecided, approach_decay_slope,
                           classify_fate, estimate_C, fit_oscillation_envelope,
                           integrate_with_poles, laurent_match, painleve_rhs,
@@ -37,7 +37,7 @@ def test_laurent_series_satisfies_equation():
     x0, h = -3.7, 1.9
 
     def residual(s, terms):
-        c, _, _ = _pole_series(x0, h, terms)
+        c = _pole_series(x0, h, terms)
         p = dp = ddp = 0.0
         for cj in reversed(c):
             ddp = ddp * s + 2 * dp
@@ -52,13 +52,15 @@ def test_laurent_series_satisfies_equation():
         assert terms - 5 < order < terms + 1
 
 
-def _full_range_series(x0, h, terms):
-    # the recursion summed over every i in 1..m-1, zero terms included
+def _one_loop_series(x0, h, terms, first):
+    # c and its (x0, h) derivatives built together in one loop, summing
+    # i = first .. m - first: first = 1 takes every term, zero terms
+    # included; first = 4 skips them as the library does
     c, dx, dh = [0.0] * (terms + 1), [0.0] * (terms + 1), [0.0] * (terms + 1)
     c[0], c[4], dx[4], c[5], c[6], dh[6] = 6.0, -x0 / 10.0, -0.1, -1.0 / 6.0, h, 1.0
     for m in range(7, terms + 1):
         s = sx = sh = 0.0
-        for i in range(1, m):
+        for i in range(first, m - first + 1):
             s += c[i] * c[m - i]
             sx += dx[i] * c[m - i] + c[i] * dx[m - i]
             sh += dh[i] * c[m - i] + c[i] * dh[m - i]
@@ -71,12 +73,17 @@ def _full_range_series(x0, h, terms):
                                    (-41.06, 0.0), (12.5, -0.3), (-120.0, 37.0)])
 @pytest.mark.parametrize("terms", [7, 12, 24])
 def test_pole_series_skips_only_zero_terms(x0, h, terms):
-    from nel.painleve import _pole_series
+    # the coefficients, and apart from them their derivatives, which
+    # laurent_match builds only for a Newton step it takes, equal to the bit
+    # both the sums over every term and the one loop that built all three
+    # together over the nonzero terms
+    from nel.painleve import _pole_series, _pole_series_derivatives
 
-    got = _pole_series(x0, h, terms)
-    ref = _full_range_series(x0, h, terms)
-    for g, r in zip(got, ref):
-        assert [v.hex() for v in g] == [v.hex() for v in r]
+    c = _pole_series(x0, h, terms)
+    got = (c, *_pole_series_derivatives(c))
+    for first in (1, 4):
+        for g, r in zip(got, _one_loop_series(x0, h, terms, first)):
+            assert [v.hex() for v in g] == [v.hex() for v in r]
     if x0 == 0.0:
         assert math.copysign(1.0, got[0][4]) == -1.0      # c_4 = -0.0 is kept
 
@@ -85,7 +92,7 @@ def test_laurent_match_recovers_synthetic_pole():
     x0, h = -7.3, 4.2
     s = -math.sqrt(6.0 / _Y_POLE) * 1.01
     y, v = pole_series_eval(x0, h, x0 + s)
-    ev = laurent_match(x0 + s, y, v)
+    ev = laurent_match(x0 + s, y, v, _Y_POLE)
     assert abs(ev.x0 - x0) < 1e-6
     assert abs(ev.h - h) < 1e-6
     # the leading-order guess x + 2y/v already lands close
@@ -99,39 +106,96 @@ def test_leading_order_guess_close_to_newton_at_great_height():
     s = -math.sqrt(6.0 / 6e4)
     y, v = pole_series_eval(x0, h, x0 + s)
     guess = (x0 + s) + 2.0 * y / v
-    ev = laurent_match(x0 + s, y, v)
+    ev = laurent_match(x0 + s, y, v, _Y_POLE)
     assert abs(guess - ev.x0) < 1e-6
     assert abs(ev.x0 - x0) < 1e-9
 
 
 def test_laurent_match_guards():
     with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 10.0, -100.0)      # far below match height
+        laurent_match(-5.0, 10.0, -100.0, _Y_POLE)      # far below match height
     with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 500.0, 0.0)        # turning point
+        laurent_match(-5.0, 500.0, 0.0, _Y_POLE)        # turning point
     with pytest.raises(MatchDiverged):
-        PoleEvent(-1.0, 0.0, 1e-3)                  # residual bound enforced
+        PoleEvent(-1.0, 0.0, 1e-3, 0.0)                  # residual bound enforced
 
 
-def test_pole_height_is_the_floor_the_series_allows():
-    # the 24-term tail |c_24 s^22| at the restart offset s = sqrt(6/_Y_POLE),
-    # where y ~ _Y_POLE, stays within a quarter of laurent_match's bound
-    # 1e-9 |y| at every pole that a = -100..100 meet in the fate window
-    # (worst 0.23, the first pole of a = -100); the ratio grows like Y^-12,
-    # so a ratio above 0.1 also puts the lowest height the bound allows
-    # above 0.82 _Y_POLE.  A run within sqrt(-x)/2 of +sqrt(-x) stays below
-    # 1.5 sqrt(-_X_MIN), so it never reaches a segment end.
+def test_pole_height_is_the_floor_the_series_allows(monkeypatch):
+    # Every pole that a = -100..100 meet in the fate window is matched at
+    # the floor or at 40, and crossed without MatchDiverged.  A floor match
+    # keeps its 24-term tail within laurent_match's bound 1e-9 |y| out to
+    # its restart offset.  A floor that fails runs its segment once more,
+    # from the same start, to 40; segments and poles are as many as at 40
+    # alone.  The reruns: at the first pole of each run with |a| >= 40,
+    # whose lowest height grows with |a|; by a failed tail check past a
+    # first pole at fewer than 1 % of poles (the margin 1.1 sits above the
+    # 99th percentile of the pole-to-pole growth); and by a stop short of
+    # the pole signature (10, on the chains of a = -20, 0 and 20).  With
+    # them the runs take fewer attempts than at 40 alone.  At 40 the tail
+    # stays within a quarter of the bound at every pole (worst 0.23, the
+    # first pole of a = -100); the ratio grows like Y^-12, so a ratio above
+    # 0.1 also puts the lowest height the bound allows above 0.82 _Y_POLE.
+    # A run within sqrt(-x)/2 of +sqrt(-x) stays below the floor, so it
+    # never reaches a segment end.
+    import nel.painleve as pv
     from nel.painleve import _SERIES_TERMS, _pole_series
 
-    assert _Y_POLE > 1.5 * math.sqrt(-_X_MIN)
-    s = math.sqrt(6.0 / _Y_POLE)
-    ratios = []
+    assert _Y_FLOOR == 1.5 * math.sqrt(-_X_MIN) < _Y_POLE
+    matches, runs = [], []
+    match, integrate = pv.laurent_match, pv.integrate
+
+    def logged_match(x, y, v, height):
+        try:
+            ev = match(x, y, v, height)
+        except MatchDiverged:
+            matches.append((height, None))
+            raise
+        matches.append((height, ev))
+        return ev
+
+    def counted(rhs, x, *args, **kwargs):
+        traj = integrate(rhs, x, *args, **kwargs)
+        runs.append((x, traj.step_count + traj.rejected))
+        return traj
+
+    def ratio(c, y):
+        # the tail over its bound at the restart offset of height y
+        return abs(c[-1]) * (6.0 / y) ** ((_SERIES_TERMS - 2) / 2) / (1e-9 * y)
+
+    monkeypatch.setattr(pv, "laurent_match", logged_match)
+    monkeypatch.setattr(pv, "integrate", counted)
+    at_40, first_reruns, tail_reruns, n_poles = [], [], 0, 0
+    attempts = attempts_40 = 0
     for k in range(-10, 11):
-        _, poles = integrate_with_poles(10.0 * k, _X_MIN)
-        for ev in poles:
-            c, _, _ = _pole_series(ev.x0, ev.h, _SERIES_TERMS)
-            ratios.append(abs(c[-1]) * s ** (_SERIES_TERMS - 2) / (1e-9 * _Y_POLE))
-    assert 0.1 < max(ratios) <= 0.25
+        matches.clear()
+        runs.clear()
+        segs, poles = integrate_with_poles(10.0 * k, _X_MIN)
+        assert [ev for _, ev in matches if ev is not None] == poles
+        reruns = [i for i in range(1, len(runs)) if runs[i][0] == runs[i - 1][0]]
+        assert len(runs) - len(segs) == len(reruns)
+        first_reruns += [10 * k] if reruns[:1] == [1] else []
+        for i, (height, ev) in enumerate(matches):
+            if ev is None:
+                assert (height, matches[i + 1][0]) == (_Y_FLOOR, _Y_POLE)
+                tail_reruns += i > 0
+                continue
+            assert height in (_Y_FLOOR, _Y_POLE)
+            c = _pole_series(ev.x0, ev.h, _SERIES_TERMS)
+            if height == _Y_FLOOR:
+                assert ev.tail <= 1.0 and ratio(c, _Y_FLOOR) <= 1.0
+            at_40.append(ratio(c, _Y_POLE))
+        n_poles += len(poles)
+        attempts += sum(n for _, n in runs)
+        runs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pv, "_Y_FLOOR", _Y_POLE)
+            segs_40, poles_40 = integrate_with_poles(10.0 * k, _X_MIN)
+        assert (len(segs), len(poles)) == (len(segs_40), len(poles_40))
+        attempts_40 += sum(n for _, n in runs)
+    assert 0.1 < max(at_40) <= 0.25
+    assert first_reruns == [a for a in range(-100, 101, 10) if abs(a) >= 40]
+    assert tail_reruns <= 0.01 * n_poles
+    assert attempts < attempts_40
 
 
 def test_laurent_match_checks_the_tail_at_the_restart_offset():
@@ -142,32 +206,33 @@ def test_laurent_match_checks_the_tail_at_the_restart_offset():
     from nel.painleve import _SERIES_TERMS, _pole_series
 
     x0, h = -300.0, 50.0
-    c, _, _ = _pole_series(x0, h, _SERIES_TERMS)
+    c = _pole_series(x0, h, _SERIES_TERMS)
     ratio = abs(c[-1]) * (6.0 / _Y_POLE) ** ((_SERIES_TERMS - 2) / 2) / (1e-9 * _Y_POLE)
     assert 1.7 < ratio < 1.8
     s = -math.sqrt(6.0 / 1000.0)
     y, v = pole_series_eval(x0, h, x0 + s)
     assert y == pytest.approx(1000.0, rel=1e-3)
     with pytest.raises(MatchDiverged, match="truncation"):
-        laurent_match(x0 + s, y, v)
+        laurent_match(x0 + s, y, v, _Y_POLE)
     # the test pole of the round trips passes from the same height
     x0, h = -7.3, 4.2
-    ev = laurent_match(x0 + s, *pole_series_eval(x0, h, x0 + s))
+    ev = laurent_match(x0 + s, *pole_series_eval(x0, h, x0 + s), _Y_POLE)
     assert abs(ev.x0 - x0) < 1e-9
 
 
-def test_pole_round_trip():
-    # from series data on one side, cross the pole numerically and compare
-    # with the series on the other side
+@pytest.mark.parametrize("height", [_Y_FLOOR, _Y_POLE], ids=["floor", "40"])
+def test_pole_round_trip(height):
+    # from series data on one side, cross the pole numerically, matched and
+    # restarted at either height, and compare with the series on the other side
     x0, h = -7.3, 4.2
     from nel.ode import integrate
 
     s_far = 0.6
     y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
     tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, _ODE,
-                   dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
-    xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
+                   dense=False, stop_when=lambda x, y: y[0] >= height and y[1] < 0)
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], height)
+    xr = ev.x0 - math.sqrt(6.0 / height)
     st = pole_series_eval(ev.x0, ev.h, xr)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, _ODE, dense=False)
     y_ref, v_ref = pole_series_eval(x0, h, x0 - s_far)
@@ -185,7 +250,7 @@ def test_pole_round_trip_tolerance_scaling(scale):
     y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
     tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, ode,
                    dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1])
+    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], _Y_POLE)
     xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
     st = pole_series_eval(ev.x0, ev.h, xr)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, ode, dense=False)
