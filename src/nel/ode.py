@@ -594,8 +594,7 @@ def find_extrema(traj: Trajectory) -> list[tuple[float, float, str]]:
 
     No CLI command calls it.  It is the reference for ``maxima_count`` in
     test_separatrix.py (``test_stopped_count_equals_full_span_count*``,
-    ``test_bisect_on_the_law_equals_halving_on_located_counts``) and in the
-    CI step "Separatrix intercepts by both routes".
+    ``test_bisect_on_the_law_equals_halving_on_located_counts``).
     """
     if traj.dim != 1:
         raise ValueError("find_extrema requires a scalar trajectory")

@@ -18,6 +18,7 @@ a route that does not go through the code under test:
   contract said 0.8780).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -25,22 +26,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from published import FIG2_CAPTION, PAINLEVE_C, PAINLEVE_EIGS, RHO_MAX, RHO_TAU
+
 A_CONSTANT = 2.0 ** (5.0 / 6.0)
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
-
-# Contracted reference intercepts (seven digits, as published).  a_6 is
-# published as 4.284674; bisection, the backward trace, scipy's DOP853 and
-# the fixed-step RK4 in test_criterion_01_sixth_intercept_by_rk4 all give
-# 4.2847241, so the entry carries that value.
-FIG2_CAPTION = {
-    -3: -3.231360, -2: -2.698369, -1: -2.032651, 0: -1.016702,
-    1: 1.602573, 2: 2.388358, 3: 2.976682, 4: 3.467542, 5: 3.897484,
-    6: 4.284724,
-}
-
-PAINLEVE_REFERENCE = [0.231955, 3.980669, 6.257998, 8.075911, 9.654843,
-                      11.078201, 12.389217, 13.613878, 14.769304, 15.867511,
-                      16.917331, 17.925488]
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -139,6 +128,22 @@ def test_criterion_03_growth_constant_extrapolation(geometric_intercepts):
     ok = err <= 1e-5
     report("3", ok, f"|A - 2^(5/6)| = {err:.2e} from n in {idx}")
     assert ok
+
+
+def test_criterion_03_limit_printed_by_the_cli(geometric_intercepts, tmp_path, capsys):
+    # `nel extrapolate --target a-constant` prints that limit, bit for bit
+    from nel.cli import main
+    from nel.extrapolate import richardson
+
+    out = tmp_path / "aconst.json"
+    assert main(["extrapolate", "--target", "a-constant", "--out", str(out)]) == 0
+    capsys.readouterr()
+    limit = json.loads(out.read_text())["limit"]
+    idx = sorted(geometric_intercepts)
+    seq = [math.sqrt(2.0) * geometric_intercepts[n] / math.sqrt(2 * n - 0.5)
+           for n in idx]
+    assert limit.hex() == richardson(seq, idx, stages=4).limit.hex()
+    assert abs(limit - A_CONSTANT) <= 1e-5
 
 
 def test_growth_constant_correction_exponent(geometric_intercepts):
@@ -241,7 +246,7 @@ def test_criterion_09_painleve_eigenvalues(painleve_eigs12):
     from nel.painleve import classify_fate
 
     eigs, elapsed = painleve_eigs12
-    diffs = [abs(e - r) for e, r in zip(eigs, PAINLEVE_REFERENCE)]
+    diffs = [abs(e - r) for e, r in zip(eigs, PAINLEVE_EIGS)]
     worst = max(diffs)
     p3 = classify_fate(eigs[2] + 1e-5).pole_count
     p4 = classify_fate(eigs[3] - 1e-5).pole_count
@@ -256,7 +261,7 @@ def test_painleve_eigenvalues_to_the_published_digits(painleve_eigs12):
     # pole fit amplifies the pair loop's local error into h like Y^3 of the
     # match height, so too high a height shows here first
     eigs, _ = painleve_eigs12
-    worst = max(abs(e - r) for e, r in zip(eigs, PAINLEVE_REFERENCE))
+    worst = max(abs(e - r) for e, r in zip(eigs, PAINLEVE_EIGS))
     assert worst < 1e-6, f"worst |diff| {worst:.2e}"
 
 
@@ -265,7 +270,7 @@ def test_criterion_10_growth_law(painleve_eigs12):
 
     eigs, _ = painleve_eigs12
     c = estimate_C(eigs)
-    rel = abs(c - 4.28373) / 4.28373
+    rel = abs(c - PAINLEVE_C) / PAINLEVE_C
     ok_c = rel <= 0.02
 
     # The eigenvalues follow C (n - nu)^p with nu near 1.1 (successive
@@ -320,9 +325,9 @@ def test_criterion_12_partial_sum_root_moduli(fig8_scan):
     ok_deg7 = abs(deg7 - 1.7804) <= 5e-4
 
     top = fig8_scan.maxima[:2]
-    vals_ok = all(abs(v - 1.7818) <= 5e-4 for _, v in top)
+    vals_ok = all(abs(v - RHO_MAX) <= 5e-4 for _, v in top)
     locs = sorted(t for t, _ in top)
-    loc_3780 = any(abs(t - 0.3780) <= 5e-4 for t in locs)
+    loc_3780 = any(abs(t - RHO_TAU) <= 5e-4 for t in locs)
     # a_k(1 - tau) = conj a_k(tau), so rho_n(1 - tau) = rho_n(tau) and the
     # twin of the 0.3780 maximum sits at 0.6220 (the contract said 0.8780,
     # where rho_50 is ~1.575; see the companion-matrix check below).
@@ -346,8 +351,8 @@ def test_criterion_12_reflection_by_companion_matrix():
         coeffs = np.exp(1j * np.pi * ((tau * (k * k + k)) % 2.0))
         return float(np.max(np.abs(np.roots(coeffs[::-1]))))
 
-    lo, hi, far = rho50(0.3780), rho50(0.6220), rho50(0.8780)
-    ok = abs(lo - hi) <= 1e-12 and abs(lo - 1.7818) <= 5e-4 and far < 1.7
+    lo, hi, far = rho50(RHO_TAU), rho50(0.6220), rho50(0.8780)
+    ok = abs(lo - hi) <= 1e-12 and abs(lo - RHO_MAX) <= 5e-4 and far < 1.7
     report("12[roots]", ok, f"rho_50 at 0.3780 {lo:.6f}, at 0.6220 "
                             f"{hi:.6f}, at 0.8780 {far:.5f}")
     assert ok

@@ -1,12 +1,19 @@
+import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nel
 from nel.cli import _CHUNK, _col, _write_csv, main
+
+from published import PAINLEVE_C, PAINLEVE_EIGS, RHO_MAX, RHO_TAU
 
 
 def run_cli(argv, capsys):
@@ -84,17 +91,23 @@ def test_pseries_rho_stdout(tmp_path, capsys):
     assert abs(payload["rho"] - 1.70002) < 5e-3
 
 
-@pytest.mark.parametrize("n", [50, 51])
+@pytest.mark.parametrize("n", [50, 51, 499, 500])
 def test_pseries_roots_and_rho_print_the_same_rho(n, tmp_path, capsys):
-    # the roots file's moduli, its summary and rho's payload are one value
+    # the roots file's moduli, its summary and rho's payload are one value,
+    # criterion 12's largest maximum up to the degree cap 500 (499 takes the
+    # odd degrees' deflated route there); every root meets test_residual_bound's
+    # bound |p(z)| <= 1e-10 sum|a_k| max(1, |z|)^n, with sum|a_k| = n + 1
     out = tmp_path / "roots.json"
-    argv = ["--tau-value", "0.378", "--n", str(n)]
+    argv = ["--tau-value", repr(RHO_TAU), "--n", str(n)]
     _, rho_stdout, _ = run_cli(["pseries", "rho", *argv], capsys)
     _, roots_stdout, _ = run_cli(["pseries", "roots", *argv, "--out", str(out)], capsys)
     rho = json.loads(rho_stdout)["rho"]
     assert json.loads(roots_stdout)["rho"].hex() == rho.hex()
     roots = json.loads(out.read_text())["roots"]
     assert len(roots) == n and roots[0]["abs"].hex() == rho.hex()
+    assert abs(rho - RHO_MAX) <= 5e-4
+    bound = [1e-10 * (n + 1) * max(1.0, r["abs"]) ** n for r in roots]
+    assert all(r["residual"] <= b for r, b in zip(roots, bound))
 
 
 def test_extrapolate_raw_values(tmp_path, capsys):
@@ -121,7 +134,7 @@ def test_extrapolate_manifest_records_count_only_for_painleve_c(tmp_path, capsys
 
     def ladder(count, **kwargs):
         counts.append(count)
-        return [4.28373 * n ** 0.6 for n in range(1, count + 1)]
+        return [PAINLEVE_C * n ** 0.6 for n in range(1, count + 1)]
     monkeypatch.setattr(nel.painleve, "painleve_eigenvalues", ladder)
     code, _, _ = run_cli(["extrapolate", "--target", "painleve-c",
                           "--out", str(tmp_path / "c.json")], capsys)
@@ -131,12 +144,14 @@ def test_extrapolate_manifest_records_count_only_for_painleve_c(tmp_path, capsys
 
 
 def test_painleve_fate_subcommand(tmp_path, capsys):
-    out = tmp_path / "fate.json"
-    code, _, _ = run_cli(["painleve", "fate", "--a", "1.0", "--out", str(out)], capsys)
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["lock"] == "oscillatory"
-    assert payload["pole_count"] == 0
+    # a = 55 enters the energy trap inside the window after 35 poles; its
+    # 4-extrema lock starts just past x = -135
+    for a, poles in (("1.0", 0), ("55", 35)):
+        out = tmp_path / f"fate{a}.json"
+        code, _, _ = run_cli(["painleve", "fate", "--a", a, "--out", str(out)], capsys)
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert (payload["lock"], payload["pole_count"]) == ("oscillatory", poles)
 
 
 def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
@@ -194,9 +209,12 @@ def test_painleve_envelope_needs_a(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "env.json.manifest.json").exists()
 
 
-def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypatch):
+def test_eigen_comma_list_computes_only_the_listed_n(cross_method_10, tmp_path, capsys,
+                                                     monkeypatch):
     # `--n 7,2,7` computes n = 2 and 7 only, once each, by every method, and
-    # writes their records in increasing n (a_min is a_2, a_max is a_7)
+    # writes their records in increasing n (a_min is a_2, a_max is a_7), to
+    # the library's bits: the backward a_n, or with --method bisect the
+    # bisection's, and with both the bisection's distance from the backward a_n
     import nel.separatrix
 
     calls = {"bisect": [], "backward": []}
@@ -213,22 +231,57 @@ def test_eigen_comma_list_computes_only_the_listed_n(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(nel.separatrix, "find_eigenvalue_bisect", bisected)
     monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward", traced)
-    for method in ("both", "backward", "bisect"):
+    for text, method in (("2,7", "both"), ("7,2,7", "both"), ("7,2,7", "backward"),
+                         ("7,2,7", "bisect")):
         for routed in calls.values():
             routed.clear()
         out = tmp_path / f"{method}.json"
-        code, stdout, _ = run_cli(["eigen", "--n", "7,2,7", "--method", method,
+        code, stdout, _ = run_cli(["eigen", "--n", text, "--method", method,
                                    "--out", str(out)], capsys)
         assert code == 0
         for route, routed in calls.items():
             assert sorted(routed) == ([2, 7] if method in (route, "both") else []), method
         payload = json.loads(out.read_text())
-        assert [r["n"] for r in payload] == [2, 7]
+        route = "bisect" if method == "bisect" else "backward"
+        assert [(r["n"], r["method"]) for r in payload] == [(2, route), (7, route)]
         summary = json.loads(stdout)
         assert (summary["count"], summary["a_min"], summary["a_max"]) == \
             (2, payload[0]["a_n"], payload[1]["a_n"])
-        if method == "both":
-            assert all(r["residual"] <= 1e-7 for r in payload)
+        for r in payload:
+            bis, back = cross_method_10[r["n"]]
+            assert r["a_n"].hex() == (bis if method == "bisect" else back).hex(), method
+            if method == "both":
+                assert r["residual"].hex() == abs(bis - back).hex() and r["residual"] <= 1e-7
+            else:
+                assert r["residual"] is None
+
+
+def test_eigen_table_carries_the_library_bits(cross_method_10, tmp_path, capsys):
+    # criterion 2 as printed: `eigen --n 1:10 --method both` writes the
+    # backward a_n and the bisection's distance from it, to the bits the
+    # library computes, increasing and within 1e-7
+    out = tmp_path / "eig10.json"
+    code, _, _ = run_cli(["eigen", "--n", "1:10", "--method", "both", "--out", str(out)],
+                         capsys)
+    assert code == 0
+    recs = json.loads(out.read_text())
+    assert [r["n"] for r in recs] == list(range(1, 11))
+    assert all(r["a_n"] < s["a_n"] for r, s in zip(recs, recs[1:]))
+    for r in recs:
+        bis, back = cross_method_10[r["n"]]
+        assert (r["a_n"].hex(), r["residual"].hex()) == (back.hex(), abs(bis - back).hex())
+        assert r["residual"] <= 1e-7
+
+
+def test_eigen_backward_traces_reach_the_index_cap(tmp_path, capsys, deadline):
+    # every n, negative n included, starts at the edge of the odd-bundle
+    # strip; n = -100,000 is the index cap and the longest trace
+    out = tmp_path / "strip.json"
+    with deadline(60):
+        code, _, _ = run_cli(["eigen", "--n=-100000,-3,0,6,7,12,13", "--method", "backward",
+                              "--out", str(out)], capsys)
+    assert code == 0
+    assert [r["n"] for r in json.loads(out.read_text())] == [-100000, -3, 0, 6, 7, 12, 13]
 
 
 @pytest.mark.parametrize("method", ["both", "backward", "bisect"])
@@ -604,6 +657,30 @@ def test_write_csv_bytes_equal_per_value_format(case, tmp_path):
     assert out.read_bytes() == _old_csv(header, rows).encode()
 
 
+def _row_writer(path, header, blocks):
+    # each block expanded into rows and every value formatted on its own
+    with open(path, "w", newline="") as fh:
+        fh.write(_old_csv(header, _block_rows(blocks)))
+
+
+@pytest.mark.parametrize("command", [*(f"figures fig{k}" for k in range(1, 9)),
+                                     "figures fig4 --n 2000", "limiting-curve --grid 501",
+                                     "fourier --n-terms 200", "pseries scan"])
+def test_block_writer_gives_the_bytes_of_a_row_writer(command, tmp_path, monkeypatch,
+                                                       capsys):
+    # each CSV command runs twice in one process: with the shipped block
+    # writer, which formats a shared column or a block's lead once, and with
+    # a row writer (the shared columns reach it unformatted)
+    import nel.cli
+
+    blocks, rows = tmp_path / "blocks.csv", tmp_path / "rows.csv"
+    assert run_cli([*command.split(), "--out", str(blocks)], capsys)[0] == 0
+    monkeypatch.setattr(nel.cli, "_write_csv", _row_writer)
+    monkeypatch.setattr(nel.cli, "_col", list)
+    assert run_cli([*command.split(), "--out", str(rows)], capsys)[0] == 0
+    assert rows.read_bytes() == blocks.read_bytes()
+
+
 def test_write_csv_streams_an_iterator(tmp_path):
     taus = [i / 7 for i in range(100)]
     rhos = [math.sqrt(t) * (-1) ** i for i, t in enumerate(taus)]
@@ -663,6 +740,18 @@ def test_fig6_dataset(painleve_eigs12, tmp_path, capsys):
     assert segments == {1: {0}, 2: {0}, 3: {0, 1}, 4: {0, 1}}
 
 
+def test_painleve_eigen_at_the_count_cap(painleve_eigs12, tmp_path, capsys):
+    # the CLI's largest count: 20 increasing eigenvalues, the first twelve
+    # the library's and within 1e-6 of criterion 9's list, its 6 decimals
+    out = tmp_path / "peig20.json"
+    code, _, _ = run_cli(["painleve", "eigen", "--count", "20", "--out", str(out)], capsys)
+    assert code == 0
+    eigs = json.loads(out.read_text())["eigenvalues"]
+    assert len(eigs) == 20 and all(a < b for a, b in zip(eigs, eigs[1:]))
+    assert [e.hex() for e in eigs[:12]] == [e.hex() for e in painleve_eigs12[0]]
+    assert max(abs(e - r) for e, r in zip(eigs, PAINLEVE_EIGS)) < 1e-6
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
@@ -686,10 +775,11 @@ def test_computational_error_surfaced_as_json(tmp_path, capsys):
 
 def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypatch, capsys):
     # each curve's rows with x at or before its stop are, byte for byte,
-    # the rows a full-span run to x = 24 writes; only the rows beyond move
+    # the rows a full-span run to x = 24 writes; only the rows beyond move,
+    # and there they meet a tight run; a second run writes the same bytes
     import nel.cosine
     from nel.cosine import rhs_unscaled
-    from nel.ode import integrate
+    from nel.ode import IntegratorConfig, integrate
 
     stops = []
 
@@ -718,6 +808,17 @@ def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypa
                 assert line == "%.17g,%.17g,%.17g,%.17g" % (k, a, x, y)
                 kept += 1
     assert kept == sum(math.floor(x / 0.02) + 1 for x in stops)
+    # beyond every stop (x >= 12) within 1e-13 of a rel 1e-14 run
+    tight = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+    for k in (1, 25, 50):
+        x, y = np.array([[float(v) for v in line.split(",")[2:]]
+                         for line in lines[1 + (k - 1) * 1201:1 + k * 1201]]).T
+        beyond = x >= 12.0
+        ref = integrate(rhs_unscaled, 0.0, 0.2 * k, 24.0, tight)
+        assert np.max(np.abs(y[beyond] / ref.sample(x[beyond]) - 1.0)) <= 1e-13, k
+    again = tmp_path / "again.csv"
+    assert run_cli(["figures", "fig1", "--out", str(again)], capsys)[0] == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -807,7 +908,7 @@ def test_manifests_record_only_flags_read(argv, params, outputs, tmp_path, monke
                            reflection_gap=0.0, half_shift_gap=0.0)
     monkeypatch.setattr(nel.pseries, "tau_scan", lambda lo, hi, step, n: scan)
     monkeypatch.setattr(nel.painleve, "painleve_eigenvalues",
-                        lambda count, **k: [4.28373 * n ** 0.6 for n in range(1, count + 1)])
+                        lambda count, **k: [PAINLEVE_C * n ** 0.6 for n in range(1, count + 1)])
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0
@@ -838,6 +939,57 @@ def test_fig7_oscillatory_segment_reaches_window_end(tmp_path, capsys):
     assert float(osc[-1][3]) == -40.0
 
 
+def test_fig2_curves_end_at_x_20(tmp_path, capsys):
+    # fig2 starts its traces at x = 21 and reads every curve out to x = 20
+    out = tmp_path / "fig2.csv"
+    code, _, _ = run_cli(["figures", "fig2", "--out", str(out)], capsys)
+    assert code == 0
+    x_end = {}
+    with open(out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            n, x = int(row["n"]), float(row["x"])
+            x_end[n] = max(x, x_end.get(n, x))
+    assert x_end == {n: 20.0 for n in range(-3, 7)}
+
+
+def test_fig4_at_the_index_cap_reads_each_steps_quartic(tmp_path, monkeypatch, capsys,
+                                                        deadline):
+    # fig4 at n = 100000 reads the largest dense trajectory the CLI builds
+    # (725,908 steps); each z must equal the quartic rebuilt here from the
+    # trace's stored stage records, the samples and y' at the last one
+    import nel.separatrix
+    from nel import ode
+    from nel.separatrix import scaling_factor
+
+    n, traces = 100000, []
+    trace = nel.separatrix.trace_separatrix_backward
+    monkeypatch.setattr(nel.separatrix, "trace_separatrix_backward",
+                        lambda *a, **k: traces.append(trace(*a, **k)) or traces[-1])
+    out = tmp_path / "fig4.csv"
+    with deadline(120):
+        code, _, _ = run_cli(["figures", "fig4", "--n", str(n), "--out", str(out)], capsys)
+    assert code == 0
+    (traj,), s = traces, scaling_factor(n)
+    st = np.frombuffer(traj._dense).reshape(-1, 6)
+    xs, ys = np.frombuffer(traj.xs), np.frombuffer(traj._ys)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    x = np.array([s * float(r[0]) for r in rows])
+    # the step each abscissa falls in; x decreases along the trace
+    i = np.minimum(np.searchsorted(-xs, -x, side="right") - 1, len(st) - 1)
+    h, k1, k3, k4, k5, k6 = st[i].T
+    k7 = np.append(st[1:, 1], traj._f_end)[i]
+    q2 = (ode._P12 * k1 + ode._P32 * k3 + ode._P42 * k4 + ode._P52 * k5 + ode._P62 * k6
+          + ode._P72 * k7)
+    q3 = (ode._P13 * k1 + ode._P33 * k3 + ode._P43 * k4 + ode._P53 * k5 + ode._P63 * k6
+          + ode._P73 * k7)
+    q4 = (ode._P14 * k1 + ode._P34 * k3 + ode._P44 * k4 + ode._P54 * k5 + ode._P64 * k6
+          + ode._P74 * k7)
+    th = (x - xs[i]) / h
+    z = (ys[i] + h * th * (k1 + th * (q2 + th * (q3 + th * q4)))) / s
+    assert (len(st), len(rows)) == (725908, 2001)
+    assert [r[1] for r in rows] == ["%.17g" % v for v in z.tolist()]
+
+
 def test_fig3_dataset(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     code, _, _ = run_cli(["figures", "fig3", "--out", str(out)], capsys)
@@ -858,6 +1010,33 @@ def test_run_quick_preset(tmp_path, capsys):
     for name in manifest["outputs"]:
         assert os.path.exists(name)
     assert (out_dir / "eigenvalues.json").exists()
+
+
+def _written(field: str) -> bool:
+    """A label, an int as str(int), or a float at 17 significant digits."""
+    try:
+        value = float(field)
+    except ValueError:
+        return True
+    try:
+        if field == str(int(field)):
+            return True
+    except ValueError:
+        pass
+    return field == format(value, ".17g")
+
+
+def test_run_figures_preset_writes_all_eight_datasets(tmp_path, capsys):
+    out = tmp_path / "figs"
+    code, _, _ = run_cli(["run", "--preset", "figures", "--out-dir", str(out)], capsys)
+    assert code == 0
+    names = [f"fig{k}.csv" for k in range(1, 9)]
+    listed = json.loads((out / "run.manifest.json").read_text())["outputs"]
+    assert sorted(Path(p).name for p in listed) == sorted(names)
+    for name in names:
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) > 1, name
+        assert [f for row in lines[1:] for f in row.split(",") if not _written(f)] == [], name
 
 
 @pytest.mark.parametrize("task", ["scan", "roots"])
@@ -914,7 +1093,7 @@ def test_a_constant_indices_admit_the_cap(indices, first, tmp_path, monkeypatch,
     assert calls == [first]
 
 
-# -- one parser per process ---------------------------------------------------
+# -- one process against fresh processes --------------------------------------
 
 
 def test_parser_is_built_once():
@@ -923,19 +1102,80 @@ def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
-def test_parser_is_not_built_at_import():
-    import subprocess
-    import sys
-
-    import nel
-
+def _python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """python args in a fresh interpreter that imports this nel."""
     src = os.path.dirname(os.path.dirname(nel.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import nel.cli; print(nel.cli._build_parser.cache_info().currsize)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=60)
+
+
+def test_parser_is_not_built_at_import():
+    done = _python("-c", "import nel.cli; print(nel.cli._build_parser.cache_info().currsize)")
     assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["painleve", "envelope"], 2, "UsageError"),
+    (["painleve", "fate", "--a", "100"], 1, "Undecided"),
+])
+def test_a_process_exits_with_the_code_main_returns(argv, code, error, tmp_path):
+    done = _python("-m", "nel.cli", *argv, "--out", "x.json", cwd=tmp_path)
+    assert (done.returncode, done.stdout, json.loads(done.stderr)["error"]["type"]) == \
+        (code, "", error)
+    assert list(tmp_path.iterdir()) == []
+
+
+_IN_ONE_PROCESS = """
+import sys
+from nel.cli import main
+codes = [main(c.split()) for c in sys.argv[1:]]
+sys.exit(0 if codes == [0] * len(codes) else f"exit codes {codes}")
+"""
+
+
+def _tree(root: Path) -> dict:
+    # every file's bytes, a manifest's without its wall time
+    files = {}
+    for p in sorted(root.rglob("*")):
+        if p.name.endswith(".manifest.json"):
+            m = json.loads(p.read_text())
+            del m["wall_time_s"]
+            files[str(p.relative_to(root))] = json.dumps(m)
+        elif p.is_file():
+            files[str(p.relative_to(root))] = p.read_bytes()
+    return files
+
+
+def test_one_process_gives_the_bytes_of_fresh_processes(tmp_path):
+    # the benchmark worker sends each request as one main call in a
+    # long-lived process; every data file, manifest and stdout line must
+    # equal those of separate nel runs (manifests without their wall times).
+    # run calls main once per subcommand, so it checks the nested calls too
+    cmds = ["eigen --n 5 --method backward --out eig5.json",
+            "pseries rho",
+            "painleve fate --a 2.0 --out fate.json",
+            "figures fig1 --out fig1.csv",
+            "figures fig5 --out fig5.csv",
+            "figures fig7 --out fig7.csv",
+            "limiting-curve --grid 501 --out z.csv",
+            "run --preset quick --out-dir q"]
+    fresh, one = tmp_path / "fresh", tmp_path / "one"
+    fresh.mkdir()
+    one.mkdir()
+    stdout = ""
+    for c in cmds:
+        done = _python("-m", "nel.cli", *c.split(), cwd=fresh)
+        assert done.returncode == 0, done.stderr
+        stdout += done.stdout
+    (fresh / "stdout.txt").write_text(stdout)
+    done = _python("-c", _IN_ONE_PROCESS, *cmds, cwd=one)
+    assert done.returncode == 0, done.stderr
+    (one / "stdout.txt").write_text(done.stdout)
+    assert '"rho"' in done.stdout
+    assert (one / "q" / "run.manifest.json").stat().st_size > 0
+    assert _tree(fresh) == _tree(one)
 
 
 def test_no_value_carries_over_between_calls(tmp_path, monkeypatch, capsys):

@@ -690,8 +690,9 @@ _END_RUNS = {
     "generic-callable": (lambda x, y: math.sin(x * y) - 0.1 * y, 0.0, 2.0, 30.0, None),
     "stopped-maxima-count-3.0": (rhs_unscaled, 0.0, 3.0, _forward_span(3.0),
                                  trapped_in_even_bundle),
-    "backward-1000": (rhs_unscaled, backward_start(1000),
-                      _backward_seed(1000, backward_start(1000)), 0.0, None),
+    # the traces of eigen --method backward
+    **{f"backward-{n}": (rhs_unscaled, *_backward_run(n, False)[:3], None)
+       for n in (-3, 0, 7, 100, 1000, 4000)},
 }
 
 
@@ -704,7 +705,8 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
     assert ends._f_end.hex() == full._f_end.hex()
     assert (ends.step_count, ends.rejected, ends.rhs_evals, ends.stopped) == \
         (full.step_count, full.rejected, full.rhs_evals, full.stopped)
-    assert full.step_count == len(full.xs) - 1 > 1 and full.rejected > 0
+    assert full.step_count == len(full.xs) - 1 > 1
+    assert full.rejected > 0 or run == "backward-0"        # n = 0 rejects no attempt
     assert full.stopped == (stop_when is not None)
     assert bytes(ends.xs) == bytes(array("d", [x0, full.x_end]))
     assert bytes(ends._ys) == bytes(array("d", [y0, full.y_end]))

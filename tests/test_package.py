@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -26,7 +27,8 @@ KEEP = {
     "nel.limitcurve.alpha_closed_form": "criterion 5: the closed forms of that table",
     "nel.limitcurve.eta_consistency_check": "criterion 6: the finite-frequency energy balance",
     "nel.limitcurve.eta_balance_envelope": "criterion 6: the envelope of that balance",
-    "nel.ode.find_extrema": "the tests' and CI's reference route for maxima_count",
+    "nel.ode.find_extrema": "the tests' reference route for maxima_count "
+                            "(test_bisect_on_the_law_equals_halving_on_located_counts)",
     "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
     "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
     "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
@@ -73,3 +75,27 @@ def test_every_exported_function_has_a_caller_or_a_reason():
                 unreached.append(f"{name}.{attr}")
     # both ways: a new test-only export fails, and so does a stale reason
     assert sorted(unreached) == sorted(KEEP)
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def test_ci_runs_tier1_and_the_benchmark_checks_only():
+    # Tier-1 is the whole check: the workflow holds no second one, such as
+    # a script fed to python on stdin
+    text = (TESTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.findall(r"^ *- name: (.*)$", text, re.M) == [
+        "Install", "Tier-1", "Benchmark output checks", "Traced benchmark smoke"]
+    assert re.search(r"\bpython3? +-( |$)", text, re.M) is None
+    assert "<<" not in text
+
+
+def test_sources_parse_as_python_3_10():
+    # the workflow runs Tier-1 under 3.10 too: a run on a newer interpreter
+    # still sees 3.11-only syntax, and 3.11's tomllib, datetime.UTC and
+    # exception groups
+    paths = sorted([*pathlib.Path(nel.__file__).parent.glob("*.py"), *TESTS.glob("*.py")])
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        assert _names_read(path).isdisjoint({"tomllib", "UTC", "ExceptionGroup",
+                                             "BaseExceptionGroup", "TaskGroup"}), path

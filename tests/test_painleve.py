@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from nel.ode import IntegratorConfig
-from nel.painleve import (_ODE, _X_MIN, _Y_FLOOR, _Y_POLE, InsufficientExtrema,
-                          MatchDiverged, PoleEvent, Undecided, approach_decay_slope,
-                          classify_fate, estimate_C, fit_oscillation_envelope,
-                          integrate_with_poles, laurent_match, painleve_rhs,
-                          pole_series_eval)
+from nel.painleve import (_ODE, _X_MIN, _Y_FLOOR, _Y_POLE, REPORTED_GROWTH_CONSTANT,
+                          InsufficientExtrema, MatchDiverged, PoleEvent, Undecided,
+                          approach_decay_slope, classify_fate, estimate_C,
+                          fit_oscillation_envelope, integrate_with_poles, laurent_match,
+                          painleve_rhs, pole_series_eval)
 
-# Published eigenvalue list (initial slopes for y(0) = 1), 6-7 digits.
-PAINLEVE_EIGS = [0.231955, 3.980669, 6.257998, 8.075911, 9.654843, 11.078201,
-                 12.389217, 13.613878, 14.769304, 15.867511, 16.917331,
-                 17.925488]
+from published import PAINLEVE_C, PAINLEVE_EIGS
+
 RATE = 0.8 * math.sqrt(2.0)
 
 
@@ -636,9 +634,11 @@ def test_approach_decay_slope(painleve_eigs12):
 def test_growth_constant_estimate(painleve_eigs12):
     eigs, _ = painleve_eigs12
     c = estimate_C(eigs)
-    assert c == pytest.approx(4.28373, rel=0.02)
+    assert c == pytest.approx(PAINLEVE_C, rel=0.02)
     # close to, but distinct from, (17/5) 2^(1/3); both are reported values
-    assert abs(4.28373 - 3.4 * 2 ** (1 / 3)) < 3e-4
+    assert abs(PAINLEVE_C - 3.4 * 2 ** (1 / 3)) < 3e-4
+    # the scan cap and step read the same published C from nel
+    assert REPORTED_GROWTH_CONSTANT == PAINLEVE_C
 
 
 def test_estimate_c_needs_enough_values():
@@ -655,13 +655,13 @@ def test_growth_constant_appears_universal_in_y0():
     for y0 in (0.0, 2.0):
         eigs = painleve_eigenvalues(8, y0=y0)
         c = estimate_C(eigs)
-        assert c == pytest.approx(4.28373, rel=0.01), f"y0={y0}"
+        assert c == pytest.approx(PAINLEVE_C, rel=0.01), f"y0={y0}"
 
 
 # -- the flip finder on a synthetic ladder (no ODE) ---------------------------
 
 # flips shaped like the growth law C (n - 0.9)^(3/5)
-_LADDER = [4.28373 * (n - 0.9) ** 0.6 for n in range(1, 13)]
+_LADDER = [PAINLEVE_C * (n - 0.9) ** 0.6 for n in range(1, 13)]
 
 
 def _ladder_fate(flips, a, score):

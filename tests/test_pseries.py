@@ -11,6 +11,8 @@ import nel.pseries
 from nel.pseries import (ComplexPolynomial, all_roots, ftau_partial_sum, partial_sum_roots,
                          rho_n, tau_scan)
 
+from published import RHO_MAX, RHO_TAU
+
 CUBIC_RHO = 1.7000157758867895        # largest root modulus of 1+iz-iz^2-z^3
 DEG7_RHO = 1.7804366187866512         # ... of the tau=3/8 period numerator
 
@@ -83,7 +85,7 @@ def test_rho_at_half_is_one_with_a_double_root():
 
 
 def test_rho50_at_reported_maximum():
-    assert rho_n(0.3780, 50) == pytest.approx(1.7818, abs=5e-4)
+    assert rho_n(RHO_TAU, 50) == pytest.approx(RHO_MAX, abs=5e-4)
 
 
 def test_deg7_numerator_rho():

@@ -10,14 +10,7 @@ from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
                             _forward_span, backward_start, find_eigenvalue_bisect,
                             maxima_count, scaled_separatrix, trace_separatrix_backward)
 
-# Reference intercepts, 7 significant digits (independently tabulated; the
-# n=6 entry is the cross-validated value from both methods in this package,
-# which differs from one published table in the 5th decimal).
-REFERENCE = {
-    -3: -3.231360, -2: -2.698369, -1: -2.032651, 0: -1.016702,
-    1: 1.602573, 2: 2.388358, 3: 2.976682, 4: 3.467542, 5: 3.897484,
-    6: 4.284724,
-}
+from published import FIG2_CAPTION
 
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 THETA = _STRIP_THETA
@@ -57,11 +50,11 @@ def test_classify_monotone_in_a():
 def test_bisect_first_eigenvalue():
     a_n = find_eigenvalue_bisect(1)
     assert isinstance(a_n, float)
-    assert abs(a_n - REFERENCE[1]) < 1e-5
+    assert abs(a_n - FIG2_CAPTION[1]) < 1e-5
 
 
 def test_bisect_fourth_eigenvalue():
-    assert abs(find_eigenvalue_bisect(4) - REFERENCE[4]) < 1e-5
+    assert abs(find_eigenvalue_bisect(4) - FIG2_CAPTION[4]) < 1e-5
 
 
 def test_bisect_monotone():
@@ -77,7 +70,7 @@ def test_bisect_requires_positive_index():
 def test_backward_trace_matches_reference():
     for n in (2, 6, 0):
         traj = trace_separatrix_backward(n, dense=False)
-        assert abs(traj.y_end - REFERENCE[n]) < 1e-5
+        assert abs(traj.y_end - FIG2_CAPTION[n]) < 1e-5
         assert traj.x_end == 0.0
 
 
@@ -258,7 +251,7 @@ def test_backward_trace_stable_under_seed_perturbation():
 def test_forward_instability_witness():
     # Perturbing the intercept pushes the forward solution onto the even
     # bundles on either side of the odd separatrix tail.
-    a2 = REFERENCE[2]
+    a2 = FIG2_CAPTION[2]
     assert _landing(a2 - 1e-6) == (2, True)
     assert _landing(a2 + 1e-6) == (4, True)
     assert maxima_count(a2 + 1e-6) == maxima_count(a2 - 1e-6) + 1
@@ -270,7 +263,7 @@ def test_eigenvalue_table_cross_method(reference_table):
     table, _ = reference_table
     for rec in table:
         if rec["n"] >= 1:
-            assert abs(rec["a_n"] - REFERENCE[rec["n"]]) < 1e-5
+            assert abs(rec["a_n"] - FIG2_CAPTION[rec["n"]]) < 1e-5
             assert (rec["method"], rec["tail_m"]) == ("backward", 2 * rec["n"] - 1)
             assert rec["residual"] is not None and rec["residual"] < 1e-7, rec
 
@@ -280,7 +273,7 @@ def test_eigenvalue_table_includes_negative_indices(reference_table):
     table, _ = reference_table
     assert [r["n"] for r in table] == list(range(-3, 7))
     for rec in table:
-        assert abs(rec["a_n"] - REFERENCE[rec["n"]]) < 1e-5
+        assert abs(rec["a_n"] - FIG2_CAPTION[rec["n"]]) < 1e-5
         if rec["n"] < 1:
             assert (rec["method"], rec["tail_m"]) == ("backward", 2 * rec["n"] - 1)
             assert rec["residual"] is None, rec
