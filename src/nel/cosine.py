@@ -1,7 +1,6 @@
 """The model equation y'(x) = cos(pi*x*y), y(0) = a, and its asymptotics.
 
-Covers the scaled form z'(t) = cos(lambda*t*z), the Taylor expansion of the
-solution at the origin, the large-x tail
+Covers the scaled form z'(t) = cos(lambda*t*z), the large-x tail
 
     y(x) ~ (m + 1/2)/x + sum_k c_k x^(-2k-1)
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +25,11 @@ from .pseries import _horner
 
 __all__ = [
     "PI",
-    "TaylorSeries",
     "BundleMismatch",
     "Underflow",
     "rhs_unscaled",
     "scaling_lambda",
     "scaling_factor",
-    "taylor_coefficients",
-    "taylor_eval",
     "tail_coefficients",
     "bundle_index",
     "forward_values",
@@ -72,60 +67,6 @@ def scaling_lambda(n: int) -> float:
 def scaling_factor(n: int) -> float:
     """sqrt(2n - 1/2); both variables scale by it: x = s*t, y = s*z."""
     return math.sqrt(2 * n - 0.5)
-
-
-# -- Taylor expansion at the origin -------------------------------------
-
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Coefficients b_0..b_N of y(x) = sum b_n x^n with y(0) = a.
-
-    Always b_0 = a, b_1 = 1, b_2 = 0; the rest follow from the equation
-    order by order.
-    """
-
-    a: float
-    coefficients: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def taylor_coefficients(a: float, n_terms: int) -> TaylorSeries:
-    """Expand the solution with y(0) = a through x^n_terms.
-
-    Uses the auxiliary closure c = cos(pi*x*y), s = sin(pi*x*y): with
-    u = pi*x*y one has c' = -s u', s' = c u', y' = c, which turns into a
-    coefficient recurrence with Cauchy products.  Works over any field,
-    so tests can rerun it in exact rational arithmetic.
-
-    No CLI command calls it: ``test_taylor_eval_matches_integration``
-    checks ``integrate`` against it near x = 0, and
-    ``test_taylor_float_coefficients_match_formulas`` checks b_3..b_9.
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    b = [a]          # y
-    cc = [1.0]       # cos(pi x y); u(0)=0
-    ss = [0.0]       # sin(pi x y)
-    for n in range(n_terms):
-        b.append(cc[n] / (n + 1))
-        # u' = pi * d(xy)/dx has coefficients pi*(j+1)*b_j at x^j
-        sc = 0.0
-        ssum = 0.0
-        for j in range(n + 1):
-            w = PI * (j + 1) * b[j]
-            sc += ss[n - j] * w
-            ssum += cc[n - j] * w
-        cc.append(-sc / (n + 1))
-        ss.append(ssum / (n + 1))
-    return TaylorSeries(a, tuple(b))
-
-
-def taylor_eval(series: TaylorSeries, x: float) -> float:
-    """Horner evaluation of the truncated expansion."""
-    return _horner(series.coefficients, x)[0]
 
 
 # -- large-x asymptotic tail ---------------------------------------------

@@ -28,10 +28,8 @@ class IllConditioned(ArithmeticError):
 class ExtrapolationResult:
     limit: float
     stages: int
-    exponents: tuple[float, ...]
     table: tuple[tuple[float, ...], ...]   # row j = values after stage j
     error_estimate: float                  # last-stage delta, >= 0
-    weight_norm: float                     # sum |c_i| of the final combination
 
     @property
     def diagonal(self) -> tuple[float, ...]:
@@ -100,14 +98,11 @@ def richardson(values: Sequence[float], indices: Sequence[float],
         if wn > _WEIGHT_CAP:
             raise IllConditioned(f"weight norm {wn:.3g} after stage {j}")
 
-    err = abs(table[-1][0] - table[-2][0]) if stages >= 1 else 0.0
     return ExtrapolationResult(
         limit=t[0],
         stages=stages,
-        exponents=exponents[:stages],
         table=tuple(table),
-        error_estimate=err,
-        weight_norm=sum(abs(c) for c in weights[0]),
+        error_estimate=abs(table[-1][0] - table[-2][0]),
     )
 
 

@@ -10,12 +10,11 @@ run without dense output keeps only its first and last sample.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
 the dense output at a whole array of abscissae in the covered interval; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
-``find_extrema`` and the package's other cheap root searches run one
-lockstep bisection, ``_bisect``; both eigenvalue ladders, the cosine
-maxima count and the Painleve-I fates, close their flips with one finder,
-``_find_flip``.  An optional ``stop_when`` hook is checked
-after each accepted step, which is how callers handle blow-up (pole)
-detection.
+The package's cheap root searches run one lockstep bisection, ``_bisect``;
+both eigenvalue ladders, the cosine maxima count and the Painleve-I fates,
+close their flips with one finder, ``_find_flip``.  An optional
+``stop_when`` hook is checked after each accepted step, which is how
+callers handle blow-up (pole) detection.
 
 Each kind of state runs on its own specialised float-only loop: the
 oscillatory model equation needs millions of scalar steps at tight
@@ -46,7 +45,6 @@ __all__ = [
     "StepLimitExceeded",
     "NonFiniteState",
     "integrate",
-    "find_extrema",
 ]
 
 
@@ -87,7 +85,6 @@ _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 6.0
 
-_XTOL = 1e-10         # find_extrema's bisection width
 _SECANT_WIDTH = 1e-2  # _find_flip halves wider brackets
 # Secant overshoot, see _secant_probe.  Over Painleve-I y0 in -3..5 the secant
 # estimate misses the flip by a median 5-12 % and a 90th percentile 11-24 % of
@@ -580,48 +577,3 @@ def _find_flip(probe, lo: float, hi: float, at_lo, at_hi, tol: float) -> float:
             back_hi, hi, f_hi = (hi, f_hi), a, f
     return 0.5 * (lo + hi)
 
-
-def find_extrema(traj: Trajectory) -> list[tuple[float, float, str]]:
-    """Locate interior extrema of a scalar trajectory.
-
-    Sign changes of y' are bracketed on the stored derivative samples plus
-    three interior probes of the dense interpolant per step, then bisected
-    in lockstep on the interpolant derivative, a bracket of width w
-    min(80, max(20, ceil(log2(w/_XTOL)))) times, _XTOL = 1e-10; of two
-    extrema closer than 10 _XTOL the first is kept.  A plus-to-minus
-    crossing is a maximum.  Returns (x, y, kind) tuples in trajectory order;
-    constant stretches contribute nothing.
-
-    No CLI command calls it.  It is the reference for ``maxima_count`` in
-    test_separatrix.py (``test_stopped_count_equals_full_span_count*``,
-    ``test_bisect_on_the_law_equals_halving_on_located_counts``).
-    """
-    if traj.dim != 1:
-        raise ValueError("find_extrema requires a scalar trajectory")
-    if traj._dense is None:
-        raise ValueError("trajectory lacks dense output")
-
-    nodes = np.frombuffer(traj.xs, dtype=float)
-    # y' at every node: each step's k1 column, then the final derivative
-    fs = np.append(np.frombuffer(traj._dense, dtype=float)[1::6], traj._f_end)
-    a, b = nodes[:-1, None], nodes[1:, None]
-    inner = a + (b - a) * np.array([0.25, 0.5, 0.75])
-    # per step: the five probes a, a + w/4, a + w/2, a + 3w/4, b
-    px = np.hstack([a, inner, b])
-    pf = np.column_stack([fs[:-1], traj.slope(inner.ravel()).reshape(-1, 3), fs[1:]])
-    fl, fr = pf[:, :-1].ravel(), pf[:, 1:].ravel()
-    k = np.nonzero((fl != 0.0) & ~(fl * fr >= 0.0))[0]
-    xl, xr, fl = px[:, :-1].ravel()[k], px[:, 1:].ravel()[k], fl[k]
-    iters = [min(80, max(20, math.ceil(math.log2(max(abs(r - l) / _XTOL, 2.0)))))
-             for l, r in zip(xl.tolist(), xr.tolist())]
-    x_star = _bisect(traj.slope, xl, xr, fl, iters)
-
-    out = []
-    for x, y, f in zip(x_star.tolist(), traj.sample(x_star).tolist(), fl.tolist()):
-        if out and abs(out[-1][0] - x) < 10 * _XTOL:
-            continue
-        # In +x order a maximum is a +(left) to -(right) crossing of y';
-        # backward trajectories visit the right side first.
-        rising = f > 0 if traj.direction > 0 else f < 0
-        out.append((x, y, "max" if rising else "min"))
-    return out

@@ -21,8 +21,7 @@ and is treated the same way.  Each x gives zeta = x +- sqrt(x^2 - 1), each
 zeta the root z = c zeta, plus z = -c for odd n; then two guarded Newton
 steps on S_n.  rho_n, partial_sum_roots and tau_scan share this solver,
 one LAPACK call for a stack of rows, a quarter of the matrix entries of the
-degree-n companion matrix.  all_roots, the generic companion-matrix route,
-is the reference route the tests check it against.
+degree-n companion matrix.
 
 Useful structure, exact in the phase arithmetic used here: a_k(tau + 1) =
 a_k(tau) (k^2 + k is even) and a_k(1 - tau) = conj(a_k(tau)), so rho_n is
@@ -37,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ComplexPolynomial",
     "ftau_partial_sum",
-    "all_roots",
     "partial_sum_roots",
     "rho_n",
     "tau_scan",
@@ -49,23 +46,6 @@ __all__ = [
 
 # A tau scan solves this many (rows x m^2) colleague-matrix entries at a time, m = n // 2.
 _CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Coefficients in ascending powers; the leading one must be nonzero."""
-
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) < 2:
-            raise ValueError("need degree >= 1")
-        if self.coefficients[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def _unit_phases(tau: float, ks) -> list[complex]:
@@ -80,12 +60,12 @@ def _unit_phases(tau: float, ks) -> list[complex]:
     return [complex(math.cos(p), math.sin(p)) for p in phases]
 
 
-def ftau_partial_sum(tau: float, n: int) -> ComplexPolynomial:
-    """S_n with coefficients exp(i pi tau (k^2 + k)), k = 0..n, each phase
-    reduced mod 2 exactly."""
+def ftau_partial_sum(tau: float, n: int) -> tuple[complex, ...]:
+    """The coefficients exp(i pi tau (k^2 + k)), k = 0..n, of S_n in
+    ascending powers, each phase reduced mod 2 exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ComplexPolynomial(tuple(_unit_phases(tau, (k * k + k for k in range(n + 1)))))
+    return tuple(_unit_phases(tau, (k * k + k for k in range(n + 1))))
 
 
 def _horner(c, s):
@@ -120,23 +100,6 @@ def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, np.abs(p)
 
 
-def all_roots(poly: ComplexPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """All degree roots (as a complete multiset) plus residuals |p(z_i)|.
-
-    The reference route for any polynomial: the eigenvalues of the monic
-    degree-d companion matrix (a backward-stable root finder: Edelman and
-    Murakami, Math. Comp. 64, 1995), Newton-polished; residuals are small
-    against the coefficient scale sum|a_k| max(1,|z|)^n.
-    """
-    coeffs = np.asarray([poly.coefficients], dtype=complex)
-    d = poly.degree
-    companion = np.zeros((1, d, d), dtype=complex)
-    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    roots, residuals = _polish(coeffs, np.linalg.eigvals(companion))
-    return roots[0], residuals[0]
-
-
 def _section_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(roots, residuals |S_n(z_i)|), each (len(taus), n), of the partial
     sums S_n at each tau, by the half-degree route of the module docstring.
@@ -144,7 +107,7 @@ def _section_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray]:
     One LAPACK call solves the stack of colleague matrices.  Every operation
     acts on one row at a time, so a row gets the same bits in any batch.
     """
-    coeffs = np.array([ftau_partial_sum(t, n).coefficients for t in taus])
+    coeffs = np.array([ftau_partial_sum(t, n) for t in taus])
     m, odd = divmod(n, 2)
     b = np.array([_unit_phases(t, (k * (k - n) for k in range(m + 1))) for t in taus])
     c = np.array([_unit_phases(t, (-(n + 1),)) for t in taus])
@@ -174,12 +137,11 @@ def _section_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def partial_sum_roots(tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n roots of the degree-n partial sum plus residuals |S_n(z_i)|,
-    by the half-degree route; all_roots(ftau_partial_sum(tau, n)) is the
-    reference route for the same multiset.
+    by the half-degree route.
 
     At tau = 1/2 with n = 3 (mod 4), S_n = (1 - z)^2 (1 + z) (1 - z^(n+1))
-    / (1 - z^4) has a double root at z = 1, which either route returns as a
-    pair about 1e-8 = O(sqrt(eps)) away from it."""
+    / (1 - z^4) has a double root at z = 1, returned, as by the companion
+    matrix, as a pair about 1e-8 = O(sqrt(eps)) away from it."""
     roots, residuals = _section_roots([tau], n)
     return roots[0], residuals[0]
 

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from published import FIG2_CAPTION, PAINLEVE_C, PAINLEVE_EIGS, RHO_MAX, RHO_TAU
+from reference import companion_roots
 
 A_CONSTANT = 2.0 ** (5.0 / 6.0)
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
@@ -312,15 +313,12 @@ def test_criterion_11_oscillation_law():
 
 
 def test_criterion_12_partial_sum_root_moduli(fig8_scan):
-    from nel.pseries import ComplexPolynomial, all_roots
-
-    roots, _ = all_roots(ComplexPolynomial((1, 1j, -1j, -1)))
+    roots, _ = companion_roots((1, 1j, -1j, -1))
     cubic = max(abs(roots))
     ok_cubic = abs(cubic - 1.70002) <= 1e-5
 
     e = lambda t: complex(math.cos(math.pi * t), math.sin(math.pi * t))
-    r7, _ = all_roots(ComplexPolynomial((1, e(0.75), e(0.25), 1j, -1j,
-                                         -e(0.25), -e(0.75), -1)))
+    r7, _ = companion_roots((1, e(0.75), e(0.25), 1j, -1j, -e(0.25), -e(0.75), -1))
     deg7 = max(abs(r7))
     ok_deg7 = abs(deg7 - 1.7804) <= 5e-4
 
@@ -343,13 +341,13 @@ def test_criterion_12_partial_sum_root_moduli(fig8_scan):
 
 def test_criterion_12_reflection_by_companion_matrix():
     # Code outside nel.pseries: coefficients exp(i pi tau (k^2 + k)) built
-    # here, roots from numpy's companion-matrix eigenvalues.  nel.pseries'
+    # here, roots from the tests' companion-matrix reference.  nel.pseries'
     # rho_n takes the half-degree colleague route, so this check shares none
     # of its algorithm; neither does the winding-count test below.
     def rho50(tau):
         k = np.arange(51)
         coeffs = np.exp(1j * np.pi * ((tau * (k * k + k)) % 2.0))
-        return float(np.max(np.abs(np.roots(coeffs[::-1]))))
+        return float(np.max(np.abs(companion_roots(coeffs)[0])))
 
     lo, hi, far = rho50(RHO_TAU), rho50(0.6220), rho50(0.8780)
     ok = abs(lo - hi) <= 1e-12 and abs(lo - RHO_MAX) <= 5e-4 and far < 1.7
@@ -359,19 +357,15 @@ def test_criterion_12_reflection_by_companion_matrix():
 
 
 def test_criterion_12_scan_by_companion_matrix(fig8_scan):
-    # Every rho of the fig8 scan against numpy's eigenvalues of the companion
-    # matrices, with the coefficients built here (phases reduced mod 2 in
-    # Fraction arithmetic), in blocks of 200 stacked matrices.
+    # Every rho of the fig8 scan against the tests' companion-matrix roots,
+    # with the coefficients built here (phases reduced mod 2 in Fraction
+    # arithmetic), in blocks of 200 stacked matrices.
     n, taus = 50, fig8_scan.taus
     worst = 0.0
     for i in range(0, len(taus), 200):
         block = taus[i:i + 200]
         ph = [[float(Fraction(t) * (k * k + k) % 2) for k in range(n + 1)] for t in block]
-        desc = np.exp(1j * np.pi * np.array(ph))[:, ::-1]
-        comp = np.zeros((len(block), n, n), dtype=complex)
-        comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        rho = np.abs(np.linalg.eigvals(comp)).max(axis=1)
+        rho = np.abs(companion_roots(np.exp(1j * np.pi * np.array(ph)))[0]).max(axis=1)
         worst = max(worst, float(np.max(np.abs(rho - fig8_scan.rhos[i:i + 200]))))
     ok = len(taus) == 2001 and not fig8_scan.failures and worst <= 1e-12
     report("12[companion]", ok, f"max |rho - companion rho| {worst:.2e} over "
@@ -425,7 +419,7 @@ def test_criterion_14_property_suites(scale):
     from nel.cosine import rhs_unscaled, tail_coefficients
     from nel.ode import IntegratorConfig, integrate
     from nel.painleve import _Y_POLE, laurent_match, painleve_rhs, pole_series_eval
-    from nel.pseries import all_roots, ftau_partial_sum
+    from nel.pseries import ftau_partial_sum, partial_sum_roots
 
     cfg = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale)
 
@@ -442,9 +436,8 @@ def test_criterion_14_property_suites(scale):
     rev_ok = abs(back.y_end - 0.8) < 100 * cfg.rel_tol
 
     # Vieta on a unit-coefficient section
-    poly = ftau_partial_sum(0.3780, 40)
-    roots, _ = all_roots(poly)
-    a = poly.coefficients
+    a = ftau_partial_sum(0.3780, 40)
+    roots, _ = partial_sum_roots(0.3780, 40)
     s = complex(np.sum(roots))
     prod = complex(np.prod(roots))
     vieta_ok = (abs(s + a[-2] / a[-1]) < 1e-8 * (1 + abs(s))

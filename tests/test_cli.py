@@ -442,7 +442,7 @@ def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys
     import nel.pseries
 
     calls = []
-    for name in ("tau_scan", "partial_sum_roots", "all_roots", "ftau_partial_sum"):
+    for name in ("tau_scan", "partial_sum_roots", "ftau_partial_sum"):
         monkeypatch.setattr(nel.pseries, name,
                             lambda *a, _n=name, **k: calls.append(_n))
     code, _, err = run_cli(["pseries", task], capsys)
@@ -467,7 +467,7 @@ def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monke
     import nel.pseries
 
     calls = []
-    for name in ("tau_scan", "rho_n", "partial_sum_roots", "all_roots", "ftau_partial_sum"):
+    for name in ("tau_scan", "rho_n", "partial_sum_roots", "ftau_partial_sum"):
         monkeypatch.setattr(nel.pseries, name,
                             lambda *a, _n=name, **k: calls.append(_n))
     code, _, err = run_cli(["pseries", *argv, "--out", str(tmp_path / "x.out")], capsys)

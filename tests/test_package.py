@@ -16,9 +16,6 @@ MODULES = ["nel", *(f"nel.{info.name}" for info in pkgutil.iter_modules(nel.__pa
 # or goes.
 KEEP = {
     "nel.cli.main": "the nel console script and python -m nel.cli",
-    "nel.cosine.taylor_coefficients": "reference route near x = 0 for integrate "
-                                      "(test_taylor_eval_matches_integration)",
-    "nel.cosine.taylor_eval": "evaluates taylor_coefficients for that reference route",
     "nel.cosine.tail_coefficients": "criterion 14 checks the odd tails against it",
     "nel.cosine.bundle_index": "the tests read a forward run's landing bundle with it",
     "nel.cosine.bundle_decay_fit": "criterion 8: the even-bundle splitting slope -pi/2",
@@ -27,14 +24,11 @@ KEEP = {
     "nel.limitcurve.alpha_closed_form": "criterion 5: the closed forms of that table",
     "nel.limitcurve.eta_consistency_check": "criterion 6: the finite-frequency energy balance",
     "nel.limitcurve.eta_balance_envelope": "criterion 6: the envelope of that balance",
-    "nel.ode.find_extrema": "the tests' reference route for maxima_count "
-                            "(test_bisect_on_the_law_equals_halving_on_located_counts)",
     "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
     "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
     "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
-    "nel.pseries.all_roots": "the reference route the tests check partial_sum_roots and "
-                             "rho_n against",
-    "nel.pseries.ftau_partial_sum": "builds S_n for that reference route",
+    "nel.pseries.ftau_partial_sum": "_section_roots builds S_n from it, and the tests "
+                                    "take S_n's coefficients from it",
     "nel.separatrix.maxima_count": "find_eigenvalue_bisect calls it",
     "nel.separatrix.backward_start": "trace_separatrix_backward starts from it",
 }
@@ -78,6 +72,18 @@ def test_every_exported_function_has_a_caller_or_a_reason():
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def test_reference_routes_import_nothing_from_nel():
+    # a reference that shared a helper with the route it checks could move
+    # with it under one defect
+    path = TESTS / "reference.py"
+    tree = ast.parse(path.read_text())
+    modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "nel" not in {m.partition(".")[0] for m in modules}
+    assert _names_read(path).isdisjoint({"nel", "_horner", "_polish", "_bisect", "_steps"})
 
 
 def test_ci_runs_tier1_and_the_benchmark_checks_only():

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nel.cosine import bundle_index, rhs_unscaled, tail_coefficients, trapped_in_even_bundle
-from nel.ode import IntegratorConfig, find_extrema, integrate
+from nel.ode import IntegratorConfig, integrate
 from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
                             _forward_span, backward_start, find_eigenvalue_bisect,
                             maxima_count, scaled_separatrix, trace_separatrix_backward)
 
 from published import FIG2_CAPTION
+from reference import extrema
 
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
 THETA = _STRIP_THETA
@@ -27,10 +28,10 @@ def test_classify_basic_classes():
     assert maxima_count(0.5) == 1
     assert maxima_count(2.0) == 2
     assert _landing(0.5) == (0, True)
-    # the one maximum, located on a dense run over the whole span
+    # the one maximum, bracketed on a dense run over the whole span
     traj = integrate(rhs_unscaled, 0.0, 0.5, _forward_span(0.5))
-    (x_turn,) = [x for x, _, kind in find_extrema(traj) if kind == "max"]
-    assert 0 < x_turn < 2
+    ((x_l, x_r),) = [(l, r) for l, r, kind in extrema(traj) if kind == "max"]
+    assert 0 < x_l < x_r < 2
 
 
 def test_classify_negative_initial_condition_via_reflection():
@@ -382,9 +383,9 @@ def test_tol_at_float_spacing_ends_the_bisection(deadline):
 # -- the even-bundle trap that ends each maxima count ------------------------
 
 def _full_span_count(a):
-    """Reference: the maxima find_extrema locates over the whole forward span."""
+    """Reference: the + to - sign changes of y' over the whole forward span."""
     traj = integrate(rhs_unscaled, 0.0, a, max(12.0, 2.5 * abs(a)))
-    return sum(kind == "max" for _, _, kind in find_extrema(traj))
+    return sum(kind == "max" for _, _, kind in extrema(traj))
 
 
 @settings(max_examples=100, deadline=None)
@@ -417,17 +418,15 @@ def test_maxima_count_stops_before_the_span(a, monkeypatch):
     monkeypatch.setattr(nel.separatrix, "integrate", recorded)
     count = maxima_count(a)
     (kwargs,), (traj,) = calls, trajs
-    # no extremum is located: the module imports no find_extrema, and the
-    # run keeps no dense output for it to read
-    assert not hasattr(nel.separatrix, "find_extrema")
+    # no extremum is located: the run keeps no dense output to read one from
     assert kwargs["dense"] is False
     assert traj.stopped
     assert traj.x_end < _forward_span(a)
     assert count == _full_span_count(a)
 
 
-def _halving_on_located_count(n, tol=1e-10):
-    """find_eigenvalue_bisect's bracket and halving on the located count."""
+def _halving_on_full_span_count(n, tol=1e-10):
+    """find_eigenvalue_bisect's bracket and halving on the full-span count."""
     def above(a):
         return _full_span_count(a) >= n + 1
 
@@ -471,11 +470,11 @@ def test_bisect_takes_two_bracket_checks_and_plain_halvings(monkeypatch):
 
 def test_bisect_on_the_law_equals_halving_on_located_counts(cross_method_10):
     # every bisection decision, and so every bit of a_n, is that of the
-    # route that located each extremum over the whole span
+    # route that counts each maximum over the whole span
     for n in range(1, 11):
-        assert cross_method_10[n][0].hex() == _halving_on_located_count(n).hex(), n
+        assert cross_method_10[n][0].hex() == _halving_on_full_span_count(n).hex(), n
     assert (find_eigenvalue_bisect(3, 1e-9).hex()
-            == _halving_on_located_count(3, 1e-9).hex())
+            == _halving_on_full_span_count(3, 1e-9).hex())
 
 
 @pytest.mark.parametrize("x, y, trapped", [
