@@ -20,7 +20,6 @@ a route that does not go through the code under test:
 
 import json
 import math
-import time
 from fractions import Fraction
 
 import numpy as np

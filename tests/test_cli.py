@@ -1155,6 +1155,8 @@ def test_one_process_gives_the_bytes_of_fresh_processes(tmp_path):
     # run calls main once per subcommand, so it checks the nested calls too
     cmds = ["eigen --n 5 --method backward --out eig5.json",
             "pseries rho",
+            "pseries roots --n 21 --tau-value 0.378 --out r.json",
+            "pseries scan --tau 0.37:0.39:0.0005 --n 50 --out s.csv",
             "painleve fate --a 2.0 --out fate.json",
             "figures fig1 --out fig1.csv",
             "figures fig5 --out fig5.csv",

@@ -83,7 +83,8 @@ def test_reference_routes_import_nothing_from_nel():
                for a in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "nel" not in {m.partition(".")[0] for m in modules}
-    assert _names_read(path).isdisjoint({"nel", "_horner", "_polish", "_bisect", "_steps"})
+    assert _names_read(path).isdisjoint(
+        {"nel", "_horner", "_contract", "_polish", "_bisect", "_steps"})
 
 
 def test_ci_runs_tier1_and_the_benchmark_checks_only():

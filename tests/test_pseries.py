@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nel.pseries
-from nel.pseries import _polish, ftau_partial_sum, partial_sum_roots, rho_n, tau_scan
+from nel.pseries import (_contract, _horner, _polish, ftau_partial_sum, partial_sum_roots,
+                         rho_n, tau_scan)
 
 from published import RHO_MAX, RHO_TAU
 from reference import companion, companion_roots
@@ -200,6 +201,61 @@ def test_polish_keeps_roots_where_newton_overflows():
         roots, res = _polished((6e-135, 8e-212, 0, 0, 1, 1))
     assert np.isfinite(roots).all() and np.isfinite(res).all()
     assert sorted(abs(roots))[-1] == pytest.approx(1.0)
+
+
+# The power table s^j carries up to about 1.1 j eps of relative rounding
+# (one complex product per power), the products and the sum of d + 1 terms
+# about 1.8 (d + 1) eps more, and Horner's rule about as much again, so the
+# two evaluations of p = sum c_j s^j part by at most 4 (d + 1) eps
+# sum |c_j| |s|^j; p' is held to the same form with k c_k for c_k.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=1.9))
+@example(500, 0, 1.9)
+def test_contract_agrees_with_horner(d, seed, radius):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+    s = radius * rng.random(6) ** 0.25 * np.exp(2j * math.pi * rng.random(6))
+    k = np.arange(d + 1)
+    slopes = np.append(k[1:] * c[1:], 0)
+    p, dp = (v[0] for v in _contract(np.stack([c, slopes])[None], s[None]))
+    want_p, want_dp = _horner(c, s)
+    powers = np.abs(s)[:, None] ** k
+    bound = 4 * (d + 1) * EPS
+    assert (np.abs(p - want_p) <= bound * (powers @ np.abs(c))).all()
+    assert (np.abs(dp - want_dp) <= bound * (powers @ np.abs(slopes))).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 50, 99])
+def test_partner_roots_are_c_squared_over_the_polished_roots(n):
+    # the m roots c zeta, |zeta| >= 1, are polished, their partners taken
+    # as c^2 / z exactly as the pairing gives them, and each partner's
+    # residual is |S_n| evaluated at it, not carried over from its root
+    taus = (0.0, 0.25, 0.378, 0.5, 0.8574042765875693)
+    m = n // 2
+    roots, residuals = nel.pseries._section_roots(taus, n)
+    coeffs = np.array([ftau_partial_sum(t, n) for t in taus])
+    c = np.array([nel.pseries._unit_phases(t, (-(n + 1),)) for t in taus])
+    # the polished half lies outside the unit circle, up to the O(sqrt(eps))
+    # split of the double root at tau = 1/2
+    assert (np.abs(roots[:, :m]) >= 1 - DOUBLE_ROOT_TOL).all()
+    assert roots[:, m:2 * m].tobytes() == (c * c / roots[:, :m]).tobytes()
+    at_partners = np.abs(_contract(coeffs[:, None], roots[:, m:2 * m])[0])
+    assert residuals[:, m:2 * m].tobytes() == at_partners.tobytes()
+
+
+def test_scan_power_tables_stay_within_the_chunk_bound(monkeypatch):
+    # every table a scan contracts holds rows x (m + odd) x (n + 1) entries
+    # at most _CHUNK_ELEMENTS, for degrees whose one row fits
+    contract, sizes = nel.pseries._contract, []
+    monkeypatch.setattr(nel.pseries, "_contract",
+                        lambda a, s: sizes.append(s.size * a.shape[-1]) or contract(a, s))
+    for n in (20, 50, 51, 100):
+        sizes.clear()
+        sr = tau_scan(0.3, 0.45, 0.0005, n)
+        assert len(sizes) >= 6 and max(sizes) <= nel.pseries._CHUNK_ELEMENTS, n
+        m, odd = divmod(n, 2)
+        assert sum(sizes) == 3 * len(sr.taus) * (m + odd) * (n + 1)
 
 
 def test_tau_scan_rejects_bad_degree():
