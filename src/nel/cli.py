@@ -23,14 +23,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 
-__all__ = ["main", "UsageError", "RunManifest"]
+__all__ = ["main", "UsageError"]
 
 _MAX_GRID = 1_000_001     # points in any grid a command builds
 _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
@@ -49,15 +48,6 @@ _PRESETS = {
 
 class UsageError(Exception):
     """Bad flags or arguments; exit code 2 with a machine-readable payload."""
-
-
-@dataclass
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    version: str
-    wall_time_s: float
-    outputs: list
 
 
 def _json_dump(obj) -> str:
@@ -623,8 +613,9 @@ def main(argv=None) -> int:
             path = f"{Path(out)}.manifest.json" if out else Path(out_dir, "run.manifest.json")
             params = {k: v for k, v in vars(args).items()
                       if k not in ("func", "out", "out_dir") and v is not None}
-            _write_json(path, asdict(RunManifest(args.subcommand, params, __version__,
-                                                 time.perf_counter() - t0, outputs)))
+            _write_json(path, {"subcommand": args.subcommand, "parameters": params,
+                               "version": __version__,
+                               "wall_time_s": time.perf_counter() - t0, "outputs": outputs})
         print(_json_dump({**summary, "outputs": outputs}))
         return 0
     except UsageError as exc:

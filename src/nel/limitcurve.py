@@ -238,14 +238,12 @@ def alpha_closed_form(n: int, k: int) -> Fraction:
 # -- oscillatory consistency check -----------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# math.cos per item: numpy's cos may round differently
-_cos = np.vectorize(math.cos, otypes=[float])
 _ENVELOPE_HALF_WIDTH, _ENVELOPE_SAMPLES = 0.02, 13
 
 
 def _oscillatory_quad(fn, a: float, b: float, panel: float) -> float:
     """Composite 16-point Gauss quadrature with the given panel width; ``fn``
-    takes the (panels, 16) node array.  Sums nodes, then panels, in order."""
+    takes the (panels, 16) node array."""
     n_panels = max(1, math.ceil((b - a) / panel))
     if n_panels > 2_000_000:
         raise QuadratureFailure(f"{n_panels} panels requested")
@@ -253,10 +251,7 @@ def _oscillatory_quad(fn, a: float, b: float, panel: float) -> float:
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     vals = fn(mid[:, None] + half[:, None] * _GL_NODES)
-    per_panel = 0.0
-    for w, col in zip(_GL_WEIGHTS, vals.T):
-        per_panel = per_panel + w * col
-    return float(np.cumsum(half * per_panel)[-1])   # cumsum adds in order
+    return float(half @ (vals @ _GL_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -277,11 +272,11 @@ def _eta_at(traj, scale: float, lam: float, t: float) -> EtaCheck:
     panel = math.pi / (lam * (z_max + t))   # >= 16 points per oscillation
 
     eta_direct = _oscillatory_quad(
-        lambda s: s * _cos(2.0 * lam * s * z(s)), 0.0, t, panel)
+        lambda s: s * np.cos(2.0 * lam * s * z(s)), 0.0, t, panel)
 
     def closed_integrand(s):
         zs = z(s)
-        zp = _cos(lam * s * zs)
+        zp = np.cos(lam * s * zs)
         arg = zs * zs - s * s
         if (arg < 0).any():
             raise QuadratureFailure(f"z(s) < s at s={s[arg < 0][0]}")

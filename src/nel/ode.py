@@ -497,22 +497,20 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     return traj
 
 
-def _bisect(g, lo, hi, flo, iters) -> np.ndarray:
+def _bisect(g, lo, hi, flo, iters: int) -> np.ndarray:
     """Lockstep bisection of g (array in, array out) on the brackets
-    [lo, hi], either order, with g(lo) of the sign of ``flo``.  Bracket j is
-    halved ``iters[j]`` times (or ``iters`` times); one whose midpoint hits
-    g = 0 collapses onto it and stays.  Returns the final midpoints."""
+    [lo, hi], either order, with g(lo) of the sign of ``flo``.  Every
+    bracket is halved ``iters`` times; one whose midpoint hits g = 0
+    collapses onto it and stays.  Returns the final midpoints."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     pos = np.asarray(flo) > 0
-    iters = np.broadcast_to(iters, lo.shape)
-    for k in range(int(iters.max(initial=0))):
+    for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = g(mid)
-        run = iters > k
         zero = fm == 0.0
         left = (fm > 0) == pos
-        lo = np.where(run & (left | zero), mid, lo)
-        hi = np.where(run & (zero | ~left), mid, hi)
+        lo = np.where(left | zero, mid, lo)
+        hi = np.where(zero | ~left, mid, hi)
     return 0.5 * (lo + hi)
 
 

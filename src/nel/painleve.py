@@ -56,11 +56,11 @@ REPORTED_GROWTH_CONSTANT = 4.28373        # C; compare also (17/5) 2^(1/3)
 class MatchDiverged(RuntimeError):
     """A double pole could not be crossed: the Laurent fit did not converge,
     its residual broke its bound or its 24-term tail did so at the match or
-    at the restart offset, a turnaround rose past 1e7, or the fitted poles
-    fell out of order.  A failed match at the floor height is retried at
-    40 by the pole continuation; at 40 nothing retries, so the run has no
-    verdict.  The tests cross every pole that a = -100..100 (step 10) meet
-    by x = -135 without one."""
+    at the restart offset, a stop at 40 lacked the pole signature (a
+    turnaround), or the fitted poles fell out of order.  A failed match at
+    the floor height is retried at 40 by the pole continuation; at 40
+    nothing retries, so the run has no verdict.  The tests cross every pole
+    that a = -100..100 (step 10) meet by x = -135 without one."""
 
 
 class Undecided(RuntimeError):
@@ -289,48 +289,47 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
     """Integrate from (0, y0) with slope a toward x_end, through poles.
 
     Yields (segment, pole) in integration order, where pole is the
-    PoleEvent that ended the segment, or None when the segment ended at a
-    turnaround (the match height is raised and integration resumes) or at
-    x_end.  Poles are strictly ordered along the integration direction.
-    Each pole is matched at _Y_FLOOR or _Y_POLE by the rule of the
-    constants block; a segment whose floor fails is integrated again from
-    its start and only that run is yielded.
+    PoleEvent that ended the segment, or None for the last segment, which
+    ended at x_end.  Poles are strictly ordered along the integration
+    direction.  Each pole is matched at _Y_FLOOR or _Y_POLE by the rule of
+    the constants block; a segment whose floor fails is integrated again
+    from its start and only that run is yielded.
+
+    A stop at 40 without the pole signature of _approaching_pole (a
+    turnaround) raises MatchDiverged, as a failed match there does.  With
+    X = -x and E = v^2/2 - y^3/3 - x y, dE/dX = y along a solution, so a
+    segment that rises through the floor ~17.43 reaches y = 40 with
+    v^2 >~ 28,000 > 40^3/3 anywhere in x >= -135: only a run that starts
+    above the floor can stop there short of the signature.
 
     ``until(x, state)``, called after each accepted step, is ORed into the
     pole test; a segment it ends (at a step where both hold, too) is yielded
     with None and is the last one.
     """
     x, state = 0.0, (float(y0), float(a))
-    height = threshold = _Y_FLOOR
+    height = _Y_FLOOR
     last_x0 = math.inf
-    while True:
-        def stop(xx, yy, _t=threshold):
-            return yy[0] >= _t and yy[1] < 0.0 or until is not None and until(xx, yy)
 
+    def stop(xx, yy):
+        return yy[0] >= height and yy[1] < 0.0 or until is not None and until(xx, yy)
+
+    while True:
         traj = integrate(painleve_rhs, x, state, x_end, ode,
                          dense=dense, stop_when=stop)
         if not traj.stopped or until is not None and until(traj.x_end, traj.y_end):
             yield traj, None
             return
         yv = traj.y_end
-        ev = None
-        if _approaching_pole(yv[0], yv[1]):
-            try:
-                ev = laurent_match(traj.x_end, yv[0], yv[1], height)
-            except MatchDiverged:
-                if height == _Y_POLE:
-                    raise
-        if ev is None and height < _Y_POLE:
+        try:
+            if not _approaching_pole(yv[0], yv[1]):
+                raise MatchDiverged(f"turnaround at x={traj.x_end}, y={yv[0]:.3g}: "
+                                    f"no pole signature v^2 >= y^3/3")
+            ev = laurent_match(traj.x_end, yv[0], yv[1], height)
+        except MatchDiverged:
+            if height == _Y_POLE:
+                raise
             # the floor fails here: the same segment again, to 40
-            height = threshold = _Y_POLE
-            continue
-        if ev is None:
-            # turnaround near the match height: raise the bar and continue
-            if threshold > 1e7:
-                raise MatchDiverged("turnaround above 1e7 without pole signature")
-            yield traj, None
-            threshold *= 4.0
-            x, state = traj.x_end, yv
+            height = _Y_POLE
             continue
         if ev.x0 >= last_x0:
             raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
@@ -342,7 +341,7 @@ def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
         state = pole_series_eval(ev.x0, ev.h, x)
         # the next pole's lowest height, predicted from this one's by Y^-12
         lowest = _HEIGHT_MARGIN * height * ev.tail ** (1.0 / 12.0)
-        height = threshold = _Y_FLOOR if lowest <= _Y_FLOOR else _Y_POLE
+        height = _Y_FLOOR if lowest <= _Y_FLOOR else _Y_POLE
 
 
 def integrate_with_poles(a: float, x_end: float, *,
@@ -412,8 +411,8 @@ def _past_saddle(traj: Trajectory) -> bool:
 def _departure(segments) -> float | None:
     """Left end of the longest run of stored samples with |y - sqrt(-x)| <
     sqrt(-x)/2, x < 0, over the segments; None without one.  No run spans
-    two segments: they meet at a pole or a turnaround, at |y| >= _Y_FLOOR,
-    and a sample in the run has y < 1.5 sqrt(-_X_MIN) = _Y_FLOOR."""
+    two segments: they meet at a pole, at |y| >= _Y_FLOOR, and a sample in
+    the run has y < 1.5 sqrt(-_X_MIN) = _Y_FLOOR."""
     xs = np.concatenate([np.frombuffer(t.xs, dtype=float) for t in segments])
     y = np.concatenate([np.frombuffer(t._ys, dtype=float)[0::2] for t in segments])
     root = np.sqrt(-xs)

@@ -144,8 +144,10 @@ def _polished_roots(taus, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     coeffs = np.array([ftau_partial_sum(t, n) for t in taus])
     m, odd = divmod(n, 2)
-    b = np.array([_unit_phases(t, (k * (k - n) for k in range(m + 1))) for t in taus])
-    c = np.array([_unit_phases(t, (-(n + 1),)) for t in taus])
+    # b_0..b_m and c = exp(-i pi tau (n + 1)), reduced together
+    ks = [k * (k - n) for k in range(m + 1)] + [-(n + 1)]
+    phases = np.array([_unit_phases(t, ks) for t in taus])
+    b, c = phases[:, :-1], phases[:, -1:]
     if odd:
         # u_k = b_k - u_{k-1} as one sequential sum; the sign flips are exact
         sign = (-1.0) ** np.arange(m + 1)

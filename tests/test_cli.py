@@ -166,6 +166,20 @@ def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_painleve_fate_turnaround_is_a_json_error(tmp_path, capsys, deadline):
+    # y0 = 50 starts above both match heights, so the run stops at 40 short
+    # of the pole signature v^2 >= y^3/3: a typed error and no data file
+    out = tmp_path / "f.json"
+    with deadline(30):
+        code, _, err = run_cli(["painleve", "fate", "--a", "0", "--y0", "50",
+                                "--out", str(out)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert (error["type"], error["module"]) == ("MatchDiverged", "nel.painleve")
+    assert "pole signature" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("y0", ["5.5", "6", "-3.5"])
 def test_painleve_eigen_y0_outside_the_checked_range_is_a_usage_error(tmp_path, capsys,
                                                                       monkeypatch, y0):
@@ -1154,10 +1168,12 @@ def test_one_process_gives_the_bytes_of_fresh_processes(tmp_path):
     # equal those of separate nel runs (manifests without their wall times).
     # run calls main once per subcommand, so it checks the nested calls too
     cmds = ["eigen --n 5 --method backward --out eig5.json",
+            "eigen --n 3 --method bisect --out b.json",
             "pseries rho",
             "pseries roots --n 21 --tau-value 0.378 --out r.json",
             "pseries scan --tau 0.37:0.39:0.0005 --n 50 --out s.csv",
             "painleve fate --a 2.0 --out fate.json",
+            "painleve envelope --a 1.7 --out env.json",
             "figures fig1 --out fig1.csv",
             "figures fig5 --out fig5.csv",
             "figures fig7 --out fig7.csv",

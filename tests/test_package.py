@@ -27,7 +27,7 @@ KEEP = {
     "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
     "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
     "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
-    "nel.pseries.ftau_partial_sum": "_section_roots builds S_n from it, and the tests "
+    "nel.pseries.ftau_partial_sum": "_polished_roots builds S_n from it, and the tests "
                                     "take S_n's coefficients from it",
     "nel.separatrix.maxima_count": "find_eigenvalue_bisect calls it",
     "nel.separatrix.backward_start": "trace_separatrix_backward starts from it",

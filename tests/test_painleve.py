@@ -118,6 +118,14 @@ def test_laurent_match_guards():
         PoleEvent(-1.0, 0.0, 1e-3, 0.0)                  # residual bound enforced
 
 
+def test_a_stop_at_40_without_the_pole_signature_raises(deadline):
+    # y0 = 50 starts above both match heights: the floor's stop fails the
+    # pole signature v^2 >= y^3/3, and the stop at 40 does too, a
+    # turnaround, which ends the run
+    with deadline(30), pytest.raises(MatchDiverged, match="pole signature"):
+        classify_fate(0.0, y0=50.0)
+
+
 def test_pole_height_is_the_floor_the_series_allows(monkeypatch):
     # Every pole that a = -100..100 meet in the fate window is matched at
     # the floor or at 40, and crossed without MatchDiverged.  A floor match
@@ -379,8 +387,8 @@ def _full_window_fate(a, y0, x_min=_X_MIN):
     a chain at the first pole whose segment meets the energy rule, else the
     4-extrema lock of the last segment.  Returns (lock, poles, onset)."""
     segs, poles = integrate_with_poles(a, x_min, y0=y0)
-    # a pole ends a stopped segment on the pole approach, v^2 >= y^3/3;
-    # a turnaround ends one below it
+    # a pole ends every stopped segment, on the pole approach v^2 >= y^3/3;
+    # a stop below it raises MatchDiverged
     ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
     assert len(ends) == len(poles)
     by_energy = [k for k, s in enumerate(ends, 1) if _turned_past_saddle(s)]

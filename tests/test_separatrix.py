@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nel.cosine import bundle_index, rhs_unscaled, tail_coefficients, trapped_in_even_bundle
 from nel.ode import IntegratorConfig, integrate
-from nel.separatrix import (_STRIP_THETA, Undecidable, _backward_seed,
+from nel.separatrix import (_STRIP_THETA, BracketFailure, Undecidable, _backward_seed,
                             _forward_span, backward_start, find_eigenvalue_bisect,
                             maxima_count, scaled_separatrix, trace_separatrix_backward)
 
@@ -351,7 +351,8 @@ def test_config_rejects_tol_not_positive_and_finite(tol, monkeypatch):
 
 
 def _bracket_floor(n):
-    # the float spacing at the widest bracket end, 2^(5/6) sqrt(n) + 1 + 12 * 0.5
+    # the float spacing at 2^(5/6) sqrt(n) + 7, a conservative bound above
+    # the bracket's upper end 2^(5/6) sqrt(n) + 1
     return math.ulp(2.0 ** (5.0 / 6.0) * math.sqrt(n) + 7.0)
 
 
@@ -431,11 +432,8 @@ def _halving_on_full_span_count(n, tol=1e-10):
         return _full_span_count(a) >= n + 1
 
     center = 2.0 ** (5.0 / 6.0) * math.sqrt(n)
-    lo, hi = max(center - 1.0, 1e-3), center + 1.0
-    while above(lo):
-        lo -= 0.5
-    while not above(hi):
-        hi += 0.5
+    lo, hi = center - 1.0, center + 1.0
+    assert not above(lo) and above(hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if above(mid):
@@ -466,6 +464,32 @@ def test_bisect_takes_two_bracket_checks_and_plain_halvings(monkeypatch):
         assert a == 0.5 * (lo + hi)
         lo, hi = (lo, a) if count(a) >= 7 else (a, hi)
     assert hi - lo <= 1e-10 and a_n == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("shift", [-3.0, 3.0])
+def test_bisect_raises_after_two_probes_without_a_flip_in_the_law_bracket(shift,
+                                                                          monkeypatch):
+    # a count shifted by 3 in a flips outside 2^(5/6) sqrt(n) +- 1: both
+    # ends are probed, and BracketFailure follows with no further probe
+    import nel.separatrix
+
+    probes = []
+    count = nel.separatrix.maxima_count
+    monkeypatch.setattr(nel.separatrix, "maxima_count",
+                        lambda a: probes.append(a) or count(a + shift))
+    with pytest.raises(BracketFailure):
+        find_eigenvalue_bisect(6)
+    center = 2.0 ** (5.0 / 6.0) * math.sqrt(6)
+    assert probes == [center - 1.0, center + 1.0]
+
+
+def test_intercepts_lie_within_0_2_of_the_growth_law(cross_method_10, geometric_intercepts):
+    # the bisection's bracket 2^(5/6) sqrt(n) +- 1 rests on this:
+    # a_n - 2^(5/6) sqrt(n) is -0.179 at n = 1 and shrinks toward 0 with n
+    traced = [(n, a_n) for n, pair in cross_method_10.items() for a_n in pair]
+    traced += list(geometric_intercepts.items())
+    for n, a_n in traced:
+        assert abs(a_n - 2.0 ** (5.0 / 6.0) * math.sqrt(n)) < 0.2, n
 
 
 def test_bisect_on_the_law_equals_halving_on_located_counts(cross_method_10):
