@@ -340,6 +340,8 @@ def _cmd_extrapolate(args) -> tuple[list, dict]:
         if not args.indices:
             raise UsageError("--values requires --indices")
         values = _parse_list(args.values, "--values")
+        if len(values) < 2:
+            raise UsageError("--values needs at least two entries")
         indices = _parse_list(args.indices, "--indices")
         if len(indices) != len(values):
             raise UsageError(f"--indices has {len(indices)} entries, --values {len(values)}")
@@ -567,9 +569,10 @@ def _build_parser() -> _Parser:
     q.add_argument("--a", type=_FINITE,
                    help="initial slope for fate (default 0) and envelope (required)")
     q.add_argument("--y0", type=_FINITE, default=1.0,
-                   help="y(0): any finite value for fate and envelope, -3..5 for "
-                        "eigen, whose scan cap follows the y0 = 1 law and was "
-                        "checked there")
+                   help="y(0): any finite value for fate and envelope (runs to "
+                        "x = -135 cross their poles for y0 in -3..20; MatchDiverged "
+                        "starts at about y0 = 25), -3..5 for eigen, whose scan cap "
+                        "follows the y0 = 1 law and was checked there")
     q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
                    dest="x_min", help="window end for envelope (default -80)")
     q.add_argument("--out", required=True)

@@ -178,9 +178,6 @@ class AlphaTable:
             raise ValueError("outside the computed table")
         return self._rows[k][n - 1]
 
-    def column(self, k: int) -> tuple[Fraction, ...]:
-        return self._rows[k]
-
 
 def alpha_recursion(n_max: int, k_max: int) -> AlphaTable:
     """Fill the table from the hop rules.

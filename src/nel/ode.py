@@ -26,8 +26,8 @@ callable, a wrapper of either included, is called at each stage, with the
 same bits for the same field.
 Both loops compare floats instead of calling ``min``, ``max`` or ``abs``:
 ``max(a, b)`` is written ``b if b > a else a``, which keeps the builtin's
-NaN behaviour, and the reference loops of the tests, which still call the
-builtins, check that the bits agree.
+NaN behaviour, and the reference loop of the tests, which still calls the
+builtins, checks that the bits agree.
 """
 
 from __future__ import annotations

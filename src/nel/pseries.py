@@ -3,8 +3,9 @@
 The coefficient family a_k = exp(i pi tau (k^2 + k)) has unit modulus, so
 every partial sum S_n is a degree-n polynomial whose largest root modulus
 rho_n probes how far outside the unit disk the section zeros reach.  The
-package's Horner evaluator, _horner, lives here for its scalar and
-short-array callers; the root polish evaluates by power tables instead.
+package's Horner evaluator, _horner, lives here for its callers
+painleve.laurent_match, painleve.pole_series_eval and cosine.forward_values;
+the root polish evaluates by power tables instead.
 
 The half-degree route.  With c = exp(-i pi tau (n + 1)) and z = c zeta,
 S_n(c zeta) = sum_k b_k zeta^k with b_k = exp(i pi tau k (k - n)), and
@@ -206,7 +207,10 @@ class ScanResult:
     taus: tuple[float, ...]
     rhos: tuple[float, ...]
     maxima: tuple[tuple[float, float], ...]   # interior local maxima, best first
-    failures: tuple[float, ...]               # always empty; kept for readers of the field
+    # always empty; read by perfbench/tracer.py's _HOOKS and, as the "failures"
+    # key of the `pseries scan` summary that cli._cmd_pseries writes, checked
+    # by perfbench/checks.py
+    failures: tuple[float, ...]
     half_shift_gap: float                     # sup |rho(tau) - rho(tau + 1/2)|
     reflection_gap: float                     # sup |rho(tau) - rho(1 - tau)|
 

@@ -4,9 +4,20 @@ Each is written on numpy and the standard library alone and imports
 nothing from nel, so no defect in a helper nel shares between its routes
 (``_horner``, ``_contract``, ``_polish``, ``_bisect``, the dense-output step
 lookup) can move a route and its reference together.
+
+- ``extrema``: the sign changes of a scalar trajectory's slope;
+- ``companion`` and ``companion_roots``: polynomial roots by eigenvalues;
+- ``taylor_coefficients``: the series of y' = cos(pi x y) at x = 0;
+- ``dormand_prince`` and ``quartic_read``: the Dormand-Prince 5(4) loop over
+  tuple states and the read of its stage records, on an exact tableau
+  (``DP_C``, ``DP_A``, ``DP_E``, ``DP_P``) and controller constants of their
+  own; both step loops of ``nel.ode`` must reproduce them bit for bit.
 """
 
 import math
+from array import array
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -89,3 +100,226 @@ def taylor_coefficients(a, n_terms: int, pi=math.pi) -> list:
         cc.append(-sc / (n + 1))
         ss.append(sm / (n + 1))
     return b
+
+
+# -- Dormand-Prince 5(4) -------------------------------------------------------
+
+# The tableau of Dormand and Prince (J. Comput. Appl. Math. 6, 1980), exact.
+# DP_A holds rows 2..7; stage 7 is evaluated at the new sample, so its row is
+# the fifth-order weights b.  DP_E = b - b_hat, the embedded fourth-order
+# solution's defect.  Row s of DP_P holds the coefficients of theta^1..theta^4
+# in the quartic dense weight b_s(theta) (Hairer, Norsett and Wanner, II.6).
+DP_C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
+DP_A = (
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+    (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)),
+)
+DP_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200), F(22, 525),
+        F(-1, 40))
+DP_P = (
+    (F(1), F(-8048581381, 2820520608), F(8663915743, 2820520608),
+     F(-12715105075, 11282082432)),
+    (F(0), F(0), F(0), F(0)),
+    (F(0), F(131558114200, 32700410799), F(-68118460800, 10900136933),
+     F(87487479700, 32700410799)),
+    (F(0), F(-1754552775, 470086768), F(14199869525, 1410260304),
+     F(-10690763975, 1880347072)),
+    (F(0), F(127303824393, 49829197408), F(-318862633887, 49829197408),
+     F(701980252875, 199316789632)),
+    (F(0), F(-282668133, 205662961), F(2019193451, 616988883), F(-1453857185, 822651844)),
+    (F(0), F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)),
+)
+
+
+def _terms(weights):
+    """(stage, float weight) of each nonzero weight, in stage order.  A zero
+    weight is left out, not added as 0 * k, which would turn a sum of -0.0
+    into 0.0 and an infinite k into NaN."""
+    return tuple((s, float(w)) for s, w in enumerate(weights) if w)
+
+
+_C = tuple(map(float, DP_C))
+_A_TERMS = tuple(map(_terms, DP_A))
+_E_TERMS = _terms(DP_E)
+_P_TERMS = tuple(_terms(column) for column in zip(*DP_P))    # theta^1..theta^4
+
+# PI controller: an accepted step scales h by safety * err^-expo1 * err_prev^beta
+_SAFETY, _BETA = 0.9, 0.04
+_EXPO1 = 0.2 - 0.75 * _BETA
+_FAC_MIN, _FAC_MAX = 0.2, 6.0
+_DEFAULTS = SimpleNamespace(rel_tol=1e-10, abs_tol=1e-12, initial_step=0.0,
+                            max_steps=5_000_000)
+
+
+class NonFiniteState(RuntimeError):
+    """A non-finite state or slope, or a rejected step that no longer moves x."""
+
+
+class StepLimitExceeded(RuntimeError):
+    """cfg.max_steps attempts spent before x1."""
+
+
+def _dot(terms, ks, c):
+    """Component c of sum w * k_s over (s, w) in ``terms``, summed left to
+    right in stage order."""
+    (s, w), *rest = terms
+    acc = w * ks[s][c]
+    for s, w in rest:
+        acc += w * ks[s][c]
+    return acc
+
+
+def _rms(values, scales):
+    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scales)) / len(values))
+
+
+def _positive_step(h, x0):
+    if not 0 < h < math.inf:
+        raise NonFiniteState(f"no positive finite initial step at x={x0}")
+    return h
+
+
+def _initial_step(f, x0, y0, f0, x1, cfg):
+    """cfg.initial_step clipped to the span, or the automatic first step of
+    Hairer, Norsett and Wanner (II.4) in the scaled RMS norm."""
+    span = abs(x1 - x0)
+    if cfg.initial_step > 0:
+        return min(cfg.initial_step, span)
+    direction = 1 if x1 > x0 else -1
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
+    d0, d1 = _rms(y0, sc), _rms(f0, sc)
+    h0 = _positive_step(min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span), x0)
+    f1 = f(x0 + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y0, f0)))
+    d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return _positive_step(min(100 * h0, h1, span), x0)
+
+
+def dormand_prince(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
+    """Integrate y' = f(x, y) from x0 to x1 by Dormand-Prince 5(4) with a PI
+    step controller, as ``nel.ode.integrate`` documents it.
+
+    A tuple y0 is stepped component by component, f and ``stop_when`` taking
+    tuples; a float y0 runs as the 1-tuple (y0,), f and ``stop_when`` taking
+    floats.  ``cfg`` is read by attribute alone (rel_tol, abs_tol,
+    initial_step, max_steps); None takes the defaults.  The local error is
+    the RMS over the components of the error estimate, each scaled by
+    abs_tol + rel_tol * max(|y|, |y_new|).
+
+    Returns a namespace with Trajectory's fields: ``xs`` and ``_ys`` hold
+    every accepted sample, dense or not; ``_dense``, when ``dense``, the
+    stage record [hs, k1, k3, k4, k5, k6] of each step, each k of ``dim``
+    components; ``_f_end`` the slope at the last sample (a float for a
+    float y0); the step, rejection and stop results.  Raises this module's
+    NonFiniteState and StepLimitExceeded.
+    """
+    cfg = _DEFAULTS if cfg is None else cfg
+    scalar = isinstance(y0, (int, float))
+    if scalar:
+        field, stop = f, stop_when
+        f = lambda x, s: (field(x, s[0]),)
+        stop_when = stop and (lambda x, s: stop(x, s[0]))
+        y0 = (y0,)
+    y = tuple(float(v) for v in y0)
+    rng = range(len(y))
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    direction = 1 if x1 > x0 else -1
+    xs, ys = array("d", [x0]), array("d", y)
+    records = array("d") if dense else None
+
+    x = x0
+    k1 = tuple(f(x, y))
+    if not all(map(math.isfinite, y + k1)):
+        raise NonFiniteState(f"non-finite initial data at x={x}")
+    h = _initial_step(f, x0, y, k1, x1, cfg)
+    err_prev, fac_max = 1.0, _FAC_MAX
+    steps = rejected = 0
+    stopped = False
+
+    for _ in range(cfg.max_steps):
+        last = abs(x1 - x) <= h
+        if last:
+            h = abs(x1 - x)
+        hs = h * direction
+        ks = [k1]
+        for s, terms in enumerate(_A_TERMS, 1):
+            arg = tuple(y[c] + hs * _dot(terms, ks, c) for c in rng)
+            at = x + _C[s] * hs if s < 6 else (x1 if last else x + hs)
+            ks.append(tuple(f(at, arg)))
+        x_new, y_new, k7 = at, arg, ks[6]           # stage 7 is at the new sample
+        sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+        err = _rms([hs * _dot(_E_TERMS, ks, c) for c in rng], sc)
+
+        if err <= 1.0:
+            if not all(map(math.isfinite, y_new + k7)):
+                raise NonFiniteState(f"non-finite state at x={x_new}")
+            if dense:
+                records.append(hs)
+                for s in (0, 2, 3, 4, 5):
+                    records.extend(ks[s])
+            x, y, k1 = x_new, y_new, k7
+            xs.append(x)
+            ys.extend(y)
+            steps += 1
+            if stop_when is not None and stop_when(x, y):
+                stopped = True
+                break
+            if last:
+                break
+            if err == 0.0:
+                fac = fac_max
+            else:
+                fac = min(fac_max, max(_FAC_MIN, _SAFETY * err ** -_EXPO1 * err_prev ** _BETA))
+            h *= fac
+            err_prev = max(err, 1e-4)
+            fac_max = _FAC_MAX
+        else:
+            rejected += 1
+            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
+            fac_max = 1.0
+            if x + h * direction == x:
+                raise NonFiniteState(f"step size underflow at x={x}")
+    else:
+        raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
+
+    return SimpleNamespace(xs=xs, _ys=ys, _dense=records, _f_end=k1[0] if scalar else k1,
+                           dim=len(y), direction=direction, step_count=steps,
+                           rejected=rejected, stopped=stopped)
+
+
+def quartic_read(traj, x, i=None):
+    """(values, slopes) at x of step i's quartic, each a list over the
+    components; by default i is the step x falls in.
+
+    Built from the fields as ``nel.ode.Trajectory`` documents them: step i's
+    stage record [hs, k1, k3, k4, k5, k6] in ``_dense``, its left sample in
+    ``_ys`` and k7, the next step's k1 or ``_f_end`` after the last step;
+    y(x) = y_left + hs sum_s b_s(th) k_s with th = (x - xs[i]) / hs.
+    """
+    d, dn, nodes = traj.dim, traj._dense, traj.xs
+    if i is None:
+        i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
+                len(nodes) - 2)
+    w = 1 + 5 * d
+    rec = dn[i * w:(i + 1) * w]
+    if (i + 2) * w <= len(dn):
+        k7 = dn[(i + 1) * w + 1:(i + 1) * w + 1 + d]
+    else:
+        k7 = traj._f_end if d > 1 else [traj._f_end]
+    k1, k3, k4, k5, k6 = (rec[1 + j * d:1 + (j + 1) * d] for j in range(5))
+    ks = (k1, None, k3, k4, k5, k6, k7)            # stage 2 has no dense weight
+    hs = rec[0]
+    th = (x - nodes[i]) / hs
+    values, slopes = [], []
+    for c in range(d):
+        q1, q2, q3, q4 = (_dot(terms, ks, c) for terms in _P_TERMS)
+        values.append(traj._ys[i * d + c] + hs * th * (q1 + th * (q2 + th * (q3 + th * q4))))
+        slopes.append(q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4)))
+    return values, slopes

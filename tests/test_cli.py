@@ -119,6 +119,18 @@ def test_extrapolate_raw_values(tmp_path, capsys):
     assert payload["limit"] == pytest.approx(3.0, abs=1e-12)
 
 
+def test_extrapolate_refuses_a_single_value(tmp_path, capsys):
+    # refused before the --stages default, whose range 1..0 would be empty
+    out = tmp_path / "x.json"
+    code, stdout, err = run_cli(["extrapolate", "--values", "4", "--indices", "1",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("UsageError",
+                                                 "--values needs at least two entries")
+    assert not out.exists()
+
+
 def test_extrapolate_manifest_records_count_only_for_painleve_c(tmp_path, capsys,
                                                                monkeypatch):
     # the raw route reads no --count and records none; painleve-c records

@@ -220,7 +220,7 @@ def test_alpha_spot_equality(n, k):
 def test_alpha_column_mass_bounded():
     tab = alpha_recursion(34, 32)
     for k in range(1, 33):
-        assert sum(abs(v) for v in tab.column(k)) <= 1
+        assert sum(abs(tab.value(n, k)) for n in range(1, tab.n_max + 1)) <= 1
 
 
 # -- eta consistency ---------------------------------------------------------

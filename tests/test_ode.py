@@ -3,6 +3,7 @@ import sys
 import time
 from array import array
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,17 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nel.cosine import rhs_unscaled, trapped_in_even_bundle
-from nel.ode import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61,
-                     _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3,
-                     _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1, _FAC_MAX, _FAC_MIN,
-                     _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
-                     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY,
-                     IntegratorConfig, NonFiniteState, StepLimitExceeded, Trajectory,
-                     integrate)
+from nel.ode import IntegratorConfig, NonFiniteState, StepLimitExceeded, integrate
 from nel.painleve import _Y_POLE, integrate_with_poles, painleve_rhs, pole_series_eval
 from nel.separatrix import _backward_seed, _forward_span, backward_start
 
-from reference import extrema
+from reference import DP_A, DP_C, DP_E, DP_P, dormand_prince, extrema, quartic_read
 
 
 def test_constant_field_is_exact():
@@ -213,60 +208,14 @@ def test_sample_equals_point_reads_bitwise(y0, span, backward, fracs):
     xs = list(traj.xs) + [x0 + (x1 - x0) * f for f in fracs] + [x1, x0]
     got = traj.sample(xs)
     assert got.shape == (len(xs),)
-    assert (_bits(got) == _bits([_layout_read(traj, x)[0] for x in xs])).all()
-    assert (_bits(traj.slope(xs)) == _bits([_layout_slope(traj, x) for x in xs])).all()
+    reads = [quartic_read(traj, x) for x in xs]
+    assert (_bits(got) == _bits([v for (v,), _ in reads])).all()
+    assert (_bits(traj.slope(xs)) == _bits([s for _, (s,) in reads])).all()
 
 
-def _quartic(traj, i):
-    """(hs, y_left, q1, q2, q3, q4) of step i, all but hs lists over the
-    components, built as the Trajectory docstring documents: from the
-    step's stage record [hs, k1..., k3..., k4..., k5..., k6...], its left
-    sample and k7, the next step's k1 or ``_f_end`` after the last step."""
-    d, dn = traj.dim, traj._dense
-    w = 1 + 5 * d
-    hs = dn[i * w]
-    k1, k3, k4, k5, k6 = (dn[i * w + 1 + j * d:i * w + 1 + (j + 1) * d] for j in range(5))
-    if (i + 2) * w <= len(dn):
-        k7 = dn[(i + 1) * w + 1:(i + 1) * w + 1 + d]
-    else:
-        k7 = traj._f_end if d > 1 else [traj._f_end]
-    q = [[pa * k1[c] + pb * k3[c] + pc * k4[c] + pd * k5[c] + pe * k6[c] + pf * k7[c]
-          for c in range(d)]
-         for pa, pb, pc, pd, pe, pf in ((_P12, _P32, _P42, _P52, _P62, _P72),
-                                        (_P13, _P33, _P43, _P53, _P63, _P73),
-                                        (_P14, _P34, _P44, _P54, _P64, _P74))]
-    return hs, traj._ys[i * d:(i + 1) * d], k1, *q
-
-
-def _step_of(traj, x):
-    nodes = traj.xs
-    return min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
-               len(nodes) - 2)
-
-
-def _layout_read(traj, x, i=None):
-    """Point read written from the documented _dense layout: the value at x
-    of step i's quartic, y_left + hs*th*(q1 + th*(q2 + ...)); by default i
-    is the step x falls in."""
-    i = _step_of(traj, x) if i is None else i
-    hs, y, q1, q2, q3, q4 = _quartic(traj, i)
-    th = (x - traj.xs[i]) / hs
-    return [y[c] + hs * th * (q1[c] + th * (q2[c] + th * (q3[c] + th * q4[c])))
-            for c in range(traj.dim)]
-
-
-def _layout_slope(traj, x, i=None):
-    """Derivative read of a scalar trajectory from the same layout:
-    y'(x) = q1 + 2 q2 th + 3 q3 th^2 + 4 q4 th^3."""
-    i = _step_of(traj, x) if i is None else i
-    hs, _, (q1,), (q2,), (q3,), (q4,) = _quartic(traj, i)
-    th = (x - traj.xs[i]) / hs
-    return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
-
-
-def _reads_equal_layout(got, ref):
+def _reads_equal_reference(got, ref):
     """got's reads at every node and at th = 1/4, 1/2, 3/4 of each step equal
-    the layout reads of ref's records, bit for bit: values, and derivatives
+    the reference reads of ref's records, bit for bit: values, and derivatives
     of a scalar trajectory."""
     xs, steps = [], []
     for i in range(len(got.xs) - 1):
@@ -275,11 +224,10 @@ def _reads_equal_layout(got, ref):
         steps += [i] * 4
     xs.append(got.xs[-1])
     steps.append(len(got.xs) - 2)
-    want = [_layout_read(ref, x, i) for i, x in zip(steps, xs)]
-    assert (_bits(got.sample(xs)).reshape(len(xs), -1) == _bits(want)).all()
+    reads = [quartic_read(ref, x, i) for i, x in zip(steps, xs)]
+    assert (_bits(got.sample(xs)).reshape(len(xs), -1) == _bits([v for v, _ in reads])).all()
     if got.dim == 1:
-        want = [_layout_slope(ref, x, i) for i, x in zip(steps, xs)]
-        assert (_bits(got.slope(xs)) == _bits(want)).all()
+        assert (_bits(got.slope(xs)) == _bits([s for _, (s,) in reads])).all()
 
 
 def test_sample_vector_trajectory_matches_layout_and_nodes():
@@ -287,7 +235,7 @@ def test_sample_vector_trajectory_matches_layout_and_nodes():
     xs = list(traj.xs) + [3.0 - 8.0 * k / 97 for k in range(98)]
     got = traj.sample(xs)
     assert got.shape == (len(xs), 2)
-    assert (_bits(got) == _bits([_layout_read(traj, x) for x in xs])).all()
+    assert (_bits(got) == _bits([quartic_read(traj, x)[0] for x in xs])).all()
     for i in range(1, len(traj) - 1):
         assert tuple(got[i]) == traj.state(i)
     assert traj(xs[5]) == tuple(got[5])
@@ -336,117 +284,11 @@ def test_slope_rejects_bad_reads(x0, y0, x1, dense, xs):
         traj.slope(xs)
 
 
-# -- the pair stepper against the generic tuple loop it replaced --------------
+# -- the pair stepper against the reference loop -------------------------------
 
-def _tuple_initial_step(f, x0, y0, f0, direction, rtol, atol, span):
-    n = len(y0)
-    sc = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, sc)) / n)
-    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, sc)) / n)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    y1 = tuple(v + h0 * direction * g for v, g in zip(y0, f0))
-    f1 = f(x0 + h0 * direction, y1)
-    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / n) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
-
-
-def _tuple_reference(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
-    """The Dormand-Prince loop over the components of a tuple state, for any
-    dimension; the pair stepper must reproduce it bit for bit."""
-    cfg = cfg or IntegratorConfig()
-    y0 = tuple(float(v) for v in y0)
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
-    direction = 1 if x1 > x0 else -1
-    span = abs(x1 - x0)
-    dim = len(y0)
-    rng = range(dim)
-    traj = Trajectory(dim, direction)
-    xs, ys = traj.xs, traj._ys
-    dn = array("d") if dense else None
-
-    x, y = x0, y0
-    k1 = tuple(f(x, y))
-    if not all(map(math.isfinite, y)) or not all(map(math.isfinite, k1)):
-        raise NonFiniteState(f"non-finite initial data at x={x}")
-    xs.append(x)
-    ys.extend(y)
-
-    if cfg.initial_step > 0:
-        h = min(cfg.initial_step, span)
-    else:
-        h = _tuple_initial_step(f, x0, y0, k1, direction, rtol, atol, span)
-    err_prev = 1.0
-    fac_max = _FAC_MAX
-    attempts = 0
-    max_steps = cfg.max_steps
-
-    while True:
-        attempts += 1
-        if attempts > max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} exhausted at x={x}")
-        last = (abs(x1 - x) <= h)
-        if last:
-            h = abs(x1 - x)
-        hs = h * direction
-
-        k2 = f(x + _C2 * hs, tuple(y[i] + hs * (_A21 * k1[i]) for i in rng))
-        k3 = f(x + _C3 * hs, tuple(y[i] + hs * (_A31 * k1[i] + _A32 * k2[i]) for i in rng))
-        k4 = f(x + _C4 * hs, tuple(y[i] + hs * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                                   for i in rng))
-        k5 = f(x + _C5 * hs, tuple(y[i] + hs * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                                                + _A54 * k4[i]) for i in rng))
-        k6 = f(x + hs, tuple(y[i] + hs * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                          + _A64 * k4[i] + _A65 * k5[i]) for i in rng))
-        y_new = tuple(y[i] + hs * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                                   + _B5 * k5[i] + _B6 * k6[i]) for i in rng)
-        x_new = x1 if last else x + hs
-        k7 = f(x_new, y_new)
-
-        err = 0.0
-        for i in rng:
-            e = hs * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                      + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / dim)
-
-        if err <= 1.0:
-            if not all(map(math.isfinite, y_new)) or not all(map(math.isfinite, k7)):
-                raise NonFiniteState(f"non-finite state at x={x_new}")
-            if dense:
-                dn.append(hs)
-                for k in (k1, k3, k4, k5, k6):
-                    dn.extend(k)
-            x, y, k1 = x_new, y_new, tuple(k7)
-            xs.append(x)
-            ys.extend(y)
-            traj.step_count += 1
-            if stop_when is not None and stop_when(x, y):
-                traj.stopped = True
-                break
-            if last:
-                break
-            if err == 0.0:
-                fac = fac_max
-            else:
-                fac = _SAFETY * err ** -_EXPO1 * err_prev ** _BETA
-                fac = min(fac_max, max(_FAC_MIN, fac))
-            h *= fac
-            err_prev = max(err, 1e-4)
-            fac_max = _FAC_MAX
-        else:
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-            fac_max = 1.0
-            traj.rejected += 1
-
-    traj._f_end = k1
-    traj._dense = dn
-    return traj
+def _raised(info):
+    # the reference raises classes of its own, of the same names as nel.ode's
+    return type(info.value).__name__, str(info.value)
 
 
 def _oscillator(x, y):
@@ -483,7 +325,7 @@ def test_pair_stepper_equals_tuple_reference_bitwise(run):
     f, x0, y0, x1, cfg, dense, stop_when = _PAIR_RUNS[run]
     rhs, calls = _counted(f)
     got = integrate(rhs, x0, y0, x1, cfg, dense=dense, stop_when=stop_when)
-    ref = _tuple_reference(f, x0, y0, x1, cfg, dense, stop_when)
+    ref = dormand_prince(f, x0, y0, x1, cfg, dense, stop_when)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
     if dense:
@@ -504,13 +346,16 @@ def test_pair_stepper_equals_tuple_reference_bitwise(run):
     # a step of 2 overflows y while every derivative and the error stay finite
     (NonFiniteState, lambda x, y: (1e308, 0.0), (1.0, 1.0), IntegratorConfig(initial_step=2.0)),
     (StepLimitExceeded, _oscillator, (1.0, 0.0), IntegratorConfig(max_steps=10)),
-], ids=["initial", "overflow", "budget"])
+    # y = tan x: the rejected steps shrink until they no longer move x
+    (NonFiniteState, lambda x, y: (1.0 + y[0] * y[0], 0.0), (0.0, 0.0), None),
+    (NonFiniteState, lambda x, y: (1e308, 0.0), (1.0, 1.0), None),
+], ids=["initial", "overflow", "budget", "underflow", "initial-step"])
 def test_pair_stepper_raises_as_tuple_reference(error, f, y0, cfg):
     with pytest.raises(error) as got:
         integrate(f, 0.0, y0, 50.0, cfg)
-    with pytest.raises(error) as ref:
-        _tuple_reference(f, 0.0, y0, 50.0, cfg)
-    assert str(got.value) == str(ref.value)
+    with pytest.raises(RuntimeError) as ref:
+        dormand_prince(f, 0.0, y0, 50.0, cfg)
+    assert _raised(ref) == _raised(got)
 
 
 @pytest.mark.parametrize("y0", [(), (1.0,), (1.0, 2.0, 3.0)])
@@ -715,75 +560,7 @@ def test_painleve_rhs_is_evaluated_inline(run):
     assert called == wrapped.rhs_evals == traj.rhs_evals >= 2 + 6 * traj.step_count
 
 
-# -- the scalar loop against a per-step reference -----------------------------
-
-def _per_step_reference(f, x0, y0, x1, cfg=None, stop_when=None):
-    """The scalar Dormand-Prince loop written with the builtins, storing each
-    step's stage record [hs, k1, k3, k4, k5, k6] as it accepts the step; its
-    first step is the tuple rule's on (y0,).  The scalar stepper must
-    reproduce it bit for bit."""
-    cfg = cfg or IntegratorConfig()
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
-    direction = 1 if x1 > x0 else -1
-    span = abs(x1 - x0)
-    traj = Trajectory(1, direction)
-    dn = array("d")
-    x, y = x0, y0
-    k1 = f(x, y)
-    traj.xs.append(x)
-    traj._ys.append(y)
-    if cfg.initial_step > 0:
-        h = min(cfg.initial_step, span)
-    else:
-        h = _tuple_initial_step(lambda x, s: (f(x, s[0]),), x0, (y0,), (k1,), direction,
-                                rtol, atol, span)
-    err_prev = 1.0
-    fac_max = _FAC_MAX
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > cfg.max_steps:
-            raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
-        last = (abs(x1 - x) <= h)
-        if last:
-            h = abs(x1 - x)
-        hs = h * direction
-        k2 = f(x + _C2 * hs, y + hs * (_A21 * k1))
-        k3 = f(x + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
-        k4 = f(x + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(x + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(x + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        x_new = x1 if last else x + hs
-        k7 = f(x_new, y_new)
-        err = abs(hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)) \
-            / (atol + rtol * max(abs(y), abs(y_new)))
-        if err <= 1.0:
-            dn.fromlist([hs, k1, k3, k4, k5, k6])
-            x, y, k1 = x_new, y_new, k7
-            traj.xs.append(x)
-            traj._ys.append(y)
-            traj.step_count += 1
-            if stop_when is not None and stop_when(x, y):
-                traj.stopped = True
-                break
-            if last:
-                break
-            if err == 0.0:
-                fac = fac_max
-            else:
-                fac = min(fac_max, max(_FAC_MIN, _SAFETY * err ** -_EXPO1 * err_prev ** _BETA))
-            h *= fac
-            err_prev = max(err, 1e-4)
-            fac_max = _FAC_MAX
-        else:
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2)
-            fac_max = 1.0
-            traj.rejected += 1
-    traj._f_end = k1
-    traj._dense = dn
-    return traj
-
+# -- the scalar loop against the reference loop on 1-tuples -------------------
 
 _RECORD_RUNS = {
     **{f"backward-{n}": (*_backward_run(n, True)[:4], None)
@@ -798,10 +575,10 @@ _RECORD_RUNS = {
 
 @pytest.mark.parametrize("run", list(_RECORD_RUNS))
 def test_dense_records_equal_per_step_build_bitwise(run):
-    # the stage records, ends and counts equal the per-step reference's, and
-    # every read equals the quartic built from its records one step at a time
+    # the stage records, ends and counts equal the reference's, and every
+    # read equals the quartic built from its records one step at a time
     x0, y0, x1, cfg, stop_when = _RECORD_RUNS[run]
-    ref = _per_step_reference(rhs_unscaled, x0, y0, x1, cfg, stop_when)
+    ref = dormand_prince(rhs_unscaled, x0, y0, x1, cfg, True, stop_when)
     got = integrate(rhs_unscaled, x0, y0, x1, cfg, stop_when=stop_when)
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
@@ -810,7 +587,7 @@ def test_dense_records_equal_per_step_build_bitwise(run):
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     assert got.rejected == ref.rejected
-    _reads_equal_layout(got, ref)
+    _reads_equal_reference(got, ref)
     if run == "one-step":
         assert got.step_count == 1
     if run == "fig1-50-first-step-1":
@@ -823,12 +600,12 @@ def test_scalar_step_limit_raises_as_per_step_reference(f):
     cfg = IntegratorConfig(max_steps=10)
     with pytest.raises(StepLimitExceeded) as got:
         integrate(f, 0.0, 2.0, 20.0, cfg)
-    with pytest.raises(StepLimitExceeded) as ref:
-        _per_step_reference(rhs_unscaled, 0.0, 2.0, 20.0, cfg)
-    assert str(got.value) == str(ref.value)
+    with pytest.raises(RuntimeError) as ref:
+        dormand_prince(rhs_unscaled, 0.0, 2.0, 20.0, cfg)
+    assert _raised(ref) == _raised(got)
 
 
-# -- the pair loop against the tuple reference, reads included ---------------
+# -- the pair loop against the reference loop, reads included ----------------
 
 _PAIR_RECORD_RUNS = {
     **{run: (f, x0, y0, x1, cfg, stop_when)
@@ -843,10 +620,10 @@ _PAIR_RECORD_RUNS = {
 
 @pytest.mark.parametrize("run", list(_PAIR_RECORD_RUNS))
 def test_pair_dense_records_equal_per_step_build_bitwise(run):
-    # the pair loop stores each step's stages as _tuple_reference does, and
+    # the pair loop stores each step's stages as the reference does, and
     # every read equals the quartic built from those records one step at a time
     f, x0, y0, x1, cfg, stop_when = _PAIR_RECORD_RUNS[run]
-    ref = _tuple_reference(f, x0, y0, x1, cfg, True, stop_when)
+    ref = dormand_prince(f, x0, y0, x1, cfg, True, stop_when)
     got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
     assert len(got._dense) == 11 * got.step_count > 0
     assert bytes(got._dense) == bytes(ref._dense)
@@ -855,6 +632,63 @@ def test_pair_dense_records_equal_per_step_build_bitwise(run):
     assert [v.hex() for v in got._f_end] == [v.hex() for v in ref._f_end]
     assert (got.step_count, got.stopped, got.rejected) == (ref.step_count, ref.stopped,
                                                            ref.rejected)
-    _reads_equal_layout(got, ref)
+    _reads_equal_reference(got, ref)
     if run == "one-step":
         assert got.step_count == 1
+
+
+# -- the reference tableau in exact arithmetic --------------------------------
+
+def _trees(order):
+    """The rooted trees with ``order`` vertices, each written as the sorted
+    tuple of its root's subtrees."""
+    if order == 1:
+        return [()]
+    return sorted({tuple(sorted((*rest, sub))) for k in range(1, order)
+                   for sub in _trees(k) for rest in _trees(order - k)})
+
+
+def _gamma(tree):
+    """(order, density gamma) of a tree."""
+    order, gamma = 1, 1
+    for sub in tree:
+        o, g = _gamma(sub)
+        order, gamma = order + o, gamma * g
+    return order, gamma * order
+
+
+def _phi(tree, a):
+    """The elementary weight Phi_i of the tree at each stage i of a."""
+    phi = [Fraction(1)] * len(a)
+    for sub in tree:
+        inner = _phi(sub, a)
+        phi = [p * sum(w * q for w, q in zip(row, inner)) for p, row in zip(phi, a)]
+    return phi
+
+
+def _weigh(weights, phi):
+    return sum(w * p for w, p in zip(weights, phi))
+
+
+def test_reference_tableau_meets_the_order_conditions():
+    # exact, so the floats of both step loops, which equal the reference's
+    # bit for bit, are the correctly rounded Dormand-Prince coefficients
+    a = [[Fraction(0)] * 7] + [[*row, *[Fraction(0)] * (7 - len(row))] for row in DP_A]
+    b = a[6]                                      # stage 7 is evaluated at the new sample
+    assert [sum(row) for row in a] == list(DP_C)
+    trees = [t for order in range(1, 6) for t in _trees(order)]
+    assert [_gamma(t)[0] for t in trees] == [1, 2, 3, 3] + [4] * 4 + [5] * 9
+    for t in trees:
+        order, gamma = _gamma(t)
+        phi = _phi(t, a)
+        assert _weigh(b, phi) == Fraction(1, gamma)
+        # b - b_hat: the embedded solution is of order 4 exactly
+        assert (_weigh(DP_E, phi) == 0) == (order <= 4)
+        if order <= 4:
+            # sum_s b_s(theta) Phi_s = theta^order / gamma, power by power
+            assert [_weigh(power, phi) for power in zip(*DP_P)] == \
+                [Fraction(j == order, gamma) for j in range(1, 5)]
+    # at theta = 1 the dense output ends on the step's sample with slope k7
+    assert [sum(row) for row in DP_P] == b
+    assert [sum(j * p for j, p in enumerate(row, 1)) for row in DP_P] == [0] * 6 + [1]
+    assert not any(DP_P[1])                        # stage 2 has no dense weight

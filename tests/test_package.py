@@ -84,7 +84,17 @@ def test_reference_routes_import_nothing_from_nel():
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "nel" not in {m.partition(".")[0] for m in modules}
     assert _names_read(path).isdisjoint(
-        {"nel", "_horner", "_contract", "_polish", "_bisect", "_steps"})
+        {"nel", "_horner", "_contract", "_polish", "_bisect", "_steps",
+         "_integrate_scalar", "_integrate_pair", "_first_step"})
+
+
+def test_ode_tests_import_no_private_name_from_nel_ode():
+    # the step loops' bitwise references carry their own tableau and
+    # controller constants: an imported one would move with the loops
+    tree = ast.parse((TESTS / "test_ode.py").read_text())
+    assert [a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "nel.ode"
+            for a in node.names if a.name.startswith("_")] == []
 
 
 def test_ci_runs_tier1_and_the_benchmark_checks_only():
