@@ -569,10 +569,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--a", type=_FINITE,
                    help="initial slope for fate (default 0) and envelope (required)")
     q.add_argument("--y0", type=_FINITE, default=1.0,
-                   help="y(0): any finite value for fate and envelope (runs to "
-                        "x = -135 cross their poles for y0 in -3..20; MatchDiverged "
-                        "starts at about y0 = 25), -3..5 for eigen, whose scan cap "
-                        "follows the y0 = 1 law and was checked there")
+                   help="y(0): any finite value for fate and envelope (the tests "
+                        "decide fates at y0 = 25, 30, 50 and 100), -3..5 for eigen, "
+                        "whose scan cap follows the y0 = 1 law and was checked there")
     q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
                    dest="x_min", help="window end for envelope (default -80)")
     q.add_argument("--out", required=True)

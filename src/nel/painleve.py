@@ -7,14 +7,10 @@ and nearby slopes veer off, either down into the oscillatory basin or up
 through a chain of movable double poles.  Those slopes are located here as
 discontinuities of the oscillatory/pole-chain fate map.
 
-Double poles are traversed by matching the local Laurent series
-
-    y = 6/s^2 - (x0/10) s^2 - s^3/6 + h s^4 + ...   (s = x - x0)
-
-to the diverging numerical solution, solving for (x0, h) by Newton, and
-restarting on the far side from the same series, at one of two heights
-|y|: the floor ~17.43, when the previous pole's series tail shows it
-passing, or 40, where every pole of the fate window passes (see _Y_FLOOR).
+Double poles are passed in the regular chart y = 6/u^2, W = E - 6/u with
+E = y'^2/2 - y^3/3 - x y (see _chart_rhs): a run enters it at y ~ 17.43
+(_Y_FLOOR) on the pole approach, crosses the pole at u = 0 and takes up
+(y, y') again on the far side.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import numpy as np
 
 from .extrapolate import _ls_slope, richardson
 from .ode import IntegratorConfig, Trajectory, _bisect, _find_flip, integrate
-from .pseries import _horner
 
 __all__ = [
     "PoleEvent",
@@ -37,8 +32,6 @@ __all__ = [
     "InsufficientExtrema",
     "ScanExhausted",
     "painleve_rhs",
-    "laurent_match",
-    "pole_series_eval",
     "integrate_with_poles",
     "classify_fate",
     "painleve_eigenvalues",
@@ -54,13 +47,9 @@ REPORTED_GROWTH_CONSTANT = 4.28373        # C; compare also (17/5) 2^(1/3)
 
 
 class MatchDiverged(RuntimeError):
-    """A double pole could not be crossed: the Laurent fit did not converge,
-    its residual broke its bound or its 24-term tail did so at the match or
-    at the restart offset, a stop at 40 lacked the pole signature (a
-    turnaround), or the fitted poles fell out of order.  A failed match at
-    the floor height is retried at 40 by the pole continuation; at 40
-    nothing retries, so the run has no verdict.  The tests cross every pole
-    that a = -100..100 (step 10) meet by x = -135 without one."""
+    """A pole passed in the chart lay at or right of the pole before it.
+    Its chart runs leave past each pole, so only a wrong x0 gives it; no run
+    of the tests raises it."""
 
 
 class Undecided(RuntimeError):
@@ -78,37 +67,10 @@ class ScanExhausted(RuntimeError):
 
 _ODE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=2_000_000)
 _X_MIN = -135.0          # fate window
-# Heights |y| at which a double pole is matched, and restarted on the far side
-# at s = -sqrt(6/Y).  The free quartic coefficient h enters the state like
-# h s^4 against the 6/s^2 divergence, so the fit passes the stepper's local
-# error into h amplified like Y^3: each pole is matched at the lower of two
-# heights whenever its series allows it.
-# - The floor _Y_FLOOR = 1.5 sqrt(-_X_MIN) ~ 17.43.  A run within sqrt(-x)/2
-#   of +sqrt(-x) stays below it, so no such run spans two segments
-#   (_departure).
-# - _Y_POLE = 40, where every pole of the fate window passes: the 24-term
-#   tail |c_24 s^22| stays below 1e-9 |y| out to the restart offset, where
-#   laurent_match checks it; its worst over a = -100, -90, ..., 100 to
-#   x = -135 is 0.23 of that bound there (the first pole of a = -100), and
-#   at Y = 35 it is 1.16.
-# The tail ratio grows like Y^-12, so a pole matched at Y with ratio r passes
-# from Y r^(1/12) up, its lowest height.  The first pole of a run tries the
-# floor; each later pole does when _HEIGHT_MARGIN times the previous pole's
-# lowest height is at most the floor, and otherwise takes 40.  A floor that
-# fails (a match that breaks a check of laurent_match, or a stop short of the
-# pole signature of _approaching_pole) integrates the same segment again from
-# its start to 40, so the segments end where they would at 40 alone.  Over
-# the 990 poles that a = -100..100 (step 10) meet by x = -135 the lowest
-# height runs from 4.6 to 35.4, and from one pole to the next it grows by at
-# most 1.31x, by more than 1.052x at 1 % of them and by more than 1.1x at 4
-# of 969.  A failed floor costs a second run of its segment, a passed one
-# saves only the steps between the heights, so the margin sits above that
-# 99th percentile: 1.1, which of 1.0, 1.05, 1.1, 1.2 and 1.3 also takes
-# those runs the fewest attempts.
+# Height y at which a run enters the pole chart.  A run within sqrt(-x)/2 of
+# +sqrt(-x) stays below 1.5 sqrt(-_X_MIN) ~ 17.43, so no such run spans two
+# segments (_departure).
 _Y_FLOOR = 1.5 * math.sqrt(-_X_MIN)
-_Y_POLE = 40.0
-_HEIGHT_MARGIN = 1.1
-_SERIES_TERMS = 24
 _BISECT_TOL = 1e-7       # final bracket width on a
 # Scan step in a while seeking a_n: a fraction of the local spacing
 # 0.6 C n^(-2/5) (the derivative of C n^(3/5)).  A step longer than
@@ -127,13 +89,6 @@ def painleve_rhs(x: float, y: tuple[float, float]) -> tuple[float, float]:
 @dataclass(frozen=True)
 class PoleEvent:
     x0: float          # pole location
-    h: float           # free coefficient of (x - x0)^4
-    residual: float    # relative match residual
-    tail: float        # 24-term tail over its 1e-9 |y| bound, at the restart offset
-
-    def __post_init__(self):
-        if not self.residual <= 1e-8:
-            raise MatchDiverged(f"match residual {self.residual:.2e} at x0={self.x0}")
 
 
 @dataclass(frozen=True)
@@ -162,193 +117,119 @@ class FateReport:
     departure: float | None        # x* where the solution left +sqrt(-x)
 
 
-# -- Laurent series at a double pole ----------------------------------------
-
-
-def _pole_series(x0: float, h: float, terms: int) -> list[float]:
-    """Coefficients c_j of y = sum c_j s^(j-2), j = 0..terms.
-
-    c_0 = 6 and the resonance sits at j = 6, where h enters freely; higher
-    coefficients follow from c_m (m-6)(m+1) = sum_{i=1}^{m-1} c_i c_{m-i}.
-    """
-    c = [0.0] * (terms + 1)
-    c[0] = 6.0
-    c[4] = -x0 / 10.0
-    c[5] = -1.0 / 6.0
-    c[6] = h
-    for m in range(7, terms + 1):
-        s = 0.0
-        # c vanishes at 1..3, so a term with i or m - i there is +-0.0; s
-        # starts at +0.0 and never holds -0.0, so adding one changes
-        # nothing.  Skipping them leaves the other terms in the same order:
-        # the same sums, to the bit, for finite coefficients.
-        for i in range(4, m - 3):
-            s += c[i] * c[m - i]
-        c[m] = s / ((m - 6) * (m + 1))
-    return c
-
-
-def _pole_series_derivatives(c: list[float]) -> tuple[list[float], list[float]]:
-    """(x0, h) derivatives of the coefficients c of _pole_series, by the
-    differentiated recurrence over the same terms in the same order."""
-    dx = [0.0] * len(c)
-    dh = [0.0] * len(c)
-    dx[4] = -0.1
-    dh[6] = 1.0
-    for m in range(7, len(c)):
-        sx = sh = 0.0
-        for i in range(4, m - 3):
-            sx += dx[i] * c[m - i] + c[i] * dx[m - i]
-            sh += dh[i] * c[m - i] + c[i] * dh[m - i]
-        d = (m - 6) * (m + 1)
-        dx[m] = sx / d
-        dh[m] = sh / d
-    return dx, dh
-
-
-def pole_series_eval(x0: float, h: float, x: float) -> tuple[float, float]:
-    """(y, y') of the Laurent solution with data (x0, h), at x != x0."""
-    c = _pole_series(x0, h, _SERIES_TERMS)
-    s = x - x0
-    p, dp = _horner(c, s)
-    y = p / (s * s)
-    v = dp / (s * s) - 2.0 * p / (s * s * s)
-    return y, v
-
-
-def laurent_match(x: float, y: float, v: float, height: float) -> PoleEvent:
-    """Fit (x0, h) so the Laurent series matches the observed (y, v) at x,
-    reached on the approach to a pole matched at `height`.
-
-    The initial guess comes from the leading order y = 6/s^2: x0 = x + 2y/v.
-    Newton converges in a few steps this close to the pole; the relative
-    residual of the converged fit is reported on the event, with the
-    24-term tail over its bound 1e-9 |y| at the match or at the restart
-    offset s = -sqrt(6/height), whichever is farther from the pole.
-    """
-    if y < 0.5 * height:
-        raise MatchDiverged(f"matching requested at y={y:.3g}, below the match height")
-    if v == 0.0:
-        raise MatchDiverged("v = 0: turning point, not a pole approach")
-    x0 = x + 2.0 * y / v
-    h = 0.0
-    for _ in range(60):
-        c = _pole_series(x0, h, _SERIES_TERMS)
-        s = x - x0
-        p, dp = _horner(c, s)
-        s2 = s * s
-        ys = p / s2
-        vs = dp / s2 - 2.0 * p / (s2 * s)
-        f1 = ys - y
-        f2 = vs - v
-        if abs(f1) <= 1e-11 * abs(y) and abs(f2) <= 1e-11 * abs(v):
-            break
-        dxc, dhc = _pole_series_derivatives(c)
-        px, dpx = _horner(dxc, s)
-        ph, dph = _horner(dhc, s)
-        # total d/dx0 at fixed x: parameter part minus d/ds
-        j11 = px / s2 - vs
-        j12 = ph / s2
-        j21 = (dpx / s2 - 2.0 * px / (s2 * s)) - (ys * ys + x0 + s)
-        j22 = dph / s2 - 2.0 * ph / (s2 * s)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            raise MatchDiverged("singular Jacobian in pole matching")
-        d0 = (f1 * j22 - f2 * j12) / det
-        d1 = (f2 * j11 - f1 * j21) / det
-        # keep the step from jumping past the pole
-        cap = 0.5 * abs(s)
-        if abs(d0) > cap:
-            d1 *= cap / abs(d0)
-            d0 = math.copysign(cap, d0)
-        x0 -= d0
-        h -= d1
-    else:
-        raise MatchDiverged(f"Newton did not converge near x={x}")
-    # truncation sanity: the last kept term must be negligible at the match
-    # and at the restart offset past the pole, where y ~ 6/s^2 = height;
-    # tail/|y| grows like |s|^24, so the larger |s| of the two decides
-    r, y_r = max((abs(s), abs(y)), (math.sqrt(6.0 / height), height))
-    tail = abs(c[-1]) * r ** (_SERIES_TERMS - 2) / (1e-9 * y_r)
-    if tail > 1.0:
-        raise MatchDiverged(f"series truncation too coarse: tail={tail:.2e} of its bound")
-    res = math.hypot(f1 / y, f2 / v if v != 0 else 0.0)
-    return PoleEvent(x0, h, res, tail)
-
-
 # -- integration with pole continuation --------------------------------------
 
 
-def _approaching_pole(y: float, v: float) -> bool:
-    # near a double pole v^2 -> (2/3) y^3; near a turnaround v^2 << y^3
-    return v * v >= y ** 3 / 3.0
+def _chart_rhs(x: float, state: tuple[float, float]) -> tuple[float, float]:
+    """The pole chart: y = 6/u^2 and W = E - 6/u, E = v^2/2 - y^3/3 - x y.
+
+    With g = W u^2 + 6u + 6x, u' = p = sqrt(1 + u^4 g/72) and W' =
+    6(p - 1)/u^2 = u^2 g/(12(1 + p)), regular at the pole u = 0, where
+    p = 1.  A trial stage with 1 + u^4 g/72 < 0 lies past a turnaround
+    (p = 0), off the solution the chart holds, and returns NaN: the step's
+    error estimate is then NaN, so the loop rejects the attempt and cuts
+    the step by its least factor.  An accepted sample never gets there,
+    since a run leaves the chart below p = 1/2.
+    """
+    u, w = state
+    uu = u * u
+    g = w * uu + 6.0 * u + 6.0 * x
+    q = 1.0 + uu * uu * g / 72.0
+    if not q >= 0.0:
+        return math.nan, math.nan
+    p = math.sqrt(q)
+    return p, uu * g / (12.0 * (1.0 + p))
+
+
+def _chart_exit(x: float, state: tuple[float, float]) -> bool:
+    # past the pole at y = 6/u^2 <= _Y_FLOOR, or p < 1/2 on either side
+    u = state[0]
+    return u < 0.0 and u * u * _Y_FLOOR >= 6.0 or _chart_rhs(x, state)[0] < 0.5
+
+
+def _pass_pole(x: float, y: float, v: float, x_end: float, ode: IntegratorConfig):
+    """Run the chart from the (y, v) sample at x, with y > 0 and v < 0,
+    toward x_end < x.
+
+    Returns (x0, x, state): the pole x0, or None where the run turned
+    (p < 1/2 with u > 0) or reached x_end before u = 0; and the (y, v)
+    state at the exit x, y = 6/u^2 and v = -12 p/u^3, or None where the
+    run reached x_end in the chart.  x0 comes from the sample of the step
+    that crossed u = 0 nearer to it: dx/du = 1/p = 1 - u^4 g/(72 p (1 + p)),
+    so x0 = x - u + u^5 g/(360 p (1 + p)) = x - u + u^3 W'/(30 p) with
+    g/(p (1 + p)) held at that sample, off by about u^6/360; that sample has
+    |u| <= 0.023 at every pole the tests cross.
+    """
+    u = math.sqrt(6.0 / y)
+    run = integrate(_chart_rhs, x, (u, 0.5 * v * v - y ** 3 / 3.0 - x * y - 6.0 / u),
+                    x_end, ode, dense=False, stop_when=_chart_exit)
+    us = run._ys[0::2]
+    i = next((i for i, u in enumerate(us) if u <= 0.0), None)
+    x0 = None
+    if i is not None:
+        j = i if -us[i] < us[i - 1] else i - 1
+        p, dw = _chart_rhs(run.xs[j], run.state(j))
+        x0 = run.xs[j] - us[j] + us[j] ** 3 * dw / (30.0 * p)
+    if run.x_end == x_end:
+        return x0, x_end, None
+    u = run.y_end[0]
+    return x0, run.x_end, (6.0 / (u * u), -12.0 * _chart_rhs(run.x_end, run.y_end)[0] / u ** 3)
 
 
 def _pole_continuation(a: float, x_end: float, ode: IntegratorConfig,
                        y0: float, dense: bool, until=None):
     """Integrate from (0, y0) with slope a toward x_end, through poles.
 
-    Yields (segment, pole) in integration order, where pole is the
-    PoleEvent that ended the segment, or None for the last segment, which
-    ended at x_end.  Poles are strictly ordered along the integration
-    direction.  Each pole is matched at _Y_FLOOR or _Y_POLE by the rule of
-    the constants block; a segment whose floor fails is integrated again
-    from its start and only that run is yielded.
+    Yields (segment, pole) in integration order: each (y, v) segment, with
+    the PoleEvent that ended it, or None where no pole did (the last
+    segment, which ended at x_end or at `until`, and a segment whose chart
+    run turned).  Poles are strictly ordered along the integration
+    direction; a crossing out of order raises MatchDiverged.
 
-    A stop at 40 without the pole signature of _approaching_pole (a
-    turnaround) raises MatchDiverged, as a failed match there does.  With
-    X = -x and E = v^2/2 - y^3/3 - x y, dE/dX = y along a solution, so a
-    segment that rises through the floor ~17.43 reaches y = 40 with
-    v^2 >~ 28,000 > 40^3/3 anywhere in x >= -135: only a run that starts
-    above the floor can stop there short of the signature.
+    A segment stops at its first accepted sample with y >= _Y_FLOOR, v < 0
+    and the pole signature v^2 >= y^3/3, that is p >= 1/sqrt(2), and the
+    chart of _pass_pole takes over.  It leaves the chart past the pole once
+    y = 6/u^2 falls to _Y_FLOOR, or between the close poles of a chain
+    once p < 1/2, and the next segment starts there.  A run with p < 1/2
+    before u = 0 is a turnaround: it leaves the chart with no pole, and the
+    gap between 1/2 and 1/sqrt(2) keeps it from entering again at once.  No
+    run of the tests turns: entered at p >= 1/sqrt(2), p tends to 1 on the
+    way to the pole.
 
     ``until(x, state)``, called after each accepted step, is ORed into the
     pole test; a segment it ends (at a step where both hold, too) is yielded
     with None and is the last one.
     """
     x, state = 0.0, (float(y0), float(a))
-    height = _Y_FLOOR
     last_x0 = math.inf
 
     def stop(xx, yy):
-        return yy[0] >= height and yy[1] < 0.0 or until is not None and until(xx, yy)
+        y, v = yy
+        return (y >= _Y_FLOOR and v < 0.0 and v * v >= y ** 3 / 3.0
+                or until is not None and until(xx, yy))
 
     while True:
         traj = integrate(painleve_rhs, x, state, x_end, ode,
                          dense=dense, stop_when=stop)
-        if not traj.stopped or until is not None and until(traj.x_end, traj.y_end):
+        if traj.x_end == x_end or until is not None and until(traj.x_end, traj.y_end):
             yield traj, None
             return
-        yv = traj.y_end
-        try:
-            if not _approaching_pole(yv[0], yv[1]):
-                raise MatchDiverged(f"turnaround at x={traj.x_end}, y={yv[0]:.3g}: "
-                                    f"no pole signature v^2 >= y^3/3")
-            ev = laurent_match(traj.x_end, yv[0], yv[1], height)
-        except MatchDiverged:
-            if height == _Y_POLE:
-                raise
-            # the floor fails here: the same segment again, to 40
-            height = _Y_POLE
-            continue
-        if ev.x0 >= last_x0:
-            raise MatchDiverged(f"pole ordering violated at x0={ev.x0}")
-        yield traj, ev
-        last_x0 = ev.x0
-        x = ev.x0 - math.sqrt(6.0 / height)
-        if x <= x_end:
+        x0, x, state = _pass_pole(traj.x_end, *traj.y_end, x_end, ode)
+        pole = None
+        if x0 is not None:
+            if x0 >= last_x0:
+                raise MatchDiverged(f"pole ordering violated at x0={x0}")
+            pole, last_x0 = PoleEvent(x0), x0
+        yield traj, pole
+        if state is None:
             return
-        state = pole_series_eval(ev.x0, ev.h, x)
-        # the next pole's lowest height, predicted from this one's by Y^-12
-        lowest = _HEIGHT_MARGIN * height * ev.tail ** (1.0 / 12.0)
-        height = _Y_FLOOR if lowest <= _Y_FLOOR else _Y_POLE
 
 
 def integrate_with_poles(a: float, x_end: float, *,
                          y0: float = 1.0) -> tuple[list[Trajectory], list[PoleEvent]]:
     """Integrate from (0, y0) with slope a down to x_end < 0, through poles.
 
-    Returns the dense trajectory segments between poles and the fitted pole
+    Returns the dense (y, y') trajectory segments between poles and the pole
     events, strictly ordered along the integration direction.
     """
     if x_end >= 0:
@@ -411,8 +292,9 @@ def _past_saddle(traj: Trajectory) -> bool:
 def _departure(segments) -> float | None:
     """Left end of the longest run of stored samples with |y - sqrt(-x)| <
     sqrt(-x)/2, x < 0, over the segments; None without one.  No run spans
-    two segments: they meet at a pole, at |y| >= _Y_FLOOR, and a sample in
-    the run has y < 1.5 sqrt(-_X_MIN) = _Y_FLOOR."""
+    two segments: each segment but the last ends at a chart entry, at
+    y >= _Y_FLOOR, and a sample in the run has y < 1.5 sqrt(-_X_MIN) =
+    _Y_FLOOR."""
     xs = np.concatenate([np.frombuffer(t.xs, dtype=float) for t in segments])
     y = np.concatenate([np.frombuffer(t._ys, dtype=float)[0::2] for t in segments])
     root = np.sqrt(-xs)

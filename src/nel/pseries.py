@@ -3,9 +3,8 @@
 The coefficient family a_k = exp(i pi tau (k^2 + k)) has unit modulus, so
 every partial sum S_n is a degree-n polynomial whose largest root modulus
 rho_n probes how far outside the unit disk the section zeros reach.  The
-package's Horner evaluator, _horner, lives here for its callers
-painleve.laurent_match, painleve.pole_series_eval and cosine.forward_values;
-the root polish evaluates by power tables instead.
+package's Horner evaluator, _horner, lives here for its caller
+cosine.forward_values; the root polish evaluates by power tables instead.
 
 The half-degree route.  With c = exp(-i pi tau (n + 1)) and z = c zeta,
 S_n(c zeta) = sum_k b_k zeta^k with b_k = exp(i pi tau k (k - n)), and

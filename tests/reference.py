@@ -11,7 +11,10 @@ lookup) can move a route and its reference together.
 - ``dormand_prince`` and ``quartic_read``: the Dormand-Prince 5(4) loop over
   tuple states and the read of its stage records, on an exact tableau
   (``DP_C``, ``DP_A``, ``DP_E``, ``DP_P``) and controller constants of their
-  own; both step loops of ``nel.ode`` must reproduce them bit for bit.
+  own; both step loops of ``nel.ode`` must reproduce them bit for bit;
+- ``laurent_poles``: the Painleve-I poles by Laurent matching on that loop
+  (``pole_series``, ``pole_series_derivatives``, ``pole_series_eval``,
+  ``laurent_match``), the route nel's pole chart replaced.
 """
 
 import math
@@ -323,3 +326,133 @@ def quartic_read(traj, x, i=None):
         values.append(traj._ys[i * d + c] + hs * th * (q1 + th * (q2 + th * (q3 + th * q4))))
         slopes.append(q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4)))
     return values, slopes
+
+
+# -- Laurent series at a Painleve-I double pole ------------------------------
+
+SERIES_TERMS = 24
+# The match heights: the floor 1.5 sqrt(135) ~ 17.43, and 40, where every pole
+# that y0 = 1, a = -100..100 meet by x = -135 passes the tail check.
+POLE_HEIGHTS = (1.5 * math.sqrt(135.0), 40.0)
+
+
+class MatchFailed(RuntimeError):
+    """The Laurent fit did not converge, or its tail broke its bound."""
+
+
+def pole_series(x0, h, terms=SERIES_TERMS):
+    """Coefficients c_j of y = sum c_j s^(j-2), j = 0..terms, s = x - x0, of
+    the solution of y'' = y^2 + x with a double pole at x0.
+
+    c_0 = 6 and the resonance sits at j = 6, where h enters freely; higher
+    coefficients follow from c_m (m-6)(m+1) = sum_{i=1}^{m-1} c_i c_{m-i},
+    where c vanishes at 1..3, so the sum runs over i = 4..m-4.
+    """
+    c = [0.0] * (terms + 1)
+    c[0], c[4], c[5], c[6] = 6.0, -x0 / 10.0, -1.0 / 6.0, h
+    for m in range(7, terms + 1):
+        s = 0.0
+        for i in range(4, m - 3):
+            s += c[i] * c[m - i]
+        c[m] = s / ((m - 6) * (m + 1))
+    return c
+
+
+def pole_series_derivatives(c):
+    """(x0, h) derivatives of the coefficients c of ``pole_series``, by the
+    differentiated recurrence over the same terms in the same order."""
+    dx, dh = [0.0] * len(c), [0.0] * len(c)
+    dx[4], dh[6] = -0.1, 1.0
+    for m in range(7, len(c)):
+        sx = sh = 0.0
+        for i in range(4, m - 3):
+            sx += dx[i] * c[m - i] + c[i] * dx[m - i]
+            sh += dh[i] * c[m - i] + c[i] * dh[m - i]
+        d = (m - 6) * (m + 1)
+        dx[m], dh[m] = sx / d, sh / d
+    return dx, dh
+
+
+def _series_at(c, s):
+    """(y, y') of sum c_j s^(j-2) and its (p, p') for p = sum c_j s^j."""
+    p = dp = 0.0
+    for cj in reversed(c):
+        dp = dp * s + p
+        p = p * s + cj
+    return p / (s * s), dp / (s * s) - 2.0 * p / (s * s * s), p, dp
+
+
+def pole_series_eval(x0, h, x):
+    """(y, y') of the Laurent solution with data (x0, h), at x != x0."""
+    return _series_at(pole_series(x0, h), x - x0)[:2]
+
+
+def laurent_match(x, y, v, height):
+    """(x0, h) of the Laurent series through the observed (y, v) at x, on
+    the approach to a pole matched at ``height``, by Newton from the leading
+    order x0 = x + 2y/v.  Raises MatchFailed where Newton does not converge
+    in 60 steps to a relative residual of 1e-11, or where the 24-term tail
+    |c_24 s^22| exceeds 1e-9 |y| at the match or at the restart offset
+    s = -sqrt(6/height), whichever is farther from the pole."""
+    x0, h = x + 2.0 * y / v, 0.0
+    for _ in range(60):
+        c = pole_series(x0, h)
+        s = x - x0
+        ys, vs, _, _ = _series_at(c, s)
+        f1, f2 = ys - y, vs - v
+        if abs(f1) <= 1e-11 * abs(y) and abs(f2) <= 1e-11 * abs(v):
+            break
+        dxc, dhc = pole_series_derivatives(c)
+        yx, vx, _, _ = _series_at(dxc, s)
+        yh, vh, _, _ = _series_at(dhc, s)
+        # the total d/dx0 at fixed x is the parameter part minus d/ds
+        j11, j12 = yx - vs, yh
+        j21, j22 = vx - (ys * ys + x0 + s), vh
+        det = j11 * j22 - j12 * j21
+        d0 = (f1 * j22 - f2 * j12) / det
+        d1 = (f2 * j11 - f1 * j21) / det
+        cap = 0.5 * abs(s)           # keep the step from jumping past the pole
+        if abs(d0) > cap:
+            d1 *= cap / abs(d0)
+            d0 = math.copysign(cap, d0)
+        x0, h = x0 - d0, h - d1
+    else:
+        raise MatchFailed(f"Newton did not converge near x={x}")
+    r, y_r = max((abs(s), abs(y)), (math.sqrt(6.0 / height), height))
+    tail = abs(c[-1]) * r ** (SERIES_TERMS - 2) / (1e-9 * y_r)
+    if tail > 1.0:
+        raise MatchFailed(f"series truncation too coarse: tail={tail:.2e} of its bound")
+    return x0, h
+
+
+def laurent_poles(a, x_end, y0=1.0, cfg=None):
+    """The poles (x0, h) with x0 > x_end of the Painleve-I solution from
+    (0, (y0, a)) down to x_end < 0, by Laurent matching on ``dormand_prince``.
+
+    A segment stops at its first sample with y >= height, y' < 0 and the
+    pole signature y'^2 >= y^3/3; the series fitted there restarts the run
+    at x0 - sqrt(6/height).  Each pole tries the floor height, and one whose
+    tail breaks the bound there runs its segment again to 40.
+    """
+    x, state = 0.0, (float(y0), float(a))
+    poles = []
+    while x > x_end:
+        for height in POLE_HEIGHTS:
+            run = dormand_prince(
+                lambda t, s: (s[1], s[0] * s[0] + t), x, state, x_end, cfg, dense=False,
+                stop_when=lambda t, s, hh=height: s[0] >= hh and s[1] < 0 and
+                s[1] * s[1] >= s[0] ** 3 / 3)
+            if not run.stopped:
+                return poles
+            try:
+                x0, h = laurent_match(run.xs[-1], run._ys[-2], run._ys[-1], height)
+                break
+            except MatchFailed:
+                if height == POLE_HEIGHTS[-1]:
+                    raise
+        if x0 <= x_end:
+            return poles
+        poles.append((x0, h))
+        x = x0 - math.sqrt(6.0 / height)
+        state = pole_series_eval(x0, h, x)
+    return poles

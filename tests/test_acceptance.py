@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from published import FIG2_CAPTION, PAINLEVE_C, PAINLEVE_EIGS, RHO_MAX, RHO_TAU
-from reference import companion_roots
+from reference import companion_roots, pole_series_eval
 
 A_CONSTANT = 2.0 ** (5.0 / 6.0)
 CUBE_ROOT_2 = 2.0 ** (1.0 / 3.0)
@@ -257,9 +257,8 @@ def test_criterion_09_painleve_eigenvalues(painleve_eigs12):
 
 
 def test_painleve_eigenvalues_to_the_published_digits(painleve_eigs12):
-    # criterion 9's list carries 6 decimals, and a_3..a_12 cross poles: the
-    # pole fit amplifies the pair loop's local error into h like Y^3 of the
-    # match height, so too high a height shows here first
+    # criterion 9's list carries 6 decimals, and a_3..a_12 cross poles, so
+    # an error in the pole passage's far-side state shows here first
     eigs, _ = painleve_eigs12
     worst = max(abs(e - r) for e, r in zip(eigs, PAINLEVE_EIGS))
     assert worst < 1e-6, f"worst |diff| {worst:.2e}"
@@ -417,7 +416,7 @@ def test_criterion_13_gibbs_overshoot():
 def test_criterion_14_property_suites(scale):
     from nel.cosine import rhs_unscaled, tail_coefficients
     from nel.ode import IntegratorConfig, integrate
-    from nel.painleve import _Y_POLE, laurent_match, painleve_rhs, pole_series_eval
+    from nel.painleve import _Y_FLOOR, _pass_pole, painleve_rhs
     from nel.pseries import ftau_partial_sum, partial_sum_roots
 
     cfg = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale)
@@ -454,17 +453,16 @@ def test_criterion_14_property_suites(scale):
         abs(math.log2(tail_residual(k, 10.0) / tail_residual(k, 20.0)) - (2 * k + 2)) < 0.6
         for k in range(4))
 
-    # pole-continuation round trip
+    # pole-continuation round trip: from the reference series at x0 + 0.6,
+    # through nel's chart passage entered at the floor, to x0 - 0.6
     pode = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale,
                             max_steps=2_000_000)
     x0, h = -7.3, 4.2
     s_far = 0.6
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, pode,
-                   dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], _Y_POLE)
-    xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
-    st = pole_series_eval(ev.x0, ev.h, xr)
+    tr = integrate(painleve_rhs, x0 + s_far, pole_series_eval(x0, h, x0 + s_far),
+                   x0 - s_far, pode, dense=False,
+                   stop_when=lambda x, y: y[0] >= _Y_FLOOR and y[1] < 0)
+    _, xr, st = _pass_pole(tr.x_end, *tr.y_end, x0 - 2.0 * s_far, pode)
     tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, pode, dense=False)
     y_ref, _ = pole_series_eval(x0, h, x0 - s_far)
     pole_ok = abs(tr2.y_end[0] - y_ref) < 1e-7

@@ -178,18 +178,23 @@ def test_painleve_fate_undecided_is_a_json_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_painleve_fate_turnaround_is_a_json_error(tmp_path, capsys, deadline):
-    # y0 = 50 starts above both match heights, so the run stops at 40 short
-    # of the pole signature v^2 >= y^3/3: a typed error and no data file
+def test_painleve_fate_above_the_floor_without_the_signature_decides(tmp_path, capsys,
+                                                                   deadline):
+    # y0 = 50 starts above the chart's entry height short of the pole
+    # signature v^2 >= y^3/3: the run turns in (y, v) and the fate has the
+    # verdict and pole count of a run at rel_tol 1e-13
+    from nel.ode import IntegratorConfig
+    from nel.painleve import classify_fate
+
     out = tmp_path / "f.json"
     with deadline(30):
-        code, _, err = run_cli(["painleve", "fate", "--a", "0", "--y0", "50",
-                                "--out", str(out)], capsys)
-    assert code == 1
-    error = json.loads(err)["error"]
-    assert (error["type"], error["module"]) == ("MatchDiverged", "nel.painleve")
-    assert "pole signature" in error["message"]
-    assert not out.exists()
+        code, _, _ = run_cli(["painleve", "fate", "--a", "0", "--y0", "50",
+                              "--out", str(out)], capsys)
+        ref = classify_fate(0.0, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15,
+                                                  max_steps=2_000_000), y0=50.0)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert (payload["lock"], payload["pole_count"]) == (ref.lock, ref.pole_count)
 
 
 @pytest.mark.parametrize("y0", ["5.5", "6", "-3.5"])

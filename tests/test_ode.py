@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from nel.cosine import rhs_unscaled, trapped_in_even_bundle
 from nel.ode import IntegratorConfig, NonFiniteState, StepLimitExceeded, integrate
-from nel.painleve import _Y_POLE, integrate_with_poles, painleve_rhs, pole_series_eval
+from nel.painleve import painleve_rhs
 from nel.separatrix import _backward_seed, _forward_span, backward_start
 
-from reference import DP_A, DP_C, DP_E, DP_P, dormand_prince, extrema, quartic_read
+from reference import (DP_A, DP_C, DP_E, DP_P, POLE_HEIGHTS, dormand_prince, extrema,
+                       laurent_poles, pole_series_eval, quartic_read)
 
 
 def test_constant_field_is_exact():
@@ -495,10 +496,11 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
 # -- the inline Painleve-I field against the call route -----------------------
 
 def _past_first_pole(a):
-    # where painleve's pole continuation restarts past the first pole
-    ev = integrate_with_poles(a, -30.0)[1][0]
-    x = ev.x0 - math.sqrt(6.0 / _Y_POLE)
-    return x, pole_series_eval(ev.x0, ev.h, x)
+    # where the reference Laurent route restarts past the first pole, when
+    # it matches at 40
+    x0, h = laurent_poles(a, -30.0)[0]
+    x = x0 - math.sqrt(6.0 / POLE_HEIGHTS[1])
+    return x, pole_series_eval(x0, h, x)
 
 
 _PAINLEVE_RUNS = {

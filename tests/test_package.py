@@ -24,8 +24,6 @@ KEEP = {
     "nel.limitcurve.alpha_closed_form": "criterion 5: the closed forms of that table",
     "nel.limitcurve.eta_consistency_check": "criterion 6: the finite-frequency energy balance",
     "nel.limitcurve.eta_balance_envelope": "criterion 6: the envelope of that balance",
-    "nel.painleve.laurent_match": "the pole continuation matches every pole with it",
-    "nel.painleve.pole_series_eval": "the pole continuation restarts past each pole from it",
     "nel.painleve.approach_decay_slope": "derives the rate (4/5) sqrt(2) the departure score assumes",
     "nel.pseries.ftau_partial_sum": "_polished_roots builds S_n from it, and the tests "
                                     "take S_n's coefficients from it",

@@ -1,18 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nel.ode import IntegratorConfig
-from nel.painleve import (_ODE, _X_MIN, _Y_FLOOR, _Y_POLE, REPORTED_GROWTH_CONSTANT,
-                          InsufficientExtrema, MatchDiverged, PoleEvent, Undecided,
-                          approach_decay_slope, classify_fate, estimate_C,
-                          fit_oscillation_envelope, integrate_with_poles, laurent_match,
-                          painleve_rhs, pole_series_eval)
+from nel.painleve import (_ODE, _X_MIN, _Y_FLOOR, REPORTED_GROWTH_CONSTANT,
+                          InsufficientExtrema, Undecided, approach_decay_slope,
+                          classify_fate, estimate_C, fit_oscillation_envelope,
+                          integrate_with_poles, painleve_rhs)
 
+import reference
 from published import PAINLEVE_C, PAINLEVE_EIGS
 
 RATE = 0.8 * math.sqrt(2.0)
+_Y_40 = reference.POLE_HEIGHTS[1]      # the Laurent route's upper match height
 
 
 def test_rhs_values():
@@ -26,16 +28,14 @@ def test_rhs_values():
 
 
 def test_laurent_series_satisfies_equation():
-    # The truncated series fails the equation only beyond the kept orders:
-    # the residual scales like s^(J-3)..s^(J-1) depending on which omitted
-    # coefficient dominates (any transcription error would show up at order
-    # one-to-three instead).
-    from nel.painleve import _pole_series
-
+    # The reference route's truncated series fails the equation only beyond
+    # the kept orders: the residual scales like s^(J-3)..s^(J-1) depending on
+    # which omitted coefficient dominates (any transcription error would show
+    # up at order one-to-three instead).
     x0, h = -3.7, 1.9
 
     def residual(s, terms):
-        c = _pole_series(x0, h, terms)
+        c = reference.pole_series(x0, h, terms)
         p = dp = ddp = 0.0
         for cj in reversed(c):
             ddp = ddp * s + 2 * dp
@@ -53,7 +53,7 @@ def test_laurent_series_satisfies_equation():
 def _one_loop_series(x0, h, terms, first):
     # c and its (x0, h) derivatives built together in one loop, summing
     # i = first .. m - first: first = 1 takes every term, zero terms
-    # included; first = 4 skips them as the library does
+    # included; first = 4 skips them as the reference series does
     c, dx, dh = [0.0] * (terms + 1), [0.0] * (terms + 1), [0.0] * (terms + 1)
     c[0], c[4], dx[4], c[5], c[6], dh[6] = 6.0, -x0 / 10.0, -0.1, -1.0 / 6.0, h, 1.0
     for m in range(7, terms + 1):
@@ -71,14 +71,11 @@ def _one_loop_series(x0, h, terms, first):
                                    (-41.06, 0.0), (12.5, -0.3), (-120.0, 37.0)])
 @pytest.mark.parametrize("terms", [7, 12, 24])
 def test_pole_series_skips_only_zero_terms(x0, h, terms):
-    # the coefficients, and apart from them their derivatives, which
-    # laurent_match builds only for a Newton step it takes, equal to the bit
-    # both the sums over every term and the one loop that built all three
-    # together over the nonzero terms
-    from nel.painleve import _pole_series, _pole_series_derivatives
-
-    c = _pole_series(x0, h, terms)
-    got = (c, *_pole_series_derivatives(c))
+    # the reference series' coefficients and their derivatives, which its
+    # Newton fit builds, equal to the bit both the sums over every term and
+    # the one loop that built all three together over the nonzero terms
+    c = reference.pole_series(x0, h, terms)
+    got = (c, *reference.pole_series_derivatives(c))
     for first in (1, 4):
         for g, r in zip(got, _one_loop_series(x0, h, terms, first)):
             assert [v.hex() for v in g] == [v.hex() for v in r]
@@ -88,11 +85,11 @@ def test_pole_series_skips_only_zero_terms(x0, h, terms):
 
 def test_laurent_match_recovers_synthetic_pole():
     x0, h = -7.3, 4.2
-    s = -math.sqrt(6.0 / _Y_POLE) * 1.01
-    y, v = pole_series_eval(x0, h, x0 + s)
-    ev = laurent_match(x0 + s, y, v, _Y_POLE)
-    assert abs(ev.x0 - x0) < 1e-6
-    assert abs(ev.h - h) < 1e-6
+    s = -math.sqrt(6.0 / _Y_40) * 1.01
+    y, v = reference.pole_series_eval(x0, h, x0 + s)
+    fit = reference.laurent_match(x0 + s, y, v, _Y_40)
+    assert abs(fit[0] - x0) < 1e-6
+    assert abs(fit[1] - h) < 1e-6
     # the leading-order guess x + 2y/v already lands close
     assert abs((x0 + s + 2 * y / v) - x0) < 1e-2
 
@@ -102,166 +99,124 @@ def test_leading_order_guess_close_to_newton_at_great_height():
     # x0 = x + 2 y / v is already microns from the converged fit
     x0, h = -4.2, 2.7
     s = -math.sqrt(6.0 / 6e4)
-    y, v = pole_series_eval(x0, h, x0 + s)
+    y, v = reference.pole_series_eval(x0, h, x0 + s)
     guess = (x0 + s) + 2.0 * y / v
-    ev = laurent_match(x0 + s, y, v, _Y_POLE)
-    assert abs(guess - ev.x0) < 1e-6
-    assert abs(ev.x0 - x0) < 1e-9
-
-
-def test_laurent_match_guards():
-    with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 10.0, -100.0, _Y_POLE)      # far below match height
-    with pytest.raises(MatchDiverged):
-        laurent_match(-5.0, 500.0, 0.0, _Y_POLE)        # turning point
-    with pytest.raises(MatchDiverged):
-        PoleEvent(-1.0, 0.0, 1e-3, 0.0)                  # residual bound enforced
-
-
-def test_a_stop_at_40_without_the_pole_signature_raises(deadline):
-    # y0 = 50 starts above both match heights: the floor's stop fails the
-    # pole signature v^2 >= y^3/3, and the stop at 40 does too, a
-    # turnaround, which ends the run
-    with deadline(30), pytest.raises(MatchDiverged, match="pole signature"):
-        classify_fate(0.0, y0=50.0)
-
-
-def test_pole_height_is_the_floor_the_series_allows(monkeypatch):
-    # Every pole that a = -100..100 meet in the fate window is matched at
-    # the floor or at 40, and crossed without MatchDiverged.  A floor match
-    # keeps its 24-term tail within laurent_match's bound 1e-9 |y| out to
-    # its restart offset.  A floor that fails runs its segment once more,
-    # from the same start, to 40; segments and poles are as many as at 40
-    # alone.  The reruns: at the first pole of each run with |a| >= 40,
-    # whose lowest height grows with |a|; by a failed tail check past a
-    # first pole at fewer than 1 % of poles (the margin 1.1 sits above the
-    # 99th percentile of the pole-to-pole growth); and by a stop short of
-    # the pole signature (10, on the chains of a = -20, 0 and 20).  With
-    # them the runs take fewer attempts than at 40 alone.  At 40 the tail
-    # stays within a quarter of the bound at every pole (worst 0.23, the
-    # first pole of a = -100); the ratio grows like Y^-12, so a ratio above
-    # 0.1 also puts the lowest height the bound allows above 0.82 _Y_POLE.
-    # A run within sqrt(-x)/2 of +sqrt(-x) stays below the floor, so it
-    # never reaches a segment end.
-    import nel.painleve as pv
-    from nel.painleve import _SERIES_TERMS, _pole_series
-
-    assert _Y_FLOOR == 1.5 * math.sqrt(-_X_MIN) < _Y_POLE
-    matches, runs = [], []
-    match, integrate = pv.laurent_match, pv.integrate
-
-    def logged_match(x, y, v, height):
-        try:
-            ev = match(x, y, v, height)
-        except MatchDiverged:
-            matches.append((height, None))
-            raise
-        matches.append((height, ev))
-        return ev
-
-    def counted(rhs, x, *args, **kwargs):
-        traj = integrate(rhs, x, *args, **kwargs)
-        runs.append((x, traj.step_count + traj.rejected))
-        return traj
-
-    def ratio(c, y):
-        # the tail over its bound at the restart offset of height y
-        return abs(c[-1]) * (6.0 / y) ** ((_SERIES_TERMS - 2) / 2) / (1e-9 * y)
-
-    monkeypatch.setattr(pv, "laurent_match", logged_match)
-    monkeypatch.setattr(pv, "integrate", counted)
-    at_40, first_reruns, tail_reruns, n_poles = [], [], 0, 0
-    attempts = attempts_40 = 0
-    for k in range(-10, 11):
-        matches.clear()
-        runs.clear()
-        segs, poles = integrate_with_poles(10.0 * k, _X_MIN)
-        assert [ev for _, ev in matches if ev is not None] == poles
-        reruns = [i for i in range(1, len(runs)) if runs[i][0] == runs[i - 1][0]]
-        assert len(runs) - len(segs) == len(reruns)
-        first_reruns += [10 * k] if reruns[:1] == [1] else []
-        for i, (height, ev) in enumerate(matches):
-            if ev is None:
-                assert (height, matches[i + 1][0]) == (_Y_FLOOR, _Y_POLE)
-                tail_reruns += i > 0
-                continue
-            assert height in (_Y_FLOOR, _Y_POLE)
-            c = _pole_series(ev.x0, ev.h, _SERIES_TERMS)
-            if height == _Y_FLOOR:
-                assert ev.tail <= 1.0 and ratio(c, _Y_FLOOR) <= 1.0
-            at_40.append(ratio(c, _Y_POLE))
-        n_poles += len(poles)
-        attempts += sum(n for _, n in runs)
-        runs.clear()
-        with monkeypatch.context() as m:
-            m.setattr(pv, "_Y_FLOOR", _Y_POLE)
-            segs_40, poles_40 = integrate_with_poles(10.0 * k, _X_MIN)
-        assert (len(segs), len(poles)) == (len(segs_40), len(poles_40))
-        attempts_40 += sum(n for _, n in runs)
-    assert 0.1 < max(at_40) <= 0.25
-    assert first_reruns == [a for a in range(-100, 101, 10) if abs(a) >= 40]
-    assert tail_reruns <= 0.01 * n_poles
-    assert attempts < attempts_40
+    fit_x0, _ = reference.laurent_match(x0 + s, y, v, _Y_40)
+    assert abs(guess - fit_x0) < 1e-6
+    assert abs(fit_x0 - x0) < 1e-9
 
 
 def test_laurent_match_checks_the_tail_at_the_restart_offset():
     # a synthetic pole far left (x0 = -300, h = 50) matched deep on its
     # approach (y ~ 1000): the 24-term tail is 3e-17 of 1e-9 |y| at the match
-    # point, but 1.74 of the bound at the restart offset s = -sqrt(6/_Y_POLE),
-    # y ~ _Y_POLE, where the far-side run would start from the series
-    from nel.painleve import _SERIES_TERMS, _pole_series
-
+    # point, but 1.74 of the bound at the restart offset s = -sqrt(6/40),
+    # y ~ 40, where the reference's far-side run would start from the series
     x0, h = -300.0, 50.0
-    c = _pole_series(x0, h, _SERIES_TERMS)
-    ratio = abs(c[-1]) * (6.0 / _Y_POLE) ** ((_SERIES_TERMS - 2) / 2) / (1e-9 * _Y_POLE)
+    c = reference.pole_series(x0, h)
+    ratio = abs(c[-1]) * (6.0 / _Y_40) ** ((reference.SERIES_TERMS - 2) / 2) / (1e-9 * _Y_40)
     assert 1.7 < ratio < 1.8
     s = -math.sqrt(6.0 / 1000.0)
-    y, v = pole_series_eval(x0, h, x0 + s)
+    y, v = reference.pole_series_eval(x0, h, x0 + s)
     assert y == pytest.approx(1000.0, rel=1e-3)
-    with pytest.raises(MatchDiverged, match="truncation"):
-        laurent_match(x0 + s, y, v, _Y_POLE)
+    with pytest.raises(reference.MatchFailed, match="truncation"):
+        reference.laurent_match(x0 + s, y, v, _Y_40)
     # the test pole of the round trips passes from the same height
     x0, h = -7.3, 4.2
-    ev = laurent_match(x0 + s, *pole_series_eval(x0, h, x0 + s), _Y_POLE)
-    assert abs(ev.x0 - x0) < 1e-9
+    fit_x0, _ = reference.laurent_match(x0 + s, *reference.pole_series_eval(x0, h, x0 + s), _Y_40)
+    assert abs(fit_x0 - x0) < 1e-9
 
 
-@pytest.mark.parametrize("height", [_Y_FLOOR, _Y_POLE], ids=["floor", "40"])
-def test_pole_round_trip(height):
-    # from series data on one side, cross the pole numerically, matched and
-    # restarted at either height, and compare with the series on the other side
-    x0, h = -7.3, 4.2
+@pytest.mark.parametrize("y0", [50.0, 100.0])
+def test_a_start_above_the_floor_without_the_pole_signature_decides(y0, deadline):
+    # y0 = 50 and 100 start above the entry height without the pole
+    # signature v^2 >= y^3/3: the (y, v) run turns and meets its poles as
+    # any other, with the verdict and pole count of a run at rel_tol 1e-13
+    fine = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, max_steps=2_000_000)
+    with deadline(30):
+        rep = classify_fate(0.0, y0=y0)
+        ref = classify_fate(0.0, fine, y0=y0)
+    assert (rep.lock, rep.pole_count) == (ref.lock, ref.pole_count)
+    assert rep.lock == "pole_chain" and rep.pole_count >= 1
+
+
+@pytest.mark.parametrize("y0", [25.0, 30.0])
+def test_fates_at_large_y0_end_in_a_verdict_or_undecided(y0, deadline):
+    # the Laurent route's 24-term tail broke its bound at the first pole of
+    # most of these runs (MatchDiverged); the chart has no series to truncate
+    outcomes = []
+    with deadline(30):
+        for a in range(-100, 101, 25):
+            try:
+                outcomes.append(classify_fate(float(a), y0=y0).lock)
+            except Undecided:
+                outcomes.append("undecided")
+    assert len(outcomes) == 9 and set(outcomes) <= {"pole_chain", "oscillatory", "undecided"}
+
+
+def test_chart_stage_off_its_domain_is_nan():
+    # 1 + u^4 g/72 < 0 lies past a turnaround; the stage returns NaN and the
+    # step loop rejects each attempt that meets one, so a run driven into
+    # the turnaround (u rising toward p = 0) ends in step underflow instead
+    # of accepting a sample off the chart
+    from nel.ode import NonFiniteState, integrate
+    from nel.painleve import _chart_rhs
+
+    assert _chart_rhs(-100.0, (0.0, 3.0)) == (1.0, 0.0)        # the pole: p = 1
+    assert all(math.isnan(c) for c in _chart_rhs(-100.0, (0.9, 0.0)))
+    with pytest.raises(NonFiniteState, match="step size underflow"):
+        integrate(_chart_rhs, -100.0, (0.5, 0.0), -90.0, _ODE, dense=False)
+
+
+def _through_the_chart(x0, h, s_far, entry, ode):
+    """(y, v) at x0 - s_far from the reference series at x0 + s_far, across
+    the pole by nel's chart passage, entered at the first sample with y >=
+    entry; and the chart's x0."""
     from nel.ode import integrate
+    from nel.painleve import _pass_pole
 
-    s_far = 0.6
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, _ODE,
-                   dense=False, stop_when=lambda x, y: y[0] >= height and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], height)
-    xr = ev.x0 - math.sqrt(6.0 / height)
-    st = pole_series_eval(ev.x0, ev.h, xr)
-    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, _ODE, dense=False)
-    y_ref, v_ref = pole_series_eval(x0, h, x0 - s_far)
-    assert abs(tr2.y_end[0] - y_ref) < 1e-7
-    assert abs(tr2.y_end[1] - v_ref) < 1e-6
+    tr = integrate(painleve_rhs, x0 + s_far, reference.pole_series_eval(x0, h, x0 + s_far),
+                   x0 - s_far, ode, dense=False,
+                   stop_when=lambda x, y: y[0] >= entry and y[1] < 0)
+    got_x0, x, state = _pass_pole(tr.x_end, *tr.y_end, x0 - 2.0 * s_far, ode)
+    # the chart leaves at its first sample past the pole with y <= _Y_FLOOR,
+    # on either side of x0 - s_far
+    tr2 = integrate(painleve_rhs, x, state, x0 - s_far, ode, dense=False)
+    return tr2.y_end, got_x0
+
+
+@pytest.mark.parametrize("height", [_Y_FLOOR, _Y_40], ids=["floor", "40"])
+def test_pole_round_trip(height):
+    # from series data on one side, cross the pole in the chart, entered at
+    # either height, and compare with the series on the other side
+    x0, h = -7.3, 4.2
+    (y, v), got_x0 = _through_the_chart(x0, h, 0.6, height, _ODE)
+    y_ref, v_ref = reference.pole_series_eval(x0, h, x0 - 0.6)
+    assert abs(y - y_ref) < 1e-7
+    assert abs(v - v_ref) < 1e-6
+    assert abs(got_x0 - x0) < 1e-9
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_pole_round_trip_tolerance_scaling(scale):
     x0, h = -5.1, 2.3
     ode = IntegratorConfig(rel_tol=1e-10 * scale, abs_tol=1e-12 * scale, max_steps=2_000_000)
-    from nel.ode import integrate
+    (y, _), _ = _through_the_chart(x0, h, 0.5, _Y_FLOOR, ode)
+    assert abs(y - reference.pole_series_eval(x0, h, x0 - 0.5)[0]) < 1e-7
 
-    s_far = 0.5
-    y_r, v_r = pole_series_eval(x0, h, x0 + s_far)
-    tr = integrate(painleve_rhs, x0 + s_far, (y_r, v_r), x0 - s_far, ode,
-                   dense=False, stop_when=lambda x, y: y[0] >= _Y_POLE and y[1] < 0)
-    ev = laurent_match(tr.x_end, tr.y_end[0], tr.y_end[1], _Y_POLE)
-    xr = ev.x0 - math.sqrt(6.0 / _Y_POLE)
-    st = pole_series_eval(ev.x0, ev.h, xr)
-    tr2 = integrate(painleve_rhs, xr, st, x0 - s_far, ode, dense=False)
-    y_ref, _ = pole_series_eval(x0, h, x0 - s_far)
-    assert abs(tr2.y_end[0] - y_ref) < 1e-7
+
+def test_chart_run_that_turns_leaves_with_no_pole():
+    # entered below p = 1/2 with u > 0, the chart leaves at its first
+    # accepted sample with no pole: a turnaround.  The (y, v) state it hands
+    # back is the solution's, as a run of the pair loop over the same step
+    from nel.ode import integrate
+    from nel.painleve import _pass_pole
+
+    x, y = -10.0, 20.0
+    v = -0.3 * math.sqrt(2.0 * y ** 3 / 3.0)          # p = 0.3 at entry
+    x0, x_exit, state = _pass_pole(x, y, v, -20.0, _ODE)
+    assert x0 is None and x_exit < x and state[1] < 0.0
+    ref = integrate(painleve_rhs, x, (y, v), x_exit, _ODE, dense=False).y_end
+    assert state == pytest.approx(ref, rel=1e-8)
 
 
 def test_first_two_eigencurves_track_branch_with_no_pole():
@@ -284,6 +239,31 @@ def test_chain_solution_has_many_poles():
     assert len(poles) >= 10
     xs = [p.x0 for p in poles]
     assert all(b < a for a, b in zip(xs, xs[1:]))   # strictly ordered
+
+
+# (a, y0, x_end) of the runs the chart is checked on: fig6's a_1..a_4 (added
+# by the fixture), fig7's two, a = +-100 over the whole window, and a = 0 at
+# four y0
+_REFERENCE_RUNS = [(1.0, 1.0, -40.0), (5.0, 1.0, -40.0), (100.0, 1.0, _X_MIN),
+                   (-100.0, 1.0, _X_MIN), *((0.0, y0, -40.0) for y0 in (-3.0, 1.0, 5.0, 20.0))]
+
+
+@pytest.mark.parametrize("run", ["fig6", *range(len(_REFERENCE_RUNS))])
+def test_chart_poles_equal_the_laurent_reference(run, painleve_eigs12):
+    # nel's chart at its default tolerance against the Laurent route of
+    # tests/reference.py at rel_tol 1e-13: the same poles, each x0 within
+    # 1e-7 on x >= -20 and 1e-6 to x = -135, the chart's errors measured
+    # against its own rel_tol 1e-13 runs (4.2e-8 and 4.0e-7) rounded up
+    fine = SimpleNamespace(rel_tol=1e-13, abs_tol=1e-15, initial_step=0.0,
+                           max_steps=5_000_000)
+    runs = ([(a, 1.0, -12.0) for a in painleve_eigs12[0][:4]] if run == "fig6"
+            else [_REFERENCE_RUNS[run]])
+    for a, y0, x_end in runs:
+        want = [x0 for x0, _ in reference.laurent_poles(a, x_end, y0, fine)]
+        got = [ev.x0 for ev in integrate_with_poles(a, x_end, y0=y0)[1]]
+        assert len(got) == len(want), (a, y0)
+        for g, w in zip(got, want):
+            assert abs(g - w) < (1e-7 if w >= -20.0 else 1e-6), (a, y0, w)
 
 
 def test_fates_on_known_intervals():
@@ -387,10 +367,12 @@ def _full_window_fate(a, y0, x_min=_X_MIN):
     a chain at the first pole whose segment meets the energy rule, else the
     4-extrema lock of the last segment.  Returns (lock, poles, onset)."""
     segs, poles = integrate_with_poles(a, x_min, y0=y0)
-    # a pole ends every stopped segment, on the pole approach v^2 >= y^3/3;
-    # a stop below it raises MatchDiverged
-    ends = [s for s in segs if s.stopped and s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3]
-    assert len(ends) == len(poles)
+    # every stopped segment ends on the pole approach v^2 >= y^3/3, and a
+    # pole ends each of them except a last one whose chart run reached x_min
+    ends = [s for s in segs if s.stopped]
+    assert all(s.y_end[1] ** 2 >= s.y_end[0] ** 3 / 3 for s in ends)
+    assert len(ends) - len(poles) in ((0, 1) if segs[-1].stopped else (0,))
+    ends = ends[:len(poles)]
     by_energy = [k for k, s in enumerate(ends, 1) if _turned_past_saddle(s)]
     if by_energy:
         return "pole_chain", by_energy[0], None
