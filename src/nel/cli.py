@@ -7,12 +7,14 @@ byte-identical files.  Grids are capped at 1,000,001 points, separatrix
 indices at |n| <= 100,000 and a Fourier section at 2^25 sine values.  The
 Painleve commands use the fixed fate window x >= -135; the eigenvalue scan
 steps by 0.3 of the growth law's spacing and closes each flip to width 1e-7.
-``main`` runs each subcommand, times it, writes its manifest and prints its
-JSON summary with the outputs.  The manifest records the subcommand, the
-flags its task read (with the defaults it used), the tool version, the wall
-time and the outputs.  A command given --out X writes it to X.manifest.json,
-``run --out-dir D`` to D/run.manifest.json; one given neither (``pseries
-rho`` without --out) writes none.
+Each figure and each painleve and pseries task is a parser leaf declaring the
+flags it reads, with their defaults and ranges: any other flag is a usage
+error.  ``main`` runs each subcommand, times it, writes its manifest and
+prints its JSON summary with the outputs.  The manifest records the
+subcommand, the flags its task read (with the defaults it used), the tool
+version, the wall time and the outputs.  A command given --out X writes it to
+X.manifest.json, ``run --out-dir D`` to D/run.manifest.json; one given
+neither (``pseries rho`` without --out) writes none.
 """
 
 from __future__ import annotations
@@ -189,9 +191,11 @@ def _cmd_eigen(args) -> tuple[list, dict]:
     ns = sorted(set(_parse_range(args.n)))     # every --method: each n once, increasing
     if args.method == "bisect" and min(ns) < 1:
         raise UsageError(f"--method bisect needs every n >= 1, got {args.n!r}")
+    if args.method == "backward" and args.tol is not None:
+        raise UsageError("--tol applies to --method both and bisect, not backward")
     if args.method != "backward":
         try:
-            _check_tol(args.tol, max(ns))
+            _check_tol(_default(args, "tol", 1e-10), max(ns))
         except ValueError as exc:
             raise UsageError(f"--tol: {exc}") from exc
     payload = []
@@ -217,10 +221,6 @@ def _cmd_eigen(args) -> tuple[list, dict]:
 def _cmd_figures(args) -> tuple[list, dict]:
     out = Path(args.out)
     name = args.figure
-    if args.n is not None and name not in ("fig4", "fig8"):
-        raise UsageError(f"--n applies to fig4 and fig8, not {name}")
-    if args.step is not None and name != "fig8":
-        raise UsageError(f"--step applies to fig8, not {name}")
     summary: dict = {"figure": name}
 
     if name == "fig1":
@@ -258,14 +258,11 @@ def _cmd_figures(args) -> tuple[list, dict]:
         from .limitcurve import implicit_Z
         from .separatrix import scaled_separatrix
 
-        n = _default(args, "n", 10000)
-        if n > _MAX_INDEX:
-            raise UsageError(f"--n {n} is above the separatrix index cap {_MAX_INDEX}")
         ts = [i / 2000 for i in range(2001)]
-        zs, big = scaled_separatrix(n, ts), implicit_Z(ts).tolist()
+        zs, big = scaled_separatrix(args.n, ts), implicit_Z(ts).tolist()
         _write_csv(out, ["t", "z", "Z", "diff"],
                    [((), (ts, zs, big, [z - b for z, b in zip(zs, big)]))])
-        summary["n"] = n
+        summary["n"] = args.n
 
     elif name == "fig5":
         from .fourier import fourier_partial_sum
@@ -291,10 +288,9 @@ def _cmd_figures(args) -> tuple[list, dict]:
     elif name == "fig8":
         from .pseries import tau_scan
 
-        n = _degree(_default(args, "n", 50))
-        sr = tau_scan(0.0, 1.0, _default(args, "step", 0.0005), n)
+        sr = tau_scan(0.0, 1.0, args.step, args.n)
         _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
-        summary["n"] = n
+        summary["n"] = args.n
         summary["maxima"] = [list(m) for m in sr.maxima[:4]]
         summary["reflection_gap"] = sr.reflection_gap
         summary["half_shift_gap"] = sr.half_shift_gap
@@ -393,10 +389,7 @@ def _cmd_painleve(args) -> tuple[list, dict]:
 
     out = Path(args.out)
     if args.task == "eigen":
-        if not -3 <= args.y0 <= 5:
-            raise UsageError(f"--y0 {args.y0} is outside -3..5, the range where the "
-                             f"eigen scan cap was checked")
-        eigs = painleve_eigenvalues(_default(args, "count", 12), y0=args.y0)
+        eigs = painleve_eigenvalues(args.count, y0=args.y0)
         payload = {
             "y0": args.y0,
             "eigenvalues": eigs,
@@ -407,17 +400,14 @@ def _cmd_painleve(args) -> tuple[list, dict]:
         _write_json(out, payload)
         return [out], {"count": len(eigs)}
     if args.task == "fate":
-        rep = classify_fate(_default(args, "a", 0.0), y0=args.y0)
+        rep = classify_fate(args.a, y0=args.y0)
         payload = {"a": args.a, "y0": args.y0, "lock": rep.lock,
                    "pole_count": rep.pole_count, "lock_onset": rep.lock_onset}
         _write_json(out, payload)
         return [out], {"lock": rep.lock}
-    # envelope, the last choice: no default slope, a = 0 meets too few extrema
-    if args.a is None:
-        raise UsageError("envelope needs --a")
-    x_min = _default(args, "x_min", -80.0)
-    segs, poles = integrate_with_poles(args.a, x_min, y0=args.y0)
-    fit = fit_oscillation_envelope(segs[-1], fit_window=(x_min, x_min / 3.2))
+    # envelope, the last choice
+    segs, poles = integrate_with_poles(args.a, args.x_min, y0=args.y0)
+    fit = fit_oscillation_envelope(segs[-1], fit_window=(args.x_min, args.x_min / 3.2))
     payload = {"a": args.a, "amplitude_exponent": fit.amplitude_exponent,
                "phase_coefficient": fit.phase_coefficient,
                "n_extrema": fit.n_extrema, "poles": len(poles)}
@@ -425,21 +415,12 @@ def _cmd_painleve(args) -> tuple[list, dict]:
     return [out], {"n_extrema": fit.n_extrema}
 
 
-def _degree(n: int) -> int:
-    if n > _MAX_DEGREE:
-        raise UsageError(f"--n {n} is above the partial-sum degree cap {_MAX_DEGREE}")
-    return n
-
-
 def _cmd_pseries(args) -> tuple[list, dict]:
-    _degree(args.n)
     out = Path(args.out) if args.out else None
-    if out is None and args.task in ("scan", "roots"):
-        raise UsageError(f"{args.task} requires --out")
     if args.task == "scan":
         from .pseries import tau_scan
 
-        lo, hi, step = _parse_grid(_default(args, "tau", "0:1:0.0005"))
+        lo, hi, step = _parse_grid(args.tau)
         sr = tau_scan(lo, hi, step, args.n)
         _write_csv(out, ["tau", "rho"], [((), (sr.taus, sr.rhos))])
         return [out], {"maxima": [list(m) for m in sr.maxima[:4]],
@@ -449,7 +430,7 @@ def _cmd_pseries(args) -> tuple[list, dict]:
     if args.task == "rho":
         from .pseries import rho_n
 
-        val = rho_n(_default(args, "tau_value", 0.25), args.n)
+        val = rho_n(args.tau_value, args.n)
         payload = {"tau": args.tau_value, "n": args.n, "rho": val}
         if out is None:
             return [], payload
@@ -458,7 +439,7 @@ def _cmd_pseries(args) -> tuple[list, dict]:
     # roots, the last choice
     from .pseries import partial_sum_roots
 
-    roots, residuals = partial_sum_roots(_default(args, "tau_value", 0.25), args.n)
+    roots, residuals = partial_sum_roots(args.tau_value, args.n)
     # moduli as rho_n takes them (np.abs and Python's abs can differ in the
     # last bit), so rho and roots print the same rho
     mods = np.abs(roots)
@@ -502,6 +483,11 @@ def _cmd_run(args) -> tuple[list, dict]:
 
 
 class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags: a leaf must not read another leaf's flag as its own."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -517,9 +503,21 @@ def _checked(kind, ok, want: str):
     return parse
 
 
-_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _POSITIVE = _checked(float, lambda v: v > 0, "positive and finite")
+_NEGATIVE = _checked(float, lambda v: v < 0, "negative and finite")
 _FINITE = _checked(float, lambda v: True, "finite")
+_DEGREE = _checked(int, lambda v: 1 <= v <= _MAX_DEGREE,
+                   f">= 1 and not above the partial-sum degree cap {_MAX_DEGREE}")
+_INDEX = _checked(int, lambda v: 1 <= v <= _MAX_INDEX,
+                  f">= 1 and not above the separatrix index cap {_MAX_INDEX}")
+
+
+def _leaves(subs, name: str, help: str, func, dest: str, leaves) -> dict:
+    """{leaf: parser} of subcommand name, whose first argument names the leaf in args.<dest>."""
+    q = subs.add_parser(name, help=help)
+    q.set_defaults(func=func)
+    tasks = q.add_subparsers(dest=dest, required=True)
+    return {leaf: tasks.add_parser(leaf) for leaf in leaves}
 
 
 @functools.cache
@@ -532,19 +530,18 @@ def _build_parser() -> _Parser:
     q = subs.add_parser("eigen", help="separatrix intercepts a_n")
     q.add_argument("--n", required=True, help="index range, e.g. 1:6 or -3:6")
     q.add_argument("--method", choices=("both", "bisect", "backward"), default="both")
-    q.add_argument("--tol", type=_POSITIVE, default=1e-10)
+    q.add_argument("--tol", type=_POSITIVE, help="both and bisect only (default 1e-10)")
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_eigen)
 
-    q = subs.add_parser("figures", help="figure datasets fig1..fig8")
-    q.add_argument("figure", choices=_FIGURES)
-    q.add_argument("--out", required=True)
-    q.add_argument("--n", type=_POSITIVE_INT, default=None,
-                   help="scaled-curve index for fig4 (default 10000, at most 100000); "
-                        "partial-sum degree for fig8 (default 50)")
-    q.add_argument("--step", type=_checked(float, lambda v: v >= 1e-6, ">= 1e-6"),
-                   default=None, help="tau step for fig8 (default 0.0005)")
-    q.set_defaults(func=_cmd_figures)
+    figs = _leaves(subs, "figures", "figure datasets", _cmd_figures, "figure", _FIGURES)
+    for q in figs.values():
+        q.add_argument("--out", required=True)
+    figs["fig4"].add_argument("--n", type=_INDEX, default=10000,
+                              help="curve index (default %(default)s)")
+    figs["fig8"].add_argument("--n", type=_DEGREE, default=50, help="degree (default %(default)s)")
+    figs["fig8"].add_argument("--step", type=_checked(float, lambda v: v >= 1e-6, ">= 1e-6"),
+                              default=0.0005, help="tau step (default %(default)s)")
 
     q = subs.add_parser("limiting-curve", help="limit curve by both routes")
     q.add_argument("--grid", type=_checked(int, lambda v: 2 <= v <= _MAX_GRID,
@@ -562,29 +559,30 @@ def _build_parser() -> _Parser:
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_extrapolate)
 
-    q = subs.add_parser("painleve", help="first Painleve transcendent")
-    q.add_argument("task", choices=("eigen", "fate", "envelope"))
-    q.add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"),
-                   help="eigenvalues for eigen (default 12)")
-    q.add_argument("--a", type=_FINITE,
-                   help="initial slope for fate (default 0) and envelope (required)")
-    q.add_argument("--y0", type=_FINITE, default=1.0,
-                   help="y(0): any finite value for fate and envelope (the tests "
-                        "decide fates at y0 = 25, 30, 50 and 100), -3..5 for eigen, "
-                        "whose scan cap follows the y0 = 1 law and was checked there")
-    q.add_argument("--x-min", type=_checked(float, lambda v: v < 0, "negative and finite"),
-                   dest="x_min", help="window end for envelope (default -80)")
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_painleve)
+    pl = _leaves(subs, "painleve", "first Painleve transcendent", _cmd_painleve, "task",
+                 ("eigen", "fate", "envelope"))
+    pl["eigen"].add_argument("--count", type=_checked(int, lambda v: 1 <= v <= 20, "in 1..20"),
+                             default=12, help="eigenvalues (default %(default)s)")
+    pl["eigen"].add_argument("--y0", default=1.0, type=_checked(
+        float, lambda v: -3 <= v <= 5, "in -3..5, where the scan cap was checked"))
+    pl["fate"].add_argument("--a", type=_FINITE, default=0.0, help="slope (default %(default)s)")
+    pl["envelope"].add_argument("--a", type=_FINITE, required=True)   # a = 0: too few extrema
+    for q in (pl["fate"], pl["envelope"]):
+        q.add_argument("--y0", type=_FINITE, default=1.0)
+    pl["envelope"].add_argument("--x-min", type=_NEGATIVE, default=-80.0, dest="x_min",
+                                help="window end (default %(default)s)")
+    for q in pl.values():
+        q.add_argument("--out", required=True)
 
-    q = subs.add_parser("pseries", help="partial-sum root moduli")
-    q.add_argument("task", choices=("scan", "rho", "roots"))
-    q.add_argument("--n", type=_POSITIVE_INT, default=50)
-    q.add_argument("--tau", help="scan grid start:end:step (default 0:1:0.0005)")
-    q.add_argument("--tau-value", type=_FINITE, dest="tau_value",
-                   help="tau for rho and roots (default 0.25)")
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_pseries)
+    ps = _leaves(subs, "pseries", "partial-sum root moduli", _cmd_pseries, "task",
+                 ("scan", "rho", "roots"))
+    for task, q in ps.items():
+        q.add_argument("--n", type=_DEGREE, default=50, help="degree (default %(default)s)")
+        if task == "scan":
+            q.add_argument("--tau", default="0:1:0.0005", help="grid (default %(default)s)")
+        else:
+            q.add_argument("--tau-value", type=_FINITE, default=0.25, dest="tau_value")
+        q.add_argument("--out", required=task != "rho")
 
     q = subs.add_parser("fourier", help="square-wave sine sections")
     q.add_argument("--n-terms", type=_checked(int, lambda v: v >= 0, ">= 0"), default=80,

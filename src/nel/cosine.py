@@ -21,7 +21,6 @@ import numpy as np
 
 from .extrapolate import _ls_slope
 from .ode import IntegratorConfig, integrate
-from .pseries import _horner
 
 __all__ = [
     "PI",
@@ -198,7 +197,7 @@ def forward_values(a: float, xs) -> np.ndarray:
     if beyond.any():
         x_s, terms = cut
         xb = xs[beyond]
-        ys[beyond] = _horner(terms, (x_s / xb) ** 2)[0] / xb
+        ys[beyond] = np.polynomial.polynomial.polyval((x_s / xb) ** 2, terms) / xb
     return ys
 
 

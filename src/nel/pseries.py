@@ -2,9 +2,7 @@
 
 The coefficient family a_k = exp(i pi tau (k^2 + k)) has unit modulus, so
 every partial sum S_n is a degree-n polynomial whose largest root modulus
-rho_n probes how far outside the unit disk the section zeros reach.  The
-package's Horner evaluator, _horner, lives here for its caller
-cosine.forward_values; the root polish evaluates by power tables instead.
+rho_n probes how far outside the unit disk the section zeros reach.
 
 The half-degree route.  With c = exp(-i pi tau (n + 1)) and z = c zeta,
 S_n(c zeta) = sum_k b_k zeta^k with b_k = exp(i pi tau k (k - n)), and
@@ -78,18 +76,6 @@ def ftau_partial_sum(tau: float, n: int) -> tuple[complex, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return tuple(_unit_phases(tau, (k * k + k for k in range(n + 1))))
-
-
-def _horner(c, s):
-    """(p(s), p'(s)) for ascending coefficients c, by Horner's rule.
-
-    s is a float, or an array that each entry of c broadcasts against.
-    """
-    p = dp = 0.0
-    for cj in reversed(c):
-        dp = dp * s + p
-        p = p * s + cj
-    return p, dp
 
 
 def _contract(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each is written on numpy and the standard library alone and imports
 nothing from nel, so no defect in a helper nel shares between its routes
-(``_horner``, ``_contract``, ``_polish``, ``_bisect``, the dense-output step
-lookup) can move a route and its reference together.
+(``_contract``, ``_polish``, ``_bisect``, the dense-output step lookup) can
+move a route and its reference together.
 
 - ``extrema``: the sign changes of a scalar trajectory's slope;
 - ``companion`` and ``companion_roots``: polynomial roots by eigenvalues;

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,7 +227,8 @@ def test_painleve_fate_and_envelope_accept_y0_outside_the_eigen_range(tmp_path, 
 
 def test_painleve_envelope_needs_a(tmp_path, capsys, monkeypatch):
     # envelope has no default slope: at a = 0 the window holds one extremum,
-    # so a run without --a is refused before any integration; fate keeps a = 0
+    # so its parser requires --a and a run without it is refused before any
+    # integration; fate keeps a = 0
     import nel.painleve
 
     calls = []
@@ -235,7 +237,8 @@ def test_painleve_envelope_needs_a(tmp_path, capsys, monkeypatch):
     code, stdout, err = run_cli(["painleve", "envelope", "--out", str(out)], capsys)
     assert (code, stdout) == (2, "")
     error = json.loads(err)["error"]
-    assert (error["type"], error["message"]) == ("UsageError", "envelope needs --a")
+    assert (error["type"], error["message"]) == ("UsageError",
+                                                 "the following arguments are required: --a")
     assert calls == [] and not out.exists()
     assert not (tmp_path / "env.json.manifest.json").exists()
 
@@ -446,11 +449,13 @@ def test_eigen_tol_below_float_spacing_is_usage_error(argv, tmp_path, capsys, mo
 
 
 def test_eigen_tol_floor_does_not_apply_to_backward(tmp_path, capsys):
-    # the backward trace reads no tol, and `both` bisects no n <= 0
+    # the backward trace reads no tol, so --tol with it is a usage error
+    # whatever its value, and `both` bisects no n <= 0
     out = tmp_path / "eig.json"
-    code, _, _ = run_cli(["eigen", "--n", "1", "--method", "backward", "--tol", "1e-300",
-                          "--out", str(out)], capsys)
-    assert code == 0 and json.loads(out.read_text())[0]["n"] == 1
+    code, _, err = run_cli(["eigen", "--n", "1", "--method", "backward", "--tol", "1e-300",
+                            "--out", str(out)], capsys)
+    assert (code, json.loads(err)["error"]["type"]) == (2, "UsageError")
+    assert list(tmp_path.iterdir()) == []
     code, _, _ = run_cli(["eigen", "--n=-1:0", "--method", "both", "--tol", "1e-300",
                           "--out", str(out)], capsys)
     assert code == 0 and [r["n"] for r in json.loads(out.read_text())] == [-1, 0]
@@ -853,12 +858,12 @@ def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["fig1", "--n", "5"], "--n applies to fig4 and fig8, not fig1"),
-    (["fig2", "--n", "5"], "--n applies to fig4 and fig8, not fig2"),
-    (["fig5", "--n", "80"], "--n applies to fig4 and fig8, not fig5"),
-    (["fig1", "--step", "0.01"], "--step applies to fig8, not fig1"),
-    (["fig4", "--step", "0.01"], "--step applies to fig8, not fig4"),
-    (["fig7", "--n", "3", "--step", "0.01"], "--n applies to fig4 and fig8, not fig7"),
+    (["fig1", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["fig2", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["fig5", "--n", "80"], "unrecognized arguments: --n 80"),
+    (["fig1", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
+    (["fig4", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
+    (["fig7", "--n", "3", "--step", "0.01"], "unrecognized arguments: --n 3 --step 0.01"),
 ])
 def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch, capsys):
     import nel.cosine
@@ -880,6 +885,71 @@ def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["painleve", "fate", "--count", "5"], "--count"),
+    (["painleve", "fate", "--x-min", "-3"], "--x-min"),
+    (["painleve", "eigen", "--a", "1"], "--a"),
+    (["painleve", "eigen", "--x-min", "-3"], "--x-min"),
+    (["painleve", "envelope", "--a", "1", "--count", "5"], "--count"),
+    (["pseries", "rho", "--tau", "0:1:0.1"], "--tau"),
+    # no flag is taken for a longer one it abbreviates: rho reads --tau-value
+    (["pseries", "rho", "--tau", "0.3"], "--tau"),
+    (["pseries", "scan", "--tau-value", "0.3"], "--tau-value"),
+    (["pseries", "roots", "--tau", "0:0.1:0.05"], "--tau"),
+    (["figures", "fig1", "--n", "5"], "--n"),
+    (["figures", "fig4", "--step", "0.01"], "--step"),
+    (["eigen", "--n", "1", "--method", "backward", "--tol", "1e-9"], "--tol"),
+])
+def test_a_task_refuses_a_flag_only_another_task_reads(argv, flag, tmp_path, monkeypatch,
+                                                       capsys):
+    # each task parses its own flags: any other is refused before any work,
+    # and no data file or manifest is written
+    import nel.cosine
+    import nel.painleve
+    import nel.pseries
+    import nel.separatrix
+
+    calls = []
+    for mod, name in ((nel.painleve, "classify_fate"), (nel.painleve, "painleve_eigenvalues"),
+                      (nel.painleve, "integrate_with_poles"), (nel.pseries, "rho_n"),
+                      (nel.pseries, "tau_scan"), (nel.pseries, "partial_sum_roots"),
+                      (nel.cosine, "forward_values"), (nel.separatrix, "scaled_separatrix"),
+                      (nel.separatrix, "trace_separatrix_backward")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, **k: calls.append(_n))
+    code, stdout, err = run_cli([*argv, "--out", str(tmp_path / "x.out")], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError" and flag in error["message"]
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+_TASK_FLAGS = {
+    "eigen": "--n --method --tol --out",
+    **{f"figures fig{k}": "--out" for k in (1, 2, 3, 5, 6, 7)},
+    "figures fig4": "--out --n",
+    "figures fig8": "--out --n --step",
+    "limiting-curve": "--grid --out",
+    "extrapolate": "--target --values --indices --stages --count --out",
+    "painleve eigen": "--count --y0 --out",
+    "painleve fate": "--a --y0 --out",
+    "painleve envelope": "--a --y0 --x-min --out",
+    "pseries scan": "--n --tau --out",
+    "pseries rho": "--n --tau-value --out",
+    "pseries roots": "--n --tau-value --out",
+    "fourier": "--n-terms --grid --out",
+    "run": "--preset --out-dir",
+}
+
+
+@pytest.mark.parametrize("task", list(_TASK_FLAGS))
+def test_every_task_help_lists_only_its_flags(task, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*task.split(), "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)
+    assert set(listed) == {"--help", *_TASK_FLAGS[task].split()}
+
+
 _FIGURE_DEFAULTS = {4: {"n": 10000}, 8: {"n": 50, "step": 0.0005}}
 _FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
                                {"figure": f"fig{k}", **_FIGURE_DEFAULTS.get(k, {})},
@@ -889,6 +959,8 @@ _FIGURE_CASES = [pytest.param(["figures", f"fig{k}", "--out", "x.csv"],
 @pytest.mark.parametrize("argv, params, outputs", [
     pytest.param(["eigen", "--n", "1:2", "--out", "x.json"],
                  {"n": "1:2", "method": "both", "tol": 1e-10}, ["x.json"], id="eigen"),
+    pytest.param(["eigen", "--n", "1:2", "--method", "backward", "--out", "x.json"],
+                 {"n": "1:2", "method": "backward"}, ["x.json"], id="eigen-backward"),
     *_FIGURE_CASES,
     pytest.param(["limiting-curve", "--grid", "21", "--out", "x.csv"], {"grid": 21}, ["x.csv"],
                  id="limiting-curve"),
@@ -1079,8 +1151,8 @@ def test_eigenvalue_failure_surfaced_as_json(task, tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(np.linalg, "eigvals", unconverged)
     out = tmp_path / "x.out"
-    code, _, err = run_cli(["pseries", task, "--n", "10", "--tau", "0:0.1:0.05",
-                            "--out", str(out)], capsys)
+    grid = ["--tau", "0:0.1:0.05"] if task == "scan" else []
+    code, _, err = run_cli(["pseries", task, "--n", "10", *grid, "--out", str(out)], capsys)
     assert code == 1
     error = json.loads(err)["error"]
     assert (error["type"], error["module"]) == ("LinAlgError", "numpy.linalg")
@@ -1214,8 +1286,7 @@ def test_one_process_gives_the_bytes_of_fresh_processes(tmp_path):
 
 
 def test_no_value_carries_over_between_calls(tmp_path, monkeypatch, capsys):
-    # fig4 --n 3000 sets the shared --n flag; the next fig8 still gets its
-    # own defaults, degree 50 at step 0.0005
+    # fig4 --n 3000, then fig8 with its own defaults, degree 50 at step 0.0005
     import nel.pseries
     import nel.separatrix
 
@@ -1233,9 +1304,9 @@ def test_no_value_carries_over_between_calls(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("bad", [
-    ["pseries", "rho", "--n", "501"],                       # refused after the parse
+    ["pseries", "rho", "--n", "501"],                       # each refused by the parse
     ["pseries", "rho", "--tau-value", "0.4", "--n", "501"],
-    ["pseries", "rho", "--tau-value", "0.4", "--n", "0"],   # refused inside the parse
+    ["pseries", "rho", "--tau-value", "0.4", "--n", "0"],
     ["pseries", "rho", "--tau-value", "0.4", "--bogus"],
 ])
 def test_call_after_a_failed_call_is_unchanged(bad, capsys):

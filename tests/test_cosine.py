@@ -11,7 +11,6 @@ from nel.cosine import (_STRIP_DX2, _STRIP_THETA, PI, BundleMismatch, _even_stri
                         bundle_decay_fit, bundle_index, forward_values,
                         rhs_unscaled, scaling_factor, scaling_lambda, tail_coefficients)
 from nel.ode import IntegratorConfig, integrate
-from nel.pseries import _horner
 from nel.separatrix import _strip_edges
 
 from reference import taylor_coefficients
@@ -255,7 +254,7 @@ def test_strip_start_is_forgotten_by_the_tail_cut(m, w):
     # any start in the strip meets the cut tail at x_s, to the reference
     # run's own accuracy (at most 2.6e-15 measured); m = 500 does not stall
     traj, t, xs = _strip_start(m, w)
-    tail = _horner(t, (xs[0] / xs) ** 2)[0] / xs
+    tail = np.polynomial.polynomial.polyval((xs[0] / xs) ** 2, t) / xs
     assert np.max(np.abs(tail / traj.sample(xs) - 1.0)) < 1e-14
 
 

@@ -82,7 +82,7 @@ def test_reference_routes_import_nothing_from_nel():
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "nel" not in {m.partition(".")[0] for m in modules}
     assert _names_read(path).isdisjoint(
-        {"nel", "_horner", "_contract", "_polish", "_bisect", "_steps",
+        {"nel", "_contract", "_polish", "_bisect", "_steps",
          "_integrate_scalar", "_integrate_pair", "_first_step"})
 
 
