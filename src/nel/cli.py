@@ -36,7 +36,7 @@ __all__ = ["main", "UsageError"]
 _MAX_GRID = 1_000_001     # points in any grid a command builds
 _MAX_DEGREE = 500         # partial-sum degree; the root finder holds d^2 values a row
 _MAX_INDEX = 100_000      # |n|; n = -1e5 takes 944,976 of the trace's 5,000,000 attempts
-_MAX_SINES = 2 ** 25      # (n_terms + 1) * grid; the partial sum holds two such arrays, 512 MB
+_MAX_SINES = 2 ** 25      # (n_terms + 1) * grid, about 0.5 s; the sum holds 64 rows, 16 MB at grid 1024
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 _CHUNK = 4096             # CSV lines formatted by one %; fourier --grid alone writes 10^6
 # run --preset: each subcommand's argv, its --out given as a name in --out-dir

@@ -6,7 +6,8 @@ embedded 4th-order solution drives a PI step-size controller.  Each
 accepted step keeps the record of its stages that the loop stored; a read
 builds the standard quartic interpolant of each step it touches from that
 record, the step's left sample and the next step's first stage.  A scalar
-run without dense output keeps only its first and last sample.
+run without dense output keeps only its first and last sample; one given
+the abscissae to read keeps the records of only the steps that hold them.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
 the dense output at a whole array of abscissae in the covered interval; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,7 +129,7 @@ class Trajectory:
     """
 
     __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "rejected",
-                 "rhs_evals", "_dense", "_f_end", "stopped")
+                 "rhs_evals", "_dense", "_f_end", "stopped", "values")
 
     def __init__(self, dim: int, direction: int):
         self.xs = array("d")
@@ -140,6 +142,7 @@ class Trajectory:
         self._dense: array | None = None
         self._f_end = None                   # y' at the last sample: k1, or (k1, l1)
         self.stopped = False
+        self.values = None                   # the reads of a grid run, see integrate
 
     # -- samples -------------------------------------------------------
 
@@ -190,11 +193,9 @@ class Trajectory:
         # k7 is the next step's k1, y' at the last sample after the last step
         k7 = stages[np.minimum(i + 1, last), 1:1 + dim]
         k7[i == last] = self._f_end
-        q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
-        q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
-        q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
         y_left = np.frombuffer(self._ys, dtype=float).reshape(-1, dim)[i]
-        return (x[:, None] - nodes[i][:, None]) / h, h, y_left, k1, q2, q3, q4
+        return ((x[:, None] - nodes[i][:, None]) / h, h, y_left, k1,
+                *_quartic(k1, k3, k4, k5, k6, k7))
 
     def __call__(self, x: float):
         return (float if self.dim == 1 else tuple)(self.sample([x])[0].tolist())
@@ -207,8 +208,7 @@ class Trajectory:
         scalar, else (len(xs), dim).  Raises ValueError for an abscissa
         outside the trajectory (NaN included) or without dense output.
         """
-        th, h, y0, q1, q2, q3, q4 = self._steps(xs)
-        y = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
+        y = _quartic_value(*self._steps(xs))
         return y[:, 0] if self.dim == 1 else y
 
     def slope(self, xs) -> np.ndarray:
@@ -221,9 +221,23 @@ class Trajectory:
         return q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4))
 
 
+def _quartic(k1, k3, k4, k5, k6, k7):
+    """(q2, q3, q4), the theta^2..theta^4 coefficients of a step's quartic
+    interpolant from its stage slopes (q1 = k1)."""
+    q2 = _P12 * k1 + _P32 * k3 + _P42 * k4 + _P52 * k5 + _P62 * k6 + _P72 * k7
+    q3 = _P13 * k1 + _P33 * k3 + _P43 * k4 + _P53 * k5 + _P63 * k6 + _P73 * k7
+    q4 = _P14 * k1 + _P34 * k3 + _P44 * k4 + _P54 * k5 + _P64 * k6 + _P74 * k7
+    return q2, q3, q4
+
+
+def _quartic_value(th, h, y_left, q1, q2, q3, q4):
+    """The quartic interpolant at offset th into its step of signed size h."""
+    return y_left + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
+
+
 def integrate(rhs: Callable, x0: float, y0, x1: float,
               cfg: IntegratorConfig | None = None, *,
-              dense: bool = True,
+              dense=True,
               stop_when: Callable | None = None) -> Trajectory:
     """Integrate y' = rhs(x, y) from x0 to x1 (either direction).
 
@@ -240,7 +254,13 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
 
     ``dense=False`` stores no stage records, so ``sample`` and ``slope``
     refuse the trajectory, and a scalar run keeps only its first and last
-    sample; its ends and counts are those of the dense run.
+    sample; its ends and counts are those of the dense run.  Given instead
+    an array of abscissae in [x0, x1] (any order, repeats allowed), a scalar
+    run is that run, which also keeps the left sample and stage record, k7
+    included, of each step holding one of them; its ``values`` are the
+    dense output there, the bits ``sample`` reads off the dense run.  An
+    abscissa outside the span (NaN included), a pair y0 or a ``stop_when``
+    with abscissae raises ValueError before ``rhs`` is called.
 
     ``rhs`` is called for k1 and the automatic first step's trial.  When it
     is ``cosine.rhs_unscaled`` (scalar) or ``painleve.painleve_rhs`` (pair)
@@ -253,12 +273,30 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
         cfg = IntegratorConfig()
     if x1 == x0:
         raise ValueError("x1 must differ from x0")
+    grid = None
+    if not isinstance(dense, bool) and np.ndim(dense) != 0:
+        grid, dense = _grid(dense, x0, x1, y0, stop_when), True
     if isinstance(y0, (int, float)):
-        return _integrate_scalar(rhs, x0, float(y0), x1, cfg, dense, stop_when)
+        return _integrate_scalar(rhs, x0, float(y0), x1, cfg, dense, stop_when, grid)
     y0 = tuple(float(v) for v in y0)
     if len(y0) != 2:
         raise ValueError(f"y0 must be a float or a pair, got {len(y0)} components")
     return _integrate_pair(rhs, x0, y0, x1, cfg, dense, stop_when)
+
+
+def _grid(xs, x0, x1, y0, stop_when) -> np.ndarray:
+    """The abscissae of a grid read, as a float array; ValueError unless
+    they lie in [x0, x1] (NaN fails) and the run is scalar and not stopped
+    by a hook."""
+    x = np.asarray(xs, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("abscissae must be a one-dimensional array")
+    if not isinstance(y0, (int, float)) or stop_when is not None:
+        raise ValueError("abscissae are read from scalar runs without stop_when")
+    d = 1 if x1 > x0 else -1
+    if not (((x - x0) * d >= 0) & ((x - x1) * d <= 0)).all():
+        raise ValueError(f"abscissa outside trajectory range [{x0}, {x1}]")
+    return x
 
 
 def _checked_step(h: float, x0: float) -> float:
@@ -294,7 +332,7 @@ def _first_step(f, x0, y0, f0, x1, cfg) -> float:
     return _checked_step(min(100 * h0, h1, span), x0)
 
 
-def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
+def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when, grid):
     from .cosine import PI, rhs_unscaled    # cosine imports this module
     # Inline stages must keep rhs_unscaled's operands and their order, so
     # that both routes give the same bits.
@@ -306,6 +344,16 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     xs_append, ys_append = traj.xs.append, traj._ys.append
     dn = array("d") if dense else None
     dn_fromlist = dn.fromlist if dense else None
+    if grid is not None:
+        # the abscissae in integration order as keys x * direction; nxt is
+        # the first unread key, inf once all are read, and held[r] the count
+        # read by kept step r and those before it
+        order = np.argsort(grid * direction, kind="stable")
+        keys = (grid[order] * direction).tolist()
+        j, m = 0, len(keys)
+        inf = math.inf
+        nxt = keys[0] if m else inf
+        held = []
 
     x, y = x0, y0
     k1 = f(x, y)
@@ -351,9 +399,16 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
             if not (isfinite(y_new) and isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn_fromlist([hs, k1, k3, k4, k5, k6])
-                xs_append(x_new)
-                ys_append(y_new)
+                if grid is None:
+                    dn_fromlist([hs, k1, k3, k4, k5, k6])
+                    xs_append(x_new)
+                    ys_append(y_new)
+                elif nxt < x_new * direction or (last and j < m):
+                    # a node abscissa takes the step it starts, x1 the last
+                    j = m if last else bisect_left(keys, x_new * direction, j)
+                    dn_fromlist([x, y, hs, k1, k3, k4, k5, k6, k7])
+                    held.append(j)
+                    nxt = keys[j] if j < m else inf
             x, y, k1, ay = x_new, y_new, k7, ay_new
             if stop_when is not None and stop_when(x, y):
                 traj.stopped = True
@@ -375,7 +430,10 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     else:
         raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
-    if not dense:
+    if grid is not None:
+        traj.values = _grid_values(grid, order, dn, held)
+        dn = None
+    if dn is None:
         xs_append(x)
         ys_append(y)
     traj.step_count = attempt - rejected
@@ -384,6 +442,20 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when):
     traj._f_end = k1
     traj._dense = dn
     return traj
+
+
+def _grid_values(grid, order, kept, held) -> np.ndarray:
+    """Dense output at each abscissa of ``grid`` from the kept records
+    [x, y, hs, k1, k3, k4, k5, k6, k7] of the steps that hold them: the
+    abscissae grid[order] are read in that order, held[r] of them by kept
+    step r and those before it."""
+    counts = np.diff(np.array(held, dtype=np.intp), prepend=0)
+    rec = np.frombuffer(kept, dtype=float).reshape(-1, 9).repeat(counts, axis=0)
+    x_left, y_left, h, k1, k3, k4, k5, k6, k7 = rec.T
+    values = np.empty(len(grid))
+    values[order] = _quartic_value((grid[order] - x_left) / h, h, y_left, k1,
+                                   *_quartic(k1, k3, k4, k5, k6, k7))
+    return values
 
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .cosine import (_STRIP_DX2, _STRIP_THETA, rhs_unscaled, scaling_factor,
                      trapped_in_even_bundle)
 from .ode import Trajectory, _find_flip, integrate
@@ -158,7 +160,7 @@ def _backward_seed(n: int, x_start: float) -> float:
 
 
 def trace_separatrix_backward(n: int, *, x_start: float | None = None,
-                              dense: bool = True) -> Trajectory:
+                              dense=True) -> Trajectory:
     """Trace the n-th separatrix from its odd tail m = 2n-1 down to x = 0.
 
     The trace ends at x_end == 0.0 exactly, so its y_end is the intercept a_n.
@@ -167,7 +169,8 @@ def trace_separatrix_backward(n: int, *, x_start: float | None = None,
     insensitive to the seed and to x_start.  Works for n <= 0 as well
     (tails m = -1, -3, ...), which yields the negative intercepts.  The seed
     at x_start (default ``backward_start``) is a point of the odd-bundle
-    strip (``_backward_seed``).
+    strip (``_backward_seed``).  ``dense`` is passed to ``integrate``: True,
+    False, or the abscissae whose values the trace keeps.
     """
     if x_start is None:
         x_start = backward_start(n)
@@ -175,10 +178,15 @@ def trace_separatrix_backward(n: int, *, x_start: float | None = None,
     return integrate(rhs_unscaled, x_start, y0, 0.0, dense=dense)
 
 
-def _scaled_trace(n: int) -> tuple[Trajectory, float]:
+def _scale(n: int) -> float:
     if n < 1:
         raise ValueError("scaled separatrices are defined for n >= 1")
-    return trace_separatrix_backward(n), scaling_factor(n)
+    return scaling_factor(n)
+
+
+def _scaled_trace(n: int) -> tuple[Trajectory, float]:
+    s = _scale(n)
+    return trace_separatrix_backward(n), s
 
 
 def scaled_separatrix(n: int, grid) -> list[float]:
@@ -187,8 +195,10 @@ def scaled_separatrix(n: int, grid) -> list[float]:
     z(0) is the scaled intercept and the turning point sits near t = 1.
     Each t must lie in [0, t_max], else ValueError; t_max =
     backward_start(n)/s is 5.9 at n = 1, 2.81 at n = 4, 1.771 at n = 13,
-    1.086 at n = 1000 and about 1.075 at large n.
+    1.086 at n = 1000 and about 1.075 at large n.  The trace keeps the
+    stage records of only the steps that hold a grid point.
     """
-    traj, s = _scaled_trace(n)
-    return (traj.sample([s * t for t in grid]) / s).tolist()
+    s = _scale(n)
+    xs = s * np.asarray(grid, dtype=float)
+    return (trace_separatrix_backward(n, dense=xs).values / s).tolist()
 

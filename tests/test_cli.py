@@ -487,16 +487,27 @@ def test_pseries_missing_out_rejected_before_computing(task, monkeypatch, capsys
     assert calls == []
 
 
+# explicit ids, the ones pytest built from argv and message, so that rewording
+# a message renames no test
 @pytest.mark.parametrize("argv, says", [
-    (["scan", "--n", "0"], "--n: '0' must be >= 1"),
-    (["scan", "--tau", "0:nan:0.1"], "need finite start <= end"),
-    (["scan", "--tau", "0:inf:0.1"], "need finite start <= end"),
-    (["rho", "--n", "0"], "--n: '0' must be >= 1"),
-    (["rho", "--tau-value", "nan"], "--tau-value: 'nan' must be finite"),
-    (["roots", "--tau-value", "inf"], "--tau-value: 'inf' must be finite"),
-    (["scan", "--n", "501"], "above the partial-sum degree cap 500"),
-    (["rho", "--n", "2000"], "above the partial-sum degree cap 500"),
-    (["roots", "--n", "501"], "above the partial-sum degree cap 500"),
+    pytest.param(["scan", "--n", "0"], "--n: '0' must be >= 1",
+                 id="argv0---n: '0' must be >= 1"),
+    pytest.param(["scan", "--tau", "0:nan:0.1"], "need finite start <= end",
+                 id="argv1-need finite start <= end"),
+    pytest.param(["scan", "--tau", "0:inf:0.1"], "need finite start <= end",
+                 id="argv2-need finite start <= end"),
+    pytest.param(["rho", "--n", "0"], "--n: '0' must be >= 1",
+                 id="argv3---n: '0' must be >= 1"),
+    pytest.param(["rho", "--tau-value", "nan"], "--tau-value: 'nan' must be finite",
+                 id="argv4---tau-value: 'nan' must be finite"),
+    pytest.param(["roots", "--tau-value", "inf"], "--tau-value: 'inf' must be finite",
+                 id="argv5---tau-value: 'inf' must be finite"),
+    pytest.param(["scan", "--n", "501"], "above the partial-sum degree cap 500",
+                 id="argv6-above the partial-sum degree cap 500"),
+    pytest.param(["rho", "--n", "2000"], "above the partial-sum degree cap 500",
+                 id="argv7-above the partial-sum degree cap 500"),
+    pytest.param(["roots", "--n", "501"], "above the partial-sum degree cap 500",
+                 id="argv8-above the partial-sum degree cap 500"),
 ])
 def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monkeypatch,
                                                      capsys):
@@ -512,12 +523,20 @@ def test_pseries_bad_input_rejected_before_computing(argv, says, tmp_path, monke
     assert calls == []
 
 
+# explicit ids, the ones pytest built from argv and message, so that rewording
+# a message renames no test
 @pytest.mark.parametrize("argv, says", [
-    (["limiting-curve", "--grid", "1000002"], "--grid: '1000002' must be in 2..1000001"),
-    (["fourier", "--grid", "1000002"], "--grid: '1000002' must be in 1..1000001"),
-    (["pseries", "scan", "--tau", "0:1:1e-9"], "more than 1000001 points"),
-    (["pseries", "scan", "--tau", "0:1e300:1e-300"], "more than 1000001 points"),
-    (["figures", "fig8", "--step", "1e-9"], "--step: '1e-9' must be >= 1e-6"),
+    pytest.param(["limiting-curve", "--grid", "1000002"],
+                 "--grid: '1000002' must be in 2..1000001",
+                 id="argv0---grid: '1000002' must be in 2..1000001"),
+    pytest.param(["fourier", "--grid", "1000002"], "--grid: '1000002' must be in 1..1000001",
+                 id="argv1---grid: '1000002' must be in 1..1000001"),
+    pytest.param(["pseries", "scan", "--tau", "0:1:1e-9"], "more than 1000001 points",
+                 id="argv2-more than 1000001 points"),
+    pytest.param(["pseries", "scan", "--tau", "0:1e300:1e-300"], "more than 1000001 points",
+                 id="argv3-more than 1000001 points"),
+    pytest.param(["figures", "fig8", "--step", "1e-9"], "--step: '1e-9' must be >= 1e-6",
+                 id="argv4---step: '1e-9' must be >= 1e-6"),
 ])
 def test_oversized_grid_rejected_before_computing(argv, says, tmp_path, monkeypatch,
                                                   capsys):
@@ -576,26 +595,33 @@ def test_degree_cap_admits_degree_500_and_spares_fig4(argv, stub, tmp_path, monk
     assert seen == [int(argv[-1])]
 
 
+# explicit ids, the ones pytest built from argv and message, so that rewording
+# a message renames no test
 @pytest.mark.parametrize("argv, says, stub", [
-    (["figures", "fig4", "--n", "100001"], "above the separatrix index cap 100000",
-     "scaled_separatrix"),
-    (["figures", "fig4", "--n", "1000000"], "above the separatrix index cap 100000",
-     "scaled_separatrix"),
-    (["eigen", "--n", "0", "--method", "bisect"], "bisect needs every n >= 1",
-     "find_eigenvalue_bisect"),
-    (["eigen", "--n=-3:2", "--method", "bisect"], "bisect needs every n >= 1",
-     "find_eigenvalue_bisect"),
-    (["eigen", "--n", "2,0", "--method", "bisect"], "bisect needs every n >= 1",
-     "find_eigenvalue_bisect"),
-    (["fourier", "--n-terms", "2000", "--grid", "1000001"], "more than 33554432",
-     "fourier_partial_sum"),
-    (["fourier", "--n-terms", "64", "--grid", "524288"], "34078720 sines",
-     "fourier_partial_sum"),
+    pytest.param(["figures", "fig4", "--n", "100001"], "above the separatrix index cap 100000",
+                 "scaled_separatrix",
+                 id="argv0-above the separatrix index cap 100000-scaled_separatrix"),
+    pytest.param(["figures", "fig4", "--n", "1000000"], "above the separatrix index cap 100000",
+                 "scaled_separatrix",
+                 id="argv1-above the separatrix index cap 100000-scaled_separatrix"),
+    pytest.param(["eigen", "--n", "0", "--method", "bisect"], "bisect needs every n >= 1",
+                 "find_eigenvalue_bisect",
+                 id="argv2-bisect needs every n >= 1-find_eigenvalue_bisect"),
+    pytest.param(["eigen", "--n=-3:2", "--method", "bisect"], "bisect needs every n >= 1",
+                 "find_eigenvalue_bisect",
+                 id="argv3-bisect needs every n >= 1-find_eigenvalue_bisect"),
+    pytest.param(["eigen", "--n", "2,0", "--method", "bisect"], "bisect needs every n >= 1",
+                 "find_eigenvalue_bisect",
+                 id="argv4-bisect needs every n >= 1-find_eigenvalue_bisect"),
+    pytest.param(["fourier", "--n-terms", "2000", "--grid", "1000001"], "more than 33554432",
+                 "fourier_partial_sum", id="argv5-more than 33554432-fourier_partial_sum"),
+    pytest.param(["fourier", "--n-terms", "64", "--grid", "524288"], "34078720 sines",
+                 "fourier_partial_sum", id="argv6-34078720 sines-fourier_partial_sum"),
 ])
 def test_index_and_size_caps_refuse_before_computing(argv, says, stub, tmp_path,
                                                       monkeypatch, capsys):
-    # fig4 at n = 1e6 would hold hundreds of MB of dense records before the
-    # step budget ran out; the Fourier section holds two (N + 1) x grid arrays
+    # fig4 at n = 1e6 would spend the trace's whole step budget before it
+    # failed; the Fourier section's cap bounds its sines, so its time
     import nel.fourier
     import nel.ode
     import nel.separatrix
@@ -857,13 +883,22 @@ def test_fig1_rows_up_to_each_stop_are_those_of_the_full_span(tmp_path, monkeypa
     assert again.read_bytes() == out.read_bytes()
 
 
+# explicit ids, the ones pytest built from argv and message, so that rewording
+# a message renames no test
 @pytest.mark.parametrize("argv, says", [
-    (["fig1", "--n", "5"], "unrecognized arguments: --n 5"),
-    (["fig2", "--n", "5"], "unrecognized arguments: --n 5"),
-    (["fig5", "--n", "80"], "unrecognized arguments: --n 80"),
-    (["fig1", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
-    (["fig4", "--step", "0.01"], "unrecognized arguments: --step 0.01"),
-    (["fig7", "--n", "3", "--step", "0.01"], "unrecognized arguments: --n 3 --step 0.01"),
+    pytest.param(["fig1", "--n", "5"], "unrecognized arguments: --n 5",
+                 id="argv0-unrecognized arguments: --n 5"),
+    pytest.param(["fig2", "--n", "5"], "unrecognized arguments: --n 5",
+                 id="argv1-unrecognized arguments: --n 5"),
+    pytest.param(["fig5", "--n", "80"], "unrecognized arguments: --n 80",
+                 id="argv2-unrecognized arguments: --n 80"),
+    pytest.param(["fig1", "--step", "0.01"], "unrecognized arguments: --step 0.01",
+                 id="argv3-unrecognized arguments: --step 0.01"),
+    pytest.param(["fig4", "--step", "0.01"], "unrecognized arguments: --step 0.01",
+                 id="argv4-unrecognized arguments: --step 0.01"),
+    pytest.param(["fig7", "--n", "3", "--step", "0.01"],
+                 "unrecognized arguments: --n 3 --step 0.01",
+                 id="argv5-unrecognized arguments: --n 3 --step 0.01"),
 ])
 def test_figures_refuse_flags_they_do_not_read(argv, says, tmp_path, monkeypatch, capsys):
     import nel.cosine
@@ -1057,9 +1092,10 @@ def test_fig2_curves_end_at_x_20(tmp_path, capsys):
 
 def test_fig4_at_the_index_cap_reads_each_steps_quartic(tmp_path, monkeypatch, capsys,
                                                         deadline):
-    # fig4 at n = 100000 reads the largest dense trajectory the CLI builds
-    # (725,908 steps); each z must equal the quartic rebuilt here from the
-    # trace's stored stage records, the samples and y' at the last one
+    # fig4 at n = 100000 reads the longest trace the CLI builds (725,908
+    # steps) and keeps the records of only the steps that hold its points;
+    # each z must equal the quartic rebuilt here from the stage records of
+    # the dense trace of the same n, its samples and y' at the last one
     import nel.separatrix
     from nel import ode
     from nel.separatrix import scaling_factor
@@ -1073,6 +1109,8 @@ def test_fig4_at_the_index_cap_reads_each_steps_quartic(tmp_path, monkeypatch, c
         code, _, _ = run_cli(["figures", "fig4", "--n", str(n), "--out", str(out)], capsys)
     assert code == 0
     (traj,), s = traces, scaling_factor(n)
+    assert (traj._dense, traj.step_count) == (None, 725908)
+    traj = trace(n)
     st = np.frombuffer(traj._dense).reshape(-1, 6)
     xs, ys = np.frombuffer(traj.xs), np.frombuffer(traj._ys)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]

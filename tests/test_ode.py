@@ -1,3 +1,4 @@
+import bisect
 import math
 import sys
 import time
@@ -491,6 +492,83 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
     assert bytes(ends.xs) == bytes(array("d", [x0, full.x_end]))
     assert bytes(ends._ys) == bytes(array("d", [y0, full.y_end]))
     assert ends._dense is None
+
+
+# -- grid reads: a scalar run that keeps only the steps its abscissae fall in --
+
+_GRID_RUNS = {
+    **{f"backward-{n}": (rhs_unscaled, *_backward_run(n, True)[:4])
+       for n in (-3, 1, 3, 300)},
+    "fig1-25": (rhs_unscaled, 0.0, 5.0, 24.0, None),
+    "generic-callable": (lambda x, y: math.sin(x * y) - 0.1 * y, 0.0, 2.0, 30.0, None),
+    "one-step": (rhs_unscaled, 0.0, 0.5, 1e-3, IntegratorConfig(initial_step=1e-3)),
+}
+
+
+def _grid_of(full):
+    """Abscissae of every kind: each node of the dense run (a node reads the
+    step it starts at th = 0, the end node the last step at th = 1), both
+    ends again, nine points inside every third step (several to a step),
+    and points spread over the span, shuffled with repeats."""
+    nodes = list(full.xs)
+    inside = [a + (b - a) * k / 10 for a, b in list(zip(nodes, nodes[1:]))[::3]
+              for k in range(1, 10)]
+    spread = [nodes[0] + (nodes[-1] - nodes[0]) * ((7919 * k) % 1000) / 999
+              for k in range(1000)]
+    xs = nodes + inside + spread + [nodes[-1], nodes[0], nodes[len(nodes) // 2]]
+    return [xs[(7 * k) % len(xs)] for k in range(len(xs))] + xs[::-1]
+
+
+@pytest.mark.parametrize("run", list(_GRID_RUNS))
+def test_grid_reads_equal_dense_reads_and_reference_bitwise(run):
+    f, x0, y0, x1, cfg = _GRID_RUNS[run]
+    full = integrate(f, x0, y0, x1, cfg)
+    xs = _grid_of(full)
+    got = integrate(f, x0, y0, x1, cfg, dense=np.array(xs))
+    assert got.values.shape == (len(xs),)
+    assert (_bits(got.values) == _bits(full.sample(xs))).all()
+    ref = dormand_prince(f, x0, y0, x1, cfg)
+    # the step of x: the last node at or before it, the end node's the last step
+    keys = [x * full.direction for x in ref.xs]
+    steps = [min(bisect.bisect_right(keys, x * full.direction) - 1, len(keys) - 2) for x in xs]
+    reads = [quartic_read(ref, x, i)[0][0] for x, i in zip(xs, steps)]
+    assert (_bits(got.values) == _bits(reads)).all()
+    # a list reads the same; the run is the dense run without its records
+    assert (_bits(integrate(f, x0, y0, x1, cfg, dense=xs).values) == _bits(got.values)).all()
+    ends = integrate(f, x0, y0, x1, cfg, dense=False)
+    assert bytes(got.xs) == bytes(ends.xs) and bytes(got._ys) == bytes(ends._ys)
+    assert got._f_end.hex() == full._f_end.hex()
+    assert (got.step_count, got.rejected, got.rhs_evals, got.stopped) == \
+        (full.step_count, full.rejected, full.rhs_evals, False)
+    assert got._dense is None
+    with pytest.raises(ValueError):
+        got.sample([x0])
+
+
+def test_grid_read_of_no_abscissae_is_empty():
+    got = integrate(rhs_unscaled, 0.0, 1.0, 3.0, dense=[])
+    assert got.values.shape == (0,)
+    assert got.step_count == integrate(rhs_unscaled, 0.0, 1.0, 3.0).step_count
+
+
+@pytest.mark.parametrize("x0, y0, x1, xs, stop", [
+    (0.0, 1.0, 2.0, [1.0, -0.1], False),
+    (0.0, 1.0, 2.0, [2.0000001], False),
+    (0.0, 1.0, 2.0, [0.5, math.nan], False),
+    (2.0, 0.1, 0.0, [-0.1], False),
+    (2.0, 0.1, 0.0, [1.0, 2.0000001], False),
+    (2.0, 0.1, 0.0, [math.nan], False),
+    (0.0, 1.0, 2.0, [[0.5, 1.0]], False),
+    (0.0, (0.0, 1.0), 1.0, [0.5], False),
+    (0.0, 1.0, 2.0, [0.5], True),
+], ids=["below", "above", "nan", "backward-below", "backward-above", "backward-nan",
+        "two-dimensional", "pair", "stop-when"])
+def test_grid_read_rejects_bad_abscissae_before_any_step(x0, y0, x1, xs, stop):
+    field = (lambda x, y: -y) if isinstance(y0, float) else _oscillator
+    rhs, calls = _counted(field)
+    with pytest.raises(ValueError):
+        integrate(rhs, x0, y0, x1, dense=xs, stop_when=(lambda x, y: False) if stop else None)
+    assert calls == []
 
 
 # -- the inline Painleve-I field against the call route -----------------------

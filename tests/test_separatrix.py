@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,45 @@ def test_scaled_separatrix_values():
     # a read of one t is the grid read at it
     ts = [0.0, 0.3, 1.0, 1.05, t_max]
     assert [z(t).hex() for t in ts] == [v.hex() for v in scaled_separatrix(1000, ts)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 2000, 6979])
+def test_scaled_separatrix_reads_the_dense_trace_bitwise(n):
+    # fig4's grid and fig3's, shuffled and with repeats, then t = 0 (the
+    # trace's end x = 0), t_max (its start x_s) and the trace's own nodes
+    # (a node reads the step it starts, at th = 0)
+    s = math.sqrt(2 * n - 0.5)
+    full = trace_separatrix_backward(n)
+    t_max = backward_start(n) / s
+    fig4 = [i / 2000 for i in range(2001)]
+    ts = ([t for t in fig4 if t <= t_max] + [2.2 * i / 1100 for i in range(1101)
+                                              if 2.2 * i / 1100 <= t_max])
+    ts = [ts[(37 * k) % len(ts)] for k in range(len(ts))] + ts[::5]
+    ts += [0.0, t_max] + [x / s for x in list(full.xs)[::7]]
+    got = scaled_separatrix(n, ts)
+    want = full.sample([s * t for t in ts]) / s
+    assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
+
+
+def test_scaled_separatrix_memory_is_set_by_its_grid():
+    # The read keeps the record of only the steps that hold a grid point, so
+    # its peak is a fixed number of words per point: the scaled grid and its
+    # sort order and sorted copies (about 5 words), the loop's keys (4: a
+    # float and its list slot) and counts (5), its kept record and the
+    # gathered copy (2 x 9), the quartic's temporaries (about 12) and the
+    # values as an array and a list (5): about 49 words.  64 words = 512
+    # bytes a point bounds it; the dense trace it replaced kept 8 words for
+    # each of the 61,000 steps at n = 5000, 4.7 MB against this bound's 1.0 MB.
+    grid = [i / 2000 for i in range(2001)]
+    scaled_separatrix(5, grid)                  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scaled_separatrix(5000, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * len(grid), peak
 
 
 def test_scaled_intercept_converges_to_cube_root_two():
