@@ -44,7 +44,8 @@ def fourier_partial_sum(n_terms: int, xs) -> np.ndarray:
     """S_{2N+1} sampled on xs for N = n_terms.
 
     The sines are summed over the ranges of ``_row_ranges``, so the largest
-    array is one _ROWS x (N + 1) block."""
+    array is one _ROWS x (N + 1) block; a one-point grid is summed by
+    numpy's pairwise sum, whose bits do not depend on the BLAS threads."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     x = np.ravel(np.asarray(xs, dtype=float))        # any shape, as np.outer reads it
@@ -54,7 +55,11 @@ def fourier_partial_sum(n_terms: int, xs) -> np.ndarray:
     block = np.empty((min(_ROWS, len(x)), len(odd)))
     for a, b in _row_ranges(len(x)):
         rows = np.multiply.outer(x[a:b], odd, out=block[:b - a])
-        sums[a:b] = np.sin(rows, out=rows).dot(weights)
+        np.sin(rows, out=rows)
+        # numpy sums one row by BLAS ddot, which OpenBLAS threads from about
+        # 16,383 terms; its pairwise sum uses no BLAS
+        sums[a:b] = (np.multiply(rows[0], weights, out=rows[0]).sum() if b - a == 1
+                     else rows.dot(weights))
     return (4.0 / math.pi) * sums
 
 

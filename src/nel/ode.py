@@ -3,13 +3,13 @@
 Explicit embedded Runge-Kutta pair for scalar and (y, y') pair first-order
 systems.  The 5th-order solution is propagated; the difference to the
 embedded 4th-order solution drives a PI step-size controller.  Each
-accepted step keeps the record of its stages that the loop stored; a read
-builds the standard quartic interpolant of each step it touches from that
-record, the step's left sample and the next step's first stage.  A scalar
-run without dense output keeps only its first and last sample; one given
-the abscissae to read keeps the records of only the steps that hold them.
+kept step stores one self-contained record, its two ends, left sample and
+stage slopes, from which a read builds the standard quartic interpolant of
+the step.  A dense run keeps every step; a scalar run without dense output
+keeps only its first and last sample, and one given the abscissae to read
+also keeps the records of only the steps that hold them.
 ``Trajectory.sample`` (values) and ``Trajectory.slope`` (derivatives) read
-the dense output at a whole array of abscissae in the covered interval; the
+the dense output at a whole array of abscissae in the kept steps; the
 point reads ``traj(x)`` and ``traj.derivative(x)`` are reads of one.
 The package's cheap root searches run one lockstep bisection, ``_bisect``;
 both eigenvalue ladders, the cosine maxima count and the Painleve-I fates,
@@ -115,21 +115,24 @@ class Trajectory:
     """Sampled solution with a per-step quartic dense evaluator.
 
     ``xs`` holds the accepted step endpoints (strictly monotone in the
-    integration direction); a scalar run without dense output keeps only
-    its first and last sample.  For each step i the flat ``_dense`` array
-    holds the stage record [hs, k1..., k3..., k4..., k5..., k6...]: the
-    signed step hs from xs[i] to xs[i+1] and its stage slopes, each k of
-    ``dim`` components.  With y_left = the sample at xs[i] and k7
-    = the next step's k1, or ``_f_end`` after the last step, a read builds
+    integration direction); a scalar run without dense output, or given
+    the abscissae to read, keeps only its first and last sample.  Each kept
+    step appends to the flat ``_dense`` array the record
+
+        [x_left, x_right, y_left, hs, k1, k3, k4, k5, k6, k7],
+
+    3 + 7*dim floats: the step's ends, its left sample, the signed step hs
+    it took and its stage slopes, each y and k of ``dim`` components, k7
+    the slope at x_right.  A read at x builds
 
         q1 = k1,  q_j = P1j*k1 + P3j*k3 + P4j*k4 + P5j*k5 + P6j*k6 + P7j*k7
         (j = 2, 3, 4),
         y(x) = y_left + hs*(q1*th + q2*th^2 + q3*th^3 + q4*th^4),
-        th = (x - xs[i]) / hs.
+        th = (x - x_left) / hs.
     """
 
     __slots__ = ("xs", "_ys", "dim", "direction", "step_count", "rejected",
-                 "rhs_evals", "_dense", "_f_end", "stopped", "values")
+                 "rhs_evals", "_dense", "stopped")
 
     def __init__(self, dim: int, direction: int):
         self.xs = array("d")
@@ -140,9 +143,7 @@ class Trajectory:
         self.rejected = 0                    # attempts the controller turned down
         self.rhs_evals = 0                   # inline model-field stages included
         self._dense: array | None = None
-        self._f_end = None                   # y' at the last sample: k1, or (k1, l1)
         self.stopped = False
-        self.values = None                   # the reads of a grid run, see integrate
 
     # -- samples -------------------------------------------------------
 
@@ -170,31 +171,26 @@ class Trajectory:
     # -- dense output ----------------------------------------------------
 
     def _steps(self, xs):
-        """(th, h, y_left, q1, q2, q3, q4) of each abscissa's step i: its
-        offset th = (x - x_i)/h into the step and h as columns, and the
+        """(th, h, y_left, q1, q2, q3, q4) of each abscissa's step: its
+        offset th = (x - x_left)/h into the step and h as columns, and the
         step's left sample and quartic coefficients, shape (len(xs), dim).
-        ValueError outside the trajectory (NaN included) or without dense
+        ValueError outside the kept steps (NaN included) or without dense
         output."""
         if self._dense is None:
             raise ValueError("trajectory was integrated without dense output")
         x = np.asarray(xs, dtype=float)
-        nodes = np.frombuffer(self.xs, dtype=float)
-        d = self.direction
-        if not (((x - nodes[0]) * d >= 0) & ((x - nodes[-1]) * d <= 0)).all():
-            raise ValueError(f"abscissa outside trajectory range [{nodes[0]}, {nodes[-1]}]")
-        # the step a node starts; the end node closes the last step
-        last = len(nodes) - 2
-        i = np.minimum(np.searchsorted(nodes * d, x * d, side="right") - 1, last)
-        dim = self.dim
-        stages = np.frombuffer(self._dense, dtype=float).reshape(-1, 1 + 5 * dim)
-        rec = stages[i]
-        h = rec[:, :1]
-        k1, k3, k4, k5, k6 = (rec[:, 1 + j * dim:1 + (j + 1) * dim] for j in range(5))
-        # k7 is the next step's k1, y' at the last sample after the last step
-        k7 = stages[np.minimum(i + 1, last), 1:1 + dim]
-        k7[i == last] = self._f_end
-        y_left = np.frombuffer(self._ys, dtype=float).reshape(-1, dim)[i]
-        return ((x[:, None] - nodes[i][:, None]) / h, h, y_left, k1,
+        d, dim = self.direction, self.dim
+        rec = np.frombuffer(self._dense, dtype=float).reshape(-1, 3 + 7 * dim)
+        # the last record that starts at or before x: a node starts its
+        # step, the end node closes the last one.  It starts at or before x
+        # once i >= 0, and NaN fails x <= x_right.
+        i = np.searchsorted(rec[:, 0] * d, x * d, side="right") - 1
+        if (i < 0).any() or not (x * d <= rec[i, 1] * d).all():
+            raise ValueError("abscissa outside the steps the trajectory kept")
+        rec = rec[i]
+        y_left, h = rec[:, 2:2 + dim], rec[:, 2 + dim:3 + dim]
+        k1, k3, k4, k5, k6, k7 = (rec[:, 3 + j * dim:3 + (j + 1) * dim] for j in range(1, 7))
+        return ((x[:, None] - rec[:, :1]) / h, h, y_left, k1,
                 *_quartic(k1, k3, k4, k5, k6, k7))
 
     def __call__(self, x: float):
@@ -206,7 +202,7 @@ class Trajectory:
     def sample(self, xs) -> np.ndarray:
         """Dense output at each abscissa in ``xs``: shape (len(xs),) when
         scalar, else (len(xs), dim).  Raises ValueError for an abscissa
-        outside the trajectory (NaN included) or without dense output.
+        outside the kept steps (NaN included) or without dense output.
         """
         y = _quartic_value(*self._steps(xs))
         return y[:, 0] if self.dim == 1 else y
@@ -252,15 +248,15 @@ def integrate(rhs: Callable, x0: float, y0, x1: float,
     ``stop_when(x, y)`` returns true after an accepted step, integration
     ends there and the trajectory is flagged ``stopped``.
 
-    ``dense=False`` stores no stage records, so ``sample`` and ``slope``
+    ``dense=False`` stores no step records, so ``sample`` and ``slope``
     refuse the trajectory, and a scalar run keeps only its first and last
     sample; its ends and counts are those of the dense run.  Given instead
     an array of abscissae in [x0, x1] (any order, repeats allowed), a scalar
-    run is that run, which also keeps the left sample and stage record, k7
-    included, of each step holding one of them; its ``values`` are the
-    dense output there, the bits ``sample`` reads off the dense run.  An
-    abscissa outside the span (NaN included), a pair y0 or a ``stop_when``
-    with abscissae raises ValueError before ``rhs`` is called.
+    run is that run, which also keeps the records of only the steps holding
+    one of them: ``sample`` reads there the bits it reads off the dense run
+    and refuses an abscissa in a step not kept.  An abscissa outside the
+    span (NaN included), a pair y0 or a ``stop_when`` with abscissae raises
+    ValueError before ``rhs`` is called.
 
     ``rhs`` is called for k1 and the automatic first step's trial.  When it
     is ``cosine.rhs_unscaled`` (scalar) or ``painleve.painleve_rhs`` (pair)
@@ -345,15 +341,12 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when, grid):
     dn = array("d") if dense else None
     dn_fromlist = dn.fromlist if dense else None
     if grid is not None:
-        # the abscissae in integration order as keys x * direction; nxt is
-        # the first unread key, inf once all are read, and held[r] the count
-        # read by kept step r and those before it
-        order = np.argsort(grid * direction, kind="stable")
-        keys = (grid[order] * direction).tolist()
+        # the abscissae as sorted keys x * direction; nxt is the first
+        # unread key, inf once all are read
+        keys = np.sort(grid * direction).tolist()
         j, m = 0, len(keys)
         inf = math.inf
         nxt = keys[0] if m else inf
-        held = []
 
     x, y = x0, y0
     k1 = f(x, y)
@@ -398,16 +391,15 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when, grid):
         if err <= 1.0:
             if not (isfinite(y_new) and isfinite(k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
-            if dense:
+            # a grid run keeps the steps that hold an abscissa: a node
+            # abscissa takes the step it starts, x1 the last
+            if dense and (grid is None or nxt < x_new * direction or (last and j < m)):
+                dn_fromlist([x, x_new, y, hs, k1, k3, k4, k5, k6, k7])
                 if grid is None:
-                    dn_fromlist([hs, k1, k3, k4, k5, k6])
                     xs_append(x_new)
                     ys_append(y_new)
-                elif nxt < x_new * direction or (last and j < m):
-                    # a node abscissa takes the step it starts, x1 the last
+                else:
                     j = m if last else bisect_left(keys, x_new * direction, j)
-                    dn_fromlist([x, y, hs, k1, k3, k4, k5, k6, k7])
-                    held.append(j)
                     nxt = keys[j] if j < m else inf
             x, y, k1, ay = x_new, y_new, k7, ay_new
             if stop_when is not None and stop_when(x, y):
@@ -430,32 +422,14 @@ def _integrate_scalar(f, x0, y0, x1, cfg, dense, stop_when, grid):
     else:
         raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
-    if grid is not None:
-        traj.values = _grid_values(grid, order, dn, held)
-        dn = None
-    if dn is None:
+    if not dense or grid is not None:
         xs_append(x)
         ys_append(y)
     traj.step_count = attempt - rejected
     traj.rejected = rejected
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
-    traj._f_end = k1
     traj._dense = dn
     return traj
-
-
-def _grid_values(grid, order, kept, held) -> np.ndarray:
-    """Dense output at each abscissa of ``grid`` from the kept records
-    [x, y, hs, k1, k3, k4, k5, k6, k7] of the steps that hold them: the
-    abscissae grid[order] are read in that order, held[r] of them by kept
-    step r and those before it."""
-    counts = np.diff(np.array(held, dtype=np.intp), prepend=0)
-    rec = np.frombuffer(kept, dtype=float).reshape(-1, 9).repeat(counts, axis=0)
-    x_left, y_left, h, k1, k3, k4, k5, k6, k7 = rec.T
-    values = np.empty(len(grid))
-    values[order] = _quartic_value((grid[order] - x_left) / h, h, y_left, k1,
-                                   *_quartic(k1, k3, k4, k5, k6, k7))
-    return values
 
 
 def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
@@ -537,7 +511,8 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
             if not (isfinite(y_new) and isfinite(v_new) and isfinite(k7) and isfinite(l7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                dn.fromlist([hs, k1, l1, k3, l3, k4, l4, k5, l5, k6, l6])
+                dn.fromlist([x, x_new, y, v, hs, k1, l1, k3, l3, k4, l4, k5, l5, k6, l6,
+                             k7, l7])
             x, y, v, k1, l1, ay, av = x_new, y_new, v_new, k7, l7, ay_new, av_new
             xs.append(x)
             ys.fromlist([y, v])
@@ -564,7 +539,6 @@ def _integrate_pair(f, x0, y0, x1, cfg, dense, stop_when):
     traj.step_count = attempt - rejected
     traj.rejected = rejected
     traj.rhs_evals = (1 if cfg.initial_step > 0 else 2) + 6 * attempt
-    traj._f_end = (k1, l1)
     traj._dense = dn
     return traj
 

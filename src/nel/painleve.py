@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrapolate import _ls_slope, richardson
-from .ode import IntegratorConfig, Trajectory, _bisect, _find_flip, integrate
+from .ode import IntegratorConfig, Trajectory, _bisect, _find_flip, _quartic_value, integrate
 
 __all__ = [
     "PoleEvent",
@@ -414,8 +414,7 @@ def _dense_extrema(traj: Trajectory, x_hi: float, x_lo: float):
     _, h, y0, q1, q2, q3, q4 = (c[:, -1] for c in traj._steps(x0))
 
     def g_step(x):
-        th = (x - x0) / h
-        v = y0 + h * th * (q1 + th * (q2 + th * (q3 + th * q4)))
+        v = _quartic_value((x - x0) / h, h, y0, q1, q2, q3, q4)
         return np.where(x == x1, g1, v - 1.0 / (2.0 * np.sqrt(-x)))
 
     x_e = _bisect(g_step, x0, x1, gs[flip], 60)

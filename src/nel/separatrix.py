@@ -196,9 +196,10 @@ def scaled_separatrix(n: int, grid) -> list[float]:
     Each t must lie in [0, t_max], else ValueError; t_max =
     backward_start(n)/s is 5.9 at n = 1, 2.81 at n = 4, 1.771 at n = 13,
     1.086 at n = 1000 and about 1.075 at large n.  The trace keeps the
-    stage records of only the steps that hold a grid point.
+    records of only the steps that hold a grid point, and the grid is a
+    ``sample`` of them.
     """
     s = _scale(n)
     xs = s * np.asarray(grid, dtype=float)
-    return (trace_separatrix_backward(n, dense=xs).values / s).tolist()
+    return (trace_separatrix_backward(n, dense=xs).sample(xs) / s).tolist()
 

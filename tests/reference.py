@@ -9,7 +9,7 @@ move a route and its reference together.
 - ``companion`` and ``companion_roots``: polynomial roots by eigenvalues;
 - ``taylor_coefficients``: the series of y' = cos(pi x y) at x = 0;
 - ``dormand_prince`` and ``quartic_read``: the Dormand-Prince 5(4) loop over
-  tuple states and the read of its stage records, on an exact tableau
+  tuple states and the read of its step records, on an exact tableau
   (``DP_C``, ``DP_A``, ``DP_E``, ``DP_P``) and controller constants of their
   own; both step loops of ``nel.ode`` must reproduce them bit for bit;
 - ``laurent_poles``: the Painleve-I poles by Laurent matching on that loop
@@ -30,18 +30,17 @@ def extrema(traj) -> list[tuple[float, float, str]]:
     """(x_l, x_r, kind) of each sign change of a scalar trajectory's y', in
     trajectory order, kind "max" or "min"; nothing is bisected.
 
-    Each step is probed at its nodes (the stored slopes: each step's first
-    stage, then the end slope) and at 1/4, 1/2 and 3/4 of it through
+    Each step is probed at its ends (the stored slopes k1 and k7 of its
+    record) and at 1/4, 1/2 and 3/4 of it through
     ``traj.slope``.  Two consecutive probes bracket a change where the first
     slope is nonzero and the product is not >= 0.  In +x order a maximum is
     a + to - change; a backward trajectory visits the right side first.
     """
-    nodes = np.asarray(traj.xs)
-    fs = np.append(np.asarray(traj._dense)[1::6], traj._f_end)
-    a, b = nodes[:-1, None], nodes[1:, None]
+    rec = np.asarray(traj._dense).reshape(-1, 10)
+    a, b = rec[:, :1], rec[:, 1:2]
     inner = a + (b - a) * np.array([0.25, 0.5, 0.75])
     px = np.hstack([a, inner, b])
-    pf = np.column_stack([fs[:-1], traj.slope(inner.ravel()).reshape(-1, 3), fs[1:]])
+    pf = np.column_stack([rec[:, 4], traj.slope(inner.ravel()).reshape(-1, 3), rec[:, 9]])
     fl, fr = pf[:, :-1].ravel(), pf[:, 1:].ravel()
     k = np.nonzero((fl != 0.0) & ~(fl * fr >= 0.0))[0]
     rising = (fl[k] > 0) == (traj.direction > 0)
@@ -218,10 +217,9 @@ def dormand_prince(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
 
     Returns a namespace with Trajectory's fields: ``xs`` and ``_ys`` hold
     every accepted sample, dense or not; ``_dense``, when ``dense``, the
-    stage record [hs, k1, k3, k4, k5, k6] of each step, each k of ``dim``
-    components; ``_f_end`` the slope at the last sample (a float for a
-    float y0); the step, rejection and stop results.  Raises this module's
-    NonFiniteState and StepLimitExceeded.
+    record [x_left, x_right, y_left, hs, k1, k3, k4, k5, k6, k7] of each
+    step, each y and k of ``dim`` components; the step, rejection and stop
+    results.  Raises this module's NonFiniteState and StepLimitExceeded.
     """
     cfg = _DEFAULTS if cfg is None else cfg
     scalar = isinstance(y0, (int, float))
@@ -264,8 +262,8 @@ def dormand_prince(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
             if not all(map(math.isfinite, y_new + k7)):
                 raise NonFiniteState(f"non-finite state at x={x_new}")
             if dense:
-                records.append(hs)
-                for s in (0, 2, 3, 4, 5):
+                records.extend((x, x_new, *y, hs))
+                for s in (0, 2, 3, 4, 5, 6):
                     records.extend(ks[s])
             x, y, k1 = x_new, y_new, k7
             xs.append(x)
@@ -292,38 +290,33 @@ def dormand_prince(f, x0, y0, x1, cfg=None, dense=True, stop_when=None):
     else:
         raise StepLimitExceeded(f"max_steps={cfg.max_steps} exhausted at x={x}")
 
-    return SimpleNamespace(xs=xs, _ys=ys, _dense=records, _f_end=k1[0] if scalar else k1,
-                           dim=len(y), direction=direction, step_count=steps,
-                           rejected=rejected, stopped=stopped)
+    return SimpleNamespace(xs=xs, _ys=ys, _dense=records, dim=len(y), direction=direction,
+                           step_count=steps, rejected=rejected, stopped=stopped)
 
 
 def quartic_read(traj, x, i=None):
-    """(values, slopes) at x of step i's quartic, each a list over the
-    components; by default i is the step x falls in.
+    """(values, slopes) at x of the quartic of ``_dense`` record i, each a
+    list over the components; by default i is the last record that starts
+    at or before x.
 
-    Built from the fields as ``nel.ode.Trajectory`` documents them: step i's
-    stage record [hs, k1, k3, k4, k5, k6] in ``_dense``, its left sample in
-    ``_ys`` and k7, the next step's k1 or ``_f_end`` after the last step;
-    y(x) = y_left + hs sum_s b_s(th) k_s with th = (x - xs[i]) / hs.
+    Built from the record alone, as ``nel.ode.Trajectory`` documents it:
+    [x_left, x_right, y_left, hs, k1, k3, k4, k5, k6, k7], each y and k of
+    ``dim`` components; y(x) = y_left + hs sum_s b_s(th) k_s with
+    th = (x - x_left) / hs.
     """
-    d, dn, nodes = traj.dim, traj._dense, traj.xs
+    d, dn = traj.dim, traj._dense
+    w = 3 + 7 * d
     if i is None:
-        i = min(max(k for k in range(len(nodes)) if (x - nodes[k]) * traj.direction >= 0),
-                len(nodes) - 2)
-    w = 1 + 5 * d
+        i = max(r for r in range(len(dn) // w) if (x - dn[r * w]) * traj.direction >= 0)
     rec = dn[i * w:(i + 1) * w]
-    if (i + 2) * w <= len(dn):
-        k7 = dn[(i + 1) * w + 1:(i + 1) * w + 1 + d]
-    else:
-        k7 = traj._f_end if d > 1 else [traj._f_end]
-    k1, k3, k4, k5, k6 = (rec[1 + j * d:1 + (j + 1) * d] for j in range(5))
+    x_left, y_left, hs = rec[0], rec[2:2 + d], rec[2 + d]
+    k1, k3, k4, k5, k6, k7 = (rec[3 + j * d:3 + (j + 1) * d] for j in range(1, 7))
     ks = (k1, None, k3, k4, k5, k6, k7)            # stage 2 has no dense weight
-    hs = rec[0]
-    th = (x - nodes[i]) / hs
+    th = (x - x_left) / hs
     values, slopes = [], []
     for c in range(d):
         q1, q2, q3, q4 = (_dot(terms, ks, c) for terms in _P_TERMS)
-        values.append(traj._ys[i * d + c] + hs * th * (q1 + th * (q2 + th * (q3 + th * q4))))
+        values.append(y_left[c] + hs * th * (q1 + th * (q2 + th * (q3 + th * q4))))
         slopes.append(q1 + th * (2 * q2 + th * (3 * q3 + th * 4 * q4)))
     return values, slopes
 

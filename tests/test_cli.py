@@ -15,6 +15,7 @@ import nel
 from nel.cli import _CHUNK, _col, _write_csv, main
 
 from published import PAINLEVE_C, PAINLEVE_EIGS, RHO_MAX, RHO_TAU
+from reference import quartic_read
 
 
 def run_cli(argv, capsys):
@@ -1094,10 +1095,9 @@ def test_fig4_at_the_index_cap_reads_each_steps_quartic(tmp_path, monkeypatch, c
                                                         deadline):
     # fig4 at n = 100000 reads the longest trace the CLI builds (725,908
     # steps) and keeps the records of only the steps that hold its points;
-    # each z must equal the quartic rebuilt here from the stage records of
-    # the dense trace of the same n, its samples and y' at the last one
+    # each z must equal the reference read of the kept record its abscissa
+    # falls in, and every kept record must hold one
     import nel.separatrix
-    from nel import ode
     from nel.separatrix import scaling_factor
 
     n, traces = 100000, []
@@ -1109,26 +1109,17 @@ def test_fig4_at_the_index_cap_reads_each_steps_quartic(tmp_path, monkeypatch, c
         code, _, _ = run_cli(["figures", "fig4", "--n", str(n), "--out", str(out)], capsys)
     assert code == 0
     (traj,), s = traces, scaling_factor(n)
-    assert (traj._dense, traj.step_count) == (None, 725908)
-    traj = trace(n)
-    st = np.frombuffer(traj._dense).reshape(-1, 6)
-    xs, ys = np.frombuffer(traj.xs), np.frombuffer(traj._ys)
+    assert traj.step_count == 725908
+    rec = np.frombuffer(traj._dense).reshape(-1, 10)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    x = np.array([s * float(r[0]) for r in rows])
-    # the step each abscissa falls in; x decreases along the trace
-    i = np.minimum(np.searchsorted(-xs, -x, side="right") - 1, len(st) - 1)
-    h, k1, k3, k4, k5, k6 = st[i].T
-    k7 = np.append(st[1:, 1], traj._f_end)[i]
-    q2 = (ode._P12 * k1 + ode._P32 * k3 + ode._P42 * k4 + ode._P52 * k5 + ode._P62 * k6
-          + ode._P72 * k7)
-    q3 = (ode._P13 * k1 + ode._P33 * k3 + ode._P43 * k4 + ode._P53 * k5 + ode._P63 * k6
-          + ode._P73 * k7)
-    q4 = (ode._P14 * k1 + ode._P34 * k3 + ode._P44 * k4 + ode._P54 * k5 + ode._P64 * k6
-          + ode._P74 * k7)
-    th = (x - xs[i]) / h
-    z = (ys[i] + h * th * (k1 + th * (q2 + th * (q3 + th * q4)))) / s
-    assert (len(st), len(rows)) == (725908, 2001)
-    assert [r[1] for r in rows] == ["%.17g" % v for v in z.tolist()]
+    x = [s * float(r[0]) for r in rows]
+    # the kept record each abscissa falls in; x decreases along the trace
+    i = (np.searchsorted(-rec[:, 0], -np.array(x), side="right") - 1).tolist()
+    z = [quartic_read(traj, xj, ij)[0][0] / s for xj, ij in zip(x, i)]
+    assert len(rows) == 2001
+    assert len(rec) <= 2001 and sorted(set(i)) == list(range(len(rec)))
+    assert all(rec[ij, 1] <= xj <= rec[ij, 0] for xj, ij in zip(x, i))
+    assert [r[1] for r in rows] == ["%.17g" % v for v in z]
 
 
 def test_fig3_dataset(tmp_path, capsys):

@@ -69,9 +69,10 @@ def test_validation():
 # moved with the BLAS thread count when the whole grid was one product
 # (1 or 2 ulps at 460 terms on 1,001 points, 200 on 4,001, 466 on 1,025 and
 # 2000 on 1,026); grids that end in a lone row, or in a range that two
-# threads split off its 4-row groups, at up to 8191 terms
+# threads split off its 4-row groups, at up to 8191 terms; one point, which
+# BLAS summed as a dot product that two threads split from about 16,383 terms
 _THREAD_CASES = [(460, 1001), (200, 4001), (466, 1025), (2000, 1026), (8191, 1001),
-                 (1000, 73), (63, 129), (0, 1), (5, 9)]
+                 (1000, 73), (63, 129), (0, 1), (5, 9), (16383, 1), (32767, 1), (100000, 1)]
 _DIGEST = """
 import hashlib, math
 from nel.fourier import fourier_partial_sum

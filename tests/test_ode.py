@@ -335,7 +335,6 @@ def test_pair_stepper_equals_tuple_reference_bitwise(run):
     else:
         assert got._dense is None and ref._dense is None
     assert (got.dim, got.direction) == (ref.dim, ref.direction)
-    assert [v.hex() for v in got._f_end] == [v.hex() for v in ref._f_end]
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     # every run also rejects steps, so the reject branch is compared too
@@ -413,7 +412,6 @@ def test_inline_model_rhs_equals_call_route_bitwise(run):
         assert bytes(got._dense) == bytes(ref._dense)
     else:
         assert got._dense is None and ref._dense is None
-    assert got._f_end.hex() == ref._f_end.hex()
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     # the inline stages count as evaluations: both routes report the same
@@ -483,7 +481,6 @@ def test_run_without_dense_output_keeps_its_two_ends(run):
     full = integrate(f, x0, y0, x1, dense=True, stop_when=stop_when)
     ends = integrate(f, x0, y0, x1, dense=False, stop_when=stop_when)
     assert (ends.x_end.hex(), ends.y_end.hex()) == (full.x_end.hex(), full.y_end.hex())
-    assert ends._f_end.hex() == full._f_end.hex()
     assert (ends.step_count, ends.rejected, ends.rhs_evals, ends.stopped) == \
         (full.step_count, full.rejected, full.rhs_evals, full.stopped)
     assert full.step_count == len(full.xs) - 1 > 1
@@ -519,36 +516,105 @@ def _grid_of(full):
     return [xs[(7 * k) % len(xs)] for k in range(len(xs))] + xs[::-1]
 
 
+def _records(traj):
+    return np.frombuffer(traj._dense, dtype=float).reshape(-1, 3 + 7 * traj.dim)
+
+
 @pytest.mark.parametrize("run", list(_GRID_RUNS))
 def test_grid_reads_equal_dense_reads_and_reference_bitwise(run):
     f, x0, y0, x1, cfg = _GRID_RUNS[run]
     full = integrate(f, x0, y0, x1, cfg)
     xs = _grid_of(full)
     got = integrate(f, x0, y0, x1, cfg, dense=np.array(xs))
-    assert got.values.shape == (len(xs),)
-    assert (_bits(got.values) == _bits(full.sample(xs))).all()
+    values = got.sample(xs)
+    assert values.shape == (len(xs),)
+    assert (_bits(values) == _bits(full.sample(xs))).all()
     ref = dormand_prince(f, x0, y0, x1, cfg)
     # the step of x: the last node at or before it, the end node's the last step
     keys = [x * full.direction for x in ref.xs]
     steps = [min(bisect.bisect_right(keys, x * full.direction) - 1, len(keys) - 2) for x in xs]
     reads = [quartic_read(ref, x, i)[0][0] for x, i in zip(xs, steps)]
-    assert (_bits(got.values) == _bits(reads)).all()
-    # a list reads the same; the run is the dense run without its records
-    assert (_bits(integrate(f, x0, y0, x1, cfg, dense=xs).values) == _bits(got.values)).all()
+    assert (_bits(values) == _bits(reads)).all()
+    # a list keeps the same records; the run is the dense run, which keeps
+    # the records of the steps its abscissae fall in and the two ends
+    listed = integrate(f, x0, y0, x1, cfg, dense=xs)
+    assert bytes(listed._dense) == bytes(got._dense)
+    assert bytes(got._dense) == _records(full)[sorted(set(steps))].tobytes()
     ends = integrate(f, x0, y0, x1, cfg, dense=False)
     assert bytes(got.xs) == bytes(ends.xs) and bytes(got._ys) == bytes(ends._ys)
-    assert got._f_end.hex() == full._f_end.hex()
     assert (got.step_count, got.rejected, got.rhs_evals, got.stopped) == \
         (full.step_count, full.rejected, full.rhs_evals, False)
-    assert got._dense is None
-    with pytest.raises(ValueError):
-        got.sample([x0])
+
+
+@pytest.mark.parametrize("run", ["backward-3", "fig1-25", "generic-callable"])
+def test_grid_run_refuses_reads_in_steps_it_did_not_keep(run):
+    # abscissae in every fourth step from the third on: the steps between
+    # two kept ones, and the first two and the last two, hold none
+    f, x0, y0, x1, cfg = _GRID_RUNS[run]
+    full = integrate(f, x0, y0, x1, cfg)
+    nodes = list(full.xs)
+    mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
+    kept = list(range(2, len(mids) - 2, 4))
+    got = integrate(f, x0, y0, x1, cfg, dense=[mids[i] for i in kept])
+    assert bytes(got._dense) == _records(full)[kept].tobytes()
+    # a kept step reads up to its right end, from its own record
+    k = kept[0]
+    assert got(nodes[k + 1]).hex() == quartic_read(full, nodes[k + 1], k)[0][0].hex()
+    for i in sorted(set(range(len(mids))) - set(kept)):
+        with pytest.raises(ValueError):
+            got.sample([mids[k], mids[i]])
+    for x in (x0, x1, math.nan):
+        with pytest.raises(ValueError):
+            got.slope([x])
 
 
 def test_grid_read_of_no_abscissae_is_empty():
     got = integrate(rhs_unscaled, 0.0, 1.0, 3.0, dense=[])
-    assert got.values.shape == (0,)
+    assert len(got._dense) == 0
+    assert got.sample([]).shape == (0,)
     assert got.step_count == integrate(rhs_unscaled, 0.0, 1.0, 3.0).step_count
+    # a run that kept no step has no abscissa to read
+    for x in (0.0, 1.5, 3.0, math.nan):
+        with pytest.raises(ValueError):
+            got.sample([x])
+
+
+# -- one record layout for every dense run -----------------------------------
+
+_LAYOUT_RUNS = {
+    "scalar-forward": (rhs_unscaled, 0.0, 5.0, 24.0, None, True),
+    "scalar-backward": (rhs_unscaled, *_backward_run(10, True)[:3], None, True),
+    "scalar-stopped": (rhs_unscaled, 0.0, 3.0, _forward_span(3.0), trapped_in_even_bundle, True),
+    "grid-forward": (rhs_unscaled, 0.0, 5.0, 24.0, None, [20.0, 0.5, 3.0, 24.0, 0.0, 7.7]),
+    "grid-backward": (rhs_unscaled, *_backward_run(10, True)[:3], None, [0.0, 3.3, 1.0, 2.2]),
+    "pair-forward": (_oscillator, 0.0, (1.0, 0.0), 20.0, None, True),
+    "pair-backward": (painleve_rhs, 0.0, (1.0, 5.0), -30.0, lambda x, y: abs(y[0]) > 1e3,
+                      True),
+}
+
+
+@pytest.mark.parametrize("run", list(_LAYOUT_RUNS))
+def test_every_dense_run_keeps_one_record_layout(run):
+    f, x0, y0, x1, stop_when, dense = _LAYOUT_RUNS[run]
+    traj = integrate(f, x0, y0, x1, dense=dense, stop_when=stop_when)
+    dim, d = traj.dim, traj.direction
+    assert len(traj._dense) % (3 + 7 * dim) == 0
+    rec = _records(traj)
+    x_left, x_right = rec[:, 0], rec[:, 1]
+    assert len(rec) > 1 and (np.diff(x_left * d) > 0).all()
+    assert ((x_right - x_left) * d > 0).all()
+    if dense is not True:
+        assert len(rec) <= len(dense)
+        return
+    y_left = rec[:, 2:2 + dim]
+    k1, k7 = rec[:, 3 + dim:3 + 2 * dim], rec[:, 3 + 6 * dim:]
+    assert len(rec) == traj.step_count == len(traj.xs) - 1
+    assert x_left.tobytes() == bytes(traj.xs[:-1])
+    assert x_right.tobytes() == bytes(traj.xs[1:])
+    assert x_right[:-1].tobytes() == x_left[1:].tobytes()
+    assert x_right[-1].hex() == traj.x_end.hex()
+    assert y_left.tobytes() == bytes(traj._ys[:-dim])
+    assert k7[:-1].tobytes() == k1[1:].tobytes()
 
 
 @pytest.mark.parametrize("x0, y0, x1, xs, stop", [
@@ -655,7 +721,7 @@ _RECORD_RUNS = {
 
 @pytest.mark.parametrize("run", list(_RECORD_RUNS))
 def test_dense_records_equal_per_step_build_bitwise(run):
-    # the stage records, ends and counts equal the reference's, and every
+    # the step records, ends and counts equal the reference's, and every
     # read equals the quartic built from its records one step at a time
     x0, y0, x1, cfg, stop_when = _RECORD_RUNS[run]
     ref = dormand_prince(rhs_unscaled, x0, y0, x1, cfg, True, stop_when)
@@ -663,7 +729,6 @@ def test_dense_records_equal_per_step_build_bitwise(run):
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
-    assert got._f_end.hex() == ref._f_end.hex()
     assert (got.step_count, got.stopped) == (ref.step_count, ref.stopped)
     assert got.stopped == (stop_when is not None)
     assert got.rejected == ref.rejected
@@ -700,16 +765,15 @@ _PAIR_RECORD_RUNS = {
 
 @pytest.mark.parametrize("run", list(_PAIR_RECORD_RUNS))
 def test_pair_dense_records_equal_per_step_build_bitwise(run):
-    # the pair loop stores each step's stages as the reference does, and
+    # the pair loop stores each step's record as the reference does, and
     # every read equals the quartic built from those records one step at a time
     f, x0, y0, x1, cfg, stop_when = _PAIR_RECORD_RUNS[run]
     ref = dormand_prince(f, x0, y0, x1, cfg, True, stop_when)
     got = integrate(f, x0, y0, x1, cfg, stop_when=stop_when)
-    assert len(got._dense) == 11 * got.step_count > 0
+    assert len(got._dense) == 17 * got.step_count > 0
     assert bytes(got._dense) == bytes(ref._dense)
     assert bytes(got.xs) == bytes(ref.xs)
     assert bytes(got._ys) == bytes(ref._ys)
-    assert [v.hex() for v in got._f_end] == [v.hex() for v in ref._f_end]
     assert (got.step_count, got.stopped, got.rejected) == (ref.step_count, ref.stopped,
                                                            ref.rejected)
     _reads_equal_reference(got, ref)

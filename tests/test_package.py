@@ -95,6 +95,17 @@ def test_ode_tests_import_no_private_name_from_nel_ode():
             for a in node.names if a.name.startswith("_")] == []
 
 
+def test_no_test_reads_the_tableau_of_nel_ode():
+    # tests/reference.py carries the exact tableau and dense weights; a test
+    # that read nel.ode's own would move with the loops it checks
+    from nel import ode
+
+    private = {name for name in vars(ode) if re.fullmatch(r"_[ABCEP]\d+", name)}
+    assert len(private) == 48          # _C2.._C5, _A21.._A65, _B1.._B6, _E1.._E7, _P12.._P74
+    read = {path.name: sorted(_names_read(path) & private) for path in TESTS.glob("*.py")}
+    assert {name: names for name, names in read.items() if names} == {}
+
+
 def test_ci_runs_tier1_and_the_benchmark_checks_only():
     # Tier-1 is the whole check: the workflow holds no second one, such as
     # a script fed to python on stdin

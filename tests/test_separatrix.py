@@ -321,12 +321,12 @@ def test_scaled_separatrix_reads_the_dense_trace_bitwise(n):
 def test_scaled_separatrix_memory_is_set_by_its_grid():
     # The read keeps the record of only the steps that hold a grid point, so
     # its peak is a fixed number of words per point: the scaled grid and its
-    # sort order and sorted copies (about 5 words), the loop's keys (4: a
-    # float and its list slot) and counts (5), its kept record and the
-    # gathered copy (2 x 9), the quartic's temporaries (about 12) and the
-    # values as an array and a list (5): about 49 words.  64 words = 512
-    # bytes a point bounds it; the dense trace it replaced kept 8 words for
-    # each of the 61,000 steps at n = 5000, 4.7 MB against this bound's 1.0 MB.
+    # sorted keys (about 7 words: the loop's keys are a float and a list
+    # slot each), the kept record and its gathered copy (2 x 10), the
+    # search's and the quartic's temporaries (about 16) and the values as
+    # an array and a list (5), not all alive at once.  64 words = 512 bytes
+    # a point bounds it; the dense trace it replaced kept 8 words for each
+    # of the 61,000 steps at n = 5000, 4.7 MB against this bound's 1.0 MB.
     grid = [i / 2000 for i in range(2001)]
     scaled_separatrix(5, grid)                  # first-call allocations
     tracemalloc.start()
